@@ -11,10 +11,8 @@ from .blocklp import (
     BlockProblem,
     ConvergenceTrace,
     DualState,
-    GibbsKernel,
     NumericOverflowError,
     dual_objective,
-    gibbs_kernel,
     operator_norm_1to1,
     plan_schedule,
     primal_from_dual,
@@ -31,18 +29,18 @@ from .flowsinkhorn import (
     divergence,
     flow_constants,
     flows_from_duals,
+    matrix_sweeps,
     project_C1,
     project_C2,
+    scaling_sweeps,
     sweep_matrix,
     sweep_scaling,
-    sweep_stable,
     vertex_dual_from_flow,
     vertex_dual_from_scaling,
     w1_estimate,
 )
 from .graph import Graph, geodesic_matrix, hop_diameter, shortest_paths, spanning_tree_flow
 from .numerics import (
-    arsinh_stable,
     kl_divergence,
     log_sum_exp,
     phi_root,

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -23,10 +24,8 @@ from .numerics import variation_seminorm
 __all__ = [
     "BlockProblem",
     "DualState",
-    "GibbsKernel",
     "ConvergenceTrace",
     "NumericOverflowError",
-    "gibbs_kernel",
     "primal_from_dual",
     "dual_objective",
     "residuals",
@@ -63,17 +62,6 @@ class DualState:
 
     def copy(self) -> "DualState":
         return DualState(self.u1.copy(), self.u2.copy())
-
-
-class GibbsKernel(NamedTuple):
-    """Reference tilted by the cost, kept in both linear and log scale.
-
-    Linear entries may underflow to subnormal/zero for small gamma; the
-    log_values field is the reliable representation there.
-    """
-
-    values: np.ndarray
-    log_values: np.ndarray
 
 
 class BlockProblem:
@@ -129,12 +117,6 @@ class BlockProblem:
         return DualState(np.zeros(m1), np.zeros(m2))
 
 
-def gibbs_kernel(problem: BlockProblem) -> GibbsKernel:
-    """Tilted reference z * exp(-C / gamma), with its log alongside."""
-    log_values = problem.log_reference - problem.cost / problem.gamma
-    return GibbsKernel(np.exp(log_values), log_values)
-
-
 def _log_primal(problem: BlockProblem, u: DualState) -> np.ndarray:
     adj = problem.apply_A1_adjoint(u.u1) + problem.apply_A2_adjoint(u.u2)
     return problem.log_reference + (adj - problem.cost) / problem.gamma
@@ -156,12 +138,16 @@ def primal_from_dual(problem: BlockProblem, u: DualState) -> np.ndarray:
     return np.exp(log_x)
 
 
-def dual_objective(problem: BlockProblem, u: DualState) -> float:
-    """Smoothed dual F(u) = <b,u> + gamma * (Z - ||x(u)||_1)."""
-    x = primal_from_dual(problem, u)
+def _dual_value(problem: BlockProblem, u: DualState, x: np.ndarray) -> float:
+    """F(u) from the already computed primal x = x(u)."""
     z_mass = float(problem.reference.sum())
     linear = float(problem.b1 @ u.u1) + float(problem.b2 @ u.u2)
     return linear + problem.gamma * (z_mass - float(x.sum()))
+
+
+def dual_objective(problem: BlockProblem, u: DualState) -> float:
+    """Smoothed dual F(u) = <b,u> + gamma * (Z - ||x(u)||_1)."""
+    return _dual_value(problem, u, primal_from_dual(problem, u))
 
 
 def residuals(problem: BlockProblem, u: DualState) -> tuple[np.ndarray, np.ndarray]:
@@ -251,9 +237,22 @@ def _l1(v: np.ndarray) -> float:
     return float(np.abs(v).sum())
 
 
+# What a `sweeps` iterator yields for each sweep; see solve().
+Sweep = tuple[DualState, Callable[[], np.ndarray] | None]
+
+
+def _block_sweeps(problem: BlockProblem, u: DualState) -> Iterator[Sweep]:
+    """The exact block updates in turn, starting from u."""
+    while True:
+        half = DualState(problem.block_update_1(u.u2), u.u2)
+        u = DualState(half.u1, problem.block_update_2(half.u1))
+        yield u, partial(primal_from_dual, problem, half)
+
+
 def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
-          residual_tol: float | None = None,
-          record_every: int = 1) -> tuple[DualState, ConvergenceTrace]:
+          residual_tol: float | None = None, record_every: int = 1,
+          sweeps: Iterator[Sweep] | None = None
+          ) -> tuple[DualState, ConvergenceTrace]:
     """Run cyclic block ascent from u = 0 until a stopping rule fires.
 
     Stopping rules (at least one required):
@@ -265,6 +264,13 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
     record_every thins the trace for very long runs; the start row and the
     final row are always recorded.
 
+    sweeps replaces the iteration while solve keeps the stopping, thinning
+    and recording. It yields, for each sweep, the full DualState reached and
+    either a zero-argument callable returning the half-state primal (called
+    only for recorded rows) or None, which leaves the half-state columns
+    NaN. It must start from problem.initial_state(). The default runs
+    block_update_1 then block_update_2.
+
     Returns the final dual state and the trace. On overflow the partial
     trace rides on the raised NumericOverflowError.
     """
@@ -275,51 +281,43 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
 
+    def done(k: int, res1: float) -> bool:
+        return ((residual_tol is not None and res1 <= residual_tol)
+                or (max_sweeps is not None and k >= max_sweeps))
+
     trace = ConvergenceTrace(problem.gamma, operator_norm_1to1(problem),
                              getattr(problem, "label", ""))
     u = problem.initial_state()
+    if sweeps is None:
+        sweeps = _block_sweeps(problem, u)
     try:
         x = primal_from_dual(problem, u)
-        r1 = problem.apply_A1(x) - problem.b1
-        r2 = problem.apply_A2(x) - problem.b2
-        trace.append(0, dual_objective(problem, u), _l1(r1), _l1(r2),
-                     float(x.sum()), problem.seminorm_V1(u.u1),
-                     problem.seminorm_V2(u.u2))
-        res1 = _l1(r1)
+        res1 = _l1(problem.apply_A1(x) - problem.b1)
+        trace.append(0, _dual_value(problem, u, x), res1,
+                     _l1(problem.apply_A2(x) - problem.b2), float(x.sum()),
+                     problem.seminorm_V1(u.u1), problem.seminorm_V2(u.u2))
         k = 0
-        while True:
-            if residual_tol is not None and res1 <= residual_tol:
-                break
-            if max_sweeps is not None and k >= max_sweeps:
-                break
+        stop = done(k, res1)
+        while not stop:
             k += 1
-            prev_u2 = u.u2
-            u1 = problem.block_update_1(prev_u2)
-            u2 = problem.block_update_2(u1)
-            u = DualState(u1, u2)
+            u, half = next(sweeps)
             x = primal_from_dual(problem, u)
-            r1 = problem.apply_A1(x) - problem.b1
-            res1 = _l1(r1)
-
-            stop_now = (residual_tol is not None and res1 <= residual_tol) or \
-                       (max_sweeps is not None and k >= max_sweeps)
-            if k % record_every == 0 or stop_now:
-                # half-state diagnostics only when the row is kept; on thinned
-                # runs this takes the dominant cost out of the sweep loop
-                x_half = primal_from_dual(problem, DualState(u1, prev_u2))
+            res1 = _l1(problem.apply_A1(x) - problem.b1)
+            stop = done(k, res1)
+            if k % record_every and not stop:
+                continue
+            # half-state diagnostics only when the row is kept; on thinned
+            # runs this takes the dominant cost out of the sweep loop
+            foc1 = res2_half = half_mass = math.nan
+            if half is not None:
+                x_half = half()
                 foc1 = _l1(problem.apply_A1(x_half) - problem.b1)
                 res2_half = _l1(problem.apply_A2(x_half) - problem.b2)
                 half_mass = float(x_half.sum())
-                foc2 = _l1(problem.apply_A2(x) - problem.b2)
-                linear = float(problem.b1 @ u.u1) + float(problem.b2 @ u.u2)
-                F = linear + problem.gamma * (float(problem.reference.sum())
-                                              - float(x.sum()))
-                trace.append(k, F, res1, res2_half, float(x.sum()),
-                             problem.seminorm_V1(u.u1),
-                             problem.seminorm_V2(u.u2),
-                             half_mass=half_mass, foc1=foc1, foc2=foc2)
-            if stop_now:
-                break
+            trace.append(k, _dual_value(problem, u, x), res1, res2_half,
+                         float(x.sum()), problem.seminorm_V1(u.u1),
+                         problem.seminorm_V2(u.u2), half_mass=half_mass,
+                         foc1=foc1, foc2=_l1(problem.apply_A2(x) - problem.b2))
     except NumericOverflowError as err:
         err.trace = trace
         raise

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -26,24 +25,18 @@ from .analysis import (
 )
 from .blocklp import (
     ConvergenceTrace,
-    DualState,
     NumericOverflowError,
     dual_objective,
-    operator_norm_1to1,
     primal_from_dual,
     schedule_gamma,
     solve,
     solve_scheduled,
 )
 from .flowsinkhorn import (
-    EdgeFlow,
     FlowProblem,
     flow_constants,
-    project_C1,
-    project_C2,
-    sweep_scaling,
-    vertex_dual_from_flow,
-    vertex_dual_from_scaling,
+    matrix_sweeps,
+    scaling_sweeps,
     w1_estimate,
 )
 from .graph import Graph, spanning_tree_flow
@@ -118,88 +111,40 @@ def _write_trace(trace: ConvergenceTrace | None, path: str | None) -> None:
         trace.to_csv(path)
 
 
-def _record_full_state(trace, problem, u, k, res2_half, half_mass, foc1):
-    x = primal_from_dual(problem, u)
-    r1 = problem.apply_A1(x) - problem.b1
-    foc2 = float(np.abs(problem.apply_A2(x) - problem.b2).sum())
-    trace.append(
-        k,
-        dual_objective(problem, u),
-        float(np.abs(r1).sum()),
-        res2_half,
-        float(x.sum()),
-        problem.seminorm_V1(u.u1),
-        problem.seminorm_V2(u.u2),
-        half_mass=half_mass,
-        foc1=foc1,
-        foc2=foc2,
-    )
-    return float(np.abs(r1).sum())
+def _budget(args) -> tuple[int | None, float | None]:
+    """--max-sweeps and --tol, defaulting to tolerance 1e-9 under the cap."""
+    if args.max_sweeps is None and args.tol is None:
+        return _SWEEP_CAP, 1e-9
+    return args.max_sweeps, args.tol
 
 
-def _run_flow_path(problem: FlowProblem, mode: str, *, max_sweeps, residual_tol):
-    """Drive the matrix or scaling iteration with solve()-compatible tracing.
+def _reject_epsilon_conflicts(args) -> None:
+    """--epsilon picks gamma and the sweep budget and runs the stable path."""
+    if args.epsilon is None:
+        return
+    for flag, given in (("--max-sweeps", args.max_sweeps is not None),
+                        ("--tol", args.tol is not None),
+                        ("--path", args.path != "stable")):
+        if given:
+            raise _InputError(
+                f"{flag} cannot be combined with --epsilon, which sets the "
+                "sweep budget and runs the stable path"
+            )
 
-    The scaling rows carry NaN in the half-state columns (res2_l1, and the
-    hidden half_mass/foc1): that update fuses both half-steps, so there is
-    no half state to measure.
-    """
-    trace = ConvergenceTrace(problem.gamma, operator_norm_1to1(problem),
-                             problem.label)
-    g = problem.graph
-    u = problem.initial_state()
-    f = None
-    s = np.ones(g.n)
-    try:
-        res1 = _record_full_state(trace, problem, u, 0, math.nan, math.nan,
-                                  math.nan)
-        # patch row 0 half columns to match solve(): no half state yet
-        trace.res2_l1[0] = float(
-            np.abs(problem.apply_A2(primal_from_dual(problem, u))
-                   - problem.b2).sum())
-        if mode == "matrix":
-            f = EdgeFlow(g, np.exp(-problem.w_eff / problem.gamma))
-        k = 0
-        while True:
-            if residual_tol is not None and res1 <= residual_tol:
-                break
-            if max_sweeps is not None and k >= max_sweeps:
-                break
-            k += 1
-            if mode == "matrix":
-                f1, g1 = project_C1(problem, f)
-                lifted = np.concatenate([f1.values, g1.values])
-                foc1 = float(np.abs(problem.apply_A1(lifted) - problem.b1).sum())
-                res2_half = float(np.abs(f1.values - g1.values).sum())
-                half_mass = f1.mass() + g1.mass()
-                f = project_C2(f1, g1)
-                v = vertex_dual_from_flow(problem, f)
-            else:
-                s = sweep_scaling(problem, s)
-                foc1 = res2_half = half_mass = math.nan
-                v = vertex_dual_from_scaling(problem, s)
-            u = DualState(v, problem.block_update_2(v))
-            res1 = _record_full_state(trace, problem, u, k, res2_half,
-                                      half_mass, foc1)
-    except NumericOverflowError as err:
-        err.trace = trace
-        raise
-    return u, trace
+
+_FLOW_SWEEPS = {"stable": None, "matrix": matrix_sweeps,
+                "scaling": scaling_sweeps}
 
 
 def _solve_flow(problem: FlowProblem, args):
-    max_sweeps = args.max_sweeps
-    tol = args.tol
-    if max_sweeps is None and tol is None:
-        tol = 1e-9
-        max_sweeps = _SWEEP_CAP
-    if args.path == "stable":
-        return solve(problem, max_sweeps=max_sweeps, residual_tol=tol)
-    return _run_flow_path(problem, args.path, max_sweeps=max_sweeps,
-                          residual_tol=tol)
+    max_sweeps, tol = _budget(args)
+    make_sweeps = _FLOW_SWEEPS[args.path]
+    return solve(problem, max_sweeps=max_sweeps, residual_tol=tol,
+                 sweeps=make_sweeps(problem) if make_sweeps else None)
 
 
 def cmd_w1(args) -> int:
+    _reject_epsilon_conflicts(args)
     data = _load_json(args.input)
     if "graph" not in data:
         raise _InputError("w1 expects a flow problem (with a 'graph' field)")
@@ -248,6 +193,7 @@ def cmd_w1(args) -> int:
 
 
 def cmd_ot(args) -> int:
+    _reject_epsilon_conflicts(args)
     data = _load_json(args.input)
     if "cost" not in data:
         raise _InputError("ot expects a transport problem (with a 'cost' field)")
@@ -276,10 +222,7 @@ def cmd_ot(args) -> int:
             )
         else:
             problem = _build_ot(data, _json_gamma(data, args))
-            max_sweeps, tol = args.max_sweeps, args.tol
-            if max_sweeps is None and tol is None:
-                tol = 1e-9
-                max_sweeps = _SWEEP_CAP
+            max_sweeps, tol = _budget(args)
             state, trace = solve(problem, max_sweeps=max_sweeps,
                                  residual_tol=tol)
     except NumericOverflowError as err:

@@ -6,13 +6,16 @@ g and block 2 forcing f = g. Entropic smoothing then gives closed-form
 KL projections onto both blocks, and the dual sweep reduces to one vertex
 update per iteration.
 
-Three interchangeable iteration paths are provided:
+blocklp.solve runs all three iteration paths and records their traces:
 
-  sweep_matrix   explicit flow pairs and projections (most readable);
-  sweep_scaling  one positive scaling vector per vertex (fastest to state,
-                 but its Gibbs kernel underflows for small gamma);
-  sweep_stable   the same update in the log domain, safe down to
-                 gamma ~ 1e-4 at desk scale.
+  stable   solve's default, the exact block updates block_update_1 and
+           block_update_2 in the log domain, safe down to gamma ~ 1e-4 at
+           desk scale;
+  matrix   matrix_sweeps, explicit flow pairs and KL projections
+           (sweep_matrix), the most readable form;
+  scaling  scaling_sweeps, one positive scaling vector per vertex
+           (sweep_scaling); its Gibbs kernel is in linear scale and
+           underflows for small gamma.
 
 All three produce the same iterates up to roundoff; tests hold them to
 that. Since the lifted objective counts the transport cost on both copies
@@ -23,7 +26,8 @@ w1_estimate reports on the transport scale by halving.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import partial
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -31,22 +35,23 @@ from .blocklp import (
     BlockProblem,
     DualState,
     NumericOverflowError,
+    Sweep,
     dual_objective,
     primal_from_dual,
 )
 from .graph import Graph, hop_diameter, spanning_tree_flow
-from .numerics import kl_divergence
+from .numerics import kl_divergence, phi_root
 
 __all__ = [
     "EdgeFlow",
-    "VertexDual",
     "FlowProblem",
     "divergence",
     "project_C1",
     "project_C2",
     "sweep_matrix",
     "sweep_scaling",
-    "sweep_stable",
+    "matrix_sweeps",
+    "scaling_sweeps",
     "w1_estimate",
     "flow_constants",
     "FlowConstants",
@@ -57,9 +62,6 @@ __all__ = [
 ]
 
 _BALANCE_TOL = 1e-12
-
-# Vertex duals are plain float arrays of length n.
-VertexDual = np.ndarray
 
 
 @dataclass
@@ -231,8 +233,6 @@ def project_C1(problem: FlowProblem, h: EdgeFlow) -> tuple[EdgeFlow, EdgeFlow]:
     f = diag(s) h and g = h diag(s)^{-1}. The pair satisfies
     -f 1 + g^T 1 = mu1 - mu2 up to roundoff.
     """
-    from .numerics import phi_root
-
     g = problem.graph
     hv = h.values
     row = np.add.reduceat(hv, g.arc_seg_starts)
@@ -267,8 +267,8 @@ def sweep_scaling(problem: FlowProblem, s: np.ndarray) -> np.ndarray:
     The flow iterate is diag(s) z^C diag(1/s). Assumes the reference is
     orientation-symmetric (the default constant reference is). The Gibbs
     kernel z^C is used in linear scale, so small gamma underflows it and
-    the update degenerates; that raises, and the caller should move to
-    sweep_stable.
+    the update degenerates; that raises, and the caller should move to the
+    log-domain block updates.
     """
     g = problem.graph
     s = np.asarray(s, dtype=float)
@@ -276,8 +276,8 @@ def sweep_scaling(problem: FlowProblem, s: np.ndarray) -> np.ndarray:
         zc = np.exp(-problem.w_eff / problem.gamma)
         p_vec = np.add.reduceat(zc * s[g.arc_dst], g.arc_seg_starts)
         q_vec = np.add.reduceat(zc / s[g.arc_dst], g.arc_seg_starts)
-        r = problem.r
-        inner = np.sqrt(r * r + p_vec * q_vec) - r
+        # sqrt(r^2 + PQ) - r, in the conjugate form where r dominates
+        inner = phi_root(2.0 * problem.r, p_vec * q_vec)
         s_next = np.sqrt(s / q_vec * inner)
     if not np.all(np.isfinite(s_next)) or np.any(s_next <= 0.0):
         raise NumericOverflowError(
@@ -287,21 +287,34 @@ def sweep_scaling(problem: FlowProblem, s: np.ndarray) -> np.ndarray:
     return s_next
 
 
-def sweep_stable(problem: FlowProblem, v: VertexDual) -> VertexDual:
-    """One sweep on the vertex dual, entirely in the log domain.
+def matrix_sweeps(problem: FlowProblem) -> Iterator[Sweep]:
+    """Matrix-path sweeps from the reference flow z^C, for solve().
 
-    Equivalent to composing the two exact block updates; kept fused so the
-    long small-gamma runs touch only smoothed-max reductions.
+    Each sweep is sweep_matrix's two projections; the half state is the
+    pair (f, g) after project_C1, before the geometric mean.
     """
-    g = problem.graph
-    v = np.asarray(v, dtype=float)
-    half = 0.5 * v[g.arc_dst]
-    ap = problem._seg_lse(-problem.w_eff[g.arc_rev] + half)
-    am = problem._seg_lse(-problem.w_eff - half)
-    return 0.5 * v + 0.5 * (ap - am) - _gamma_arsinh(problem.gamma, problem.r, ap + am)
+    f = EdgeFlow(problem.graph, np.exp(-problem.w_eff / problem.gamma))
+    while True:
+        f1, g1 = project_C1(problem, f)
+        f = project_C2(f1, g1)
+        v = vertex_dual_from_flow(problem, f)
+        yield (DualState(v, problem.block_update_2(v)),
+               partial(np.concatenate, (f1.values, g1.values)))
 
 
-def vertex_dual_from_scaling(problem: FlowProblem, s: np.ndarray) -> VertexDual:
+def scaling_sweeps(problem: FlowProblem) -> Iterator[Sweep]:
+    """sweep_scaling from s = 1, as sweeps for solve().
+
+    The update fuses both half-steps, so there is no half state to report.
+    """
+    s = np.ones(problem.graph.n)
+    while True:
+        s = sweep_scaling(problem, s)
+        v = vertex_dual_from_scaling(problem, s)
+        yield DualState(v, problem.block_update_2(v)), None
+
+
+def vertex_dual_from_scaling(problem: FlowProblem, s: np.ndarray) -> np.ndarray:
     """Calibration between the two state forms: v = 2 gamma log s."""
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0):
@@ -309,11 +322,11 @@ def vertex_dual_from_scaling(problem: FlowProblem, s: np.ndarray) -> VertexDual:
     return 2.0 * problem.gamma * np.log(s)
 
 
-def scaling_from_vertex_dual(problem: FlowProblem, v: VertexDual) -> np.ndarray:
+def scaling_from_vertex_dual(problem: FlowProblem, v: np.ndarray) -> np.ndarray:
     return np.exp(np.asarray(v, dtype=float) / (2.0 * problem.gamma))
 
 
-def vertex_dual_from_flow(problem: FlowProblem, f: EdgeFlow) -> VertexDual:
+def vertex_dual_from_flow(problem: FlowProblem, f: EdgeFlow) -> np.ndarray:
     """Recover the vertex dual of a positive matrix-path iterate.
 
     Integrates the per-arc log ratios log f - log z^C along a BFS tree from

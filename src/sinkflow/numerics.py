@@ -13,7 +13,6 @@ __all__ = [
     "phi_root",
     "kl_divergence",
     "variation_seminorm",
-    "arsinh_stable",
 ]
 
 
@@ -95,16 +94,3 @@ def variation_seminorm(v) -> float:
     if v.size == 0:
         raise ValueError("variation_seminorm of an empty vector")
     return 0.5 * (float(v.max()) - float(v.min()))
-
-
-def arsinh_stable(m):
-    """Inverse hyperbolic sine log(m + sqrt(1 + m**2)), odd and stable.
-
-    Negative arguments go through the reflection -arsinh(-m), which the
-    underlying libm routine already honors; large arguments reduce to
-    log(2m) without overflow. Accepts scalars or arrays.
-    """
-    out = np.arcsinh(np.asarray(m, dtype=float))
-    if out.ndim == 0:
-        return float(out)
-    return out

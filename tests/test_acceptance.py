@@ -34,9 +34,10 @@ from sinkflow.flowsinkhorn import (
     FlowProblem,
     flow_constants,
     flows_from_duals,
+    matrix_sweeps,
+    scaling_sweeps,
     sweep_matrix,
     sweep_scaling,
-    sweep_stable,
     vertex_dual_from_flow,
     vertex_dual_from_scaling,
 )
@@ -305,7 +306,7 @@ def test_criterion_7_cross_path_equivalence():
         for _ in range(200):
             f = sweep_matrix(pb, f)
             s = sweep_scaling(pb, s)
-            v = sweep_stable(pb, v)
+            v = pb.block_update_1(pb.block_update_2(v))
             f_stable = flows_from_duals(pb, DualState(v, pb.block_update_2(v)))[0]
             v_scal = vertex_dual_from_scaling(pb, s)
             f_scal = flows_from_duals(
@@ -321,7 +322,7 @@ def test_criterion_7_cross_path_equivalence():
     v = np.zeros(3)
     prev = dual_objective(pb, DualState(v, pb.block_update_2(v)))
     for k in range(10**4):
-        v = sweep_stable(pb, v)
+        v = pb.block_update_1(pb.block_update_2(v))
         if k % 1000 == 999:
             cur = dual_objective(pb, DualState(v, pb.block_update_2(v)))
             assert np.isfinite(cur) and cur >= prev - 1e-12
@@ -425,9 +426,11 @@ def test_criterion_9_sweep_cost_scaling():
 def test_criterion_5_sweep_invariants():
     """Every recorded sweep of every run above: F up, half-step FOC at zero.
 
-    Runs last so the pool holds the traces of criteria 2, 3, 4 and 9; two
+    Runs last so the pool holds the traces of criteria 2, 3, 4 and 9; four
     fresh stride-1 runs are added so the audit also covers consecutive
-    sweeps of both problem families at full recording density. foc1 is the
+    sweeps of both problem families at full recording density, and the
+    matrix and scaling flow paths. Scaling rows have no half state, so their
+    NaN FOC columns are skipped, but their ascent is checked. foc1 is the
     block-1 residual right after its own update (half state), foc2 the
     block-2 residual after the full sweep; both must sit at roundoff,
     relative to the mass at the state where they are measured.
@@ -437,6 +440,11 @@ def test_criterion_5_sweep_invariants():
     _keep("c5-ot-stride1", tr_ot)
     state, tr_fl = solve(random_flow_problem(rng, 8, 0.5), max_sweeps=300)
     _keep("c5-flow-stride1", tr_fl)
+    pb = random_flow_problem(rng, 8, 0.5)
+    state, tr_mat = solve(pb, max_sweeps=300, sweeps=matrix_sweeps(pb))
+    _keep("c5-flow-matrix-stride1", tr_mat)
+    state, tr_scal = solve(pb, max_sweeps=300, sweeps=scaling_sweeps(pb))
+    _keep("c5-flow-scaling-stride1", tr_scal)
 
     assert len(_TRACES) >= 2
     rows_checked = 0

@@ -10,7 +10,6 @@ from sinkflow.blocklp import (
     DualState,
     NumericOverflowError,
     dual_objective,
-    gibbs_kernel,
     operator_norm_1to1,
     plan_schedule,
     primal_from_dual,
@@ -63,12 +62,6 @@ class ToyProblem(BlockProblem):
 
     def block_update_2(self, u1):
         return np.array([(self.cost[0] - self.cost[1]) / 2.0])
-
-
-def test_gibbs_kernel_toy_values():
-    k = gibbs_kernel(ToyProblem())
-    np.testing.assert_allclose(k.values, [0.1353352832366127, 0.018315638888734182])
-    np.testing.assert_allclose(k.log_values, [-2.0, -4.0])
 
 
 def test_primal_from_dual_hand_value():

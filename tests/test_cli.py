@@ -91,6 +91,19 @@ def test_w1_paths_agree(capsys, path3_file):
     assert values["scaling"] == pytest.approx(values["stable"], abs=1e-8)
 
 
+def test_w1_scaling_matches_stable_at_gamma_005(capsys, path3_file):
+    """Where |r| dominates sqrt(PQ) the scaling update must not cancel."""
+    values = {}
+    for path in ("scaling", "stable"):
+        code, out, _ = run_cli(
+            capsys, "w1", path3_file, "--gamma", "0.05", "--path", path,
+            "--max-sweeps", "60",
+        )
+        assert code == 0
+        values[path] = json.loads(out)["w1_dual"]
+    assert values["scaling"] == pytest.approx(values["stable"], abs=1e-8)
+
+
 def test_w1_trace_csv(capsys, path3_file, tmp_path):
     trace = tmp_path / "trace.csv"
     code, out, _ = run_cli(
@@ -275,6 +288,21 @@ def test_bad_marginals_are_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "w1", str(path))
     assert code == 2
     assert "balance" in err
+
+
+@pytest.mark.parametrize("command", ["w1", "ot"])
+@pytest.mark.parametrize("flag,value", [
+    ("--max-sweeps", "5"), ("--tol", "0.5"), ("--path", "scaling"),
+])
+def test_epsilon_rejects_budget_and_path_flags(capsys, flow_file, ot_file,
+                                               command, flag, value):
+    path = flow_file if command == "w1" else ot_file
+    code, out, err = run_cli(capsys, command, path, "--epsilon", "0.05",
+                             flag, value)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and flag in lines[0]
 
 
 def test_gamma_epsilon_conflict_is_usage_error(flow_file):

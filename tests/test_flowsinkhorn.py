@@ -27,7 +27,6 @@ from sinkflow.flowsinkhorn import (
     scaling_from_vertex_dual,
     sweep_matrix,
     sweep_scaling,
-    sweep_stable,
     vertex_dual_from_flow,
     vertex_dual_from_scaling,
     w1_estimate,
@@ -224,9 +223,9 @@ def test_two_node_one_sweep_fixed_point():
     v = (-asinh(2e), asinh(2e)) and stays there."""
     pb = two_node(gamma=1.0)
     a = math.asinh(2.0 * math.e)
-    v = sweep_stable(pb, np.zeros(2))
+    v = pb.block_update_1(pb.block_update_2(np.zeros(2)))
     np.testing.assert_allclose(v, [-a, a], rtol=1e-14)
-    again = sweep_stable(pb, v)
+    again = pb.block_update_1(pb.block_update_2(v))
     np.testing.assert_allclose(again, v, atol=1e-12)
     r1, r2 = residuals(pb, DualState(v, pb.block_update_2(v)))
     assert np.abs(r1).max() <= 1e-12
@@ -248,7 +247,7 @@ def test_two_node_scaling_fixed_point():
 def test_two_node_dual_objective_closed_form():
     # F(v*) = 2 asinh(2e) + 1 - sqrt(1 + 4 e^2) / e, halved by w1_estimate
     pb = two_node(gamma=1.0)
-    v = sweep_stable(pb, np.zeros(2))
+    v = pb.block_update_1(pb.block_update_2(np.zeros(2)))
     _, dual = w1_estimate(pb, v)
     assert dual == pytest.approx(1.8778712814867873, abs=1e-13)
 
@@ -273,7 +272,7 @@ def test_three_paths_agree():
     for _ in range(30):
         f = sweep_matrix(pb, f)
         s = sweep_scaling(pb, s)
-        v = sweep_stable(pb, v)
+        v = pb.block_update_1(pb.block_update_2(v))
         f_stable = flows_from_duals(pb, DualState(v, pb.block_update_2(v)))[0]
         v_scal = vertex_dual_from_scaling(pb, s)
         f_scal = flows_from_duals(
@@ -310,7 +309,7 @@ def test_stable_sweep_survives_small_gamma():
     v = np.zeros(3)
     prev = dual_objective(pb, DualState(v, pb.block_update_2(v)))
     for k in range(10000):
-        v = sweep_stable(pb, v)
+        v = pb.block_update_1(pb.block_update_2(v))
         if k % 500 == 499:
             cur = dual_objective(pb, DualState(v, pb.block_update_2(v)))
             assert np.isfinite(cur)
@@ -336,7 +335,7 @@ def test_w1_estimate_state_forms_agree():
     pb = random_flow(rng, n=7)
     v = np.zeros(pb.graph.n)
     for _ in range(50):
-        v = sweep_stable(pb, v)
+        v = pb.block_update_1(pb.block_update_2(v))
     duals = DualState(v, pb.block_update_2(v))
     p1, d1 = w1_estimate(pb, v)
     p2, d2 = w1_estimate(pb, duals)
@@ -358,7 +357,7 @@ def test_w1_estimate_against_exact_oracle():
     pb = FlowProblem(g, mu1, mu2, gamma=0.01)
     v = np.zeros(g.n)
     for _ in range(4000):
-        v = sweep_stable(pb, v)
+        v = pb.block_update_1(pb.block_update_2(v))
     _, dual = w1_estimate(pb, v)
     # converged dual sits at the regularized optimum, above the exact value
     # but within the entropic bias, which vanishes linearly in gamma
@@ -417,7 +416,7 @@ def test_dual_objective_equals_regularized_cost_at_optimum():
     pb = random_flow(rng, n=6, gamma=0.3)
     v = np.zeros(pb.graph.n)
     for _ in range(3000):
-        v = sweep_stable(pb, v)
+        v = pb.block_update_1(pb.block_update_2(v))
     duals = DualState(v, pb.block_update_2(v))
     r1, _ = residuals(pb, duals)
     assert np.abs(r1).sum() <= 1e-11

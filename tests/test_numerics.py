@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sinkflow.numerics import (
-    arsinh_stable,
     kl_divergence,
     log_sum_exp,
     phi_root,
@@ -231,24 +230,3 @@ def test_variation_seminorm_homogeneous(values):
 def test_variation_seminorm_empty_rejected():
     with pytest.raises(ValueError):
         variation_seminorm([])
-
-
-# -------------------------------------------------------------- arsinh_stable
-
-
-def test_arsinh_matches_mpmath():
-    for m in (0.0, 1e-12, 0.5, 3.0, 1e8, 1e300, -1e300, -2.5):
-        want = float(mp.asinh(mp.mpf(m)))
-        assert abs(arsinh_stable(m) - want) <= 1e-13 * max(1.0, abs(want))
-
-
-@settings(max_examples=200)
-@given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False))
-def test_arsinh_odd(m):
-    assert arsinh_stable(-m) == -arsinh_stable(m)
-
-
-def test_arsinh_array_form():
-    out = arsinh_stable(np.array([0.0, 1.0]))
-    assert out.shape == (2,)
-    assert out[0] == 0.0
