@@ -326,8 +326,8 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
 
 def schedule_gamma(eps: float, X0: float, d: int) -> float:
     """Regularization level eps / (2 * X0 * log d) used by the schedule."""
-    if eps <= 0 or X0 <= 0:
-        raise ValueError("eps and X0 must be positive")
+    if not (0 < eps < math.inf and 0 < X0 < math.inf):
+        raise ValueError("eps and X0 must be positive and finite")
     if d < 3:
         raise ValueError(f"schedule needs primal dimension >= 3, got {d}")
     return eps / (2.0 * X0 * math.log(d))
@@ -351,27 +351,35 @@ def plan_schedule(eps: float, X0: float, X: float, U: float,
     return gamma, int(k)
 
 
-def solve_scheduled(build_problem: Callable[[float], BlockProblem],
-                    eps: float, *, X0: float, X: float, U: float,
-                    A_norm: float, d: int, sweep_cap: int = 10 ** 6,
-                    fallback_tol: float = 1e-6, record_every: int = 1):
-    """Plan (gamma, k), build the problem at gamma, and run the budget.
+def solve_scheduled(problem: BlockProblem, eps: float, *, X0: float,
+                    X: float, U: float, A_norm: float, d: int,
+                    sweep_cap: int = 10 ** 6, fallback_tol: float = 1e-6,
+                    record_every: int = 1):
+    """Plan the sweep count for a problem built at the scheduled gamma, run it.
 
-    When the planned sweep count exceeds sweep_cap the run falls back to
-    the residual rule at fallback_tol (capped at sweep_cap sweeps), which
-    in practice lands far inside the planned accuracy.
+    problem.gamma must equal schedule_gamma(eps, X0, d). When the planned
+    sweep count exceeds sweep_cap the run falls back to the residual rule
+    at fallback_tol (capped at sweep_cap sweeps), which in practice lands
+    far inside the planned accuracy.
 
-    Returns (problem, state, trace, planned_k, fell_back).
+    Returns (state, trace, planned_k, fell_back).
+
+    Raises:
+      ValueError: if problem.gamma is not the scheduled gamma.
     """
     gamma, planned_k = plan_schedule(eps, X0, X, U, A_norm, d)
-    problem = build_problem(gamma)
+    if problem.gamma != gamma:
+        raise ValueError(
+            f"problem is built at gamma {problem.gamma!r}, the schedule "
+            f"needs {gamma!r}"
+        )
     if planned_k > sweep_cap:
         state, trace = solve(problem, residual_tol=fallback_tol,
                              max_sweeps=sweep_cap, record_every=record_every)
-        return problem, state, trace, planned_k, True
+        return state, trace, planned_k, True
     state, trace = solve(problem, max_sweeps=planned_k,
                          record_every=record_every)
-    return problem, state, trace, planned_k, False
+    return state, trace, planned_k, False
 
 
 def operator_norm_1to1(problem: BlockProblem, probe: bool = False) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -77,29 +78,31 @@ def _json_gamma(data: dict, args) -> float:
     raise _InputError("no --gamma/--epsilon given and the input has no 'gamma'")
 
 
-def _build_graph(data: dict) -> Graph:
+@contextmanager
+def _bad_input(what: str):
+    """Report the errors that malformed input raises as an input error."""
     try:
+        yield
+    except (KeyError, TypeError, ValueError) as err:
+        raise _InputError(f"bad {what}: {err}") from err
+
+
+def _build_graph(data: dict) -> Graph:
+    with _bad_input("graph description"):
         spec = data["graph"]
         n = spec["n"]
         edges = [(int(i), int(j), float(w)) for i, j, w in spec["edges"]]
         return Graph(int(n), edges)
-    except (KeyError, TypeError, ValueError) as err:
-        raise _InputError(f"bad graph description: {err}") from err
 
 
-def _build_flow(data: dict, gamma: float) -> FlowProblem:
-    graph = _build_graph(data)
-    try:
+def _build_flow(graph: Graph, data: dict, gamma: float) -> FlowProblem:
+    with _bad_input("flow problem"):
         return FlowProblem(graph, data["b1"], data["b2"], gamma)
-    except (KeyError, TypeError, ValueError) as err:
-        raise _InputError(f"bad flow problem: {err}") from err
 
 
-def _build_ot(data: dict, gamma: float) -> OTProblem:
-    try:
-        return OTProblem(data["cost"], data["b1"], data["b2"], gamma)
-    except (KeyError, TypeError, ValueError) as err:
-        raise _InputError(f"bad transport problem: {err}") from err
+def _build_ot(cost, data: dict, gamma: float) -> OTProblem:
+    with _bad_input("transport problem"):
+        return OTProblem(cost, data["b1"], data["b2"], gamma)
 
 
 def _emit(payload: dict) -> None:
@@ -143,6 +146,15 @@ def _solve_flow(problem: FlowProblem, args):
                  sweeps=make_sweeps(problem) if make_sweeps else None)
 
 
+def _solve_scheduled(problem, args, x0: float, consts, d: int):
+    """The --epsilon run: the planned sweep budget or the residual fallback."""
+    state, trace, _, _ = solve_scheduled(
+        problem, args.epsilon, X0=x0, X=consts.X_gamma, U=consts.U_gamma,
+        A_norm=2.0, d=d, sweep_cap=_SWEEP_CAP, fallback_tol=_FALLBACK_TOL,
+    )
+    return state, trace
+
+
 def cmd_w1(args) -> int:
     _reject_epsilon_conflicts(args)
     data = _load_json(args.input)
@@ -152,28 +164,19 @@ def cmd_w1(args) -> int:
     try:
         if args.epsilon is not None:
             graph = _build_graph(data)
-            mu1 = np.asarray(data["b1"], dtype=float)
-            mu2 = np.asarray(data["b2"], dtype=float)
-            fbar_mass = spanning_tree_flow(graph, mu1, mu2).mass()
+            with _bad_input("flow problem"):
+                fbar = spanning_tree_flow(graph, data["b1"], data["b2"])
+            fbar_mass = fbar.mass()
             x0 = fbar_mass if fbar_mass > 0 else 1.0
             d = 2 * graph.p
-            gamma = schedule_gamma(args.epsilon, x0, d)
-            probe = FlowProblem(graph, mu1, mu2, gamma)
-            fbar = spanning_tree_flow(graph, mu1, mu2)
-            consts = flow_constants(probe, fbar)
-            problem, state, trace, planned_k, fell_back = solve_scheduled(
-                lambda g: FlowProblem(graph, mu1, mu2, g),
-                args.epsilon,
-                X0=x0,
-                X=consts.X_gamma,
-                U=consts.U_gamma,
-                A_norm=2.0,
-                d=d,
-                sweep_cap=_SWEEP_CAP,
-                fallback_tol=_FALLBACK_TOL,
-            )
+            with _bad_input("--epsilon"):
+                gamma = schedule_gamma(args.epsilon, x0, d)
+            problem = _build_flow(graph, data, gamma)
+            consts = flow_constants(problem, fbar)
+            state, trace = _solve_scheduled(problem, args, x0, consts, d)
         else:
-            problem = _build_flow(data, _json_gamma(data, args))
+            gamma = _json_gamma(data, args)
+            problem = _build_flow(_build_graph(data), data, gamma)
             state, trace = _solve_flow(problem, args)
     except NumericOverflowError as err:
         _write_trace(err.trace, args.trace)
@@ -194,34 +197,30 @@ def cmd_w1(args) -> int:
 
 def cmd_ot(args) -> int:
     _reject_epsilon_conflicts(args)
+    if args.path != "stable":
+        raise _InputError("--path selects a w1 iteration; ot always runs "
+                          "the stable dense sweep")
     data = _load_json(args.input)
     if "cost" not in data:
         raise _InputError("ot expects a transport problem (with a 'cost' field)")
     trace = None
     try:
         if args.epsilon is not None:
-            cost = np.asarray(data["cost"], dtype=float)
+            with _bad_input("transport problem"):
+                cost = np.asarray(data["cost"], dtype=float)
             d = cost.size
             if d < 3:
                 raise _InputError(
                     "epsilon scheduling needs a plan with at least 3 entries; "
                     "pass --gamma for tiny instances"
                 )
-            gamma = schedule_gamma(args.epsilon, 1.0, d)
-            consts = ot_constants(_build_ot(data, gamma))
-            problem, state, trace, planned_k, fell_back = solve_scheduled(
-                lambda g: _build_ot(data, g),
-                args.epsilon,
-                X0=1.0,
-                X=consts.X_gamma,
-                U=consts.U_gamma,
-                A_norm=2.0,
-                d=d,
-                sweep_cap=_SWEEP_CAP,
-                fallback_tol=_FALLBACK_TOL,
-            )
+            with _bad_input("--epsilon"):
+                gamma = schedule_gamma(args.epsilon, 1.0, d)
+            problem = _build_ot(cost, data, gamma)
+            consts = ot_constants(problem)
+            state, trace = _solve_scheduled(problem, args, 1.0, consts, d)
         else:
-            problem = _build_ot(data, _json_gamma(data, args))
+            problem = _build_ot(data["cost"], data, _json_gamma(data, args))
             max_sweeps, tol = _budget(args)
             state, trace = solve(problem, max_sweeps=max_sweeps,
                                  residual_tol=tol)
@@ -246,16 +245,12 @@ def cmd_exact(args) -> int:
     data = _load_json(args.input)
     if "graph" in data:
         graph = _build_graph(data)
-        try:
+        with _bad_input("flow problem"):
             value = exact_w1(graph, data["b1"], data["b2"])
-        except (KeyError, ValueError) as err:
-            raise _InputError(f"bad flow problem: {err}") from err
         _emit({"w1_exact": value})
     elif "cost" in data:
-        try:
+        with _bad_input("transport problem"):
             value, _plan = exact_ot(data["cost"], data["b1"], data["b2"])
-        except (KeyError, ValueError) as err:
-            raise _InputError(f"bad transport problem: {err}") from err
         _emit({"ot_exact": value})
     else:
         raise _InputError("input has neither a 'graph' nor a 'cost' field")
@@ -290,9 +285,9 @@ def cmd_verify(args) -> int:
         data = _load_json(args.input)
         gamma = _json_gamma(data, args)
         if "graph" in data:
-            instances = [_build_flow(data, gamma)]
+            instances = [_build_flow(_build_graph(data), data, gamma)]
         elif "cost" in data:
-            instances = [_build_ot(data, gamma)]
+            instances = [_build_ot(data["cost"], data, gamma)]
         else:
             raise _InputError("input has neither a 'graph' nor a 'cost' field")
     else:

@@ -329,25 +329,31 @@ def scaling_from_vertex_dual(problem: FlowProblem, v: np.ndarray) -> np.ndarray:
 def vertex_dual_from_flow(problem: FlowProblem, f: EdgeFlow) -> np.ndarray:
     """Recover the vertex dual of a positive matrix-path iterate.
 
-    Integrates the per-arc log ratios log f - log z^C along a BFS tree from
-    vertex 0 (v_0 = 0). The dual objective is invariant under the constant
-    shift this pins down.
+    Integrates the per-arc log ratios log f - log z^C along a tree from
+    vertex 0 (v_0 = 0) grown depth-first with a stack, not breadth-first:
+    each popped vertex claims its unseen neighbours in ascending id order
+    and pushes them. The dual objective is invariant under the constant
+    shift this pins down. The tree decides the roundoff in v, and through
+    it the matrix path's outputs to the last digit, so this order is kept.
     """
     g = problem.graph
     if np.any(f.values <= 0):
         raise ValueError("dual recovery needs a strictly positive flow")
     # v_src - v_dst = 2 gamma log f + 2 w_eff on every arc
     diff = 2.0 * problem.gamma * np.log(f.values) + 2.0 * problem.w_eff
+    starts = g.arc_seg_starts.tolist() + [g.p]
+    dst = g.arc_dst.tolist()
     v = np.zeros(g.n)
     seen = np.zeros(g.n, dtype=bool)
     seen[0] = True
     stack = [0]
     while stack:
         a = stack.pop()
-        for b, _ in g.neighbors[a]:
+        for e in range(starts[a], starts[a + 1]):
+            b = dst[e]
             if not seen[b]:
                 seen[b] = True
-                v[b] = v[a] - diff[g.arc_index[(a, b)]]
+                v[b] = v[a] - diff[e]
                 stack.append(b)
     return v
 

@@ -1,15 +1,15 @@
 """Undirected weighted graphs: shortest paths, hop diameter, tree flows.
 
-A Graph stores each undirected edge once as (i, j, w) with i < j, plus a
-directed-arc view (both orientations of every edge) used by the flow solver:
-parallel arrays sorted by (src, dst) with a reverse-arc index and per-vertex
-segment offsets, so per-sweep reductions can run vectorized.
+A Graph stores each undirected edge once as (i, j, w) with i < j, and one
+adjacency: the directed arcs (both orientations of every edge) as parallel
+arrays sorted by (src, dst), with a reverse-arc index and per-vertex segment
+offsets. The flow solver's per-sweep reductions run vectorized over these
+arrays, and every traversal here walks the same segments.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 
 import numpy as np
 
@@ -57,61 +57,67 @@ class Graph:
         canon.sort()
         self.n = n
         self.edges = tuple(canon)
-
-        self.neighbors: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for i, j, w in self.edges:
-            self.neighbors[i].append((j, w))
-            self.neighbors[j].append((i, w))
-        for adj in self.neighbors:
-            adj.sort()
-
-        if n > 1 and not self._connected():
-            raise ValueError("graph is not connected")
-
         self._build_arcs()
-
-    def _connected(self) -> bool:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w, _ in self.neighbors[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
+        if len(_bfs(self, 0)[0]) < n:
+            raise ValueError("graph is not connected")
 
     def _build_arcs(self):
         # Directed view: both orientations of each stored edge, sorted by
-        # (src, dst). arc_rev[e] is the opposite orientation of arc e.
-        arcs = []
-        for i, j, w in self.edges:
-            arcs.append((i, j, w))
-            arcs.append((j, i, w))
-        arcs.sort()
-        self.p = len(arcs)
-        self.arc_src = np.array([a[0] for a in arcs], dtype=np.intp)
-        self.arc_dst = np.array([a[1] for a in arcs], dtype=np.intp)
-        self.arc_w = np.array([a[2] for a in arcs], dtype=float)
-        index = {(a[0], a[1]): e for e, a in enumerate(arcs)}
-        self.arc_index = index
-        self.arc_rev = np.array(
-            [index[(d, s)] for s, d in zip(self.arc_src, self.arc_dst)],
-            dtype=np.intp,
-        )
+        # (src, dst). Arc k < m of the unsorted list is edge k forward and
+        # arc k + m the same edge backward, so the reverse of the arc sorted
+        # to position e sits where arc (order[e] + m) % p was sorted to.
+        m = len(self.edges)
+        self.p = 2 * m
+        ends = np.array([e[:2] for e in self.edges], dtype=np.intp).reshape(m, 2)
+        w = np.array([e[2] for e in self.edges], dtype=float)
+        src = np.concatenate([ends[:, 0], ends[:, 1]])
+        dst = np.concatenate([ends[:, 1], ends[:, 0]])
+        order = np.lexsort((dst, src))
+        rank = np.empty(self.p, dtype=np.intp)
+        rank[order] = np.arange(self.p)
+        self.arc_src = src[order]
+        self.arc_dst = dst[order]
+        self.arc_w = np.concatenate([w, w])[order]
+        self.arc_rev = rank[(order + m) % self.p]
         # Per-vertex offsets into the src-sorted arc arrays. Every vertex of
         # a connected graph with n >= 2 has at least one outgoing arc.
-        starts = np.searchsorted(self.arc_src, np.arange(self.n))
-        self.arc_seg_starts = starts.astype(np.intp)
+        self.arc_seg_starts = np.searchsorted(self.arc_src, np.arange(self.n))
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={len(self.edges)})"
+
+
+def _bfs(g: Graph, source: int):
+    """Breadth-first walk over the arc segments, neighbours in ascending id.
+
+    Returns (order, tree_arc, hops) as lists: the vertices in visit order,
+    the arc each vertex was first reached by (-1 for the source), and hop
+    counts from the source (-1 where unreached).
+    """
+    starts = g.arc_seg_starts.tolist() + [g.p]
+    dst = g.arc_dst.tolist()
+    tree_arc = [-1] * g.n
+    hops = [-1] * g.n
+    hops[source] = 0
+    order = [source]
+    # the loop also visits the vertices appended while it runs
+    for v in order:
+        for e in range(starts[v], starts[v + 1]):
+            w = dst[e]
+            if hops[w] < 0:
+                hops[w] = hops[v] + 1
+                tree_arc[w] = e
+                order.append(w)
+    return order, tree_arc, hops
 
 
 def shortest_paths(g: Graph, source: int) -> np.ndarray:
     """Single-source shortest-path distances under the edge lengths."""
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range")
+    starts = g.arc_seg_starts.tolist() + [g.p]
+    dst = g.arc_dst.tolist()
+    length = g.arc_w.tolist()
     dist = np.full(g.n, np.inf)
     dist[source] = 0.0
     done = np.zeros(g.n, dtype=bool)
@@ -121,8 +127,9 @@ def shortest_paths(g: Graph, source: int) -> np.ndarray:
         if done[v]:
             continue
         done[v] = True
-        for w, length in g.neighbors[v]:
-            nd = d + length
+        for e in range(starts[v], starts[v + 1]):
+            w = dst[e]
+            nd = d + length[e]
             if nd < dist[w]:
                 dist[w] = nd
                 heapq.heappush(heap, (nd, w))
@@ -134,22 +141,9 @@ def geodesic_matrix(g: Graph) -> np.ndarray:
     return np.stack([shortest_paths(g, s) for s in range(g.n)])
 
 
-def _hops_from(g: Graph, source: int) -> np.ndarray:
-    hops = np.full(g.n, -1, dtype=int)
-    hops[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w, _ in g.neighbors[v]:
-            if hops[w] < 0:
-                hops[w] = hops[v] + 1
-                queue.append(w)
-    return hops
-
-
 def hop_diameter(g: Graph) -> int:
     """Largest over vertex pairs of the minimum edge count between them."""
-    return max(int(_hops_from(g, s).max()) for s in range(g.n))
+    return max(max(_bfs(g, s)[2]) for s in range(g.n))
 
 
 def spanning_tree_flow(g: Graph, b1, b2):
@@ -173,29 +167,16 @@ def spanning_tree_flow(g: Graph, b1, b2):
     if abs(imbalance) > 1e-12:
         raise ValueError(f"marginals differ in total mass by {imbalance:.3e}")
 
-    parent = np.full(g.n, -1, dtype=int)
-    order = [0]
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w, _ in g.neighbors[v]:
-            if w not in seen:
-                seen.add(w)
-                parent[w] = v
-                order.append(w)
-                queue.append(w)
-
+    order, tree_arc, _ = _bfs(g, 0)
+    src = g.arc_src.tolist()
+    rev = g.arc_rev.tolist()
     # Subtree surplus of (b1 - b2), accumulated leaves-first.
-    surplus = (b1 - b2).copy()
+    surplus = (b1 - b2).tolist()
     values = np.zeros(g.p)
     for v in reversed(order[1:]):
-        u = parent[v]
+        # tree arc e runs (parent -> v) and adds +f to div at v
+        e = tree_arc[v]
         s = surplus[v]
-        # div contribution: an arc (src=u, dst=v) adds +f to div at v.
-        if s >= 0.0:
-            values[g.arc_index[(u, v)]] += s
-        else:
-            values[g.arc_index[(v, u)]] += -s
-        surplus[u] += s
+        values[e if s >= 0.0 else rev[e]] = abs(s)
+        surplus[src[e]] += s
     return EdgeFlow(g, values)

@@ -138,9 +138,10 @@ def test_criterion_2_scheduled_flow_accuracy():
         x0 = fbar.mass() if fbar.mass() > 0 else 1.0
         d = 2 * g.p
         gamma = schedule_gamma(eps, x0, d)
-        consts = flow_constants(FlowProblem(g, mu1, mu2, gamma), fbar)
-        problem, state, trace, planned_k, fell_back = solve_scheduled(
-            lambda gam, g=g, mu1=mu1, mu2=mu2: FlowProblem(g, mu1, mu2, gam),
+        problem = FlowProblem(g, mu1, mu2, gamma)
+        consts = flow_constants(problem, fbar)
+        state, trace, planned_k, fell_back = solve_scheduled(
+            problem,
             eps,
             X0=x0,
             X=consts.X_gamma,

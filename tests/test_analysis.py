@@ -245,11 +245,10 @@ def test_scheduled_run_meets_eps_guarantee():
     eps = 0.5
     d = cost.size
     gamma = schedule_gamma(eps, 1.0, d)
-    probe = OTProblem(cost, b1, b2, gamma)
-    c = ot_constants(probe)
-    problem, state, trace, planned_k, fell_back = solve_scheduled(
-        lambda g: OTProblem(cost, b1, b2, g), eps,
-        X0=1.0, X=c.X_gamma, U=c.U_gamma, A_norm=2.0, d=d,
+    problem = OTProblem(cost, b1, b2, gamma)
+    c = ot_constants(problem)
+    state, trace, planned_k, fell_back = solve_scheduled(
+        problem, eps, X0=1.0, X=c.X_gamma, U=c.U_gamma, A_norm=2.0, d=d,
     )
     assert not fell_back
     reached = dual_objective(problem, state)

@@ -219,6 +219,8 @@ def test_schedule_gamma_rejects_bad_input():
     with pytest.raises(ValueError):
         schedule_gamma(1.0, -1.0, 21)
     with pytest.raises(ValueError):
+        schedule_gamma(math.nan, 1.0, 21)
+    with pytest.raises(ValueError):
         schedule_gamma(1.0, 1.0, 2)
 
 
@@ -236,9 +238,9 @@ def test_plan_schedule_positivity_checks():
 
 
 def test_solve_scheduled_runs_planned_budget():
-    problem, state, trace, planned_k, fell_back = solve_scheduled(
-        lambda g: ToyProblem(gamma=g), 0.9, X0=1.0, X=1.0, U=1.0,
-        A_norm=1.0, d=21,
+    state, trace, planned_k, fell_back = solve_scheduled(
+        ToyProblem(gamma=schedule_gamma(0.9, 1.0, 21)), 0.9, X0=1.0, X=1.0,
+        U=1.0, A_norm=1.0, d=21,
     )
     assert not fell_back
     assert planned_k == math.ceil(64 * math.log(21) / 0.81)
@@ -246,13 +248,19 @@ def test_solve_scheduled_runs_planned_budget():
 
 
 def test_solve_scheduled_fallback_on_huge_budget():
-    problem, state, trace, planned_k, fell_back = solve_scheduled(
-        lambda g: ToyProblem(gamma=g), 1.0, X0=1.0, X=1e6, U=10.0,
-        A_norm=2.0, d=21, sweep_cap=1000, fallback_tol=1e-8,
+    state, trace, planned_k, fell_back = solve_scheduled(
+        ToyProblem(gamma=schedule_gamma(1.0, 1.0, 21)), 1.0, X0=1.0, X=1e6,
+        U=10.0, A_norm=2.0, d=21, sweep_cap=1000, fallback_tol=1e-8,
     )
     assert fell_back
     assert planned_k > 1000
     assert trace.res1_l1[-1] <= 1e-8 or trace.k[-1] == 1000
+
+
+def test_solve_scheduled_rejects_problem_at_other_gamma():
+    with pytest.raises(ValueError, match="gamma"):
+        solve_scheduled(ToyProblem(gamma=0.5), 0.9, X0=1.0, X=1.0, U=1.0,
+                        A_norm=1.0, d=21)
 
 
 # ---------------------------------------------------------- operator norm

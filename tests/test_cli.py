@@ -305,6 +305,43 @@ def test_epsilon_rejects_budget_and_path_flags(capsys, flow_file, ot_file,
     assert len(lines) == 1 and flag in lines[0]
 
 
+_TWO_NODE = {"graph": {"n": 2, "edges": [[0, 1, 1.0]]},
+             "b1": [1.0, 0.0], "b2": [0.0, 1.0]}
+_ONES_3X3 = {"cost": (np.ones((3, 3)) - np.eye(3)).tolist(),
+             "b1": [0.3, 0.3, 0.4], "b2": [0.3, 0.3, 0.4]}
+
+
+@pytest.mark.parametrize("command,payload,eps", [
+    ("w1", {"graph": _TWO_NODE["graph"], "b2": [0.0, 1.0]}, "0.1"),
+    ("w1", {**_TWO_NODE, "b2": [0.0, 0.5]}, "0.1"),
+    ("w1", _TWO_NODE, "0"),
+    ("w1", _TWO_NODE, "-0.1"),
+    ("w1", _TWO_NODE, "nan"),
+    ("ot", _ONES_3X3, "0"),
+    ("ot", {**_ONES_3X3, "cost": [[0.0, 1.0], [1.0]]}, "0.1"),
+], ids=["w1-no-b1", "w1-unbalanced", "w1-eps-zero", "w1-eps-negative",
+        "w1-eps-nan", "ot-eps-zero", "ot-ragged-cost"])
+def test_epsilon_bad_input_is_input_error(capsys, tmp_path, command, payload,
+                                          eps):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, command, str(path), "--epsilon", eps)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("path", ["matrix", "scaling"])
+def test_ot_rejects_flow_path(capsys, ot_file, path):
+    code, out, err = run_cli(capsys, "ot", ot_file, "--gamma", "0.1",
+                             "--path", path, "--max-sweeps", "5")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "--path" in lines[0]
+
+
 def test_gamma_epsilon_conflict_is_usage_error(flow_file):
     with pytest.raises(SystemExit) as err:
         main(["w1", flow_file, "--gamma", "0.5", "--epsilon", "0.1"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.csgraph import breadth_first_order
 
 from conftest import random_connected_graph, random_marginals
 from sinkflow.flowsinkhorn import divergence
@@ -24,6 +26,12 @@ def floyd_warshall(g):
     for k in range(g.n):
         d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
     return d
+
+
+def arc(g, src, dst):
+    """Position of the arc src -> dst in the graph's arc arrays."""
+    (e,) = np.flatnonzero((g.arc_src == src) & (g.arc_dst == dst))
+    return e
 
 
 # ------------------------------------------------------------------ validation
@@ -71,8 +79,23 @@ def test_arc_arrays_are_sorted_and_paired():
         assert g.arc_w[r] == g.arc_w[a]
         assert g.arc_rev[r] == a
     # arc weights follow the undirected edge they came from
-    assert g.arc_w[g.arc_index[(1, 2)]] == 0.7
-    assert g.arc_w[g.arc_index[(2, 1)]] == 0.7
+    assert g.arc_w[arc(g, 1, 2)] == 0.7
+    assert g.arc_w[arc(g, 2, 1)] == 0.7
+
+    # any edge order and orientation gives the Python-sorted arc list
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        base = random_connected_graph(rng, int(rng.integers(2, 15)))
+        listed = [(j, i, w) if rng.random() < 0.5 else (i, j, w)
+                  for i, j, w in base.edges]
+        listed = [listed[k] for k in rng.permutation(len(listed))]
+        g = Graph(base.n, listed)
+        ref = sorted(a for i, j, w in base.edges for a in ((i, j, w), (j, i, w)))
+        index = {(src, dst): e for e, (src, dst, _) in enumerate(ref)}
+        assert g.arc_src.tolist() == [src for src, _, _ in ref]
+        assert g.arc_dst.tolist() == [dst for _, dst, _ in ref]
+        assert g.arc_w.tolist() == [w for _, _, w in ref]
+        assert g.arc_rev.tolist() == [index[(dst, src)] for src, dst, _ in ref]
 
 
 def test_arc_segments_cover_each_source():
@@ -82,12 +105,13 @@ def test_arc_segments_cover_each_source():
         lo = g.arc_seg_starts[k]
         hi = g.arc_seg_starts[k + 1] if k + 1 < g.n else g.p
         assert np.all(g.arc_src[lo:hi] == k)
-        assert hi - lo == len(g.neighbors[k])
+        assert hi - lo == sum(k in (i, j) for i, j, _ in g.edges)
 
 
 def test_neighbors_sorted():
     g = Graph(4, [(0, 3, 1.0), (0, 1, 1.0), (0, 2, 1.0), (2, 3, 1.0)])
-    assert [b for b, _ in g.neighbors[0]] == [1, 2, 3]
+    lo, hi = g.arc_seg_starts[0], g.arc_seg_starts[1]
+    assert g.arc_dst[lo:hi].tolist() == [1, 2, 3]
 
 
 # -------------------------------------------------------------- shortest paths
@@ -169,7 +193,31 @@ def test_spanning_tree_flow_two_node_unit():
     g = Graph(2, [(0, 1, 1.0)])
     f = spanning_tree_flow(g, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert f.mass() == pytest.approx(1.0)
-    assert f.values[g.arc_index[(1, 0)]] == pytest.approx(1.0)
+    assert f.values[arc(g, 1, 0)] == pytest.approx(1.0)
+
+
+def test_spanning_tree_flow_uses_bfs_tree_from_vertex_0():
+    # The tree sets FlowProblem's default reference and so every flow
+    # output. Referee: scipy's BFS over sorted CSR rows, which visits
+    # neighbours in ascending id order.
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        g = random_connected_graph(rng, int(rng.integers(3, 15)), edge_prob=0.5)
+        b1 = random_marginals(rng, g.n)
+        b2 = random_marginals(rng, g.n)
+        i, j = np.array([e[:2] for e in g.edges]).T
+        adj = sparse.csr_matrix((np.ones(g.p), (np.r_[i, j], np.r_[j, i])),
+                                shape=(g.n, g.n))
+        adj.sort_indices()
+        order, parent = breadth_first_order(adj, 0, directed=True,
+                                            return_predecessors=True)
+        want = np.zeros(g.p)
+        surplus = b1 - b2
+        for v in order[:0:-1]:
+            u, s = parent[v], surplus[v]
+            want[arc(g, u, v) if s >= 0 else arc(g, v, u)] = abs(s)
+            surplus[u] += s
+        np.testing.assert_array_equal(spanning_tree_flow(g, b1, b2).values, want)
 
 
 def test_spanning_tree_flow_rejects_imbalance():
