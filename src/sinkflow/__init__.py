@@ -13,6 +13,7 @@ from .blocklp import (
     DualState,
     NumericOverflowError,
     dual_objective,
+    marginals,
     operator_norm_1to1,
     plan_schedule,
     primal_from_dual,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -27,6 +27,8 @@ __all__ = [
     "ConvergenceTrace",
     "NumericOverflowError",
     "primal_from_dual",
+    "primal_marginals",
+    "marginals",
     "dual_objective",
     "residuals",
     "sweep",
@@ -64,6 +66,13 @@ class DualState:
         return DualState(self.u1.copy(), self.u2.copy())
 
 
+# Block marginals (A1 x, A2 x, ||x||_1) of a primal x.
+Marginals = tuple[np.ndarray, np.ndarray, float]
+# What a `sweeps` iterator yields for each sweep; see solve().
+Sweep = tuple[DualState, Callable[[], Marginals],
+              Callable[[], Marginals] | None]
+
+
 class BlockProblem:
     """Capabilities a two-block instance must provide.
 
@@ -83,6 +92,11 @@ class BlockProblem:
     """
 
     op_norm_1to1: float | None = None
+
+    @cached_property
+    def reference_mass(self) -> float:
+        """Z = sum(z), summed once per instance rather than once per sweep."""
+        return float(self.reference.sum())
 
     def apply_A1(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -116,6 +130,18 @@ class BlockProblem:
         m1, m2 = self.dims_dual
         return DualState(np.zeros(m1), np.zeros(m2))
 
+    def sweeps(self) -> Iterator[Sweep]:
+        """The sweeps solve() runs by default: the exact block updates in
+        turn from initial_state(), block marginals through primal_from_dual.
+
+        Instances with a faster iteration override this.
+        """
+        u = self.initial_state()
+        while True:
+            half = DualState(self.block_update_1(u.u2), u.u2)
+            u = DualState(half.u1, self.block_update_2(half.u1))
+            yield u, partial(marginals, self, u), partial(marginals, self, half)
+
 
 def _log_primal(problem: BlockProblem, u: DualState) -> np.ndarray:
     adj = problem.apply_A1_adjoint(u.u1) + problem.apply_A2_adjoint(u.u2)
@@ -138,22 +164,31 @@ def primal_from_dual(problem: BlockProblem, u: DualState) -> np.ndarray:
     return np.exp(log_x)
 
 
-def _dual_value(problem: BlockProblem, u: DualState, x: np.ndarray) -> float:
-    """F(u) from the already computed primal x = x(u)."""
-    z_mass = float(problem.reference.sum())
+def primal_marginals(problem: BlockProblem, x: np.ndarray) -> Marginals:
+    """(A1 x, A2 x, ||x||_1) of a nonnegative primal x."""
+    return problem.apply_A1(x), problem.apply_A2(x), float(x.sum())
+
+
+def marginals(problem: BlockProblem, u: DualState) -> Marginals:
+    """Block marginals of x(u); x(u) itself is dropped on return."""
+    return primal_marginals(problem, primal_from_dual(problem, u))
+
+
+def _dual_value(problem: BlockProblem, u: DualState, mass: float) -> float:
+    """F(u) from the already computed primal mass ||x(u)||_1."""
     linear = float(problem.b1 @ u.u1) + float(problem.b2 @ u.u2)
-    return linear + problem.gamma * (z_mass - float(x.sum()))
+    return linear + problem.gamma * (problem.reference_mass - mass)
 
 
 def dual_objective(problem: BlockProblem, u: DualState) -> float:
     """Smoothed dual F(u) = <b,u> + gamma * (Z - ||x(u)||_1)."""
-    return _dual_value(problem, u, primal_from_dual(problem, u))
+    return _dual_value(problem, u, float(primal_from_dual(problem, u).sum()))
 
 
 def residuals(problem: BlockProblem, u: DualState) -> tuple[np.ndarray, np.ndarray]:
     """Constraint residuals (A1 x(u) - b1, A2 x(u) - b2)."""
-    x = primal_from_dual(problem, u)
-    return problem.apply_A1(x) - problem.b1, problem.apply_A2(x) - problem.b2
+    a1x, a2x, _ = marginals(problem, u)
+    return a1x - problem.b1, a2x - problem.b2
 
 
 def sweep(problem: BlockProblem, u: DualState) -> DualState:
@@ -237,16 +272,10 @@ def _l1(v: np.ndarray) -> float:
     return float(np.abs(v).sum())
 
 
-# What a `sweeps` iterator yields for each sweep; see solve().
-Sweep = tuple[DualState, Callable[[], np.ndarray] | None]
-
-
-def _block_sweeps(problem: BlockProblem, u: DualState) -> Iterator[Sweep]:
-    """The exact block updates in turn, starting from u."""
-    while True:
-        half = DualState(problem.block_update_1(u.u2), u.u2)
-        u = DualState(half.u1, problem.block_update_2(half.u1))
-        yield u, partial(primal_from_dual, problem, half)
+def _row_scalars(problem: BlockProblem, m: Marginals) -> tuple[float, float, float]:
+    """Block-1 and block-2 residual l1 norms and the mass, from marginals."""
+    a1x, a2x, mass = m
+    return _l1(a1x - problem.b1), _l1(a2x - problem.b2), mass
 
 
 def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
@@ -265,11 +294,14 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
     final row are always recorded.
 
     sweeps replaces the iteration while solve keeps the stopping, thinning
-    and recording. It yields, for each sweep, the full DualState reached and
-    either a zero-argument callable returning the half-state primal (called
-    only for recorded rows) or None, which leaves the half-state columns
-    NaN. It must start from problem.initial_state(). The default runs
-    block_update_1 then block_update_2.
+    and recording; the default is problem.sweeps(). It must start from
+    problem.initial_state() and yields, for each sweep, a triple
+    (u, full, half): the full DualState reached, a zero-argument callable
+    returning the block marginals (A1 x, A2 x, ||x||_1) at u (called every
+    sweep, for the stopping test), and either the same for the half state,
+    after the block-1 update and before the block-2 update (called only for
+    recorded rows), or None, which leaves the half-state columns NaN. solve
+    never forms a primal itself past the start row.
 
     Returns the final dual state and the trace. On overflow the partial
     trace rides on the raised NumericOverflowError.
@@ -289,20 +321,17 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
                              getattr(problem, "label", ""))
     u = problem.initial_state()
     if sweeps is None:
-        sweeps = _block_sweeps(problem, u)
+        sweeps = problem.sweeps()
     try:
-        x = primal_from_dual(problem, u)
-        res1 = _l1(problem.apply_A1(x) - problem.b1)
-        trace.append(0, _dual_value(problem, u, x), res1,
-                     _l1(problem.apply_A2(x) - problem.b2), float(x.sum()),
+        res1, res2, mass = _row_scalars(problem, marginals(problem, u))
+        trace.append(0, _dual_value(problem, u, mass), res1, res2, mass,
                      problem.seminorm_V1(u.u1), problem.seminorm_V2(u.u2))
         k = 0
         stop = done(k, res1)
         while not stop:
             k += 1
-            u, half = next(sweeps)
-            x = primal_from_dual(problem, u)
-            res1 = _l1(problem.apply_A1(x) - problem.b1)
+            u, full, half = next(sweeps)
+            res1, foc2, mass = _row_scalars(problem, full())
             stop = done(k, res1)
             if k % record_every and not stop:
                 continue
@@ -310,14 +339,11 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
             # runs this takes the dominant cost out of the sweep loop
             foc1 = res2_half = half_mass = math.nan
             if half is not None:
-                x_half = half()
-                foc1 = _l1(problem.apply_A1(x_half) - problem.b1)
-                res2_half = _l1(problem.apply_A2(x_half) - problem.b2)
-                half_mass = float(x_half.sum())
-            trace.append(k, _dual_value(problem, u, x), res1, res2_half,
-                         float(x.sum()), problem.seminorm_V1(u.u1),
+                foc1, res2_half, half_mass = _row_scalars(problem, half())
+            trace.append(k, _dual_value(problem, u, mass), res1, res2_half,
+                         mass, problem.seminorm_V1(u.u1),
                          problem.seminorm_V2(u.u2), half_mass=half_mass,
-                         foc1=foc1, foc2=_l1(problem.apply_A2(x) - problem.b2))
+                         foc1=foc1, foc2=foc2)
     except NumericOverflowError as err:
         err.trace = trace
         raise

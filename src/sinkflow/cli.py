@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 
@@ -69,13 +70,16 @@ def _load_json(path: str) -> dict:
 
 def _json_gamma(data: dict, args) -> float:
     if args.gamma is not None:
-        return args.gamma
-    if "gamma" in data:
-        gamma = data["gamma"]
-        if not isinstance(gamma, (int, float)) or gamma <= 0:
-            raise _InputError("JSON field 'gamma' must be a positive number")
-        return float(gamma)
-    raise _InputError("no --gamma/--epsilon given and the input has no 'gamma'")
+        source, gamma = "--gamma", args.gamma
+    elif "gamma" in data:
+        source, gamma = "JSON field 'gamma'", data["gamma"]
+    else:
+        raise _InputError(
+            "no --gamma/--epsilon given and the input has no 'gamma'")
+    if not isinstance(gamma, (int, float)) or not 0 < gamma < math.inf:
+        raise _InputError(
+            f"{source} must be a positive finite number, got {gamma!r}")
+    return float(gamma)
 
 
 @contextmanager
@@ -121,6 +125,17 @@ def _budget(args) -> tuple[int | None, float | None]:
     return args.max_sweeps, args.tol
 
 
+def _warn_at_cap(trace: ConvergenceTrace, max_sweeps: int | None,
+                 tol: float | None) -> None:
+    """One stderr line when a run stopped at its cap short of its tolerance."""
+    res1 = trace.res1_l1[-1]
+    if (tol is not None and max_sweeps is not None
+            and trace.k[-1] >= max_sweeps and not res1 <= tol):
+        print(f"warning: stopped at the sweep cap of {max_sweeps} with "
+              f"res1_l1 {res1!r} above the tolerance {tol!r}",
+              file=sys.stderr)
+
+
 def _reject_epsilon_conflicts(args) -> None:
     """--epsilon picks gamma and the sweep budget and runs the stable path."""
     if args.epsilon is None:
@@ -135,23 +150,27 @@ def _reject_epsilon_conflicts(args) -> None:
             )
 
 
-_FLOW_SWEEPS = {"stable": None, "matrix": matrix_sweeps,
+_FLOW_SWEEPS = {"stable": FlowProblem.sweeps, "matrix": matrix_sweeps,
                 "scaling": scaling_sweeps}
 
 
-def _solve_flow(problem: FlowProblem, args):
+def _solve_budget(problem, args, sweeps=None):
+    """The --max-sweeps/--tol run; warns when it stops at the cap."""
     max_sweeps, tol = _budget(args)
-    make_sweeps = _FLOW_SWEEPS[args.path]
-    return solve(problem, max_sweeps=max_sweeps, residual_tol=tol,
-                 sweeps=make_sweeps(problem) if make_sweeps else None)
+    state, trace = solve(problem, max_sweeps=max_sweeps, residual_tol=tol,
+                         sweeps=sweeps)
+    _warn_at_cap(trace, max_sweeps, tol)
+    return state, trace
 
 
 def _solve_scheduled(problem, args, x0: float, consts, d: int):
     """The --epsilon run: the planned sweep budget or the residual fallback."""
-    state, trace, _, _ = solve_scheduled(
+    state, trace, _, fell_back = solve_scheduled(
         problem, args.epsilon, X0=x0, X=consts.X_gamma, U=consts.U_gamma,
         A_norm=2.0, d=d, sweep_cap=_SWEEP_CAP, fallback_tol=_FALLBACK_TOL,
     )
+    if fell_back:
+        _warn_at_cap(trace, _SWEEP_CAP, _FALLBACK_TOL)
     return state, trace
 
 
@@ -177,7 +196,8 @@ def cmd_w1(args) -> int:
         else:
             gamma = _json_gamma(data, args)
             problem = _build_flow(_build_graph(data), data, gamma)
-            state, trace = _solve_flow(problem, args)
+            state, trace = _solve_budget(problem, args,
+                                         _FLOW_SWEEPS[args.path](problem))
     except NumericOverflowError as err:
         _write_trace(err.trace, args.trace)
         where = f"; partial trace at {args.trace}" if args.trace else ""
@@ -221,9 +241,7 @@ def cmd_ot(args) -> int:
             state, trace = _solve_scheduled(problem, args, 1.0, consts, d)
         else:
             problem = _build_ot(data["cost"], data, _json_gamma(data, args))
-            max_sweeps, tol = _budget(args)
-            state, trace = solve(problem, max_sweeps=max_sweeps,
-                                 residual_tol=tol)
+            state, trace = _solve_budget(problem, args)
     except NumericOverflowError as err:
         _write_trace(err.trace, args.trace)
         where = f"; partial trace at {args.trace}" if args.trace else ""

@@ -6,16 +6,24 @@ g and block 2 forcing f = g. Entropic smoothing then gives closed-form
 KL projections onto both blocks, and the dual sweep reduces to one vertex
 update per iteration.
 
-blocklp.solve runs all three iteration paths and records their traces:
+blocklp.solve runs all three iteration paths and records their traces;
+each yields (u, full, half) per sweep, with callables for the block
+marginals at the full and half states:
 
-  stable   solve's default, the exact block updates block_update_1 and
-           block_update_2 in the log domain, safe down to gamma ~ 1e-4 at
-           desk scale;
+  stable   FlowProblem.sweeps(), the default BlockProblem.sweeps(): the
+           exact block updates block_update_1 and block_update_2 in the
+           log domain, marginals through primal_from_dual, safe down to
+           gamma ~ 1e-4 at desk scale;
   matrix   matrix_sweeps, explicit flow pairs and KL projections
-           (sweep_matrix), the most readable form;
+           (sweep_matrix), the most readable form; the half-state
+           marginals come from the projected pair (f, g);
   scaling  scaling_sweeps, one positive scaling vector per vertex
            (sweep_scaling); its Gibbs kernel is in linear scale and
-           underflows for small gamma.
+           underflows for small gamma. It fuses both half-steps, so it
+           reports no half state.
+
+The flow problem has no log-stabilised scaling engine yet; dense OT does
+(OTProblem.sweeps).
 
 All three produce the same iterates up to roundoff; tests hold them to
 that. Since the lifted objective counts the transport cost on both copies
@@ -25,6 +33,7 @@ w1_estimate reports on the transport scale by halving.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, NamedTuple
@@ -37,7 +46,9 @@ from .blocklp import (
     NumericOverflowError,
     Sweep,
     dual_objective,
+    marginals,
     primal_from_dual,
+    primal_marginals,
 )
 from .graph import Graph, hop_diameter, spanning_tree_flow
 from .numerics import kl_divergence, phi_root
@@ -111,7 +122,7 @@ class FlowProblem(BlockProblem):
     Args:
       graph: connected Graph with n >= 2.
       mu1, mu2: nonnegative vertex marginals with equal total mass.
-      gamma: regularization strength, > 0.
+      gamma: regularization strength, positive and finite.
       z: optional positive per-arc reference (length graph.p). Default is
         the constant mass-matched reference alpha * 1 with
         alpha = ||tree flow||_1 / (2p), falling back to 1 / (2p) when the
@@ -135,8 +146,8 @@ class FlowProblem(BlockProblem):
             raise ValueError(
                 f"marginals must balance, difference {mu1.sum() - mu2.sum():.3e}"
             )
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
 
         p = graph.p
         if z is None:
@@ -298,8 +309,13 @@ def matrix_sweeps(problem: FlowProblem) -> Iterator[Sweep]:
         f1, g1 = project_C1(problem, f)
         f = project_C2(f1, g1)
         v = vertex_dual_from_flow(problem, f)
-        yield (DualState(v, problem.block_update_2(v)),
-               partial(np.concatenate, (f1.values, g1.values)))
+        u = DualState(v, problem.block_update_2(v))
+        yield u, partial(marginals, problem, u), partial(
+            _pair_marginals, problem, f1, g1)
+
+
+def _pair_marginals(problem: FlowProblem, f: EdgeFlow, g: EdgeFlow):
+    return primal_marginals(problem, np.concatenate((f.values, g.values)))
 
 
 def scaling_sweeps(problem: FlowProblem) -> Iterator[Sweep]:
@@ -311,7 +327,8 @@ def scaling_sweeps(problem: FlowProblem) -> Iterator[Sweep]:
     while True:
         s = sweep_scaling(problem, s)
         v = vertex_dual_from_scaling(problem, s)
-        yield DualState(v, problem.block_update_2(v)), None
+        u = DualState(v, problem.block_update_2(v))
+        yield u, partial(marginals, problem, u), None
 
 
 def vertex_dual_from_scaling(problem: FlowProblem, s: np.ndarray) -> np.ndarray:

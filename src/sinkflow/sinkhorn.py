@@ -5,15 +5,22 @@ constrains row sums to b1, block 2 column sums to b2. The reference is the
 product b1 (x) b2, so the plan at u = 0 is the independence coupling tilted
 by the cost. Both block updates are soft c-transforms evaluated in the log
 domain, which keeps gamma down to 1e-3 usable.
+
+solve() runs OTProblem.sweeps(), a log-stabilised scaling iteration: the
+same iterates as the two block updates in turn, at the cost of two
+matrix-vector products per sweep, with the soft c-transforms as its
+fallback.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import math
+from functools import partial
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .blocklp import BlockProblem, DualState, primal_from_dual
+from .blocklp import BlockProblem, DualState, Sweep, marginals, primal_from_dual
 
 __all__ = [
     "OTProblem",
@@ -25,6 +32,8 @@ __all__ = [
 ]
 
 _BALANCE_TOL = 1e-12
+# A scaling leaving [1/_TAU, _TAU] ends the epoch; see OTProblem.sweeps.
+_TAU = 1e10
 
 
 class OTProblem(BlockProblem):
@@ -34,7 +43,7 @@ class OTProblem(BlockProblem):
       cost: (m1, m2) array, finite and entrywise >= 0.
       b1: length-m1 marginal, strictly positive, total mass 1.
       b2: length-m2 marginal, same requirements.
-      gamma: regularization strength, > 0.
+      gamma: regularization strength, positive and finite.
     """
 
     def __init__(self, cost, b1, b2, gamma: float):
@@ -53,8 +62,8 @@ class OTProblem(BlockProblem):
                 raise ValueError(f"{name} must be strictly positive")
             if abs(b.sum() - 1.0) > _BALANCE_TOL:
                 raise ValueError(f"{name} must sum to 1, got {b.sum()!r}")
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
 
         self.cost_matrix = cost
         self.m1, self.m2 = m1, m2
@@ -89,6 +98,74 @@ class OTProblem(BlockProblem):
 
     def block_update_2(self, u1):
         return soft_c_transform_2(self, u1)
+
+    def sweeps(self) -> Iterator[Sweep]:
+        """Log-stabilised scaling sweeps from u = 0, for solve().
+
+        Schmitzer's absorption scheme (SIAM J. Sci. Comput. 2019). An epoch
+        starts with an exact log-domain block_update_1 and absorbs the duals
+        (f, g) reached into the kernel K = x(f, g), with scalings a = b = 1.
+        Within the epoch the state is u = (f + gamma log a, g + gamma log b),
+        and a sweep is a = b1 / (K b), b = b2 / (K^T a): the two block updates
+        in scaling form. Both marginal pairs come from K b, K^T a and the
+        previous K b, so a sweep costs two matrix-vector products and never
+        forms the plan. A new scaling that is not finite or leaves
+        [1/_TAU, _TAU] ends the epoch and the exact log-domain update takes
+        its place: for a, that update opens a new epoch in the same sweep;
+        for b, the next sweep opens one. The rows of K sum to b1, so a stays
+        within the range of 1/b unless a row of K underflows to 0 (a
+        marginal entry near the float64 limit).
+        """
+        gamma, b1, b2 = self.gamma, self.b1, self.b2
+        u = self.initial_state()
+        kernel = None  # no epoch open
+        while True:
+            if kernel is not None:
+                with np.errstate(divide="ignore", over="ignore"):
+                    a = b1 / kb
+                if not _in_range(a):
+                    kernel = None
+            if kernel is None:
+                f, g = self.block_update_1(u.u2), u.u2
+                kernel = _kernel(self, f, g)
+                a, b = np.ones(self.m1), np.ones(self.m2)
+                kb = kernel.sum(axis=1)
+                u1 = f
+            else:
+                u1 = f + gamma * np.log(a)
+            kta = a @ kernel
+            half = partial(_scaled_marginals, a, kb, b, kta)
+            with np.errstate(divide="ignore", over="ignore"):
+                b_next = b2 / kta
+            if _in_range(b_next):
+                b = b_next
+                kb = kernel @ b
+                u = DualState(u1, g + gamma * np.log(b))
+                full = partial(_scaled_marginals, a, kb, b, kta)
+            else:
+                u = DualState(u1, self.block_update_2(u1))
+                kernel = None
+                full = partial(marginals, self, u)
+            yield u, full, half
+
+
+def _in_range(s: np.ndarray) -> bool:
+    # False for NaN entries too
+    return 1.0 / _TAU <= s.min() and s.max() <= _TAU
+
+
+def _kernel(problem: OTProblem, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The plan x(f, g) as an (m1, m2) matrix, built in place."""
+    k = np.add.outer(f, g)
+    k -= problem.cost_matrix
+    k /= problem.gamma
+    k += problem.log_reference.reshape(problem.m1, problem.m2)
+    return np.exp(k, out=k)
+
+
+def _scaled_marginals(a, kb, b, kta):
+    """Marginals of diag(a) K diag(b), given K b and K^T a."""
+    return a * kb, b * kta, float(a @ kb)
 
 
 def _neg_lse_rows(gamma: float, scores: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from sinkflow.analysis import (
     verify_rate,
 )
 from sinkflow.blocklp import (
+    BlockProblem,
     DualState,
     NumericOverflowError,
     dual_objective,
@@ -66,6 +67,20 @@ _TRACES = []
 def _keep(label, trace):
     _TRACES.append((label, trace))
     return trace
+
+
+def _count_block_updates(problem):
+    """Count the exact block updates an instance runs, by name."""
+    counts = {"block_update_1": 0, "block_update_2": 0}
+    for name in counts:
+        method = getattr(problem, name)
+
+        def counted(arg, name=name, method=method):
+            counts[name] += 1
+            return method(arg)
+
+        setattr(problem, name, counted)
+    return counts
 
 
 def _criterion(num, name):
@@ -295,6 +310,12 @@ def test_criterion_7_cross_path_equivalence():
     to 1e-8 relative. At gamma = 1e-3 the stable path finishes 1e4 sweeps
     with finite state and nondecreasing objective while the scaling path
     overflows within a few sweeps, which is the reason it exists.
+
+    OT: on five random instances, two of them at gamma = 1e-3 with costs
+    x10 so that new epochs and log-domain fallbacks fire, the stabilised
+    scaling engine (OTProblem's default sweeps) agrees row by row with
+    solve driven by the exact block updates: F to 1e-8 relative, res1_l1
+    and the final duals to 1e-8.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(0x7C)
@@ -333,8 +354,30 @@ def test_criterion_7_cross_path_equivalence():
         s = np.ones(3)
         for _ in range(100):
             s = sweep_scaling(pb, s)
+
+    rng = np.random.default_rng(0x7D)
+    restarts = 0
+    for m1, m2, gamma, scale in ((5, 6, 0.5, 1.0), (8, 5, 0.05, 1.0),
+                                 (10, 12, 1e-3, 1.0), (6, 9, 1e-3, 10.0),
+                                 (12, 8, 1e-3, 10.0)):
+        pb = random_ot_problem(rng, m1, m2, gamma, cost_scale=scale)
+        counts = _count_block_updates(pb)
+        state, trace = solve(pb, max_sweeps=200)
+        if scale > 1.0:
+            assert counts["block_update_1"] >= 2, counts
+            assert counts["block_update_2"] >= 1, counts
+        restarts += counts["block_update_2"]
+        ref_state, ref = solve(pb, max_sweeps=200,
+                               sweeps=BlockProblem.sweeps(pb))
+        _keep(f"c7-ot-{m1}x{m2}-gamma{gamma:g}", trace)
+        np.testing.assert_allclose(trace.F_gamma, ref.F_gamma, rtol=1e-8)
+        np.testing.assert_allclose(trace.res1_l1, ref.res1_l1, rtol=0,
+                                   atol=1e-8)
+        np.testing.assert_allclose(state.u1, ref_state.u1, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(state.u2, ref_state.u2, rtol=0, atol=1e-8)
     dt = time.perf_counter() - t0
-    return "5 instances x 200 sweeps agree at 1e-8; stable survives gamma=1e-3"
+    return ("5 instances x 200 sweeps agree at 1e-8; stable survives "
+            f"gamma=1e-3; OT engine agrees on 5, {restarts} fallbacks")
 
 
 # ------------------------------------------------------- 8: kernel basics
@@ -427,10 +470,11 @@ def test_criterion_9_sweep_cost_scaling():
 def test_criterion_5_sweep_invariants():
     """Every recorded sweep of every run above: F up, half-step FOC at zero.
 
-    Runs last so the pool holds the traces of criteria 2, 3, 4 and 9; four
-    fresh stride-1 runs are added so the audit also covers consecutive
-    sweeps of both problem families at full recording density, and the
-    matrix and scaling flow paths. Scaling rows have no half state, so their
+    Runs last so the pool holds the traces of criteria 2, 3, 4, 7 and 9;
+    five fresh stride-1 runs are added so the audit also covers consecutive
+    sweeps of both problem families at full recording density, the matrix
+    and scaling flow paths, and OT at gamma = 1e-3 through the stabilised
+    engine's log-domain fallback. Scaling rows have no half state, so their
     NaN FOC columns are skipped, but their ascent is checked. foc1 is the
     block-1 residual right after its own update (half state), foc2 the
     block-2 residual after the full sweep; both must sit at roundoff,
@@ -446,6 +490,11 @@ def test_criterion_5_sweep_invariants():
     _keep("c5-flow-matrix-stride1", tr_mat)
     state, tr_scal = solve(pb, max_sweeps=300, sweeps=scaling_sweeps(pb))
     _keep("c5-flow-scaling-stride1", tr_scal)
+    pb = random_ot_problem(rng, 6, 9, 1e-3, cost_scale=10.0)
+    counts = _count_block_updates(pb)
+    state, tr_small = solve(pb, max_sweeps=300)
+    assert counts["block_update_2"] >= 1, "no log-domain fallback ran"
+    _keep("c5-ot-gamma1e-3-stride1", tr_small)
 
     assert len(_TRACES) >= 2
     rows_checked = 0

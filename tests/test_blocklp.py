@@ -10,6 +10,7 @@ from sinkflow.blocklp import (
     DualState,
     NumericOverflowError,
     dual_objective,
+    marginals,
     operator_norm_1to1,
     plan_schedule,
     primal_from_dual,
@@ -163,6 +164,65 @@ def test_solve_residual_stop_before_budget():
     _, trace = solve(pb, max_sweeps=500, residual_tol=1e-10)
     assert trace.k[-1] < 500
     assert trace.res1_l1[-1] <= 1e-10
+
+
+class CountingToy(ToyProblem):
+    """ToyProblem whose sweeps count the calls solve makes to them."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.calls = {"sweeps": 0, "full": 0, "half": 0}
+
+    def sweeps(self):
+        self.calls["sweeps"] += 1
+        for u, full, half in BlockProblem.sweeps(self):
+            yield u, self._counted("full", full), self._counted("half", half)
+
+    def _counted(self, name, fn):
+        def call():
+            self.calls[name] += 1
+            return fn()
+        return call
+
+
+def test_solve_runs_problem_sweeps_by_default():
+    pb = CountingToy(gamma=0.2)
+    solve(pb, max_sweeps=12)
+    assert pb.calls == {"sweeps": 1, "full": 12, "half": 12}
+
+
+def test_solve_calls_half_only_on_recorded_rows():
+    pb = CountingToy(gamma=0.2)
+    _, trace = solve(pb, max_sweeps=35, record_every=10)
+    assert trace.k == [0, 10, 20, 30, 35]
+    assert pb.calls == {"sweeps": 1, "full": 35, "half": 4}
+    assert all(math.isfinite(v) for v in trace.foc1[1:])
+
+
+def test_solve_half_none_leaves_half_columns_nan():
+    pb = ToyProblem(gamma=0.2)
+
+    def no_half():
+        for u, full, _ in BlockProblem.sweeps(pb):
+            yield u, full, None
+
+    _, trace = solve(pb, max_sweeps=5, sweeps=no_half())
+    _, ref = solve(pb, max_sweeps=5)
+    assert all(math.isnan(v) for v in trace.foc1 + trace.res2_l1[1:]
+               + trace.half_mass)
+    assert trace.F_gamma == ref.F_gamma
+    assert trace.res1_l1 == ref.res1_l1
+    assert trace.foc2[1:] == ref.foc2[1:]
+
+
+def test_marginals_match_the_primal():
+    pb = ToyProblem(gamma=0.3)
+    u = DualState(np.array([0.4]), np.array([-0.2]))
+    x = primal_from_dual(pb, u)
+    a1x, a2x, mass = marginals(pb, u)
+    np.testing.assert_array_equal(a1x, pb.apply_A1(x))
+    np.testing.assert_array_equal(a2x, pb.apply_A2(x))
+    assert mass == float(x.sum())
 
 
 def test_solve_attaches_partial_trace_on_overflow():

@@ -1,11 +1,13 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from sinkflow import cli
 from sinkflow.cli import main
 
 
@@ -330,6 +332,89 @@ def test_epsilon_bad_input_is_input_error(capsys, tmp_path, command, payload,
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["w1", "ot"])
+@pytest.mark.parametrize("gamma", ["--gamma nan", "--gamma inf", "json 1e999"])
+def test_nonfinite_gamma_is_input_error(capsys, tmp_path, flow_file, ot_file,
+                                        command, gamma):
+    path = flow_file if command == "w1" else ot_file
+    how, value = gamma.split()
+    if how == "json":
+        # 1e999 loads as inf; json.dumps would write it as Infinity
+        text = open(path).read()
+        path = tmp_path / "big_gamma.json"
+        path.write_text(text[:text.rindex("}")] + ', "gamma": 1e999}')
+        argv = [command, str(path)]
+    else:
+        argv = [command, path, how, value]
+    code, out, err = run_cli(capsys, *argv, "--max-sweeps", "5")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "gamma" in lines[0]
+
+
+@pytest.mark.parametrize("command", ["w1", "ot"])
+@pytest.mark.parametrize("budget,cap,tol", [
+    ([], 3, 1e-9),
+    (["--tol", "1e-12", "--max-sweeps", "4"], 4, 1e-12),
+    (["--epsilon", "0.05"], 3, 1e-6),
+], ids=["default-tol", "tol-flag", "epsilon-fallback"])
+def test_sweep_cap_short_of_tolerance_warns(capsys, monkeypatch, tmp_path,
+                                            path3_file, ot_file, command,
+                                            budget, cap, tol):
+    monkeypatch.setattr(cli, "_SWEEP_CAP", 3)
+    path = path3_file if command == "w1" else ot_file
+    trace = tmp_path / "trace.csv"
+    code, out, err = run_cli(capsys, command, path, *budget,
+                             "--trace", str(trace))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["sweeps"] == cap
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning:")
+    assert f"cap of {cap} " in lines[0]
+    assert repr(payload["res1_l1"]) in lines[0]
+    assert repr(tol) in lines[0]
+    # the warning changes nothing else: same stdout and trace as a run
+    # given the cap as its budget
+    budget_argv = [command, path, "--max-sweeps", str(cap), "--trace",
+                   str(tmp_path / "plain.csv")]
+    if "--epsilon" in budget:
+        gamma = payload["gamma"]
+        budget_argv += ["--gamma", repr(gamma)]
+    code2, out2, err2 = run_cli(capsys, *budget_argv)
+    assert (code2, err2) == (0, "")
+    assert json.loads(out2)["res1_l1"] == payload["res1_l1"]
+    assert trace.read_text() == (tmp_path / "plain.csv").read_text()
+
+
+@pytest.mark.parametrize("command", ["w1", "ot"])
+def test_no_warning_when_tolerance_met_or_absent(capsys, path3_file, ot_file,
+                                                 command):
+    path = path3_file if command == "w1" else ot_file
+    for argv in ([], ["--max-sweeps", "3"], ["--tol", "1e-3",
+                                              "--max-sweeps", "1000"]):
+        code, _, err = run_cli(capsys, command, path, *argv)
+        assert (code, err) == (0, "")
+
+
+def test_ot_small_gamma_prints_nothing_on_stderr(capsys, tmp_path):
+    """Absorptions and log-domain fallbacks fire here; numpy stays quiet."""
+    rng = np.random.default_rng(0x0E)
+    cost = 10.0 * rng.random((6, 7))
+    b1 = rng.random(6) + 0.05
+    b2 = rng.random(7) + 0.05
+    path = tmp_path / "ot.json"
+    path.write_text(json.dumps({"cost": cost.tolist(),
+                                "b1": (b1 / b1.sum()).tolist(),
+                                "b2": (b2 / b2.sum()).tolist()}))
+    code, out, err = run_cli(capsys, "ot", str(path), "--gamma", "1e-4",
+                             "--max-sweeps", "200")
+    assert (code, err) == (0, "")
+    assert math.isfinite(json.loads(out)["ot_dual"])
 
 
 @pytest.mark.parametrize("path", ["matrix", "scaling"])

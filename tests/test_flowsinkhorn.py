@@ -75,6 +75,13 @@ def test_flow_problem_rejects_bad_marginals():
         FlowProblem(g, [1.0, 0.0], [0.0, 1.0], 0.0)
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_flow_problem_rejects_nonfinite_gamma(gamma):
+    g = Graph(2, [(0, 1, 1.0)])
+    with pytest.raises(ValueError, match="finite"):
+        FlowProblem(g, [1.0, 0.0], [0.0, 1.0], gamma)
+
+
 def test_flow_problem_rejects_bad_reference():
     g = Graph(2, [(0, 1, 1.0)])
     with pytest.raises(ValueError, match="per directed arc"):

@@ -10,7 +10,8 @@ from sinkflow.analysis import (
     check_nonexpansive,
     check_translation_equivariance,
 )
-from sinkflow.blocklp import DualState, dual_objective, primal_from_dual, residuals, solve, sweep
+from sinkflow import sinkhorn
+from sinkflow.blocklp import BlockProblem, DualState, dual_objective, primal_from_dual, residuals, solve, sweep
 from sinkflow.sinkhorn import OTProblem, ot_constants, plan_from_duals, soft_c_transform_1, soft_c_transform_2
 
 
@@ -43,6 +44,12 @@ def test_rejects_bad_gamma_and_shape():
         OTProblem(np.zeros((2, 2)), [0.5, 0.5], [0.5, 0.5], 0.0)
     with pytest.raises(ValueError):
         OTProblem(np.zeros((2, 3)), [0.5, 0.5], [0.5, 0.5], 0.5)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_rejects_nonfinite_gamma(gamma):
+    with pytest.raises(ValueError, match="finite"):
+        OTProblem(np.zeros((2, 2)), [0.5, 0.5], [0.5, 0.5], gamma)
 
 
 def test_rejects_nonfinite_cost():
@@ -219,3 +226,83 @@ def test_residuals_shrink_geometrically_when_gamma_large():
         r1, _ = residuals(pb, state)
         norms.append(float(np.abs(r1).sum()))
     assert norms[-1] < norms[0] * 1e-3
+
+
+# ------------------------------------------------ stabilised scaling engine
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(sinkhorn, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sinkhorn, name, spy)
+    return calls
+
+
+def _assert_runs_agree(pb, sweeps):
+    """The default engine against solve driven by the exact block updates."""
+    state, trace = solve(pb, max_sweeps=sweeps)
+    ref_state, ref = solve(pb, max_sweeps=sweeps, sweeps=BlockProblem.sweeps(pb))
+    np.testing.assert_allclose(trace.F_gamma, ref.F_gamma, rtol=1e-12, atol=0)
+    for col in ("res1_l1", "res2_l1", "primal_mass", "foc1", "foc2",
+                "half_mass"):
+        np.testing.assert_allclose(getattr(trace, col), getattr(ref, col),
+                                   rtol=0, atol=1e-12, err_msg=col)
+    np.testing.assert_allclose(state.u1, ref_state.u1, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(state.u2, ref_state.u2, rtol=0, atol=1e-10)
+
+
+def test_stabilized_sweeps_are_the_default_and_match_block_updates(monkeypatch):
+    """At moderate gamma one epoch covers the run: one soft c-transform."""
+    rng = np.random.default_rng(25)
+    for m1, m2, gamma in ((4, 5, 0.5), (7, 3, 0.1), (6, 6, 0.02)):
+        pb = small_ot(rng, m1, m2, gamma)
+        rows = _count_calls(monkeypatch, "soft_c_transform_1")
+        cols = _count_calls(monkeypatch, "soft_c_transform_2")
+        solve(pb, max_sweeps=150)
+        assert (len(rows), len(cols)) == (1, 0)
+        _assert_runs_agree(pb, 150)
+
+
+def test_stabilized_fallback_when_first_column_update_underflows(monkeypatch):
+    """Costs x10 at gamma = 1e-4: after the first row update whole columns
+    of the kernel underflow to 0, so the column scaling is infinite and the
+    sweep finishes with the log-domain column update."""
+    rng = np.random.default_rng(27)
+    cost = 10.0 * rng.uniform(0.0, 1.0, size=(5, 6))
+    b1 = rng.uniform(0.1, 1.0, size=5)
+    b2 = rng.uniform(0.1, 1.0, size=6)
+    pb = OTProblem(cost, b1 / b1.sum(), b2 / b2.sum(), gamma=1e-4)
+    zeros = np.zeros(pb.m2)
+    kernel = sinkhorn._kernel(pb, pb.block_update_1(zeros), zeros)
+    assert np.any(kernel.sum(axis=0) == 0.0)
+
+    cols = _count_calls(monkeypatch, "soft_c_transform_2")
+    sweeps = pb.sweeps()
+    u, _, _ = next(sweeps)
+    assert len(cols) == 1
+    # epoch start and fallback are the exact block updates, to the bit
+    want = sweep(pb, pb.initial_state())
+    np.testing.assert_array_equal(u.u1, want.u1)
+    np.testing.assert_array_equal(u.u2, want.u2)
+    _assert_runs_agree(pb, 80)
+
+
+def test_stabilized_row_guard_when_a_kernel_row_underflows(monkeypatch):
+    """A marginal entry at the underflow limit empties its kernel row, so
+    K b has a zero and the row scaling is infinite: every sweep then starts
+    a new epoch with the exact row update instead of going NaN."""
+    cost = 0.1 * np.random.default_rng(29).uniform(0.0, 1.0, size=(3, 4))
+    pb = OTProblem(cost, [0.5, 0.5, 5e-324], np.full(4, 0.25), gamma=0.5)
+    zeros = np.zeros(pb.m2)
+    kernel = sinkhorn._kernel(pb, pb.block_update_1(zeros), zeros)
+    assert kernel.sum(axis=1)[2] == 0.0
+
+    rows = _count_calls(monkeypatch, "soft_c_transform_1")
+    solve(pb, max_sweeps=20)
+    assert len(rows) == 20
+    _assert_runs_agree(pb, 20)
