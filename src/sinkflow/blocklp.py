@@ -30,6 +30,7 @@ __all__ = [
     "primal_marginals",
     "marginals",
     "dual_objective",
+    "cost_and_dual",
     "residuals",
     "sweep",
     "solve",
@@ -183,6 +184,12 @@ def _dual_value(problem: BlockProblem, u: DualState, mass: float) -> float:
 def dual_objective(problem: BlockProblem, u: DualState) -> float:
     """Smoothed dual F(u) = <b,u> + gamma * (Z - ||x(u)||_1)."""
     return _dual_value(problem, u, float(primal_from_dual(problem, u).sum()))
+
+
+def cost_and_dual(problem: BlockProblem, u: DualState) -> tuple[float, float]:
+    """Primal cost <C, x(u)> and dual F(u), both read from one x(u)."""
+    x = primal_from_dual(problem, u)
+    return float(problem.cost @ x), _dual_value(problem, u, float(x.sum()))
 
 
 def residuals(problem: BlockProblem, u: DualState) -> tuple[np.ndarray, np.ndarray]:

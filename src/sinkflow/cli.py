@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -28,8 +29,7 @@ from .analysis import (
 from .blocklp import (
     ConvergenceTrace,
     NumericOverflowError,
-    dual_objective,
-    primal_from_dual,
+    cost_and_dual,
     schedule_gamma,
     solve,
     solve_scheduled,
@@ -118,140 +118,125 @@ def _write_trace(trace: ConvergenceTrace | None, path: str | None) -> None:
         trace.to_csv(path)
 
 
-def _budget(args) -> tuple[int | None, float | None]:
-    """--max-sweeps and --tol, defaulting to tolerance 1e-9 under the cap."""
+def _budget(args) -> tuple[int, float | None]:
+    """(cap, tolerance) of a budget run: --max-sweeps or else the sweep cap,
+    and --tol, which is 1e-9 when neither flag is given."""
     if args.max_sweeps is None and args.tol is None:
         return _SWEEP_CAP, 1e-9
-    return args.max_sweeps, args.tol
+    cap = _SWEEP_CAP if args.max_sweeps is None else args.max_sweeps
+    return cap, args.tol
 
 
-def _warn_at_cap(trace: ConvergenceTrace, max_sweeps: int | None,
+def _warn_at_cap(trace: ConvergenceTrace, max_sweeps: int,
                  tol: float | None) -> None:
     """One stderr line when a run stopped at its cap short of its tolerance."""
     res1 = trace.res1_l1[-1]
-    if (tol is not None and max_sweeps is not None
-            and trace.k[-1] >= max_sweeps and not res1 <= tol):
+    if tol is not None and trace.k[-1] >= max_sweeps and not res1 <= tol:
         print(f"warning: stopped at the sweep cap of {max_sweeps} with "
               f"res1_l1 {res1!r} above the tolerance {tol!r}",
               file=sys.stderr)
 
 
-def _reject_epsilon_conflicts(args) -> None:
-    """--epsilon picks gamma and the sweep budget and runs the stable path."""
-    if args.epsilon is None:
-        return
-    for flag, given in (("--max-sweeps", args.max_sweeps is not None),
-                        ("--tol", args.tol is not None),
-                        ("--path", args.path != "stable")):
-        if given:
-            raise _InputError(
-                f"{flag} cannot be combined with --epsilon, which sets the "
-                "sweep budget and runs the stable path"
-            )
+def _check_run_flags(args) -> None:
+    """The w1/ot flag values and combinations the parser lets through."""
+    if args.epsilon is not None:
+        # --epsilon picks gamma and the sweep budget and runs the stable path
+        for flag, given in (("--max-sweeps", args.max_sweeps is not None),
+                            ("--tol", args.tol is not None),
+                            ("--path", args.path != "stable")):
+            if given:
+                raise _InputError(
+                    f"{flag} cannot be combined with --epsilon, which sets "
+                    "the sweep budget and runs the stable path"
+                )
+    if args.subcommand == "ot" and args.path != "stable":
+        raise _InputError("--path selects a w1 iteration; ot always runs "
+                          "the stable dense sweep")
+    if args.max_sweeps is not None and args.max_sweeps < 0:
+        raise _InputError(
+            f"--max-sweeps must be >= 0, got {args.max_sweeps}")
 
 
 _FLOW_SWEEPS = {"stable": FlowProblem.sweeps, "matrix": matrix_sweeps,
                 "scaling": scaling_sweeps}
 
 
-def _solve_budget(problem, args, sweeps=None):
-    """The --max-sweeps/--tol run; warns when it stops at the cap."""
-    max_sweeps, tol = _budget(args)
-    state, trace = solve(problem, max_sweeps=max_sweeps, residual_tol=tol,
-                         sweeps=sweeps)
-    _warn_at_cap(trace, max_sweeps, tol)
-    return state, trace
-
-
-def _solve_scheduled(problem, args, x0: float, consts, d: int):
-    """The --epsilon run: the planned sweep budget or the residual fallback."""
-    state, trace, _, fell_back = solve_scheduled(
-        problem, args.epsilon, X0=x0, X=consts.X_gamma, U=consts.U_gamma,
-        A_norm=2.0, d=d, sweep_cap=_SWEEP_CAP, fallback_tol=_FALLBACK_TOL,
-    )
-    if fell_back:
-        _warn_at_cap(trace, _SWEEP_CAP, _FALLBACK_TOL)
-    return state, trace
-
-
-def cmd_w1(args) -> int:
-    _reject_epsilon_conflicts(args)
-    data = _load_json(args.input)
+def _flow_setup(data: dict, args):
+    """(problem, sweeps, schedule) for w1; see _run."""
     if "graph" not in data:
         raise _InputError("w1 expects a flow problem (with a 'graph' field)")
-    trace = None
-    try:
-        if args.epsilon is not None:
-            graph = _build_graph(data)
-            with _bad_input("flow problem"):
-                fbar = spanning_tree_flow(graph, data["b1"], data["b2"])
-            fbar_mass = fbar.mass()
-            x0 = fbar_mass if fbar_mass > 0 else 1.0
-            d = 2 * graph.p
-            with _bad_input("--epsilon"):
-                gamma = schedule_gamma(args.epsilon, x0, d)
-            problem = _build_flow(graph, data, gamma)
-            consts = flow_constants(problem, fbar)
-            state, trace = _solve_scheduled(problem, args, x0, consts, d)
-        else:
-            gamma = _json_gamma(data, args)
-            problem = _build_flow(_build_graph(data), data, gamma)
-            state, trace = _solve_budget(problem, args,
-                                         _FLOW_SWEEPS[args.path](problem))
-    except NumericOverflowError as err:
-        _write_trace(err.trace, args.trace)
-        where = f"; partial trace at {args.trace}" if args.trace else ""
-        print(f"numeric failure: {err}{where}", file=sys.stderr)
-        return 3
-    _write_trace(trace, args.trace)
-    primal, dual = w1_estimate(problem, state)
-    _emit({
-        "w1_dual": dual,
-        "w1_primal": primal,
-        "gamma": problem.gamma,
-        "sweeps": trace.k[-1],
-        "res1_l1": trace.res1_l1[-1],
-    })
-    return 0
+    if args.epsilon is None:
+        gamma = _json_gamma(data, args)
+        problem = _build_flow(_build_graph(data), data, gamma)
+        return problem, _FLOW_SWEEPS[args.path](problem), None
+    graph = _build_graph(data)
+    with _bad_input("flow problem"):
+        fbar = spanning_tree_flow(graph, data["b1"], data["b2"])
+    fbar_mass = fbar.mass()
+    x0 = fbar_mass if fbar_mass > 0 else 1.0
+    d = 2 * graph.p
+    with _bad_input("--epsilon"):
+        gamma = schedule_gamma(args.epsilon, x0, d)
+    problem = _build_flow(graph, data, gamma)
+    return problem, None, (x0, flow_constants(problem, fbar), d)
 
 
-def cmd_ot(args) -> int:
-    _reject_epsilon_conflicts(args)
-    if args.path != "stable":
-        raise _InputError("--path selects a w1 iteration; ot always runs "
-                          "the stable dense sweep")
-    data = _load_json(args.input)
+def _ot_setup(data: dict, args):
+    """(problem, sweeps, schedule) for ot; see _run."""
     if "cost" not in data:
         raise _InputError("ot expects a transport problem (with a 'cost' field)")
-    trace = None
+    if args.epsilon is None:
+        return _build_ot(data["cost"], data, _json_gamma(data, args)), None, None
+    with _bad_input("transport problem"):
+        cost = np.asarray(data["cost"], dtype=float)
+    d = cost.size
+    if d < 3:
+        raise _InputError(
+            "epsilon scheduling needs a plan with at least 3 entries; "
+            "pass --gamma for tiny instances"
+        )
+    with _bad_input("--epsilon"):
+        gamma = schedule_gamma(args.epsilon, 1.0, d)
+    problem = _build_ot(cost, data, gamma)
+    return problem, None, (1.0, ot_constants(problem), d)
+
+
+def _run(args, setup, estimate) -> int:
+    """One w1 or ot run.
+
+    setup(data, args) returns (problem, sweeps, schedule): the problem, the
+    sweeps iterator for solve (None for the problem's own), and under
+    --epsilon the schedule's (X0, constants, d), None otherwise.
+    estimate(problem, state) returns the (primal, dual) answer.
+    """
+    _check_run_flags(args)
+    data = _load_json(args.input)
+    problem, sweeps, schedule = setup(data, args)
     try:
-        if args.epsilon is not None:
-            with _bad_input("transport problem"):
-                cost = np.asarray(data["cost"], dtype=float)
-            d = cost.size
-            if d < 3:
-                raise _InputError(
-                    "epsilon scheduling needs a plan with at least 3 entries; "
-                    "pass --gamma for tiny instances"
-                )
-            with _bad_input("--epsilon"):
-                gamma = schedule_gamma(args.epsilon, 1.0, d)
-            problem = _build_ot(cost, data, gamma)
-            consts = ot_constants(problem)
-            state, trace = _solve_scheduled(problem, args, 1.0, consts, d)
+        if schedule is None:
+            max_sweeps, tol = _budget(args)
+            state, trace = solve(problem, max_sweeps=max_sweeps,
+                                 residual_tol=tol, sweeps=sweeps)
         else:
-            problem = _build_ot(data["cost"], data, _json_gamma(data, args))
-            state, trace = _solve_budget(problem, args)
+            x0, consts, d = schedule
+            state, trace, _, fell_back = solve_scheduled(
+                problem, args.epsilon, X0=x0, X=consts.X_gamma,
+                U=consts.U_gamma, A_norm=2.0, d=d, sweep_cap=_SWEEP_CAP,
+                fallback_tol=_FALLBACK_TOL,
+            )
+            max_sweeps = _SWEEP_CAP
+            tol = _FALLBACK_TOL if fell_back else None
     except NumericOverflowError as err:
         _write_trace(err.trace, args.trace)
         where = f"; partial trace at {args.trace}" if args.trace else ""
         print(f"numeric failure: {err}{where}", file=sys.stderr)
         return 3
+    _warn_at_cap(trace, max_sweeps, tol)
     _write_trace(trace, args.trace)
-    x = primal_from_dual(problem, state)
+    primal, dual = estimate(problem, state)
     _emit({
-        "ot_dual": dual_objective(problem, state),
-        "ot_primal": float(problem.cost @ x),
+        f"{args.subcommand}_dual": dual,
+        f"{args.subcommand}_primal": primal,
         "gamma": problem.gamma,
         "sweeps": trace.k[-1],
         "res1_l1": trace.res1_l1[-1],
@@ -346,16 +331,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Smoothed Wasserstein-1 and transport solvers on graphs.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    w1 = sub.add_parser("w1", help="smoothed Wasserstein-1 on a graph")
+    w1.set_defaults(handler=partial(_run, setup=_flow_setup,
+                                    estimate=w1_estimate))
+    ot = sub.add_parser("ot", help="smoothed transport between histograms")
+    ot.set_defaults(handler=partial(_run, setup=_ot_setup,
+                                    estimate=cost_and_dual))
+    exact = sub.add_parser("exact", help="exact oracle value")
+    exact.set_defaults(handler=cmd_exact)
+    verify = sub.add_parser("verify", help="structural property battery")
+    verify.set_defaults(handler=cmd_verify)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", help="problem JSON file")
-        else:
-            p.add_argument("input", nargs="?", default=None,
-                           help="optional problem JSON file")
+    gamma_help = "regularization strength (overrides the JSON)"
+    for p in (w1, ot):
+        p.add_argument("input", help="problem JSON file")
         group = p.add_mutually_exclusive_group()
-        group.add_argument("--gamma", type=float,
-                           help="regularization strength (overrides the JSON)")
+        group.add_argument("--gamma", type=float, help=gamma_help)
         group.add_argument("--epsilon", type=float,
                            help="target accuracy; picks gamma and the sweep "
                                 "budget automatically")
@@ -368,31 +359,23 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="flow iteration variant (default: stable)")
         p.add_argument("--trace", default=None, metavar="FILE",
                        help="write the per-sweep trace CSV here")
-        p.add_argument("--seed", type=_hex_seed, default=None, metavar="HEX",
-                       help="hexadecimal seed for randomized checks")
+    exact.add_argument("input", help="problem JSON file")
+    verify.add_argument("input", nargs="?", default=None,
+                        help="optional problem JSON file")
+    verify.add_argument("--gamma", type=float, help=gamma_help)
+    verify.add_argument("--seed", type=_hex_seed, default=None, metavar="HEX",
+                        help="hexadecimal seed for randomized checks")
+    for p in (w1, ot, exact, verify):
         p.add_argument("--deterministic", action="store_true",
                        help="force single-threaded deterministic execution "
                             "(already the default; kept for scripts)")
-
-    common(sub.add_parser("w1", help="smoothed Wasserstein-1 on a graph"))
-    common(sub.add_parser("ot", help="smoothed transport between histograms"))
-    common(sub.add_parser("exact", help="exact oracle value"))
-    common(sub.add_parser("verify", help="structural property battery"),
-           needs_input=False)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "w1": cmd_w1,
-        "ot": cmd_ot,
-        "exact": cmd_exact,
-        "verify": cmd_verify,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.subcommand](args)
+        return args.handler(args)
     except _InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -45,6 +45,7 @@ from .blocklp import (
     DualState,
     NumericOverflowError,
     Sweep,
+    cost_and_dual,
     dual_objective,
     marginals,
     primal_from_dual,
@@ -402,14 +403,13 @@ def w1_estimate(problem: FlowProblem, state) -> tuple[float, float]:
     flow copies, so the raw cost and dual objective sit at twice the
     transport value; both returns are halved.
     """
+    duals = _duals_from_state(problem, state)
     if isinstance(state, EdgeFlow):
         primal = 2.0 * float(problem.graph.arc_w @ state.values)
-        duals = _duals_from_state(problem, state)
+        dual = dual_objective(problem, duals)
     else:
-        duals = _duals_from_state(problem, state)
-        x = primal_from_dual(problem, duals)
-        primal = float(problem.cost @ x)
-    return 0.5 * primal, 0.5 * dual_objective(problem, duals)
+        primal, dual = cost_and_dual(problem, duals)
+    return 0.5 * primal, 0.5 * dual
 
 
 class FlowConstants(NamedTuple):

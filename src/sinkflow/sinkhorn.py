@@ -34,6 +34,7 @@ __all__ = [
 _BALANCE_TOL = 1e-12
 # A scaling leaving [1/_TAU, _TAU] ends the epoch; see OTProblem.sweeps.
 _TAU = 1e10
+_TINY = np.finfo(float).tiny
 
 
 class OTProblem(BlockProblem):
@@ -113,18 +114,22 @@ class OTProblem(BlockProblem):
         [1/_TAU, _TAU] ends the epoch and the exact log-domain update takes
         its place: for a, that update opens a new epoch in the same sweep;
         for b, the next sweep opens one. The rows of K sum to b1, so a stays
-        within the range of 1/b unless a row of K underflows to 0 (a
-        marginal entry near the float64 limit).
+        within the range of 1/b unless a marginal entry sits near the
+        float64 limit. Its row of K b is then subnormal or 0, and a is not
+        formed from it: the exact update runs instead.
         """
         gamma, b1, b2 = self.gamma, self.b1, self.b2
         u = self.initial_state()
         kernel = None  # no epoch open
         while True:
             if kernel is not None:
-                with np.errstate(divide="ignore", over="ignore"):
-                    a = b1 / kb
-                if not _in_range(a):
+                # a subnormal or zero entry of K b leaves b1 / (K b) too few bits
+                if kb.min() < _TINY:
                     kernel = None
+                else:
+                    a = b1 / kb
+                    if not _in_range(a):
+                        kernel = None
             if kernel is None:
                 f, g = self.block_update_1(u.u2), u.u2
                 kernel = _kernel(self, f, g)

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from sinkflow import blocklp
 from sinkflow.blocklp import (
     BlockProblem,
     ConvergenceTrace,
     DualState,
     NumericOverflowError,
+    cost_and_dual,
     dual_objective,
     marginals,
     operator_norm_1to1,
@@ -223,6 +225,21 @@ def test_marginals_match_the_primal():
     np.testing.assert_array_equal(a1x, pb.apply_A1(x))
     np.testing.assert_array_equal(a2x, pb.apply_A2(x))
     assert mass == float(x.sum())
+
+
+def test_cost_and_dual_form_one_primal(monkeypatch):
+    pb = ToyProblem(gamma=0.3)
+    u = DualState(np.array([0.4]), np.array([-0.2]))
+    expected = (float(pb.cost @ primal_from_dual(pb, u)), dual_objective(pb, u))
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return primal_from_dual(*args)
+
+    monkeypatch.setattr(blocklp, "primal_from_dual", spy)
+    assert cost_and_dual(pb, u) == expected
+    assert len(calls) == 1
 
 
 def test_solve_attaches_partial_trace_on_overflow():

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -360,8 +361,9 @@ def test_nonfinite_gamma_is_input_error(capsys, tmp_path, flow_file, ot_file,
 @pytest.mark.parametrize("budget,cap,tol", [
     ([], 3, 1e-9),
     (["--tol", "1e-12", "--max-sweeps", "4"], 4, 1e-12),
+    (["--tol", "1e-6"], 3, 1e-6),
     (["--epsilon", "0.05"], 3, 1e-6),
-], ids=["default-tol", "tol-flag", "epsilon-fallback"])
+], ids=["default-tol", "tol-flag", "tol-only", "epsilon-fallback"])
 def test_sweep_cap_short_of_tolerance_warns(capsys, monkeypatch, tmp_path,
                                             path3_file, ot_file, command,
                                             budget, cap, tol):
@@ -425,6 +427,53 @@ def test_ot_rejects_flow_path(capsys, ot_file, path):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and "--path" in lines[0]
+
+
+@pytest.mark.parametrize("command", ["w1", "ot"])
+def test_negative_max_sweeps_is_input_error(capsys, flow_file, ot_file,
+                                            command):
+    path = flow_file if command == "w1" else ot_file
+    code, out, err = run_cli(capsys, command, path, "--max-sweeps", "-1")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "--max-sweeps" in lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "FILE", "--epsilon", "1"],
+    ["exact", "FILE", "--path", "matrix"],
+    ["verify", "--max-sweeps", "5"],
+    ["verify", "--trace", "t.csv"],
+    ["w1", "FILE", "--seed", "ff"],
+], ids=["exact-epsilon", "exact-path", "verify-max-sweeps", "verify-trace",
+        "w1-seed"])
+def test_subcommand_rejects_flags_it_does_not_read(flow_file, argv):
+    argv = [flow_file if a == "FILE" else a for a in argv]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+
+
+def test_option_sets_per_subcommand():
+    """Each subcommand registers exactly the options it reads."""
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {a.option_strings[-1] if a.option_strings else a.dest
+               for a in sub._actions} - {"--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    run = {"input", "--gamma", "--epsilon", "--max-sweeps", "--tol", "--path",
+           "--trace", "--deterministic"}
+    assert options == {
+        "w1": run,
+        "ot": run,
+        "exact": {"input", "--deterministic"},
+        "verify": {"input", "--gamma", "--seed", "--deterministic"},
+    }
 
 
 def test_gamma_epsilon_conflict_is_usage_error(flow_file):

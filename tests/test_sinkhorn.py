@@ -306,3 +306,15 @@ def test_stabilized_row_guard_when_a_kernel_row_underflows(monkeypatch):
     solve(pb, max_sweeps=20)
     assert len(rows) == 20
     _assert_runs_agree(pb, 20)
+
+
+def test_stabilized_keeps_duals_of_a_near_underflow_row(monkeypatch):
+    """A marginal entry of 1e-320 leaves its row of K b subnormal, with too
+    few bits for b1 / (K b); the exact row update must run there instead."""
+    cost = np.random.default_rng(0).random((3, 4))
+    pb = OTProblem(cost, [0.5, 0.5, 1e-320], np.full(4, 0.25), gamma=0.05)
+    ref_state, _ = solve(pb, max_sweeps=50, sweeps=BlockProblem.sweeps(pb))
+    rows = _count_calls(monkeypatch, "soft_c_transform_1")
+    state, _ = solve(pb, max_sweeps=50)
+    np.testing.assert_allclose(state.u1, ref_state.u1, rtol=0, atol=1e-8)
+    assert len(rows) == 50
