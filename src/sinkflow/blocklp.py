@@ -145,8 +145,13 @@ class BlockProblem:
 
 
 def _log_primal(problem: BlockProblem, u: DualState) -> np.ndarray:
-    adj = problem.apply_A1_adjoint(u.u1) + problem.apply_A2_adjoint(u.u2)
-    return problem.log_reference + (adj - problem.cost) / problem.gamma
+    # log z + (A^T u - C) / gamma, built in place to hold fewer d-vectors
+    log_x = problem.apply_A1_adjoint(u.u1)
+    log_x += problem.apply_A2_adjoint(u.u2)
+    log_x -= problem.cost
+    log_x /= problem.gamma
+    log_x += problem.log_reference
+    return log_x
 
 
 def primal_from_dual(problem: BlockProblem, u: DualState) -> np.ndarray:
@@ -162,7 +167,7 @@ def primal_from_dual(problem: BlockProblem, u: DualState) -> np.ndarray:
             f"primal entry {worst} has log value {log_x[worst]:.6g}, "
             f"beyond the exp() range (~{_EXP_LIMIT:.0f})"
         )
-    return np.exp(log_x)
+    return np.exp(log_x, out=log_x)
 
 
 def primal_marginals(problem: BlockProblem, x: np.ndarray) -> Marginals:
@@ -393,7 +398,9 @@ def solve_scheduled(problem: BlockProblem, eps: float, *, X0: float,
     problem.gamma must equal schedule_gamma(eps, X0, d). When the planned
     sweep count exceeds sweep_cap the run falls back to the residual rule
     at fallback_tol (capped at sweep_cap sweeps), which in practice lands
-    far inside the planned accuracy.
+    far inside the planned accuracy. A planned run stops early only at an
+    exact zero residual, where the gap-residual bound 2 U ||r1||_1 on
+    F*_gamma - F(u) is 0, so no further sweep can raise F.
 
     Returns (state, trace, planned_k, fell_back).
 
@@ -410,7 +417,7 @@ def solve_scheduled(problem: BlockProblem, eps: float, *, X0: float,
         state, trace = solve(problem, residual_tol=fallback_tol,
                              max_sweeps=sweep_cap, record_every=record_every)
         return state, trace, planned_k, True
-    state, trace = solve(problem, max_sweeps=planned_k,
+    state, trace = solve(problem, max_sweeps=planned_k, residual_tol=0.0,
                          record_every=record_every)
     return state, trace, planned_k, False
 

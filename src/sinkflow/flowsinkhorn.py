@@ -10,10 +10,13 @@ blocklp.solve runs all three iteration paths and records their traces;
 each yields (u, full, half) per sweep, with callables for the block
 marginals at the full and half states:
 
-  stable   FlowProblem.sweeps(), the default BlockProblem.sweeps(): the
-           exact block updates block_update_1 and block_update_2 in the
-           log domain, marginals through primal_from_dual, safe down to
-           gamma ~ 1e-4 at desk scale;
+  stable   FlowProblem.sweeps(), a log-stabilised scaling engine: each
+           epoch absorbs the vertex duals into a per-arc kernel, and a
+           sweep is two segmented sums and one quadratic root per vertex,
+           which also give both block marginals. The exact log-domain
+           block updates block_update_1 and block_update_2 are its
+           fallback, so it is as safe as they are, down to gamma ~ 1e-4
+           at desk scale;
   matrix   matrix_sweeps, explicit flow pairs and KL projections
            (sweep_matrix), the most readable form; the half-state
            marginals come from the projected pair (f, g);
@@ -21,9 +24,6 @@ marginals at the full and half states:
            (sweep_scaling); its Gibbs kernel is in linear scale and
            underflows for small gamma. It fuses both half-steps, so it
            reports no half state.
-
-The flow problem has no log-stabilised scaling engine yet; dense OT does
-(OTProblem.sweeps).
 
 All three produce the same iterates up to roundoff; tests hold them to
 that. Since the lifted objective counts the transport cost on both copies
@@ -41,6 +41,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .blocklp import (
+    _EXP_LIMIT,
     BlockProblem,
     DualState,
     NumericOverflowError,
@@ -49,10 +50,10 @@ from .blocklp import (
     dual_objective,
     marginals,
     primal_from_dual,
-    primal_marginals,
 )
 from .graph import Graph, hop_diameter, spanning_tree_flow
 from .numerics import kl_divergence, phi_root
+from .sinkhorn import _in_range
 
 __all__ = [
     "EdgeFlow",
@@ -202,11 +203,17 @@ class FlowProblem(BlockProblem):
         p = self.graph.p
         return x[:p] - x[p:]
 
+    # The adjoints negate their second half in place: building x(u) then
+    # holds one p-vector fewer at its peak, which counts at p ~ 1e5.
     def apply_A1_adjoint(self, u1):
-        return np.concatenate([u1[self.graph.arc_src], -u1[self.graph.arc_dst]])
+        out = np.concatenate([u1[self.graph.arc_src], u1[self.graph.arc_dst]])
+        out[self.graph.p:] *= -1.0
+        return out
 
     def apply_A2_adjoint(self, u2):
-        return np.concatenate([u2, -u2])
+        out = np.concatenate([u2, u2])
+        out[self.graph.p:] *= -1.0
+        return out
 
     def block_update_1(self, u2):
         """Exact vertex-dual maximizer given the arc dual."""
@@ -218,7 +225,121 @@ class FlowProblem(BlockProblem):
     def block_update_2(self, u1):
         """Exact arc-dual maximizer: U_e = -(v_src + v_dst) / 2."""
         u1 = np.asarray(u1, dtype=float)
-        return -0.5 * (u1[self.graph.arc_src] + u1[self.graph.arc_dst])
+        u2 = u1[self.graph.arc_src]
+        u2 += u1[self.graph.arc_dst]
+        u2 *= -0.5
+        return u2
+
+    def sweeps(self) -> Iterator[Sweep]:
+        """Log-stabilised scaling sweeps from u = 0, for solve().
+
+        Schmitzer's absorption scheme (arXiv:1610.06519) on the vertex
+        scaling. An epoch starts with an exact log-domain block_update_1,
+        v0 = block_update_1(u2), and absorbs the flow f = g of the full state
+        it reaches, K = exp(((v0_src - v0_dst) / 2 - w_eff) / gamma), into a
+        per-arc kernel, with sigma = 1 on every vertex. Within the epoch
+        v = v0 + 2 gamma log sigma, and the full-state flow is
+        f = g = K sigma_src / sigma_dst. A sweep reads the segmented sums
+        P = sum_out K / sigma_dst and Q = sum_out K[arc_rev] sigma_dst;
+        block 1 is then sigma' = sigma sqrt(tau), with tau the positive root
+        of a tau^2 + 2 r tau - c = 0 for a = sigma P and c = Q / sigma, and
+        block 2 is exact. The full-state marginals are
+        (sigma' P' - Q' / sigma', 0, 2 sigma' . P'), read from the sums the
+        next sweep uses; the half-state pair (F tau_src, F / tau_dst), with
+        F = K sigma_src / sigma_dst, is formed only for recorded rows. A new
+        sigma that is not finite or leaves [1/_TAU, _TAU] ends the epoch:
+        the exact block_update_1 runs in its place and opens a new epoch in
+        the same sweep.
+        """
+        gamma, r = self.gamma, self.r
+        u = self.initial_state()
+        sigma = None  # no epoch open
+        while True:
+            if sigma is not None:
+                sigma_next = sigma * np.sqrt(
+                    _scaling_root(r, sigma * p_sum, q_sum / sigma))
+                if not _in_range(sigma_next):
+                    sigma = sigma_next = None
+            if sigma is None:
+                v0 = self.block_update_1(u.u2)
+                half = partial(marginals, self, DualState(v0, u.u2))
+                v = v0
+                kernel = _full_flow(self, v0)
+                sigma = np.ones(self.graph.n)
+            else:
+                half = partial(_absorbed_half_marginals, self, kernel, sigma,
+                               sigma_next)
+                sigma = sigma_next
+                v = v0 + 2.0 * gamma * np.log(sigma)
+            p_sum, q_sum = _scaled_sums(self.graph, kernel, sigma)
+            u = DualState(v, self.block_update_2(v))
+            yield u, partial(_absorbed_marginals, self, sigma, p_sum, q_sum), half
+
+
+def _full_flow(problem: FlowProblem, v: np.ndarray) -> np.ndarray:
+    """The flow f = g at the full state (v, block_update_2(v)), per arc.
+
+    Guarded as in primal_from_dual, and built in place.
+    """
+    g = problem.graph
+    log_f = 0.5 * (v[g.arc_src] - v[g.arc_dst]) - problem.w_eff
+    log_f /= problem.gamma
+    worst = int(np.argmax(log_f))
+    if log_f[worst] > _EXP_LIMIT:
+        raise NumericOverflowError(
+            f"arc {worst} flow has log value {log_f[worst]:.6g}, "
+            f"beyond the exp() range (~{_EXP_LIMIT:.0f})"
+        )
+    return np.exp(log_f, out=log_f)
+
+
+def _scaled_sums(g: Graph, kernel, sigma):
+    """P = sum_out K / sigma_dst and Q = sum_out K[arc_rev] sigma_dst.
+
+    K[arc_rev] is gathered here rather than kept beside K, and the gather of
+    sigma is reused for the Q terms: at p ~ 1e5 each p-vector held across
+    sweeps shows in the peak memory of a run.
+    """
+    terms = sigma[g.arc_dst]
+    p_sum = np.add.reduceat(kernel / terms, g.arc_seg_starts)
+    terms *= kernel[g.arc_rev]
+    return p_sum, np.add.reduceat(terms, g.arc_seg_starts)
+
+
+def _scaling_root(r: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Positive root tau of a tau^2 + 2 r tau - c = 0, per vertex.
+
+    At small gamma a pure source or sink has one of a and c below 1e-290 or
+    exactly 0, legitimately, so the root divides by neither: it is
+    c / (r + disc) for r >= 0 and (disc - r) / a for r < 0, where the sum
+    or difference has no cancellation. disc = sqrt(r^2 + a c) is formed
+    without the product a c, which underflows at a vertex with r = 0 far
+    from the flow. Where no finite positive root exists the result is 0,
+    inf or NaN, which the caller's range check turns into a fallback.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        disc = np.hypot(r, np.sqrt(a) * np.sqrt(c))
+        return np.where(r >= 0.0, c / (r + disc), (disc - r) / a)
+
+
+def _absorbed_marginals(problem: FlowProblem, sigma, p_sum, q_sum):
+    """Block marginals at the full state f = g = K sigma_src / sigma_dst."""
+    out = sigma * p_sum
+    # f = g, so block 2 holds exactly: A2 x = 0 = b2
+    return out - q_sum / sigma, problem.b2, 2.0 * float(out.sum())
+
+
+def _absorbed_half_marginals(problem: FlowProblem, kernel, sigma, sigma_next):
+    """Block marginals at the half state (F tau_src, F / tau_dst) of the
+    sweep from sigma to sigma_next = sigma sqrt(tau), where
+    F = K sigma_src / sigma_dst is the full-state flow before the sweep."""
+    g = problem.graph
+    tau = np.square(sigma_next / sigma)
+    f = kernel * sigma[g.arc_src]
+    f /= sigma[g.arc_dst]
+    g_part = f / tau[g.arc_dst]
+    f *= tau[g.arc_src]
+    return _pair_marginals(problem, f, g_part)
 
 
 def _gamma_arsinh(gamma: float, r: np.ndarray, exponent_sum: np.ndarray) -> np.ndarray:
@@ -312,11 +433,14 @@ def matrix_sweeps(problem: FlowProblem) -> Iterator[Sweep]:
         v = vertex_dual_from_flow(problem, f)
         u = DualState(v, problem.block_update_2(v))
         yield u, partial(marginals, problem, u), partial(
-            _pair_marginals, problem, f1, g1)
+            _pair_marginals, problem, f1.values, g1.values)
 
 
-def _pair_marginals(problem: FlowProblem, f: EdgeFlow, g: EdgeFlow):
-    return primal_marginals(problem, np.concatenate((f.values, g.values)))
+def _pair_marginals(problem: FlowProblem, f: np.ndarray, g: np.ndarray):
+    """apply_A1, apply_A2 and the mass of x = (f, g), without stacking x."""
+    seg = problem.graph.arc_seg_starts
+    a1x = np.add.reduceat(f, seg) - np.add.reduceat(g[problem.graph.arc_rev], seg)
+    return a1x, f - g, float(f.sum()) + float(g.sum())
 
 
 def scaling_sweeps(problem: FlowProblem) -> Iterator[Sweep]:

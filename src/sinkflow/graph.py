@@ -142,8 +142,41 @@ def geodesic_matrix(g: Graph) -> np.ndarray:
 
 
 def hop_diameter(g: Graph) -> int:
-    """Largest over vertex pairs of the minimum edge count between them."""
-    return max(max(_bfs(g, s)[2]) for s in range(g.n))
+    """Largest over vertex pairs of the minimum edge count between them.
+
+    Exact, by iFUB (Crescenzi et al., Theor. Comput. Sci. 2013) over _bfs.
+    A BFS from a central vertex u, picked by two double sweeps, splits the
+    vertices into levels by their distance from u. Two vertices at levels
+    <= i are within 2i hops of each other through u, so the eccentricities
+    are taken level by level from the deepest up, and the search stops as
+    soon as the largest one found reaches twice the next level. On paths,
+    trees and graphs with a few chords that takes a handful of BFS runs
+    instead of one per vertex.
+    """
+    src = g.arc_src.tolist()
+    diameter = 0
+    u = int(np.argmax(np.diff(g.arc_seg_starts, append=g.p)))
+    for _ in range(2):
+        # double sweep: the farthest vertex a from u, then a path from a
+        # to the vertex farthest from it; u moves to that path's midpoint
+        order = _bfs(g, u)[0]
+        order, tree_arc, hops = _bfs(g, order[-1])
+        u = order[-1]
+        diameter = max(diameter, hops[u])
+        for _ in range(hops[u] // 2):
+            u = src[tree_arc[u]]
+    order, _, hops = _bfs(g, u)
+    level = hops[order[-1]]
+    end = len(order)
+    while diameter < 2 * level:
+        start = end
+        while start > 0 and hops[order[start - 1]] == level:
+            start -= 1
+        for x in order[start:end]:
+            diameter = max(diameter, max(_bfs(g, x)[2]))
+        end = start
+        level -= 1
+    return diameter
 
 
 def spanning_tree_flow(g: Graph, b1, b2):

@@ -40,6 +40,20 @@ def random_ot_problem(rng, m1, m2, gamma, cost_scale=1.0):
     return OTProblem(cost, random_marginals(rng, m1), random_marginals(rng, m2), gamma)
 
 
+def count_block_updates(problem):
+    """Count the exact block updates an instance runs, by name."""
+    counts = {"block_update_1": 0, "block_update_2": 0}
+    for name in counts:
+        method = getattr(problem, name)
+
+        def counted(arg, name=name, method=method):
+            counts[name] += 1
+            return method(arg)
+
+        setattr(problem, name, counted)
+    return counts
+
+
 def pytest_terminal_summary(terminalreporter):
     if not ACCEPTANCE_RESULTS:
         return

@@ -189,6 +189,19 @@ def test_ot_identity_cost_epsilon_mode(capsys, tmp_path):
     assert payload["ot_primal"] >= -1e-12
 
 
+def test_ot_epsilon_planned_run_stops_at_zero_residual(capsys, ot_file):
+    # the planned budget here is 775,993 sweeps; res1_l1 is exactly 0.0
+    # after 47, and the gap-residual bound is then 0
+    code, out, _ = run_cli(capsys, "ot", ot_file, "--epsilon", "0.1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["res1_l1"] == 0.0
+    assert payload["sweeps"] < 100
+    code, exact_out, _ = run_cli(capsys, "exact", ot_file)
+    assert code == 0
+    assert abs(payload["ot_dual"] - json.loads(exact_out)["ot_exact"]) <= 0.1
+
+
 def test_ot_schema_keys(capsys, ot_file):
     code, out, _ = run_cli(capsys, "ot", ot_file)
     assert code == 0

@@ -9,16 +9,20 @@ from sinkflow.analysis import (
     check_translation_equivariance,
 )
 from sinkflow.blocklp import (
+    BlockProblem,
     DualState,
     NumericOverflowError,
     dual_objective,
     primal_from_dual,
     residuals,
+    schedule_gamma,
+    solve,
     sweep,
 )
 from sinkflow.flowsinkhorn import (
     EdgeFlow,
     FlowProblem,
+    _scaling_root,
     divergence,
     flow_constants,
     flows_from_duals,
@@ -35,7 +39,7 @@ from sinkflow.graph import Graph, spanning_tree_flow
 from sinkflow.numerics import kl_divergence
 from sinkflow.oracle import exact_w1
 
-from conftest import random_connected_graph, random_marginals
+from conftest import count_block_updates, random_connected_graph, random_marginals
 
 
 def two_node(gamma=0.5, w=1.0):
@@ -467,3 +471,106 @@ def test_objective_monotone_along_matrix_path():
         cur = dual_objective(pb, DualState(v, pb.block_update_2(v)))
         assert cur >= prev - 1e-12
         prev = cur
+
+
+# ------------------------------------------------- absorbed-kernel engine
+
+
+def test_engine_is_the_default_and_matches_block_updates():
+    """One epoch at moderate gamma: the engine is solve's default and
+    agrees with the exact block updates row by row, half state included."""
+    pb = random_flow(np.random.default_rng(63), n=9, gamma=0.3)
+    counts = count_block_updates(pb)
+    state, trace = solve(pb, max_sweeps=60)
+    assert counts["block_update_1"] == 1
+    ref_state, ref = solve(pb, max_sweeps=60, sweeps=BlockProblem.sweeps(pb))
+    np.testing.assert_allclose(trace.F_gamma, ref.F_gamma, rtol=1e-13)
+    for col in ("res1_l1", "res2_l1", "foc1", "foc2"):
+        np.testing.assert_allclose(getattr(trace, col)[1:],
+                                   getattr(ref, col)[1:], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(trace.primal_mass, ref.primal_mass, rtol=1e-13)
+    np.testing.assert_allclose(trace.half_mass[1:], ref.half_mass[1:],
+                               rtol=1e-13)
+    np.testing.assert_allclose(state.u1, ref_state.u1, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(state.u2, ref_state.u2, rtol=0, atol=1e-13)
+
+
+def test_engine_half_state_through_fallbacks():
+    """At gamma = 1e-3 epochs reopen, and the half-state columns of both
+    kinds of sweep agree with the exact block updates."""
+    pb = random_flow(np.random.default_rng(65), n=10, gamma=1e-3)
+    counts = count_block_updates(pb)
+    state, trace = solve(pb, max_sweeps=150)
+    assert counts["block_update_1"] >= 3
+    ref_state, ref = solve(pb, max_sweeps=150, sweeps=BlockProblem.sweeps(pb))
+    np.testing.assert_allclose(trace.F_gamma, ref.F_gamma, rtol=1e-10)
+    np.testing.assert_allclose(trace.res2_l1[1:], ref.res2_l1[1:], rtol=0,
+                               atol=1e-10)
+    np.testing.assert_allclose(trace.half_mass[1:], ref.half_mass[1:],
+                               rtol=1e-10)
+    assert max(trace.foc1[1:]) <= 1e-12
+
+
+def criterion_2_first_graph():
+    """The first of the ten criterion-2 instances: graph and marginals."""
+    rng = np.random.default_rng(0x2A)
+    g = random_connected_graph(rng, 20)
+    return g, random_marginals(rng, 20), random_marginals(rng, 20)
+
+
+def scheduled_fallback_share(g, mu1, mu2):
+    """Share of sweeps on which the engine runs the exact block_update_1,
+    solving at the scheduled gamma for eps = 0.05 W1 to residual 1e-6."""
+    fbar = spanning_tree_flow(g, mu1, mu2)
+    gamma = schedule_gamma(0.05 * exact_w1(g, mu1, mu2), fbar.mass(), 2 * g.p)
+    pb = FlowProblem(g, mu1, mu2, gamma)
+    counts = count_block_updates(pb)
+    state, trace = solve(pb, residual_tol=1e-6, max_sweeps=10**5,
+                         record_every=10**5)
+    assert trace.res1_l1[-1] <= 1e-6
+    return counts["block_update_1"] / trace.k[-1]
+
+
+def test_engine_fallbacks_rare_at_scheduled_gamma():
+    # at this gamma a pure source or sink has one of its scaled sums at
+    # 1e-290 or exactly 0; that alone must not end an epoch
+    assert scheduled_fallback_share(*criterion_2_first_graph()) <= 0.01
+
+
+def test_engine_fallbacks_rare_with_a_zero_mass_vertex_off_the_flow():
+    # vertex 20 hangs off vertex 0 by an edge of length 2 and has r = 0:
+    # both of its scaled sums sit near 1e-290, and their product underflows
+    g, mu1, mu2 = criterion_2_first_graph()
+    g = Graph(21, list(g.edges) + [(0, 20, 2.0)])
+    share = scheduled_fallback_share(g, np.append(mu1, 0.0),
+                                     np.append(mu2, 0.0))
+    assert share <= 0.01
+
+
+def test_scaling_root_solves_the_quadratic_without_dividing_by_a_tiny_sum():
+    rng = np.random.default_rng(67)
+    r = rng.normal(size=2000) * 10.0 ** rng.uniform(-8, 2, 2000)
+    a = 10.0 ** rng.uniform(-300, 10, 2000)
+    c = 10.0 ** rng.uniform(-300, 10, 2000)
+    tau = _scaling_root(r, a, c)
+    assert np.all(np.isfinite(tau)) and np.all(tau > 0)
+    # a tau - c / tau = -2 r, relative to the largest term
+    resid = a * tau - c / tau + 2.0 * r
+    scale = np.maximum.reduce([a * tau, c / tau, 2.0 * np.abs(r)])
+    assert np.max(np.abs(resid) / scale) <= 1e-13
+    # r = 0 with both sums far below sqrt(tiny): tau = sqrt(c / a)
+    np.testing.assert_allclose(
+        _scaling_root(np.zeros(2), np.array([1e-200, 4e-250]),
+                      np.array([1e-200, 1e-250])),
+        [1.0, 0.5], rtol=1e-15)
+    # a negligible or zero sum on the side r does not need
+    np.testing.assert_allclose(
+        _scaling_root(np.array([0.25, -0.25]), np.array([0.0, 2.0]),
+                      np.array([1.0, 0.0])),
+        [2.0, 0.25], rtol=1e-15)
+    # no finite positive root: the caller's range check must catch it
+    with np.errstate(all="raise"):
+        bad = _scaling_root(np.array([0.25, -0.25, 0.0]),
+                            np.array([1.0, 0.0, 0.0]),
+                            np.array([0.0, 1.0, 0.0]))
+    assert bad[0] == 0.0 and bad[1] == np.inf and np.isnan(bad[2])

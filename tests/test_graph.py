@@ -3,10 +3,12 @@ import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order
 
+import sinkflow.graph as graph_module
 from conftest import random_connected_graph, random_marginals
 from sinkflow.flowsinkhorn import divergence
 from sinkflow.graph import (
     Graph,
+    _bfs,
     geodesic_matrix,
     hop_diameter,
     shortest_paths,
@@ -166,6 +168,61 @@ def test_hop_diameter_matches_unweighted_metric():
         hops = Graph(g.n, [(i, j, 1.0) for i, j, _ in g.edges])
         want = int(round(floyd_warshall(hops).max()))
         assert hop_diameter(g) == want
+
+
+def all_sources_hop_diameter(g):
+    """Reference: the largest hop count of a BFS from every vertex."""
+    return max(max(_bfs(g, s)[2]) for s in range(g.n))
+
+
+def random_tree(rng, n):
+    return Graph(n, [(int(rng.integers(0, k)), k, 1.0) for k in range(1, n)])
+
+
+def cycle(rng, n):
+    order = rng.permutation(n)
+    return Graph(n, [(int(order[k]), int(order[(k + 1) % n]), 1.0)
+                     for k in range(n)])
+
+
+def path_plus_chords(rng, n):
+    chords = set()
+    while len(chords) < max(1, n // 10):
+        a, b = sorted(int(x) for x in rng.integers(0, n, 2))
+        if b - a > 1:
+            chords.add((a, b))
+    return Graph(n, [(k, k + 1, 1.0) for k in range(n - 1)]
+                 + [(a, b, 1.0) for a, b in sorted(chords)])
+
+
+def sparse_random(rng, n):
+    return random_connected_graph(rng, n, edge_prob=float(
+        rng.choice([0.05, 0.1, 0.2])))
+
+
+@pytest.mark.parametrize("family, count", [
+    (random_tree, 30), (cycle, 30), (path_plus_chords, 30),
+    (sparse_random, 400)])
+def test_hop_diameter_matches_all_sources_bfs(family, count):
+    rng = np.random.default_rng(0x1F)
+    for _ in range(count):
+        g = family(rng, int(rng.integers(3, 120 if count <= 30 else 40)))
+        assert hop_diameter(g) == all_sources_hop_diameter(g)
+
+
+def test_hop_diameter_takes_few_bfs_runs_on_a_path(monkeypatch):
+    # the BFS from the path's midpoint ends at its two ends, whose
+    # eccentricity n - 1 settles the search
+    runs = []
+
+    def counted(g, source):
+        runs.append(source)
+        return _bfs(g, source)
+
+    g = path_graph(2000)
+    monkeypatch.setattr(graph_module, "_bfs", counted)
+    assert hop_diameter(g) == 1999
+    assert len(runs) <= 8, runs
 
 
 # --------------------------------------------------------- spanning tree flow
