@@ -17,11 +17,9 @@ from .blocklp import (
     operator_norm_1to1,
     plan_schedule,
     primal_from_dual,
-    residuals,
     schedule_gamma,
     solve,
     solve_scheduled,
-    sweep,
 )
 from .flowsinkhorn import (
     EdgeFlow,
@@ -29,24 +27,17 @@ from .flowsinkhorn import (
     FlowProblem,
     divergence,
     flow_constants,
-    flows_from_duals,
     matrix_sweeps,
     project_C1,
     project_C2,
     scaling_sweeps,
-    sweep_matrix,
     sweep_scaling,
     vertex_dual_from_flow,
     vertex_dual_from_scaling,
     w1_estimate,
 )
-from .graph import Graph, geodesic_matrix, hop_diameter, shortest_paths, spanning_tree_flow
-from .numerics import (
-    kl_divergence,
-    log_sum_exp,
-    phi_root,
-    variation_seminorm,
-)
+from .graph import Graph, hop_diameter, spanning_tree_flow
+from .numerics import kl_divergence, phi_root, variation_seminorm
 from .oracle import (
     InfeasibleFlowError,
     MinCostFlowInstance,
@@ -60,7 +51,6 @@ from .sinkhorn import (
     OTConstants,
     OTProblem,
     ot_constants,
-    plan_from_duals,
     soft_c_transform_1,
     soft_c_transform_2,
 )

@@ -31,8 +31,6 @@ __all__ = [
     "marginals",
     "dual_objective",
     "cost_and_dual",
-    "residuals",
-    "sweep",
     "solve",
     "solve_scheduled",
     "schedule_gamma",
@@ -62,9 +60,6 @@ class DualState:
 
     u1: np.ndarray
     u2: np.ndarray
-
-    def copy(self) -> "DualState":
-        return DualState(self.u1.copy(), self.u2.copy())
 
 
 # Block marginals (A1 x, A2 x, ||x||_1) of a primal x.
@@ -195,19 +190,6 @@ def cost_and_dual(problem: BlockProblem, u: DualState) -> tuple[float, float]:
     """Primal cost <C, x(u)> and dual F(u), both read from one x(u)."""
     x = primal_from_dual(problem, u)
     return float(problem.cost @ x), _dual_value(problem, u, float(x.sum()))
-
-
-def residuals(problem: BlockProblem, u: DualState) -> tuple[np.ndarray, np.ndarray]:
-    """Constraint residuals (A1 x(u) - b1, A2 x(u) - b2)."""
-    a1x, a2x, _ = marginals(problem, u)
-    return a1x - problem.b1, a2x - problem.b2
-
-
-def sweep(problem: BlockProblem, u: DualState) -> DualState:
-    """One full cycle: maximize over block 1, then over block 2."""
-    u1 = problem.block_update_1(u.u2)
-    u2 = problem.block_update_2(u1)
-    return DualState(u1, u2)
 
 
 @dataclass
@@ -391,8 +373,7 @@ def plan_schedule(eps: float, X0: float, X: float, U: float,
 
 def solve_scheduled(problem: BlockProblem, eps: float, *, X0: float,
                     X: float, U: float, A_norm: float, d: int,
-                    sweep_cap: int = 10 ** 6, fallback_tol: float = 1e-6,
-                    record_every: int = 1):
+                    sweep_cap: int = 10 ** 6, fallback_tol: float = 1e-6):
     """Plan the sweep count for a problem built at the scheduled gamma, run it.
 
     problem.gamma must equal schedule_gamma(eps, X0, d). When the planned
@@ -415,21 +396,20 @@ def solve_scheduled(problem: BlockProblem, eps: float, *, X0: float,
         )
     if planned_k > sweep_cap:
         state, trace = solve(problem, residual_tol=fallback_tol,
-                             max_sweeps=sweep_cap, record_every=record_every)
+                             max_sweeps=sweep_cap)
         return state, trace, planned_k, True
-    state, trace = solve(problem, max_sweeps=planned_k, residual_tol=0.0,
-                         record_every=record_every)
+    state, trace = solve(problem, max_sweeps=planned_k, residual_tol=0.0)
     return state, trace, planned_k, False
 
 
-def operator_norm_1to1(problem: BlockProblem, probe: bool = False) -> float:
+def operator_norm_1to1(problem: BlockProblem) -> float:
     """Max column l1 norm of the stacked operator (A1; A2).
 
-    Uses the instance's closed form when available; probing with coordinate
-    vectors is exact but quadratic, so it is reserved for small instances
-    and for cross-checking the closed forms.
+    Uses the instance's closed form when it has one. Otherwise it probes
+    with coordinate vectors, which is exact but quadratic in the primal
+    dimension, so only small instances should go without a closed form.
     """
-    if not probe and problem.op_norm_1to1 is not None:
+    if problem.op_norm_1to1 is not None:
         return float(problem.op_norm_1to1)
     best = 0.0
     e = np.zeros(problem.dim_primal)

@@ -76,7 +76,9 @@ def _json_gamma(data: dict, args) -> float:
     else:
         raise _InputError(
             "no --gamma/--epsilon given and the input has no 'gamma'")
-    if not isinstance(gamma, (int, float)) or not 0 < gamma < math.inf:
+    # bool is an int subclass, but a JSON true is no regularization strength
+    if (isinstance(gamma, bool) or not isinstance(gamma, (int, float))
+            or not 0 < gamma < math.inf):
         raise _InputError(
             f"{source} must be a positive finite number, got {gamma!r}")
     return float(gamma)
@@ -140,18 +142,17 @@ def _warn_at_cap(trace: ConvergenceTrace, max_sweeps: int,
 def _check_run_flags(args) -> None:
     """The w1/ot flag values and combinations the parser lets through."""
     if args.epsilon is not None:
-        # --epsilon picks gamma and the sweep budget and runs the stable path
+        # --epsilon picks gamma and the sweep budget and runs the stable
+        # path; only w1 registers --path
+        path = getattr(args, "path", "stable")
         for flag, given in (("--max-sweeps", args.max_sweeps is not None),
                             ("--tol", args.tol is not None),
-                            ("--path", args.path != "stable")):
+                            ("--path", path != "stable")):
             if given:
                 raise _InputError(
                     f"{flag} cannot be combined with --epsilon, which sets "
                     "the sweep budget and runs the stable path"
                 )
-    if args.subcommand == "ot" and args.path != "stable":
-        raise _InputError("--path selects a w1 iteration; ot always runs "
-                          "the stable dense sweep")
     if args.max_sweeps is not None and args.max_sweeps < 0:
         raise _InputError(
             f"--max-sweeps must be >= 0, got {args.max_sweeps}")
@@ -168,7 +169,7 @@ def _flow_setup(data: dict, args):
     if args.epsilon is None:
         gamma = _json_gamma(data, args)
         problem = _build_flow(_build_graph(data), data, gamma)
-        return problem, _FLOW_SWEEPS[args.path](problem), None
+        return problem, _FLOW_SWEEPS[args.path], None
     graph = _build_graph(data)
     with _bad_input("flow problem"):
         fbar = spanning_tree_flow(graph, data["b1"], data["b2"])
@@ -205,9 +206,10 @@ def _run(args, setup, estimate) -> int:
     """One w1 or ot run.
 
     setup(data, args) returns (problem, sweeps, schedule): the problem, the
-    sweeps iterator for solve (None for the problem's own), and under
-    --epsilon the schedule's (X0, constants, d), None otherwise.
-    estimate(problem, state) returns the (primal, dual) answer.
+    function that starts solve's sweeps iterator from it (None for the
+    problem's own), and under --epsilon the schedule's (X0, constants, d),
+    None otherwise. estimate(problem, state) returns the (primal, dual)
+    answer.
     """
     _check_run_flags(args)
     data = _load_json(args.input)
@@ -215,8 +217,11 @@ def _run(args, setup, estimate) -> int:
     try:
         if schedule is None:
             max_sweeps, tol = _budget(args)
-            state, trace = solve(problem, max_sweeps=max_sweeps,
-                                 residual_tol=tol, sweeps=sweeps)
+            # the iterator is made in the call, so that once solve returns
+            # no name holds it, nor the kernel and scalings it keeps
+            state, trace = solve(
+                problem, max_sweeps=max_sweeps, residual_tol=tol,
+                sweeps=None if sweeps is None else sweeps(problem))
         else:
             x0, consts, d = schedule
             state, trace, _, fell_back = solve_scheduled(
@@ -354,9 +359,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None,
                        help="stop when the block-1 residual l1 norm reaches "
                             "this level")
-        p.add_argument("--path", choices=("matrix", "scaling", "stable"),
-                       default="stable",
-                       help="flow iteration variant (default: stable)")
+        if p is w1:
+            p.add_argument("--path", choices=("matrix", "scaling", "stable"),
+                           default="stable",
+                           help="flow iteration variant (default: stable)")
         p.add_argument("--trace", default=None, metavar="FILE",
                        help="write the per-sweep trace CSV here")
     exact.add_argument("input", help="problem JSON file")

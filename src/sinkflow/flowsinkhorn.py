@@ -17,9 +17,9 @@ marginals at the full and half states:
            block updates block_update_1 and block_update_2 are its
            fallback, so it is as safe as they are, down to gamma ~ 1e-4
            at desk scale;
-  matrix   matrix_sweeps, explicit flow pairs and KL projections
-           (sweep_matrix), the most readable form; the half-state
-           marginals come from the projected pair (f, g);
+  matrix   matrix_sweeps, explicit flow pairs and their KL projections
+           project_C1 and project_C2, the most readable form; the
+           half-state marginals come from the projected pair (f, g);
   scaling  scaling_sweeps, one positive scaling vector per vertex
            (sweep_scaling); its Gibbs kernel is in linear scale and
            underflows for small gamma. It fuses both half-steps, so it
@@ -47,9 +47,7 @@ from .blocklp import (
     NumericOverflowError,
     Sweep,
     cost_and_dual,
-    dual_objective,
     marginals,
-    primal_from_dual,
 )
 from .graph import Graph, hop_diameter, spanning_tree_flow
 from .numerics import kl_divergence, phi_root
@@ -61,16 +59,13 @@ __all__ = [
     "divergence",
     "project_C1",
     "project_C2",
-    "sweep_matrix",
     "sweep_scaling",
     "matrix_sweeps",
     "scaling_sweeps",
     "w1_estimate",
     "flow_constants",
     "FlowConstants",
-    "flows_from_duals",
     "vertex_dual_from_scaling",
-    "scaling_from_vertex_dual",
     "vertex_dual_from_flow",
 ]
 
@@ -388,12 +383,6 @@ def project_C2(f: EdgeFlow, g: EdgeFlow) -> EdgeFlow:
     return EdgeFlow(f.graph, np.sqrt(f.values * g.values))
 
 
-def sweep_matrix(problem: FlowProblem, f: EdgeFlow) -> EdgeFlow:
-    """One sweep in explicit flow form: project onto block 1, then block 2."""
-    f1, g1 = project_C1(problem, f)
-    return project_C2(f1, g1)
-
-
 def sweep_scaling(problem: FlowProblem, s: np.ndarray) -> np.ndarray:
     """One sweep on the per-vertex scaling vector.
 
@@ -423,8 +412,8 @@ def sweep_scaling(problem: FlowProblem, s: np.ndarray) -> np.ndarray:
 def matrix_sweeps(problem: FlowProblem) -> Iterator[Sweep]:
     """Matrix-path sweeps from the reference flow z^C, for solve().
 
-    Each sweep is sweep_matrix's two projections; the half state is the
-    pair (f, g) after project_C1, before the geometric mean.
+    Each sweep projects onto block 1, then onto block 2; the half state is
+    the pair (f, g) after project_C1, before the geometric mean.
     """
     f = EdgeFlow(problem.graph, np.exp(-problem.w_eff / problem.gamma))
     while True:
@@ -464,10 +453,6 @@ def vertex_dual_from_scaling(problem: FlowProblem, s: np.ndarray) -> np.ndarray:
     return 2.0 * problem.gamma * np.log(s)
 
 
-def scaling_from_vertex_dual(problem: FlowProblem, v: np.ndarray) -> np.ndarray:
-    return np.exp(np.asarray(v, dtype=float) / (2.0 * problem.gamma))
-
-
 def vertex_dual_from_flow(problem: FlowProblem, f: EdgeFlow) -> np.ndarray:
     """Recover the vertex dual of a positive matrix-path iterate.
 
@@ -500,39 +485,14 @@ def vertex_dual_from_flow(problem: FlowProblem, f: EdgeFlow) -> np.ndarray:
     return v
 
 
-def flows_from_duals(problem: FlowProblem, u: DualState) -> tuple[EdgeFlow, EdgeFlow]:
-    """Split the primal iterate x(u) into its two flow copies."""
-    x = primal_from_dual(problem, u)
-    p = problem.graph.p
-    return EdgeFlow(problem.graph, x[:p]), EdgeFlow(problem.graph, x[p:])
+def w1_estimate(problem: FlowProblem, state: DualState) -> tuple[float, float]:
+    """Transport-scale primal and dual estimates at a dual state.
 
-
-def _duals_from_state(problem: FlowProblem, state) -> DualState:
-    if isinstance(state, DualState):
-        return state
-    if isinstance(state, EdgeFlow):
-        v = vertex_dual_from_flow(problem, state)
-        return DualState(v, problem.block_update_2(v))
-    v = np.asarray(state, dtype=float)
-    if v.shape != (problem.graph.n,):
-        raise ValueError("state must be a DualState, EdgeFlow, or vertex dual")
-    return DualState(v, problem.block_update_2(v))
-
-
-def w1_estimate(problem: FlowProblem, state) -> tuple[float, float]:
-    """Transport-scale primal and dual estimates at the given iterate.
-
-    Accepts a DualState, a vertex dual array (stable path), or a positive
-    EdgeFlow (matrix path). The lifted objective carries the cost on both
-    flow copies, so the raw cost and dual objective sit at twice the
-    transport value; both returns are halved.
+    The lifted objective carries the cost on both flow copies, so the raw
+    cost and dual objective sit at twice the transport value; both returns
+    are halved.
     """
-    duals = _duals_from_state(problem, state)
-    if isinstance(state, EdgeFlow):
-        primal = 2.0 * float(problem.graph.arc_w @ state.values)
-        dual = dual_objective(problem, duals)
-    else:
-        primal, dual = cost_and_dual(problem, duals)
+    primal, dual = cost_and_dual(problem, state)
     return 0.5 * primal, 0.5 * dual
 
 

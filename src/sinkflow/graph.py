@@ -1,4 +1,4 @@
-"""Undirected weighted graphs: shortest paths, hop diameter, tree flows.
+"""Undirected weighted graphs: one arc adjacency, hop diameter, tree flows.
 
 A Graph stores each undirected edge once as (i, j, w) with i < j, and one
 adjacency: the directed arcs (both orientations of every edge) as parallel
@@ -9,14 +9,10 @@ arrays, and every traversal here walks the same segments.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 __all__ = [
     "Graph",
-    "shortest_paths",
-    "geodesic_matrix",
     "hop_diameter",
     "spanning_tree_flow",
 ]
@@ -109,36 +105,6 @@ def _bfs(g: Graph, source: int):
                 tree_arc[w] = e
                 order.append(w)
     return order, tree_arc, hops
-
-
-def shortest_paths(g: Graph, source: int) -> np.ndarray:
-    """Single-source shortest-path distances under the edge lengths."""
-    if not (0 <= source < g.n):
-        raise ValueError(f"source {source} out of range")
-    starts = g.arc_seg_starts.tolist() + [g.p]
-    dst = g.arc_dst.tolist()
-    length = g.arc_w.tolist()
-    dist = np.full(g.n, np.inf)
-    dist[source] = 0.0
-    done = np.zeros(g.n, dtype=bool)
-    heap = [(0.0, source)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        for e in range(starts[v], starts[v + 1]):
-            w = dst[e]
-            nd = d + length[e]
-            if nd < dist[w]:
-                dist[w] = nd
-                heapq.heappush(heap, (nd, w))
-    return dist
-
-
-def geodesic_matrix(g: Graph) -> np.ndarray:
-    """All-pairs shortest-path matrix (symmetric, zero diagonal)."""
-    return np.stack([shortest_paths(g, s) for s in range(g.n)])
 
 
 def hop_diameter(g: Graph) -> int:

@@ -9,33 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "log_sum_exp",
     "phi_root",
     "kl_divergence",
     "variation_seminorm",
 ]
-
-
-def log_sum_exp(gamma: float, s) -> float:
-    """Smoothed maximum gamma * log(sum(exp(s_j / gamma))).
-
-    Computed max-shifted, so it never overflows for finite inputs and is
-    exact for a singleton.
-
-    Args:
-      gamma: smoothing parameter, > 0.
-      s: nonempty 1-d array of finite reals.
-
-    Returns:
-      The smoothed maximum as a float.
-    """
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    v = np.asarray(s, dtype=float)
-    if v.size == 0:
-        raise ValueError("log_sum_exp of an empty vector")
-    m = float(v.max())
-    return m + gamma * float(np.log(np.exp((v - m) / gamma).sum()))
 
 
 def phi_root(t, u):

@@ -20,13 +20,12 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .blocklp import BlockProblem, DualState, Sweep, marginals, primal_from_dual
+from .blocklp import BlockProblem, DualState, Sweep, marginals
 
 __all__ = [
     "OTProblem",
     "soft_c_transform_1",
     "soft_c_transform_2",
-    "plan_from_duals",
     "ot_constants",
     "OTConstants",
 ]
@@ -199,11 +198,6 @@ def soft_c_transform_2(problem: OTProblem, u1) -> np.ndarray:
     return _neg_lse_rows(problem.gamma, scores.T)
 
 
-def plan_from_duals(problem: OTProblem, u: DualState) -> np.ndarray:
-    """Transport plan b1_i b2_j exp((u1_i + u2_j - C_ij) / gamma) as a matrix."""
-    return primal_from_dual(problem, u).reshape(problem.m1, problem.m2)
-
-
 class OTConstants(NamedTuple):
     H_gamma: float
     kappa: float
@@ -211,20 +205,15 @@ class OTConstants(NamedTuple):
     X_gamma: float
 
 
-def ot_constants(problem: OTProblem, tight_u: bool = False) -> OTConstants:
+def ot_constants(problem: OTProblem) -> OTConstants:
     """Closed-form certificate constants for the OT instance.
 
     H bounds the log-ratio of the regularized optimum to the reference,
     kappa the constraint-split conditioning, U the dual iterate radius and
-    X the primal iterate mass. With tight_u the crude dual radius is
-    replaced by the sharper ||C||_inf / 2 estimate; the certificates are
-    upper bounds either way.
+    X the primal iterate mass.
     """
     c_inf = float(problem.cost_matrix.max()) if problem.dim_primal else 0.0
     log_min_b = abs(float(np.log(min(problem.b1.min(), problem.b2.min()))))
     h = log_min_b + 2.0 * c_inf / problem.gamma
-    if tight_u:
-        u = c_inf / 2.0
-    else:
-        u = 4.0 * c_inf + 2.0 * problem.gamma * log_min_b
+    u = 4.0 * c_inf + 2.0 * problem.gamma * log_min_b
     return OTConstants(h, 1.0, u, 1.0)

@@ -16,12 +16,13 @@ from sinkflow.blocklp import (
     operator_norm_1to1,
     plan_schedule,
     primal_from_dual,
-    residuals,
     schedule_gamma,
     solve,
     solve_scheduled,
-    sweep,
 )
+from sinkflow.flowsinkhorn import FlowProblem
+from sinkflow.graph import Graph
+from sinkflow.sinkhorn import OTProblem
 
 
 class ToyProblem(BlockProblem):
@@ -94,11 +95,12 @@ def test_gradient_matches_residuals():
     rng = np.random.default_rng(4)
     for _ in range(10):
         u = DualState(rng.normal(size=1), rng.normal(size=1))
-        r1, r2 = residuals(pb, u)
+        a1x, a2x, _ = marginals(pb, u)
+        r1, r2 = a1x - pb.b1, a2x - pb.b2
         h = 1e-6
         for block, r in ((0, r1), (1, r2)):
-            up = u.copy()
-            dn = u.copy()
+            up = DualState(u.u1.copy(), u.u2.copy())
+            dn = DualState(u.u1.copy(), u.u2.copy())
             (up.u1 if block == 0 else up.u2)[0] += h
             (dn.u1 if block == 0 else dn.u2)[0] -= h
             fd = (dual_objective(pb, up) - dual_objective(pb, dn)) / (2 * h)
@@ -113,8 +115,7 @@ def test_block_updates_satisfy_their_constraint():
         u1 = pb.block_update_1(u2)
         x = primal_from_dual(pb, DualState(u1, u2))
         assert pb.apply_A1(x)[0] == pytest.approx(pb.b1[0], abs=1e-12)
-        full = sweep(pb, DualState(rng.normal(size=1), u2))
-        x = primal_from_dual(pb, full)
+        x = primal_from_dual(pb, DualState(u1, pb.block_update_2(u1)))
         assert pb.apply_A2(x)[0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -135,12 +136,12 @@ def test_block_updates_are_maximizers():
 def test_solve_reaches_fixed_point():
     pb = ToyProblem()
     state, trace = solve(pb, max_sweeps=100, residual_tol=1e-13)
-    r1, r2 = residuals(pb, state)
-    assert abs(r1[0]) <= 1e-13
-    assert abs(r2[0]) <= 1e-12
+    a1x, a2x, _ = marginals(pb, state)
+    assert abs(a1x[0] - pb.b1[0]) <= 1e-13
+    assert abs(a2x[0] - pb.b2[0]) <= 1e-12
     assert trace.check_monotone()
-    again = sweep(pb, state)
-    assert again.u1[0] == pytest.approx(state.u1[0], abs=1e-12)
+    again = pb.block_update_1(state.u2)
+    assert again[0] == pytest.approx(state.u1[0], abs=1e-12)
 
 
 def test_solve_requires_a_stopping_rule():
@@ -344,20 +345,24 @@ def test_solve_scheduled_rejects_problem_at_other_gamma():
 
 
 def test_operator_norm_probe_toy():
-    pb = ToyProblem()
-    assert operator_norm_1to1(pb, probe=True) == 2.0
-    assert operator_norm_1to1(pb) == 2.0  # falls back to probing, no closed form
+    assert operator_norm_1to1(ToyProblem()) == 2.0  # no closed form: probed
 
 
 def test_operator_norm_prefers_closed_form():
     pb = ToyProblem()
     pb.op_norm_1to1 = 7.0
     assert operator_norm_1to1(pb) == 7.0
-    assert operator_norm_1to1(pb, probe=True) == 2.0
 
 
-def test_dual_state_copy_is_independent():
-    u = DualState(np.zeros(2), np.zeros(3))
-    v = u.copy()
-    v.u1[0] = 5.0
-    assert u.u1[0] == 0.0
+def test_operator_norm_closed_forms_match_the_probe():
+    """The shipped instances' op_norm_1to1 = 2.0 against coordinate probing."""
+    rng = np.random.default_rng(14)
+    flow = FlowProblem(Graph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5),
+                                 (0, 3, 1.5)]),
+                       [0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4], 0.5)
+    ot = OTProblem(rng.random((3, 4)), [0.2, 0.3, 0.5],
+                   [0.25, 0.25, 0.25, 0.25], 0.5)
+    for pb in (flow, ot):
+        assert operator_norm_1to1(pb) == 2.0
+        pb.op_norm_1to1 = None
+        assert operator_norm_1to1(pb) == 2.0

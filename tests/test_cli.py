@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -145,6 +146,34 @@ def test_w1_scaling_overflow_exits_3_with_partial_trace(capsys, tmp_path, path3_
     with open(trace) as fh:
         rows = list(csv.reader(fh))
     assert len(rows) >= 2  # header plus at least the starting row
+
+
+@pytest.mark.parametrize("path", ["stable", "matrix", "scaling"])
+def test_w1_frees_the_sweeps_before_the_estimate(capsys, monkeypatch,
+                                                 path3_file, path):
+    """Nothing holds the sweeps iterator, with the kernel and scalings it
+    keeps, while w1_estimate forms x(u) for the answer."""
+    made = []
+    start = cli._FLOW_SWEEPS[path]
+
+    def recorded(problem):
+        sweeps = start(problem)
+        made.append(weakref.ref(sweeps))
+        return sweeps
+
+    alive = []
+    answer = cli.w1_estimate
+
+    def estimate(problem, state):
+        alive.extend(ref() is not None for ref in made)
+        return answer(problem, state)
+
+    monkeypatch.setitem(cli._FLOW_SWEEPS, path, recorded)
+    monkeypatch.setattr(cli, "w1_estimate", estimate)
+    code, _, _ = run_cli(capsys, "w1", path3_file, "--path", path,
+                         "--max-sweeps", "5")
+    assert code == 0
+    assert alive == [False]
 
 
 def test_w1_rejects_ot_input(capsys, ot_file):
@@ -306,10 +335,12 @@ def test_bad_marginals_are_input_error(capsys, tmp_path):
     assert "balance" in err
 
 
-@pytest.mark.parametrize("command", ["w1", "ot"])
-@pytest.mark.parametrize("flag,value", [
-    ("--max-sweeps", "5"), ("--tol", "0.5"), ("--path", "scaling"),
-])
+@pytest.mark.parametrize("command,flag,value", [
+    ("w1", "--max-sweeps", "5"), ("ot", "--max-sweeps", "5"),
+    ("w1", "--tol", "0.5"), ("ot", "--tol", "0.5"),
+    ("w1", "--path", "scaling"),
+], ids=["--max-sweeps-5-w1", "--max-sweeps-5-ot", "--tol-0.5-w1",
+        "--tol-0.5-ot", "--path-scaling-w1"])
 def test_epsilon_rejects_budget_and_path_flags(capsys, flow_file, ot_file,
                                                command, flag, value):
     path = flow_file if command == "w1" else ot_file
@@ -349,16 +380,18 @@ def test_epsilon_bad_input_is_input_error(capsys, tmp_path, command, payload,
 
 
 @pytest.mark.parametrize("command", ["w1", "ot"])
-@pytest.mark.parametrize("gamma", ["--gamma nan", "--gamma inf", "json 1e999"])
+@pytest.mark.parametrize("gamma", ["--gamma nan", "--gamma inf", "json 1e999",
+                                   "json true"])
 def test_nonfinite_gamma_is_input_error(capsys, tmp_path, flow_file, ot_file,
                                         command, gamma):
     path = flow_file if command == "w1" else ot_file
     how, value = gamma.split()
     if how == "json":
-        # 1e999 loads as inf; json.dumps would write it as Infinity
+        # 1e999 loads as inf, which json.dumps would write as Infinity; true
+        # loads as a bool, which Python counts as the int 1
         text = open(path).read()
-        path = tmp_path / "big_gamma.json"
-        path.write_text(text[:text.rindex("}")] + ', "gamma": 1e999}')
+        path = tmp_path / "bad_gamma.json"
+        path.write_text(text[:text.rindex("}")] + f', "gamma": {value}}}')
         argv = [command, str(path)]
     else:
         argv = [command, path, how, value]
@@ -432,16 +465,6 @@ def test_ot_small_gamma_prints_nothing_on_stderr(capsys, tmp_path):
     assert math.isfinite(json.loads(out)["ot_dual"])
 
 
-@pytest.mark.parametrize("path", ["matrix", "scaling"])
-def test_ot_rejects_flow_path(capsys, ot_file, path):
-    code, out, err = run_cli(capsys, "ot", ot_file, "--gamma", "0.1",
-                             "--path", path, "--max-sweeps", "5")
-    assert code == 2
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1 and "--path" in lines[0]
-
-
 @pytest.mark.parametrize("command", ["w1", "ot"])
 def test_negative_max_sweeps_is_input_error(capsys, flow_file, ot_file,
                                             command):
@@ -460,13 +483,21 @@ def test_negative_max_sweeps_is_input_error(capsys, flow_file, ot_file,
     ["verify", "--max-sweeps", "5"],
     ["verify", "--trace", "t.csv"],
     ["w1", "FILE", "--seed", "ff"],
+    ["ot", "FILE", "--path", "matrix"],
+    ["ot", "FILE", "--path", "scaling"],
+    ["ot", "FILE", "--path", "stable"],
+    ["ot", "FILE", "--epsilon", "0.05", "--path", "scaling"],
 ], ids=["exact-epsilon", "exact-path", "verify-max-sweeps", "verify-trace",
-        "w1-seed"])
-def test_subcommand_rejects_flags_it_does_not_read(flow_file, argv):
+        "w1-seed", "ot-path-matrix", "ot-path-scaling", "ot-path-stable",
+        "ot-epsilon-path"])
+def test_subcommand_rejects_flags_it_does_not_read(capsys, flow_file, argv):
     argv = [flow_file if a == "FILE" else a for a in argv]
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[-2] in captured.err.splitlines()[-1]
 
 
 def test_option_sets_per_subcommand():
@@ -479,10 +510,10 @@ def test_option_sets_per_subcommand():
                for a in sub._actions} - {"--help"}
         for name, sub in subparsers.choices.items()
     }
-    run = {"input", "--gamma", "--epsilon", "--max-sweeps", "--tol", "--path",
+    run = {"input", "--gamma", "--epsilon", "--max-sweeps", "--tol",
            "--trace", "--deterministic"}
     assert options == {
-        "w1": run,
+        "w1": run | {"--path"},
         "ot": run,
         "exact": {"input", "--deterministic"},
         "verify": {"input", "--gamma", "--seed", "--deterministic"},

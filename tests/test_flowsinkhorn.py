@@ -13,11 +13,10 @@ from sinkflow.blocklp import (
     DualState,
     NumericOverflowError,
     dual_objective,
+    marginals,
     primal_from_dual,
-    residuals,
     schedule_gamma,
     solve,
-    sweep,
 )
 from sinkflow.flowsinkhorn import (
     EdgeFlow,
@@ -25,11 +24,8 @@ from sinkflow.flowsinkhorn import (
     _scaling_root,
     divergence,
     flow_constants,
-    flows_from_duals,
     project_C1,
     project_C2,
-    scaling_from_vertex_dual,
-    sweep_matrix,
     sweep_scaling,
     vertex_dual_from_flow,
     vertex_dual_from_scaling,
@@ -201,8 +197,7 @@ def test_block_updates_satisfy_their_constraints():
     u1 = pb.block_update_1(u2)
     x = primal_from_dual(pb, DualState(u1, u2))
     np.testing.assert_allclose(pb.apply_A1(x), pb.b1, atol=1e-10)
-    state = sweep(pb, DualState(rng.normal(size=pb.graph.n), u2))
-    x = primal_from_dual(pb, state)
+    x = primal_from_dual(pb, DualState(u1, pb.block_update_2(u1)))
     np.testing.assert_allclose(pb.apply_A2(x), pb.b2, atol=1e-12)
 
 
@@ -238,9 +233,9 @@ def test_two_node_one_sweep_fixed_point():
     np.testing.assert_allclose(v, [-a, a], rtol=1e-14)
     again = pb.block_update_1(pb.block_update_2(v))
     np.testing.assert_allclose(again, v, atol=1e-12)
-    r1, r2 = residuals(pb, DualState(v, pb.block_update_2(v)))
-    assert np.abs(r1).max() <= 1e-12
-    assert np.abs(r2).max() <= 1e-15
+    a1x, a2x, _ = marginals(pb, DualState(v, pb.block_update_2(v)))
+    assert np.abs(a1x - pb.b1).max() <= 1e-12
+    assert np.abs(a2x - pb.b2).max() <= 1e-15
 
 
 def test_two_node_scaling_fixed_point():
@@ -252,14 +247,14 @@ def test_two_node_scaling_fixed_point():
     np.testing.assert_allclose(
         vertex_dual_from_scaling(pb, s), [-a, a], rtol=1e-12)
     np.testing.assert_allclose(
-        scaling_from_vertex_dual(pb, np.array([-a, a])), s, rtol=1e-12)
+        np.exp(np.array([-a, a]) / (2.0 * pb.gamma)), s, rtol=1e-12)
 
 
 def test_two_node_dual_objective_closed_form():
     # F(v*) = 2 asinh(2e) + 1 - sqrt(1 + 4 e^2) / e, halved by w1_estimate
     pb = two_node(gamma=1.0)
     v = pb.block_update_1(pb.block_update_2(np.zeros(2)))
-    _, dual = w1_estimate(pb, v)
+    _, dual = w1_estimate(pb, DualState(v, pb.block_update_2(v)))
     assert dual == pytest.approx(1.8778712814867873, abs=1e-13)
 
 
@@ -281,15 +276,16 @@ def test_three_paths_agree():
     s = np.ones(g.n)
     v = np.zeros(g.n)
     for _ in range(30):
-        f = sweep_matrix(pb, f)
+        f = project_C2(*project_C1(pb, f))
         s = sweep_scaling(pb, s)
         v = pb.block_update_1(pb.block_update_2(v))
-        f_stable = flows_from_duals(pb, DualState(v, pb.block_update_2(v)))[0]
+        f_stable = primal_from_dual(
+            pb, DualState(v, pb.block_update_2(v)))[:g.p]
         v_scal = vertex_dual_from_scaling(pb, s)
-        f_scal = flows_from_duals(
-            pb, DualState(v_scal, pb.block_update_2(v_scal)))[0]
-        np.testing.assert_allclose(f.values, f_stable.values, rtol=1e-9)
-        np.testing.assert_allclose(f_scal.values, f_stable.values, rtol=1e-9)
+        f_scal = primal_from_dual(
+            pb, DualState(v_scal, pb.block_update_2(v_scal)))[:g.p]
+        np.testing.assert_allclose(f.values, f_stable, rtol=1e-9)
+        np.testing.assert_allclose(f_scal, f_stable, rtol=1e-9)
 
     # gauge-invariant dual comparison: differences to vertex 0
     v_mat = vertex_dual_from_flow(pb, f)
@@ -300,8 +296,8 @@ def test_dual_recovery_round_trip():
     rng = np.random.default_rng(47)
     pb = random_flow(rng, n=6)
     v = rng.normal(size=pb.graph.n)
-    f = flows_from_duals(pb, DualState(v, pb.block_update_2(v)))[0]
-    back = vertex_dual_from_flow(pb, f)
+    f = primal_from_dual(pb, DualState(v, pb.block_update_2(v)))[:pb.graph.p]
+    back = vertex_dual_from_flow(pb, EdgeFlow(pb.graph, f))
     np.testing.assert_allclose(back - back[0], v - v[0], atol=1e-10)
 
 
@@ -342,20 +338,24 @@ def test_scaling_sweep_fails_at_small_gamma():
 
 
 def test_w1_estimate_state_forms_agree():
+    """The answer at a dual state against the flow form of the same state:
+    the transport cost of the flow, and F at the duals that
+    vertex_dual_from_flow recovers from it (how the matrix path reports)."""
     rng = np.random.default_rng(49)
     pb = random_flow(rng, n=7)
     v = np.zeros(pb.graph.n)
     for _ in range(50):
         v = pb.block_update_1(pb.block_update_2(v))
     duals = DualState(v, pb.block_update_2(v))
-    p1, d1 = w1_estimate(pb, v)
-    p2, d2 = w1_estimate(pb, duals)
-    f = flows_from_duals(pb, duals)[0]
-    p3, d3 = w1_estimate(pb, f)
-    assert d1 == pytest.approx(d2, abs=1e-12)
-    assert d1 == pytest.approx(d3, abs=1e-9)
-    assert p1 == pytest.approx(p2, abs=1e-12)
-    assert p1 == pytest.approx(p3, rel=1e-9)
+    p1, d1 = w1_estimate(pb, duals)
+    f = primal_from_dual(pb, duals)[:pb.graph.p]
+    v_flow = vertex_dual_from_flow(pb, EdgeFlow(pb.graph, f))
+    p2, d2 = w1_estimate(pb, DualState(v_flow, pb.block_update_2(v_flow)))
+    d3 = 0.5 * dual_objective(pb, DualState(v_flow, pb.block_update_2(v_flow)))
+    assert d1 == pytest.approx(d2, abs=1e-9)
+    assert d2 == d3
+    assert p1 == pytest.approx(float(pb.graph.arc_w @ f), rel=1e-9)
+    assert p1 == pytest.approx(p2, rel=1e-9)
 
 
 def test_w1_estimate_against_exact_oracle():
@@ -369,7 +369,7 @@ def test_w1_estimate_against_exact_oracle():
     v = np.zeros(g.n)
     for _ in range(4000):
         v = pb.block_update_1(pb.block_update_2(v))
-    _, dual = w1_estimate(pb, v)
+    _, dual = w1_estimate(pb, DualState(v, pb.block_update_2(v)))
     # converged dual sits at the regularized optimum, above the exact value
     # but within the entropic bias, which vanishes linearly in gamma
     assert dual >= want - 1e-6
@@ -377,8 +377,13 @@ def test_w1_estimate_against_exact_oracle():
 
 
 def test_w1_estimate_primal_of_optimal_flow_is_cost():
-    pb = two_node()
-    primal, _ = w1_estimate(pb, EdgeFlow(pb.graph, np.array([1e-300, 1.0])))
+    """At gamma = 0.01 the converged two-node flow is the optimal one, one
+    unit on 0 -> 1 and about e^-200 back, so the primal estimate is its
+    transport cost, 1."""
+    pb = two_node(gamma=0.01)
+    state, trace = solve(pb, residual_tol=1e-14, max_sweeps=10**4)
+    assert trace.res1_l1[-1] <= 1e-14
+    primal, _ = w1_estimate(pb, state)
     assert primal == pytest.approx(1.0, abs=1e-12)
 
 
@@ -429,8 +434,8 @@ def test_dual_objective_equals_regularized_cost_at_optimum():
     for _ in range(3000):
         v = pb.block_update_1(pb.block_update_2(v))
     duals = DualState(v, pb.block_update_2(v))
-    r1, _ = residuals(pb, duals)
-    assert np.abs(r1).sum() <= 1e-11
+    a1x, _, _ = marginals(pb, duals)
+    assert np.abs(a1x - pb.b1).sum() <= 1e-11
     x = primal_from_dual(pb, duals)
     f = float(pb.cost @ x) + pb.gamma * kl_divergence(x, pb.reference)
     assert dual_objective(pb, duals) == pytest.approx(f, abs=1e-9)
@@ -466,7 +471,7 @@ def test_objective_monotone_along_matrix_path():
     f = EdgeFlow(pb.graph, np.exp(-pb.w_eff / pb.gamma))
     prev = -np.inf
     for _ in range(40):
-        f = sweep_matrix(pb, f)
+        f = project_C2(*project_C1(pb, f))
         v = vertex_dual_from_flow(pb, f)
         cur = dual_objective(pb, DualState(v, pb.block_update_2(v)))
         assert cur >= prev - 1e-12

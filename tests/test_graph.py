@@ -4,30 +4,13 @@ from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order
 
 import sinkflow.graph as graph_module
-from conftest import random_connected_graph, random_marginals
+from conftest import floyd_warshall, random_connected_graph, random_marginals
 from sinkflow.flowsinkhorn import divergence
-from sinkflow.graph import (
-    Graph,
-    _bfs,
-    geodesic_matrix,
-    hop_diameter,
-    shortest_paths,
-    spanning_tree_flow,
-)
+from sinkflow.graph import Graph, _bfs, hop_diameter, spanning_tree_flow
 
 
 def path_graph(n, w=1.0):
     return Graph(n, [(i, i + 1, w) for i in range(n - 1)])
-
-
-def floyd_warshall(g):
-    d = np.full((g.n, g.n), np.inf)
-    np.fill_diagonal(d, 0.0)
-    for i, j, w in g.edges:
-        d[i, j] = d[j, i] = min(d[i, j], w)
-    for k in range(g.n):
-        d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
-    return d
 
 
 def arc(g, src, dst):
@@ -116,39 +99,26 @@ def test_neighbors_sorted():
     assert g.arc_dst[lo:hi].tolist() == [1, 2, 3]
 
 
-# -------------------------------------------------------------- shortest paths
+# ------------------------------------------ shortest paths (test referee)
+# conftest.floyd_warshall gives the geodesic costs that the oracle tests
+# and acceptance criterion 1 compare exact_w1 against.
 
 
 def test_shortest_paths_on_weighted_path():
     g = path_graph(5, w=2.0)
-    np.testing.assert_allclose(shortest_paths(g, 0), [0, 2, 4, 6, 8])
-
-
-def test_shortest_paths_match_floyd_warshall():
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        g = random_connected_graph(rng, int(rng.integers(4, 13)))
-        want = floyd_warshall(g)
-        for s in range(g.n):
-            np.testing.assert_allclose(shortest_paths(g, s), want[s], rtol=1e-12)
+    np.testing.assert_allclose(floyd_warshall(g)[0], [0, 2, 4, 6, 8])
 
 
 def test_geodesic_matrix_is_metric():
     rng = np.random.default_rng(23)
     g = random_connected_graph(rng, 10)
-    d = geodesic_matrix(g)
+    d = floyd_warshall(g)
     np.testing.assert_allclose(d, d.T)
     assert np.all(np.diag(d) == 0.0)
     assert np.all(d[~np.eye(g.n, dtype=bool)] > 0)
     # triangle inequality, all triples
     for k in range(g.n):
         assert np.all(d <= d[:, k : k + 1] + d[k : k + 1, :] + 1e-12)
-
-
-def test_shortest_paths_rejects_bad_source():
-    g = path_graph(3)
-    with pytest.raises(ValueError):
-        shortest_paths(g, 3)
 
 
 # --------------------------------------------------------------- hop diameter

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conftest import random_connected_graph, random_marginals
-from sinkflow.graph import Graph, geodesic_matrix
+from conftest import floyd_warshall, random_connected_graph, random_marginals
+from sinkflow.graph import Graph
 from sinkflow.oracle import (
     InfeasibleFlowError,
     MinCostFlowInstance,
@@ -146,7 +146,7 @@ def test_exact_w1_equals_transport_on_geodesic_cost():
         g = random_connected_graph(rng, int(rng.integers(4, 10)))
         b1 = random_marginals(rng, g.n)
         b2 = random_marginals(rng, g.n)
-        value, _ = exact_ot(geodesic_matrix(g), b1, b2)
+        value, _ = exact_ot(floyd_warshall(g), b1, b2)
         assert exact_w1(g, b1, b2) == pytest.approx(value, abs=1e-8)
 
 
