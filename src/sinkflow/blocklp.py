@@ -64,9 +64,15 @@ class DualState:
 
 # Block marginals (A1 x, A2 x, ||x||_1) of a primal x.
 Marginals = tuple[np.ndarray, np.ndarray, float]
+# A trace row's three numbers at a primal x:
+# (||A1 x - b1||_1, ||A2 x - b2||_1, ||x||_1).
+Row = tuple[float, float, float]
 # What a `sweeps` iterator yields for each sweep; see solve().
-Sweep = tuple[DualState, Callable[[], Marginals],
-              Callable[[], Marginals] | None]
+Sweep = tuple[DualState, Callable[[], Row], Callable[[], Row] | None]
+
+# solve holds recorded rows until their duals reach this many floats
+# (m1 + m2 per row, one row at least), then evaluates them as one block.
+_BLOCK_FLOATS = 4096
 
 
 class BlockProblem:
@@ -115,11 +121,12 @@ class BlockProblem:
         raise NotImplementedError
 
     # Both shipped instances use the block-quotient seminorm in its
-    # variation form (half the oscillation).
-    def seminorm_V1(self, u1: np.ndarray) -> float:
+    # variation form (half the oscillation). solve passes a stack of duals,
+    # one per row, and reads one value per row.
+    def seminorm_V1(self, u1: np.ndarray) -> float | np.ndarray:
         return variation_seminorm(u1)
 
-    def seminorm_V2(self, u2: np.ndarray) -> float:
+    def seminorm_V2(self, u2: np.ndarray) -> float | np.ndarray:
         return variation_seminorm(u2)
 
     def initial_state(self) -> DualState:
@@ -128,7 +135,7 @@ class BlockProblem:
 
     def sweeps(self) -> Iterator[Sweep]:
         """The sweeps solve() runs by default: the exact block updates in
-        turn from initial_state(), block marginals through primal_from_dual.
+        turn from initial_state(), trace rows through primal_from_dual.
 
         Instances with a faster iteration override this.
         """
@@ -136,7 +143,7 @@ class BlockProblem:
         while True:
             half = DualState(self.block_update_1(u.u2), u.u2)
             u = DualState(half.u1, self.block_update_2(half.u1))
-            yield u, partial(marginals, self, u), partial(marginals, self, half)
+            yield u, partial(_state_row, self, u), partial(_state_row, self, half)
 
 
 def _log_primal(problem: BlockProblem, u: DualState) -> np.ndarray:
@@ -225,6 +232,18 @@ class ConvergenceTrace:
 
     CSV_HEADER = "k,F_gamma,res1_l1,res2_l1,primal_mass,u1_seminorm,u2_seminorm"
 
+    def extend(self, k, F, res1, res2, mass, u1_sem, u2_sem, half_mass,
+               foc1, foc2):
+        """Add rows given column-wise, one sequence per column."""
+        self.k.extend([int(v) for v in k])
+        for column, values in ((self.F_gamma, F), (self.res1_l1, res1),
+                               (self.res2_l1, res2), (self.primal_mass, mass),
+                               (self.u1_seminorm, u1_sem),
+                               (self.u2_seminorm, u2_sem),
+                               (self.half_mass, half_mass), (self.foc1, foc1),
+                               (self.foc2, foc2)):
+            column.extend([float(v) for v in values])
+
     def append(self, k, F, res1, res2, mass, u1_sem, u2_sem,
                half_mass=math.nan, foc1=math.nan, foc2=math.nan):
         self.k.append(int(k))
@@ -247,17 +266,11 @@ class ConvergenceTrace:
 
     def to_csv(self, path) -> None:
         """Write the seven public columns, floats in round-trip precision."""
-        lines = [self.CSV_HEADER]
-        for i in range(len(self.k)):
-            lines.append(",".join([
-                str(self.k[i]),
-                repr(self.F_gamma[i]),
-                repr(self.res1_l1[i]),
-                repr(self.res2_l1[i]),
-                repr(self.primal_mass[i]),
-                repr(self.u1_seminorm[i]),
-                repr(self.u2_seminorm[i]),
-            ]))
+        rows = zip(map(str, self.k), *(
+            map(repr, column) for column in (
+                self.F_gamma, self.res1_l1, self.res2_l1, self.primal_mass,
+                self.u1_seminorm, self.u2_seminorm)))
+        lines = [self.CSV_HEADER, *map(",".join, rows)]
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -266,10 +279,47 @@ def _l1(v: np.ndarray) -> float:
     return float(np.abs(v).sum())
 
 
-def _row_scalars(problem: BlockProblem, m: Marginals) -> tuple[float, float, float]:
+def _row_scalars(problem: BlockProblem, m: Marginals) -> Row:
     """Block-1 and block-2 residual l1 norms and the mass, from marginals."""
     a1x, a2x, mass = m
     return _l1(a1x - problem.b1), _l1(a2x - problem.b2), mass
+
+
+def _state_row(problem: BlockProblem, u: DualState) -> Row:
+    """The trace row at x(u), through its block marginals."""
+    return _row_scalars(problem, marginals(problem, u))
+
+
+_NO_HALF = (math.nan, math.nan, math.nan)
+
+
+def _close_block(problem: BlockProblem, trace: ConvergenceTrace,
+                 held: list) -> None:
+    """Move the held rows (k, u, res1, foc2, mass, half) into the trace.
+
+    Each row's half runs, in order; then F and both seminorms come from the
+    stacked duals. held is emptied first, and if a half raises, the rows
+    before it still go into the trace.
+    """
+    rows = held[:]
+    held.clear()
+    half_rows = []
+    try:
+        for *_, half in rows:
+            half_rows.append(_NO_HALF if half is None else half())
+    finally:
+        del rows[len(half_rows):]
+        if rows:
+            k, states, res1, foc2, mass, _ = zip(*rows)
+            u1 = np.array([u.u1 for u in states])
+            u2 = np.array([u.u2 for u in states])
+            F = (u1 @ problem.b1 + u2 @ problem.b2 + problem.gamma
+                 * (problem.reference_mass - np.array(mass)))
+            foc1, res2, half_mass = zip(*half_rows)
+            trace.extend(k, F.tolist(), res1, res2, mass,
+                         problem.seminorm_V1(u1).tolist(),
+                         problem.seminorm_V2(u2).tolist(), half_mass, foc1,
+                         foc2)
 
 
 def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
@@ -290,15 +340,25 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
     sweeps replaces the iteration while solve keeps the stopping, thinning
     and recording; the default is problem.sweeps(). It must start from
     problem.initial_state() and yields, for each sweep, a triple
-    (u, full, half): the full DualState reached, a zero-argument callable
-    returning the block marginals (A1 x, A2 x, ||x||_1) at u (called every
-    sweep, for the stopping test), and either the same for the half state,
-    after the block-1 update and before the block-2 update (called only for
-    recorded rows), or None, which leaves the half-state columns NaN. solve
-    never forms a primal itself past the start row.
+    (u, full, half): the full DualState reached; a zero-argument callable
+    returning the trace row (||A1 x - b1||_1, ||A2 x - b2||_1, ||x||_1) at
+    x(u), called every sweep for the stopping test; and either the same for
+    the half state, after the block-1 update and before the block-2 update,
+    or None, which leaves the half-state columns NaN. solve never forms a
+    primal itself past the start row.
+
+    Recorded rows are held and evaluated a block at a time: once the held
+    rows' duals reach _BLOCK_FLOATS floats, when the run stops, and before
+    a NumericOverflowError is re-raised. A block forms F and both seminorms
+    from the stacked duals and then calls its rows' halves in order, so an
+    iterator may evaluate the halves of one block together. A half, and a
+    yielded u, may therefore be used up to one block after its sweep:
+    iterators must not change an array they have yielded or captured in a
+    half, in place. Unrecorded halves are never called.
 
     Returns the final dual state and the trace. On overflow the partial
-    trace rides on the raised NumericOverflowError.
+    trace rides on the raised NumericOverflowError; it holds the rows
+    recorded before the sweep, or the half, that overflowed.
     """
     if max_sweeps is None and residual_tol is None:
         raise ValueError("need max_sweeps and/or residual_tol")
@@ -316,8 +376,10 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
     u = problem.initial_state()
     if sweeps is None:
         sweeps = problem.sweeps()
+    block_rows = -(-_BLOCK_FLOATS // sum(problem.dims_dual))  # ceiling
+    held = []  # recorded rows not yet in the trace; see _close_block
     try:
-        res1, res2, mass = _row_scalars(problem, marginals(problem, u))
+        res1, res2, mass = _state_row(problem, u)
         trace.append(0, _dual_value(problem, u, mass), res1, res2, mass,
                      problem.seminorm_V1(u.u1), problem.seminorm_V2(u.u2))
         k = 0
@@ -325,20 +387,20 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
         while not stop:
             k += 1
             u, full, half = next(sweeps)
-            res1, foc2, mass = _row_scalars(problem, full())
+            res1, foc2, mass = full()
             stop = done(k, res1)
             if k % record_every and not stop:
                 continue
-            # half-state diagnostics only when the row is kept; on thinned
-            # runs this takes the dominant cost out of the sweep loop
-            foc1 = res2_half = half_mass = math.nan
-            if half is not None:
-                foc1, res2_half, half_mass = _row_scalars(problem, half())
-            trace.append(k, _dual_value(problem, u, mass), res1, res2_half,
-                         mass, problem.seminorm_V1(u.u1),
-                         problem.seminorm_V2(u.u2), half_mass=half_mass,
-                         foc1=foc1, foc2=foc2)
+            held.append((k, u, res1, foc2, mass, half))
+            if stop or len(held) >= block_rows:
+                _close_block(problem, trace, held)
     except NumericOverflowError as err:
+        try:
+            _close_block(problem, trace, held)
+        except NumericOverflowError as half_err:
+            # a held half overflowed first: the trace ends before its row
+            half_err.trace = trace
+            raise half_err from None
         err.trace = trace
         raise
     return u, trace

@@ -7,19 +7,19 @@ KL projections onto both blocks, and the dual sweep reduces to one vertex
 update per iteration.
 
 blocklp.solve runs all three iteration paths and records their traces;
-each yields (u, full, half) per sweep, with callables for the block
-marginals at the full and half states:
+each yields (u, full, half) per sweep, with callables for the trace rows
+(block residuals and mass) at the full and half states:
 
   stable   FlowProblem.sweeps(), a log-stabilised scaling engine: each
            epoch absorbs the vertex duals into a per-arc kernel, and a
            sweep is two segmented sums and one quadratic root per vertex,
-           which also give both block marginals. The exact log-domain
+           which also give the full-state row. The exact log-domain
            block updates block_update_1 and block_update_2 are its
            fallback, so it is as safe as they are, down to gamma ~ 1e-4
            at desk scale;
   matrix   matrix_sweeps, explicit flow pairs and their KL projections
            project_C1 and project_C2, the most readable form; the
-           half-state marginals come from the projected pair (f, g);
+           half-state row comes from the projected pair (f, g);
   scaling  scaling_sweeps, one positive scaling vector per vertex
            (sweep_scaling); its Gibbs kernel is in linear scale and
            underflows for small gamma. It fuses both half-steps, so it
@@ -34,6 +34,7 @@ w1_estimate reports on the transport scale by halving.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, NamedTuple
@@ -46,12 +47,13 @@ from .blocklp import (
     DualState,
     NumericOverflowError,
     Sweep,
+    _l1,
+    _row_scalars,
+    _state_row,
     cost_and_dual,
-    marginals,
 )
 from .graph import Graph, hop_diameter, spanning_tree_flow
-from .numerics import kl_divergence, phi_root
-from .sinkhorn import _in_range
+from .numerics import in_scaling_range, kl_divergence, phi_root
 
 __all__ = [
     "EdgeFlow",
@@ -120,17 +122,18 @@ class FlowProblem(BlockProblem):
       graph: connected Graph with n >= 2.
       mu1, mu2: nonnegative vertex marginals with equal total mass.
       gamma: regularization strength, positive and finite.
-      z: optional positive per-arc reference (length graph.p). Default is
-        the constant mass-matched reference alpha * 1 with
-        alpha = ||tree flow||_1 / (2p), falling back to 1 / (2p) when the
-        marginals coincide and the tree flow is empty.
+
+    The per-arc reference z is the constant mass-matched alpha * 1 with
+    alpha = ||tree flow||_1 / (2p), falling back to 1 / (2p) when the
+    marginals coincide and the tree flow is empty. It is the same on both
+    orientations of an edge, which sweep_scaling assumes.
 
     The primal layout is x = (f, g), each of length p. Block 1 couples the
     divergence of f to the marginals via g (right-hand side mu2 - mu1 on
     vertices); block 2 is f - g = 0 on arcs.
     """
 
-    def __init__(self, graph: Graph, mu1, mu2, gamma: float, z=None):
+    def __init__(self, graph: Graph, mu1, mu2, gamma: float):
         if graph.n < 2:
             raise ValueError("flow problems need at least two vertices")
         mu1 = np.asarray(mu1, dtype=float)
@@ -147,16 +150,9 @@ class FlowProblem(BlockProblem):
             raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
 
         p = graph.p
-        if z is None:
-            tree_mass = spanning_tree_flow(graph, mu1, mu2).mass()
-            alpha = tree_mass / (2.0 * p) if tree_mass > 0 else 1.0 / (2.0 * p)
-            z = np.full(p, alpha)
-        else:
-            z = np.asarray(z, dtype=float)
-            if z.shape != (p,):
-                raise ValueError("reference z needs one entry per directed arc")
-            if np.any(z <= 0) or not np.all(np.isfinite(z)):
-                raise ValueError("reference z must be finite and positive")
+        tree_mass = spanning_tree_flow(graph, mu1, mu2).mass()
+        alpha = tree_mass / (2.0 * p) if tree_mass > 0 else 1.0 / (2.0 * p)
+        z = np.full(p, alpha)
 
         self.graph = graph
         self.mu1 = mu1
@@ -235,40 +231,40 @@ class FlowProblem(BlockProblem):
         per-arc kernel, with sigma = 1 on every vertex. Within the epoch
         v = v0 + 2 gamma log sigma, and the full-state flow is
         f = g = K sigma_src / sigma_dst. A sweep reads the segmented sums
-        P = sum_out K / sigma_dst and Q = sum_out K[arc_rev] sigma_dst;
-        block 1 is then sigma' = sigma sqrt(tau), with tau the positive root
-        of a tau^2 + 2 r tau - c = 0 for a = sigma P and c = Q / sigma, and
-        block 2 is exact. The full-state marginals are
-        (sigma' P' - Q' / sigma', 0, 2 sigma' . P'), read from the sums the
-        next sweep uses; the half-state pair (F tau_src, F / tau_dst), with
-        F = K sigma_src / sigma_dst, is formed only for recorded rows. A new
-        sigma that is not finite or leaves [1/_TAU, _TAU] ends the epoch:
-        the exact block_update_1 runs in its place and opens a new epoch in
-        the same sweep.
+        a = sigma P and c = Q / sigma, with P = sum_out K / sigma_dst and
+        Q = sum_out K[arc_rev] sigma_dst; block 1 is then
+        sigma' = sigma sqrt(tau), with tau the positive root of
+        a tau^2 + 2 r tau - c = 0, and block 2 is exact. The full-state row
+        is read from the a' and c' the next sweep uses: A1 x = a' - c',
+        A2 x = 0 and ||x||_1 = 2 sum a'. The half-state pair is
+        (F tau_src, F / tau_dst), with F = K sigma_src / sigma_dst the
+        full-state flow before the sweep; see _AbsorbedHalves. A new sigma
+        that is not finite or leaves the scaling range ends the epoch: the
+        exact block_update_1 runs in its place and opens a new epoch in the
+        same sweep.
         """
         gamma, r = self.gamma, self.r
         u = self.initial_state()
         sigma = None  # no epoch open
         while True:
             if sigma is not None:
-                sigma_next = sigma * np.sqrt(
-                    _scaling_root(r, sigma * p_sum, q_sum / sigma))
-                if not _in_range(sigma_next):
+                sigma_next = sigma * np.sqrt(_scaling_root(r, a, c))
+                if not in_scaling_range(sigma_next):
                     sigma = sigma_next = None
             if sigma is None:
                 v0 = self.block_update_1(u.u2)
-                half = partial(marginals, self, DualState(v0, u.u2))
+                half = partial(_state_row, self, DualState(v0, u.u2))
                 v = v0
                 kernel = _full_flow(self, v0)
+                halves = _AbsorbedHalves(self, kernel)
                 sigma = np.ones(self.graph.n)
             else:
-                half = partial(_absorbed_half_marginals, self, kernel, sigma,
-                               sigma_next)
+                half = halves.add(sigma, sigma_next, a, c)
                 sigma = sigma_next
                 v = v0 + 2.0 * gamma * np.log(sigma)
-            p_sum, q_sum = _scaled_sums(self.graph, kernel, sigma)
+            a, c = _scaled_sums(self.graph, kernel, sigma)
             u = DualState(v, self.block_update_2(v))
-            yield u, partial(_absorbed_marginals, self, sigma, p_sum, q_sum), half
+            yield u, partial(_absorbed_row, self, a, c), half
 
 
 def _full_flow(problem: FlowProblem, v: np.ndarray) -> np.ndarray:
@@ -289,16 +285,21 @@ def _full_flow(problem: FlowProblem, v: np.ndarray) -> np.ndarray:
 
 
 def _scaled_sums(g: Graph, kernel, sigma):
-    """P = sum_out K / sigma_dst and Q = sum_out K[arc_rev] sigma_dst.
+    """a = sigma P and c = Q / sigma, for P = sum_out K / sigma_dst and
+    Q = sum_out K[arc_rev] sigma_dst.
 
-    K[arc_rev] is gathered here rather than kept beside K, and the gather of
-    sigma is reused for the Q terms: at p ~ 1e5 each p-vector held across
-    sweeps shows in the peak memory of a run.
+    K[arc_rev] is gathered here rather than kept beside K, the gather of
+    sigma is reused for the Q terms, and a and c are formed in place: at
+    p ~ 1e5 each p-vector held across sweeps shows in the peak memory of a
+    run.
     """
     terms = sigma[g.arc_dst]
-    p_sum = np.add.reduceat(kernel / terms, g.arc_seg_starts)
+    a = np.add.reduceat(kernel / terms, g.arc_seg_starts)
+    a *= sigma
     terms *= kernel[g.arc_rev]
-    return p_sum, np.add.reduceat(terms, g.arc_seg_starts)
+    c = np.add.reduceat(terms, g.arc_seg_starts)
+    c /= sigma
+    return a, c
 
 
 def _scaling_root(r: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -317,24 +318,88 @@ def _scaling_root(r: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
         return np.where(r >= 0.0, c / (r + disc), (disc - r) / a)
 
 
-def _absorbed_marginals(problem: FlowProblem, sigma, p_sum, q_sum):
-    """Block marginals at the full state f = g = K sigma_src / sigma_dst."""
-    out = sigma * p_sum
-    # f = g, so block 2 holds exactly: A2 x = 0 = b2
-    return out - q_sum / sigma, problem.b2, 2.0 * float(out.sum())
+def _absorbed_row(problem: FlowProblem, a, c):
+    """The trace row at the full state f = g = K sigma_src / sigma_dst.
+
+    f = g, so block 2 holds exactly and its residual is 0.
+    """
+    return _l1(a - c - problem.b1), 0.0, 2.0 * float(a.sum())
 
 
-def _absorbed_half_marginals(problem: FlowProblem, kernel, sigma, sigma_next):
-    """Block marginals at the half state (F tau_src, F / tau_dst) of the
-    sweep from sigma to sigma_next = sigma sqrt(tau), where
-    F = K sigma_src / sigma_dst is the full-state flow before the sweep."""
-    g = problem.graph
-    tau = np.square(sigma_next / sigma)
-    f = kernel * sigma[g.arc_src]
-    f /= sigma[g.arc_dst]
-    g_part = f / tau[g.arc_dst]
-    f *= tau[g.arc_src]
-    return _pair_marginals(problem, f, g_part)
+class _AbsorbedHalves:
+    """The half rows of one epoch's absorbed sweeps.
+
+    solve calls the halves of the rows it records a block at a time, so the
+    first call evaluates every half of the epoch that is still alive, with
+    2-D arrays over those rows, and the others return the row stored for
+    them. `waiting` holds weak references, so a half that solve dropped is
+    not evaluated; the dead references are pruned as they pile up on a
+    thinned run.
+
+    For the sweep from sigma to sigma' = sigma sqrt(tau), with a and c the
+    sums at sigma, the half state is f = F tau_src, g = F / tau_dst with
+    F = K sigma_src / sigma_dst. Then A1 x = tau a - c / tau and the mass is
+    sum(tau a + c / tau), from the sums the root used; A2 x = f - g is one
+    per-arc pass over the rows, formed as the pair so that res2_l1 is the
+    same number a per-row evaluation gives.
+    """
+
+    __slots__ = ("problem", "kernel", "waiting", "prune_at")
+
+    def __init__(self, problem: FlowProblem, kernel: np.ndarray):
+        self.problem = problem
+        self.kernel = kernel
+        self.waiting = []
+        self.prune_at = 16
+
+    def add(self, sigma, sigma_next, a, c) -> "_AbsorbedHalf":
+        half = _AbsorbedHalf(self, (sigma, sigma_next, a, c))
+        if len(self.waiting) >= self.prune_at:
+            self.waiting = [ref for ref in self.waiting if ref() is not None]
+            self.prune_at = 2 * len(self.waiting) + 16
+        self.waiting.append(weakref.ref(half))
+        return half
+
+    def evaluate(self) -> None:
+        halves = [h for h in (ref() for ref in self.waiting) if h is not None]
+        self.waiting = []
+        states = [h.state for h in halves]
+        for half in halves:
+            half.state = None
+        sigma, sigma_next, a, c = (np.array(col) for col in zip(*states))
+        g = self.problem.graph
+        tau = np.square(sigma_next / sigma)
+        a *= tau
+        c /= tau
+        foc1 = np.abs(a - c - self.problem.b1).sum(axis=1)
+        mass = a.sum(axis=1) + c.sum(axis=1)
+        # the per-arc pass below holds (rows, p) arrays: free what it does
+        # not read first, which counts for a one-row block at p ~ 1e5
+        del states, sigma_next, a, c
+        f = self.kernel * sigma[:, g.arc_src]
+        f /= sigma[:, g.arc_dst]
+        del sigma
+        g_part = f / tau[:, g.arc_dst]
+        f *= tau[:, g.arc_src]
+        f -= g_part
+        res2 = np.abs(f, out=f).sum(axis=1)
+        for half, row in zip(halves, zip(foc1.tolist(), res2.tolist(),
+                                         mass.tolist())):
+            half.row = row
+
+
+class _AbsorbedHalf:
+    """One sweep's half row, evaluated with its epoch's; see _AbsorbedHalves."""
+
+    __slots__ = ("halves", "state", "row", "__weakref__")
+
+    def __init__(self, halves: _AbsorbedHalves, state: tuple):
+        self.halves, self.state, self.row = halves, state, None
+
+    def __call__(self):
+        if self.row is None:
+            self.halves.evaluate()
+        return self.row
 
 
 def _gamma_arsinh(gamma: float, r: np.ndarray, exponent_sum: np.ndarray) -> np.ndarray:
@@ -386,8 +451,9 @@ def project_C2(f: EdgeFlow, g: EdgeFlow) -> EdgeFlow:
 def sweep_scaling(problem: FlowProblem, s: np.ndarray) -> np.ndarray:
     """One sweep on the per-vertex scaling vector.
 
-    The flow iterate is diag(s) z^C diag(1/s). Assumes the reference is
-    orientation-symmetric (the default constant reference is). The Gibbs
+    The flow iterate is diag(s) z^C diag(1/s); the update relies on the
+    reference being the same on both orientations of an edge, as
+    FlowProblem's constant reference is. The Gibbs
     kernel z^C is used in linear scale, so small gamma underflows it and
     the update degenerates; that raises, and the caller should move to the
     log-domain block updates.
@@ -421,15 +487,15 @@ def matrix_sweeps(problem: FlowProblem) -> Iterator[Sweep]:
         f = project_C2(f1, g1)
         v = vertex_dual_from_flow(problem, f)
         u = DualState(v, problem.block_update_2(v))
-        yield u, partial(marginals, problem, u), partial(
-            _pair_marginals, problem, f1.values, g1.values)
+        yield u, partial(_state_row, problem, u), partial(
+            _pair_row, problem, f1.values, g1.values)
 
 
-def _pair_marginals(problem: FlowProblem, f: np.ndarray, g: np.ndarray):
-    """apply_A1, apply_A2 and the mass of x = (f, g), without stacking x."""
+def _pair_row(problem: FlowProblem, f: np.ndarray, g: np.ndarray):
+    """The trace row at x = (f, g), without stacking x."""
     seg = problem.graph.arc_seg_starts
     a1x = np.add.reduceat(f, seg) - np.add.reduceat(g[problem.graph.arc_rev], seg)
-    return a1x, f - g, float(f.sum()) + float(g.sum())
+    return _row_scalars(problem, (a1x, f - g, float(f.sum()) + float(g.sum())))
 
 
 def scaling_sweeps(problem: FlowProblem) -> Iterator[Sweep]:
@@ -442,7 +508,7 @@ def scaling_sweeps(problem: FlowProblem) -> Iterator[Sweep]:
         s = sweep_scaling(problem, s)
         v = vertex_dual_from_scaling(problem, s)
         u = DualState(v, problem.block_update_2(v))
-        yield u, partial(marginals, problem, u), None
+        yield u, partial(_state_row, problem, u), None
 
 
 def vertex_dual_from_scaling(problem: FlowProblem, s: np.ndarray) -> np.ndarray:

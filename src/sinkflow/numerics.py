@@ -12,7 +12,13 @@ __all__ = [
     "phi_root",
     "kl_divergence",
     "variation_seminorm",
+    "SCALING_LIMIT",
+    "in_scaling_range",
 ]
+
+# A stabilised engine's scaling leaving [1/SCALING_LIMIT, SCALING_LIMIT]
+# ends its epoch; see OTProblem.sweeps and FlowProblem.sweeps.
+SCALING_LIMIT = 1e10
 
 
 def phi_root(t, u):
@@ -62,12 +68,24 @@ def kl_divergence(x, z) -> float:
     return float(np.sum(xs * np.log(xs / z[supp])) - x.sum() + z.sum())
 
 
-def variation_seminorm(v) -> float:
+def variation_seminorm(v):
     """Half the spread (max - min) / 2: the distance of v to the constants.
 
     Translation invariant by construction; zero exactly for constant vectors.
+    A 2-D v is a stack of vectors, one per row, and gives an array with one
+    value per row, each equal to the value of its row alone.
     """
     v = np.asarray(v, dtype=float)
     if v.size == 0:
         raise ValueError("variation_seminorm of an empty vector")
+    if v.ndim == 2:
+        return 0.5 * (v.max(axis=1) - v.min(axis=1))
     return 0.5 * (float(v.max()) - float(v.min()))
+
+
+def in_scaling_range(s: np.ndarray) -> bool:
+    """Whether every entry of s lies in [1/SCALING_LIMIT, SCALING_LIMIT].
+
+    False for NaN entries too.
+    """
+    return 1.0 / SCALING_LIMIT <= s.min() and s.max() <= SCALING_LIMIT

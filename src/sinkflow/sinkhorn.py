@@ -20,7 +20,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .blocklp import BlockProblem, DualState, Sweep, marginals
+from .blocklp import BlockProblem, DualState, Sweep, _row_scalars, _state_row
+from .numerics import in_scaling_range
 
 __all__ = [
     "OTProblem",
@@ -31,8 +32,6 @@ __all__ = [
 ]
 
 _BALANCE_TOL = 1e-12
-# A scaling leaving [1/_TAU, _TAU] ends the epoch; see OTProblem.sweeps.
-_TAU = 1e10
 _TINY = np.finfo(float).tiny
 
 
@@ -107,10 +106,10 @@ class OTProblem(BlockProblem):
         (f, g) reached into the kernel K = x(f, g), with scalings a = b = 1.
         Within the epoch the state is u = (f + gamma log a, g + gamma log b),
         and a sweep is a = b1 / (K b), b = b2 / (K^T a): the two block updates
-        in scaling form. Both marginal pairs come from K b, K^T a and the
+        in scaling form. Both trace rows come from K b, K^T a and the
         previous K b, so a sweep costs two matrix-vector products and never
-        forms the plan. A new scaling that is not finite or leaves
-        [1/_TAU, _TAU] ends the epoch and the exact log-domain update takes
+        forms the plan. A new scaling that is not finite or leaves the
+        scaling range ends the epoch and the exact log-domain update takes
         its place: for a, that update opens a new epoch in the same sweep;
         for b, the next sweep opens one. The rows of K sum to b1, so a stays
         within the range of 1/b unless a marginal entry sits near the
@@ -127,7 +126,7 @@ class OTProblem(BlockProblem):
                     kernel = None
                 else:
                     a = b1 / kb
-                    if not _in_range(a):
+                    if not in_scaling_range(a):
                         kernel = None
             if kernel is None:
                 f, g = self.block_update_1(u.u2), u.u2
@@ -138,24 +137,19 @@ class OTProblem(BlockProblem):
             else:
                 u1 = f + gamma * np.log(a)
             kta = a @ kernel
-            half = partial(_scaled_marginals, a, kb, b, kta)
+            half = partial(_scaled_row, self, a, kb, b, kta)
             with np.errstate(divide="ignore", over="ignore"):
                 b_next = b2 / kta
-            if _in_range(b_next):
+            if in_scaling_range(b_next):
                 b = b_next
                 kb = kernel @ b
                 u = DualState(u1, g + gamma * np.log(b))
-                full = partial(_scaled_marginals, a, kb, b, kta)
+                full = partial(_scaled_row, self, a, kb, b, kta)
             else:
                 u = DualState(u1, self.block_update_2(u1))
                 kernel = None
-                full = partial(marginals, self, u)
+                full = partial(_state_row, self, u)
             yield u, full, half
-
-
-def _in_range(s: np.ndarray) -> bool:
-    # False for NaN entries too
-    return 1.0 / _TAU <= s.min() and s.max() <= _TAU
 
 
 def _kernel(problem: OTProblem, f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -167,15 +161,18 @@ def _kernel(problem: OTProblem, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.exp(k, out=k)
 
 
-def _scaled_marginals(a, kb, b, kta):
-    """Marginals of diag(a) K diag(b), given K b and K^T a."""
-    return a * kb, b * kta, float(a @ kb)
+def _scaled_row(problem: OTProblem, a, kb, b, kta):
+    """The trace row at the plan diag(a) K diag(b), given K b and K^T a."""
+    return _row_scalars(problem, (a * kb, b * kta, float(a @ kb)))
 
 
 def _neg_lse_rows(gamma: float, scores: np.ndarray) -> np.ndarray:
-    # -gamma * log sum_j exp(scores_j / gamma), row-wise, max-shifted
+    # -gamma * log sum_j exp(scores_j / gamma), row-wise, max-shifted; the
+    # exponentials are formed in place, one matrix beside scores
     m = scores.max(axis=1)
-    tail = np.log(np.exp((scores - m[:, None]) / gamma).sum(axis=1))
+    terms = scores - m[:, None]
+    terms /= gamma
+    tail = np.log(np.exp(terms, out=terms).sum(axis=1))
     return -(m + gamma * tail)
 
 

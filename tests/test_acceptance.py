@@ -463,8 +463,8 @@ def test_criterion_9_sweep_cost_scaling():
     Timed on path graphs big enough (2e4 and 8e4 nodes) that the numpy
     per-call overhead stops mattering, through the default flow sweeps.
     Each run is timed by the CPU time of this thread, so a process competing
-    for the cores does not count, and the two sizes take turns, three runs
-    each, so a slow spell of the host hits both; the best of three sheds the
+    for the cores does not count, and the two sizes take turns, five runs
+    each, so a slow spell of the host hits both; the best of five sheds the
     rest of the scheduler noise. The asymptotic budget itself is not
     reproducible at desk scale, so this smoke check plus the
     scheduled-accuracy run above stand in.
@@ -479,7 +479,7 @@ def test_criterion_9_sweep_cost_scaling():
     for pb in problems.values():
         solve(pb, max_sweeps=5, record_every=10**6)  # warm caches
     best = dict.fromkeys(problems, math.inf)
-    for _ in range(3):
+    for _ in range(5):
         for n, pb in problems.items():
             t0 = time.thread_time()
             state, trace = solve(pb, max_sweeps=50, record_every=10**6)

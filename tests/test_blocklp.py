@@ -20,9 +20,11 @@ from sinkflow.blocklp import (
     solve,
     solve_scheduled,
 )
-from sinkflow.flowsinkhorn import FlowProblem
+from sinkflow.flowsinkhorn import FlowProblem, matrix_sweeps, scaling_sweeps
 from sinkflow.graph import Graph
 from sinkflow.sinkhorn import OTProblem
+
+from conftest import count_block_updates, random_flow_problem, random_ot_problem
 
 
 class ToyProblem(BlockProblem):
@@ -202,6 +204,16 @@ def test_solve_calls_half_only_on_recorded_rows():
     assert all(math.isfinite(v) for v in trace.foc1[1:])
 
 
+def test_solve_call_counts_do_not_depend_on_blocks(monkeypatch):
+    monkeypatch.setattr(blocklp, "_BLOCK_FLOATS", 1)
+    pb = CountingToy(gamma=0.2)
+    solve(pb, max_sweeps=12)
+    assert pb.calls == {"sweeps": 1, "full": 12, "half": 12}
+    pb = CountingToy(gamma=0.2)
+    solve(pb, max_sweeps=35, record_every=10)
+    assert pb.calls == {"sweeps": 1, "full": 35, "half": 4}
+
+
 def test_solve_half_none_leaves_half_columns_nan():
     pb = ToyProblem(gamma=0.2)
 
@@ -248,6 +260,124 @@ def test_solve_attaches_partial_trace_on_overflow():
     with pytest.raises(NumericOverflowError) as err:
         solve(pb, max_sweeps=10)
     assert err.value.trace is not None
+
+
+# ----------------------------------------------------------------- blocks
+
+_COLUMNS = ("k", "F_gamma", "res1_l1", "res2_l1", "primal_mass",
+            "u1_seminorm", "u2_seminorm", "half_mass", "foc1", "foc2")
+
+
+def assert_same_rows(trace, ref, rtol=1e-14):
+    """Every trace column, the three kept out of the CSV included."""
+    for name in _COLUMNS:
+        np.testing.assert_allclose(getattr(trace, name), getattr(ref, name),
+                                   rtol=rtol, atol=0, equal_nan=True,
+                                   err_msg=name)
+
+
+def solve_in_blocks(monkeypatch, make, budget, **kw):
+    """solve(problem, sweeps=...) with _BLOCK_FLOATS set to budget; make
+    returns a fresh (problem, sweeps or None) pair."""
+    with monkeypatch.context() as m:
+        if budget is not None:
+            m.setattr(blocklp, "_BLOCK_FLOATS", budget)
+        pb, sweeps = make()
+        return solve(pb, sweeps=sweeps, **kw)
+
+
+def _flow_engine():
+    pb = random_flow_problem(np.random.default_rng(71), 8, 1e-3)
+    return pb, None
+
+
+def _ot_engine():
+    pb = random_ot_problem(np.random.default_rng(72), 4, 5, 1e-3)
+    return pb, None
+
+
+def _matrix_path():
+    pb = random_flow_problem(np.random.default_rng(73), 8, 0.5)
+    return pb, matrix_sweeps(pb)
+
+
+def _scaling_path():
+    pb = random_flow_problem(np.random.default_rng(73), 8, 0.5)
+    return pb, scaling_sweeps(pb)
+
+
+def _toy():
+    return ToyProblem(gamma=0.2), None
+
+
+@pytest.mark.parametrize("make, sweeps", [
+    (_flow_engine, 600), (_ot_engine, 1500), (_matrix_path, 300),
+    (_scaling_path, 300), (_toy, 100)],
+    ids=["flow-engine", "ot-engine", "matrix", "scaling", "toy"])
+def test_blocks_match_one_row_blocks(monkeypatch, make, sweeps):
+    """Rows evaluated in blocks equal rows evaluated one at a time, as they
+    were before blocks; the two engines run at gamma 1e-3 over at least
+    three blocks, with fallbacks inside them."""
+    pb, _ = make()
+    rows = -(-blocklp._BLOCK_FLOATS // sum(pb.dims_dual))
+    if make in (_flow_engine, _ot_engine):
+        assert sweeps >= 3 * rows
+        counts = count_block_updates(pb)
+        solve(pb, max_sweeps=sweeps)
+        name = "block_update_1" if make is _flow_engine else "block_update_2"
+        assert counts[name] >= 3
+    state, trace = solve_in_blocks(monkeypatch, make, None, max_sweeps=sweeps)
+    ref_state, ref = solve_in_blocks(monkeypatch, make, 1, max_sweeps=sweeps)
+    assert trace.k == list(range(sweeps + 1))
+    assert_same_rows(trace, ref)
+    np.testing.assert_array_equal(state.u1, ref_state.u1)
+    np.testing.assert_array_equal(state.u2, ref_state.u2)
+
+
+def test_blocks_keep_record_every_and_the_final_row(monkeypatch):
+    # the engine drops the halves of the rows solve does not record
+    _, trace = solve_in_blocks(monkeypatch, _flow_engine, None,
+                               max_sweeps=1000, record_every=7)
+    _, ref = solve_in_blocks(monkeypatch, _flow_engine, 1, max_sweeps=1000,
+                             record_every=7)
+    assert trace.k == list(range(0, 1000, 7)) + [1000]
+    assert_same_rows(trace, ref)
+
+
+def _raise_overflow():
+    raise NumericOverflowError("test overflow")
+
+
+def overflowing_sweeps(pb, at, where):
+    """BlockProblem.sweeps with a NumericOverflowError at sweep `at`: from
+    next() itself, or from that sweep's full or half callable."""
+    for k, (u, full, half) in enumerate(BlockProblem.sweeps(pb), start=1):
+        if k == at:
+            if where == "next":
+                _raise_overflow()
+            if where == "full":
+                full = _raise_overflow
+            if where == "half":
+                half = _raise_overflow
+        yield u, full, half
+
+
+@pytest.mark.parametrize("where", ["next", "full", "half"])
+def test_overflow_mid_block_keeps_the_rows_before_it(monkeypatch, where):
+    """A toy block holds 2048 rows, so sweep 20 overflows mid-block; the
+    partial trace holds rows 0-19, as with one-row blocks."""
+    traces = []
+    for budget in (None, 1):
+        def make():
+            pb = ToyProblem(gamma=0.2)
+            return pb, overflowing_sweeps(pb, 20, where)
+
+        with pytest.raises(NumericOverflowError, match="test overflow") as err:
+            solve_in_blocks(monkeypatch, make, budget, max_sweeps=50)
+        traces.append(err.value.trace)
+    trace, ref = traces
+    assert trace.k == list(range(20))
+    assert_same_rows(trace, ref)
 
 
 def test_trace_rows_monotone_and_half_diagnostics():

@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lse_kernels
-from sinkflow.numerics import kl_divergence, phi_root, variation_seminorm
+from sinkflow.numerics import (
+    SCALING_LIMIT,
+    in_scaling_range,
+    kl_divergence,
+    phi_root,
+    variation_seminorm,
+)
 
 mp.mp.dps = 50
 
@@ -218,6 +224,22 @@ def test_variation_seminorm_homogeneous(values):
     assert variation_seminorm(-2.5 * v) == pytest.approx(
         2.5 * variation_seminorm(v), rel=1e-12, abs=1e-300
     )
+
+
+def test_variation_seminorm_of_a_stack_is_per_row():
+    rng = np.random.default_rng(31)
+    rows = rng.normal(size=(5, 7)) * 10.0 ** rng.uniform(-3, 3, (5, 1))
+    values = variation_seminorm(rows)
+    assert values.shape == (5,)
+    assert values.tolist() == [variation_seminorm(row) for row in rows]
+
+
+def test_in_scaling_range_bounds_and_nan():
+    assert in_scaling_range(np.array([1.0 / SCALING_LIMIT, 1.0, SCALING_LIMIT]))
+    assert not in_scaling_range(np.array([1.0, SCALING_LIMIT * 1.0000001]))
+    assert not in_scaling_range(np.array([0.99 / SCALING_LIMIT, 1.0]))
+    assert not in_scaling_range(np.array([1.0, np.nan]))
+    assert not in_scaling_range(np.array([np.inf, 1.0]))
 
 
 def test_variation_seminorm_empty_rejected():
