@@ -30,10 +30,7 @@ from .flowsinkhorn import (
     matrix_sweeps,
     project_C1,
     project_C2,
-    scaling_sweeps,
-    sweep_scaling,
     vertex_dual_from_flow,
-    vertex_dual_from_scaling,
     w1_estimate,
 )
 from .graph import Graph, hop_diameter, spanning_tree_flow

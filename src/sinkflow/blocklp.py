@@ -68,7 +68,7 @@ Marginals = tuple[np.ndarray, np.ndarray, float]
 # (||A1 x - b1||_1, ||A2 x - b2||_1, ||x||_1).
 Row = tuple[float, float, float]
 # What a `sweeps` iterator yields for each sweep; see solve().
-Sweep = tuple[DualState, Callable[[], Row], Callable[[], Row] | None]
+Sweep = tuple[DualState, Callable[[], Row], Callable[[], Row]]
 
 # solve holds recorded rows until their duals reach this many floats
 # (m1 + m2 per row, one row at least), then evaluates them as one block.
@@ -290,9 +290,6 @@ def _state_row(problem: BlockProblem, u: DualState) -> Row:
     return _row_scalars(problem, marginals(problem, u))
 
 
-_NO_HALF = (math.nan, math.nan, math.nan)
-
-
 def _close_block(problem: BlockProblem, trace: ConvergenceTrace,
                  held: list) -> None:
     """Move the held rows (k, u, res1, foc2, mass, half) into the trace.
@@ -306,7 +303,7 @@ def _close_block(problem: BlockProblem, trace: ConvergenceTrace,
     half_rows = []
     try:
         for *_, half in rows:
-            half_rows.append(_NO_HALF if half is None else half())
+            half_rows.append(half())
     finally:
         del rows[len(half_rows):]
         if rows:
@@ -342,10 +339,9 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
     problem.initial_state() and yields, for each sweep, a triple
     (u, full, half): the full DualState reached; a zero-argument callable
     returning the trace row (||A1 x - b1||_1, ||A2 x - b2||_1, ||x||_1) at
-    x(u), called every sweep for the stopping test; and either the same for
-    the half state, after the block-1 update and before the block-2 update,
-    or None, which leaves the half-state columns NaN. solve never forms a
-    primal itself past the start row.
+    x(u), called every sweep for the stopping test; and the same for the
+    half state, after the block-1 update and before the block-2 update.
+    solve never forms a primal itself past the start row.
 
     Recorded rows are held and evaluated a block at a time: once the held
     rows' duals reach _BLOCK_FLOATS floats, when the run stops, and before

@@ -34,13 +34,7 @@ from .blocklp import (
     solve,
     solve_scheduled,
 )
-from .flowsinkhorn import (
-    FlowProblem,
-    flow_constants,
-    matrix_sweeps,
-    scaling_sweeps,
-    w1_estimate,
-)
+from .flowsinkhorn import FlowProblem, flow_constants, w1_estimate
 from .graph import Graph, spanning_tree_flow
 from .oracle import exact_ot, exact_w1
 from .sinkhorn import OTProblem, ot_constants
@@ -74,8 +68,8 @@ def _json_gamma(data: dict, args) -> float:
     elif "gamma" in data:
         source, gamma = "JSON field 'gamma'", data["gamma"]
     else:
-        raise _InputError(
-            "no --gamma/--epsilon given and the input has no 'gamma'")
+        flags = "--gamma/--epsilon" if "epsilon" in args else "--gamma"
+        raise _InputError(f"no {flags} given and the input has no 'gamma'")
     # bool is an int subclass, but a JSON true is no regularization strength
     if (isinstance(gamma, bool) or not isinstance(gamma, (int, float))
             or not 0 < gamma < math.inf):
@@ -142,34 +136,29 @@ def _warn_at_cap(trace: ConvergenceTrace, max_sweeps: int,
 def _check_run_flags(args) -> None:
     """The w1/ot flag values and combinations the parser lets through."""
     if args.epsilon is not None:
-        # --epsilon picks gamma and the sweep budget and runs the stable
-        # path; only w1 registers --path
-        path = getattr(args, "path", "stable")
+        # --epsilon picks gamma and the sweep budget
         for flag, given in (("--max-sweeps", args.max_sweeps is not None),
-                            ("--tol", args.tol is not None),
-                            ("--path", path != "stable")):
+                            ("--tol", args.tol is not None)):
             if given:
                 raise _InputError(
                     f"{flag} cannot be combined with --epsilon, which sets "
-                    "the sweep budget and runs the stable path"
+                    "the sweep budget"
                 )
     if args.max_sweeps is not None and args.max_sweeps < 0:
         raise _InputError(
             f"--max-sweeps must be >= 0, got {args.max_sweeps}")
-
-
-_FLOW_SWEEPS = {"stable": FlowProblem.sweeps, "matrix": matrix_sweeps,
-                "scaling": scaling_sweeps}
+    if args.tol is not None and not 0 <= args.tol < math.inf:
+        raise _InputError(
+            f"--tol must be >= 0 and finite, got {args.tol!r}")
 
 
 def _flow_setup(data: dict, args):
-    """(problem, sweeps, schedule) for w1; see _run."""
+    """(problem, schedule) for w1; see _run."""
     if "graph" not in data:
         raise _InputError("w1 expects a flow problem (with a 'graph' field)")
     if args.epsilon is None:
         gamma = _json_gamma(data, args)
-        problem = _build_flow(_build_graph(data), data, gamma)
-        return problem, _FLOW_SWEEPS[args.path], None
+        return _build_flow(_build_graph(data), data, gamma), None
     graph = _build_graph(data)
     with _bad_input("flow problem"):
         fbar = spanning_tree_flow(graph, data["b1"], data["b2"])
@@ -179,15 +168,15 @@ def _flow_setup(data: dict, args):
     with _bad_input("--epsilon"):
         gamma = schedule_gamma(args.epsilon, x0, d)
     problem = _build_flow(graph, data, gamma)
-    return problem, None, (x0, flow_constants(problem, fbar), d)
+    return problem, (x0, flow_constants(problem, fbar), d)
 
 
 def _ot_setup(data: dict, args):
-    """(problem, sweeps, schedule) for ot; see _run."""
+    """(problem, schedule) for ot; see _run."""
     if "cost" not in data:
         raise _InputError("ot expects a transport problem (with a 'cost' field)")
     if args.epsilon is None:
-        return _build_ot(data["cost"], data, _json_gamma(data, args)), None, None
+        return _build_ot(data["cost"], data, _json_gamma(data, args)), None
     with _bad_input("transport problem"):
         cost = np.asarray(data["cost"], dtype=float)
     d = cost.size
@@ -199,29 +188,24 @@ def _ot_setup(data: dict, args):
     with _bad_input("--epsilon"):
         gamma = schedule_gamma(args.epsilon, 1.0, d)
     problem = _build_ot(cost, data, gamma)
-    return problem, None, (1.0, ot_constants(problem), d)
+    return problem, (1.0, ot_constants(problem), d)
 
 
 def _run(args, setup, estimate) -> int:
     """One w1 or ot run.
 
-    setup(data, args) returns (problem, sweeps, schedule): the problem, the
-    function that starts solve's sweeps iterator from it (None for the
-    problem's own), and under --epsilon the schedule's (X0, constants, d),
-    None otherwise. estimate(problem, state) returns the (primal, dual)
-    answer.
+    setup(data, args) returns (problem, schedule): the problem, and under
+    --epsilon the schedule's (X0, constants, d), None otherwise.
+    estimate(problem, state) returns the (primal, dual) answer.
     """
     _check_run_flags(args)
     data = _load_json(args.input)
-    problem, sweeps, schedule = setup(data, args)
+    problem, schedule = setup(data, args)
     try:
         if schedule is None:
             max_sweeps, tol = _budget(args)
-            # the iterator is made in the call, so that once solve returns
-            # no name holds it, nor the kernel and scalings it keeps
-            state, trace = solve(
-                problem, max_sweeps=max_sweeps, residual_tol=tol,
-                sweeps=None if sweeps is None else sweeps(problem))
+            state, trace = solve(problem, max_sweeps=max_sweeps,
+                                 residual_tol=tol)
         else:
             x0, consts, d = schedule
             state, trace, _, fell_back = solve_scheduled(
@@ -298,6 +282,10 @@ def cmd_verify(args) -> int:
             instances = [_build_ot(data["cost"], data, gamma)]
         else:
             raise _InputError("input has neither a 'graph' nor a 'cost' field")
+    elif args.gamma is not None:
+        raise _InputError(
+            "--gamma needs a problem FILE; the built-in battery runs at "
+            "its own gammas")
     else:
         instances = _battery_instances(seed)
 
@@ -359,10 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None,
                        help="stop when the block-1 residual l1 norm reaches "
                             "this level")
-        if p is w1:
-            p.add_argument("--path", choices=("matrix", "scaling", "stable"),
-                           default="stable",
-                           help="flow iteration variant (default: stable)")
         p.add_argument("--trace", default=None, metavar="FILE",
                        help="write the per-sweep trace CSV here")
     exact.add_argument("input", help="problem JSON file")
@@ -371,10 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--gamma", type=float, help=gamma_help)
     verify.add_argument("--seed", type=_hex_seed, default=None, metavar="HEX",
                         help="hexadecimal seed for randomized checks")
-    for p in (w1, ot, exact, verify):
-        p.add_argument("--deterministic", action="store_true",
-                       help="force single-threaded deterministic execution "
-                            "(already the default; kept for scripts)")
     return parser
 
 

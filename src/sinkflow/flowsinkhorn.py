@@ -6,29 +6,22 @@ g and block 2 forcing f = g. Entropic smoothing then gives closed-form
 KL projections onto both blocks, and the dual sweep reduces to one vertex
 update per iteration.
 
-blocklp.solve runs all three iteration paths and records their traces;
-each yields (u, full, half) per sweep, with callables for the trace rows
-(block residuals and mass) at the full and half states:
+blocklp.solve runs FlowProblem.sweeps(), a log-stabilised scaling engine
+that yields (u, full, half) per sweep, with callables for the trace rows
+(block residuals and mass) at the full and half states. Each epoch absorbs
+the vertex duals into a per-arc kernel, and a sweep is two segmented sums
+and one quadratic root per vertex, which also give the full-state row. The
+exact log-domain block updates block_update_1 and block_update_2 are its
+fallback, so it is as safe as they are, down to gamma ~ 1e-4 at desk scale.
 
-  stable   FlowProblem.sweeps(), a log-stabilised scaling engine: each
-           epoch absorbs the vertex duals into a per-arc kernel, and a
-           sweep is two segmented sums and one quadratic root per vertex,
-           which also give the full-state row. The exact log-domain
-           block updates block_update_1 and block_update_2 are its
-           fallback, so it is as safe as they are, down to gamma ~ 1e-4
-           at desk scale;
-  matrix   matrix_sweeps, explicit flow pairs and their KL projections
-           project_C1 and project_C2, the most readable form; the
-           half-state row comes from the projected pair (f, g);
-  scaling  scaling_sweeps, one positive scaling vector per vertex
-           (sweep_scaling); its Gibbs kernel is in linear scale and
-           underflows for small gamma. It fuses both half-steps, so it
-           reports no half state.
-
-All three produce the same iterates up to roundoff; tests hold them to
-that. Since the lifted objective counts the transport cost on both copies
-f and g, optimal values sit at twice the Wasserstein-1 distance, and
-w1_estimate reports on the transport scale by halving.
+matrix_sweeps is the reference the engine is held to: explicit flow pairs
+and their KL projections project_C1 and project_C2, the most readable
+form, whose half-state row comes from the projected pair (f, g). Both
+produce the same iterates up to roundoff; tests hold them to that, and to
+the exact block updates in turn (BlockProblem.sweeps). Since the lifted
+objective counts the transport cost on both copies f and g, optimal values
+sit at twice the Wasserstein-1 distance, and w1_estimate reports on the
+transport scale by halving.
 """
 
 from __future__ import annotations
@@ -61,13 +54,10 @@ __all__ = [
     "divergence",
     "project_C1",
     "project_C2",
-    "sweep_scaling",
     "matrix_sweeps",
-    "scaling_sweeps",
     "w1_estimate",
     "flow_constants",
     "FlowConstants",
-    "vertex_dual_from_scaling",
     "vertex_dual_from_flow",
 ]
 
@@ -125,8 +115,7 @@ class FlowProblem(BlockProblem):
 
     The per-arc reference z is the constant mass-matched alpha * 1 with
     alpha = ||tree flow||_1 / (2p), falling back to 1 / (2p) when the
-    marginals coincide and the tree flow is empty. It is the same on both
-    orientations of an edge, which sweep_scaling assumes.
+    marginals coincide and the tree flow is empty.
 
     The primal layout is x = (f, g), each of length p. Block 1 couples the
     divergence of f to the marginals via g (right-hand side mu2 - mu1 on
@@ -448,33 +437,6 @@ def project_C2(f: EdgeFlow, g: EdgeFlow) -> EdgeFlow:
     return EdgeFlow(f.graph, np.sqrt(f.values * g.values))
 
 
-def sweep_scaling(problem: FlowProblem, s: np.ndarray) -> np.ndarray:
-    """One sweep on the per-vertex scaling vector.
-
-    The flow iterate is diag(s) z^C diag(1/s); the update relies on the
-    reference being the same on both orientations of an edge, as
-    FlowProblem's constant reference is. The Gibbs
-    kernel z^C is used in linear scale, so small gamma underflows it and
-    the update degenerates; that raises, and the caller should move to the
-    log-domain block updates.
-    """
-    g = problem.graph
-    s = np.asarray(s, dtype=float)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        zc = np.exp(-problem.w_eff / problem.gamma)
-        p_vec = np.add.reduceat(zc * s[g.arc_dst], g.arc_seg_starts)
-        q_vec = np.add.reduceat(zc / s[g.arc_dst], g.arc_seg_starts)
-        # sqrt(r^2 + PQ) - r, in the conjugate form where r dominates
-        inner = phi_root(2.0 * problem.r, p_vec * q_vec)
-        s_next = np.sqrt(s / q_vec * inner)
-    if not np.all(np.isfinite(s_next)) or np.any(s_next <= 0.0):
-        raise NumericOverflowError(
-            "scaling update left the positive float range "
-            f"(gamma={problem.gamma:g}); use the log-domain sweep"
-        )
-    return s_next
-
-
 def matrix_sweeps(problem: FlowProblem) -> Iterator[Sweep]:
     """Matrix-path sweeps from the reference flow z^C, for solve().
 
@@ -496,27 +458,6 @@ def _pair_row(problem: FlowProblem, f: np.ndarray, g: np.ndarray):
     seg = problem.graph.arc_seg_starts
     a1x = np.add.reduceat(f, seg) - np.add.reduceat(g[problem.graph.arc_rev], seg)
     return _row_scalars(problem, (a1x, f - g, float(f.sum()) + float(g.sum())))
-
-
-def scaling_sweeps(problem: FlowProblem) -> Iterator[Sweep]:
-    """sweep_scaling from s = 1, as sweeps for solve().
-
-    The update fuses both half-steps, so there is no half state to report.
-    """
-    s = np.ones(problem.graph.n)
-    while True:
-        s = sweep_scaling(problem, s)
-        v = vertex_dual_from_scaling(problem, s)
-        u = DualState(v, problem.block_update_2(v))
-        yield u, partial(_state_row, problem, u), None
-
-
-def vertex_dual_from_scaling(problem: FlowProblem, s: np.ndarray) -> np.ndarray:
-    """Calibration between the two state forms: v = 2 gamma log s."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= 0):
-        raise ValueError("scaling vector must be positive")
-    return 2.0 * problem.gamma * np.log(s)
 
 
 def vertex_dual_from_flow(problem: FlowProblem, f: EdgeFlow) -> np.ndarray:

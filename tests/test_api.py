@@ -18,10 +18,9 @@ PUBLIC = [
     "exact_w1", "flow_constants", "hop_diameter", "kl_divergence",
     "marginals", "matrix_sweeps", "min_cost_flow", "operator_norm_1to1",
     "ot_constants", "phi_root", "plan_schedule", "primal_from_dual",
-    "project_C1", "project_C2", "scaling_sweeps", "schedule_gamma",
-    "soft_c_transform_1", "soft_c_transform_2", "solve", "solve_scheduled",
-    "spanning_tree_flow", "sweep_scaling", "variation_seminorm",
-    "verify_certificate", "vertex_dual_from_flow", "vertex_dual_from_scaling",
+    "project_C1", "project_C2", "schedule_gamma", "soft_c_transform_1",
+    "soft_c_transform_2", "solve", "solve_scheduled", "spanning_tree_flow",
+    "variation_seminorm", "verify_certificate", "vertex_dual_from_flow",
     "w1_estimate",
 ]
 

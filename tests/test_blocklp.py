@@ -20,7 +20,7 @@ from sinkflow.blocklp import (
     solve,
     solve_scheduled,
 )
-from sinkflow.flowsinkhorn import FlowProblem, matrix_sweeps, scaling_sweeps
+from sinkflow.flowsinkhorn import FlowProblem, matrix_sweeps
 from sinkflow.graph import Graph
 from sinkflow.sinkhorn import OTProblem
 
@@ -214,22 +214,6 @@ def test_solve_call_counts_do_not_depend_on_blocks(monkeypatch):
     assert pb.calls == {"sweeps": 1, "full": 35, "half": 4}
 
 
-def test_solve_half_none_leaves_half_columns_nan():
-    pb = ToyProblem(gamma=0.2)
-
-    def no_half():
-        for u, full, _ in BlockProblem.sweeps(pb):
-            yield u, full, None
-
-    _, trace = solve(pb, max_sweeps=5, sweeps=no_half())
-    _, ref = solve(pb, max_sweeps=5)
-    assert all(math.isnan(v) for v in trace.foc1 + trace.res2_l1[1:]
-               + trace.half_mass)
-    assert trace.F_gamma == ref.F_gamma
-    assert trace.res1_l1 == ref.res1_l1
-    assert trace.foc2[1:] == ref.foc2[1:]
-
-
 def test_marginals_match_the_primal():
     pb = ToyProblem(gamma=0.3)
     u = DualState(np.array([0.4]), np.array([-0.2]))
@@ -301,19 +285,14 @@ def _matrix_path():
     return pb, matrix_sweeps(pb)
 
 
-def _scaling_path():
-    pb = random_flow_problem(np.random.default_rng(73), 8, 0.5)
-    return pb, scaling_sweeps(pb)
-
-
 def _toy():
     return ToyProblem(gamma=0.2), None
 
 
 @pytest.mark.parametrize("make, sweeps", [
     (_flow_engine, 600), (_ot_engine, 1500), (_matrix_path, 300),
-    (_scaling_path, 300), (_toy, 100)],
-    ids=["flow-engine", "ot-engine", "matrix", "scaling", "toy"])
+    (_toy, 100)],
+    ids=["flow-engine", "ot-engine", "matrix", "toy"])
 def test_blocks_match_one_row_blocks(monkeypatch, make, sweeps):
     """Rows evaluated in blocks equal rows evaluated one at a time, as they
     were before blocks; the two engines run at gamma 1e-3 over at least

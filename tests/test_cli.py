@@ -2,15 +2,20 @@ import argparse
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sinkflow import cli
+from sinkflow.blocklp import BlockProblem, NumericOverflowError, solve
 from sinkflow.cli import main
+from sinkflow.flowsinkhorn import FlowProblem, matrix_sweeps, w1_estimate
+from sinkflow.graph import Graph
 
 
 @pytest.fixture
@@ -57,6 +62,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def reference_w1_duals(path, gamma, max_sweeps):
+    """w1_dual after max_sweeps of the matrix path and of the exact block
+    updates, run in the library on the flow problem in path."""
+    with open(path) as fh:
+        data = json.load(fh)
+    graph = Graph(data["graph"]["n"], data["graph"]["edges"])
+    pb = FlowProblem(graph, data["b1"], data["b2"], gamma)
+    duals = {}
+    for name, sweeps in (("matrix", matrix_sweeps(pb)),
+                         ("exact", BlockProblem.sweeps(pb))):
+        state, _ = solve(pb, max_sweeps=max_sweeps, sweeps=sweeps)
+        duals[name] = w1_estimate(pb, state)[1]
+    return duals
+
+
 # ------------------------------------------------------------------- w1
 
 
@@ -84,28 +104,24 @@ def test_w1_gamma_flag_overrides_json(capsys, flow_file):
 
 
 def test_w1_paths_agree(capsys, path3_file):
-    values = {}
-    for path in ("matrix", "scaling", "stable"):
-        code, out, _ = run_cli(
-            capsys, "w1", path3_file, "--path", path, "--max-sweeps", "60"
-        )
-        assert code == 0
-        values[path] = json.loads(out)["w1_dual"]
-    assert values["matrix"] == pytest.approx(values["stable"], abs=1e-8)
-    assert values["scaling"] == pytest.approx(values["stable"], abs=1e-8)
+    """The engine w1 runs against the matrix path and the exact updates."""
+    code, out, _ = run_cli(capsys, "w1", path3_file, "--max-sweeps", "60")
+    assert code == 0
+    dual = json.loads(out)["w1_dual"]
+    values = reference_w1_duals(path3_file, 0.2, 60)
+    assert values["matrix"] == pytest.approx(dual, abs=1e-8)
+    assert values["exact"] == pytest.approx(dual, abs=1e-8)
 
 
 def test_w1_scaling_matches_stable_at_gamma_005(capsys, path3_file):
-    """Where |r| dominates sqrt(PQ) the scaling update must not cancel."""
-    values = {}
-    for path in ("scaling", "stable"):
-        code, out, _ = run_cli(
-            capsys, "w1", path3_file, "--gamma", "0.05", "--path", path,
-            "--max-sweeps", "60",
-        )
-        assert code == 0
-        values[path] = json.loads(out)["w1_dual"]
-    assert values["scaling"] == pytest.approx(values["stable"], abs=1e-8)
+    """Where |r| dominates sqrt(a c) the engine's scaling root must not
+    cancel: w1 matches the exact block updates."""
+    code, out, _ = run_cli(capsys, "w1", path3_file, "--gamma", "0.05",
+                           "--max-sweeps", "60")
+    assert code == 0
+    dual = json.loads(out)["w1_dual"]
+    assert reference_w1_duals(path3_file, 0.05, 60)["exact"] == \
+        pytest.approx(dual, abs=1e-8)
 
 
 def test_w1_trace_csv(capsys, path3_file, tmp_path):
@@ -127,34 +143,40 @@ def test_w1_deterministic_output(capsys, path3_file):
     code2, out2, _ = run_cli(capsys, "w1", path3_file, "--max-sweeps", "40")
     assert code1 == code2 == 0
     assert out1 == out2
-    code3, out3, _ = run_cli(
-        capsys, "w1", path3_file, "--max-sweeps", "40", "--deterministic"
-    )
-    assert code3 == 0
-    assert out3 == out1
 
 
-def test_w1_scaling_overflow_exits_3_with_partial_trace(capsys, tmp_path, path3_file):
+def test_w1_scaling_overflow_exits_3_with_partial_trace(capsys, monkeypatch,
+                                                        tmp_path, path3_file):
+    """An overflow in the scaling engine at sweep k exits 3, prints no
+    answer and writes the trace rows 0..k-1."""
+    at = 7
+    engine = FlowProblem.sweeps
+
+    def overflowing(problem):
+        for k, sweep in enumerate(engine(problem), start=1):
+            if k == at:
+                raise NumericOverflowError(f"overflow at sweep {k}")
+            yield sweep
+
+    monkeypatch.setattr(FlowProblem, "sweeps", overflowing)
     trace = tmp_path / "partial.csv"
-    code, out, err = run_cli(
-        capsys, "w1", path3_file, "--gamma", "1e-3", "--path", "scaling",
-        "--max-sweeps", "50", "--trace", str(trace),
-    )
+    code, out, err = run_cli(capsys, "w1", path3_file, "--max-sweeps", "50",
+                             "--trace", str(trace))
     assert code == 3
     assert out == ""
-    assert "numeric failure" in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric failure")
     with open(trace) as fh:
         rows = list(csv.reader(fh))
-    assert len(rows) >= 2  # header plus at least the starting row
+    assert [int(row[0]) for row in rows[1:]] == list(range(at))
 
 
-@pytest.mark.parametrize("path", ["stable", "matrix", "scaling"])
 def test_w1_frees_the_sweeps_before_the_estimate(capsys, monkeypatch,
-                                                 path3_file, path):
+                                                 path3_file):
     """Nothing holds the sweeps iterator, with the kernel and scalings it
     keeps, while w1_estimate forms x(u) for the answer."""
     made = []
-    start = cli._FLOW_SWEEPS[path]
+    start = FlowProblem.sweeps
 
     def recorded(problem):
         sweeps = start(problem)
@@ -168,10 +190,9 @@ def test_w1_frees_the_sweeps_before_the_estimate(capsys, monkeypatch,
         alive.extend(ref() is not None for ref in made)
         return answer(problem, state)
 
-    monkeypatch.setitem(cli._FLOW_SWEEPS, path, recorded)
+    monkeypatch.setattr(FlowProblem, "sweeps", recorded)
     monkeypatch.setattr(cli, "w1_estimate", estimate)
-    code, _, _ = run_cli(capsys, "w1", path3_file, "--path", path,
-                         "--max-sweeps", "5")
+    code, _, _ = run_cli(capsys, "w1", path3_file, "--max-sweeps", "5")
     assert code == 0
     assert alive == [False]
 
@@ -338,9 +359,8 @@ def test_bad_marginals_are_input_error(capsys, tmp_path):
 @pytest.mark.parametrize("command,flag,value", [
     ("w1", "--max-sweeps", "5"), ("ot", "--max-sweeps", "5"),
     ("w1", "--tol", "0.5"), ("ot", "--tol", "0.5"),
-    ("w1", "--path", "scaling"),
 ], ids=["--max-sweeps-5-w1", "--max-sweeps-5-ot", "--tol-0.5-w1",
-        "--tol-0.5-ot", "--path-scaling-w1"])
+        "--tol-0.5-ot"])
 def test_epsilon_rejects_budget_and_path_flags(capsys, flow_file, ot_file,
                                                command, flag, value):
     path = flow_file if command == "w1" else ot_file
@@ -465,16 +485,37 @@ def test_ot_small_gamma_prints_nothing_on_stderr(capsys, tmp_path):
     assert math.isfinite(json.loads(out)["ot_dual"])
 
 
-@pytest.mark.parametrize("command", ["w1", "ot"])
+@pytest.mark.parametrize("command,budget", [
+    ("w1", ["--max-sweeps", "-1"]), ("ot", ["--max-sweeps", "-1"]),
+    *((command, ["--tol", tol, "--max-sweeps", "20"])
+      for command in ("w1", "ot") for tol in ("nan", "inf", "-1")),
+], ids=["w1", "ot", "w1-tol-nan", "w1-tol-inf", "w1-tol--1", "ot-tol-nan",
+        "ot-tol-inf", "ot-tol--1"])
 def test_negative_max_sweeps_is_input_error(capsys, flow_file, ot_file,
-                                            command):
+                                            command, budget):
+    """A negative --max-sweeps, and a --tol outside [0, inf)."""
     path = flow_file if command == "w1" else ot_file
-    code, out, err = run_cli(capsys, command, path, "--max-sweeps", "-1")
+    code, out, err = run_cli(capsys, command, path, *budget)
     assert code == 2
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
-    assert "--max-sweeps" in lines[0]
+    assert budget[0] in lines[0]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "NOGAMMA"], "error: no --gamma given"),
+    (["verify", "--gamma", "0.3"], "error: --gamma needs a problem FILE"),
+], ids=["file-without-gamma", "gamma-without-file"])
+def test_verify_gamma_input_errors(capsys, tmp_path, argv, message):
+    path = tmp_path / "nogamma.json"
+    path.write_text(json.dumps(_TWO_NODE))
+    argv = [str(path) if a == "NOGAMMA" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message)
 
 
 @pytest.mark.parametrize("argv", [
@@ -487,9 +528,15 @@ def test_negative_max_sweeps_is_input_error(capsys, flow_file, ot_file,
     ["ot", "FILE", "--path", "scaling"],
     ["ot", "FILE", "--path", "stable"],
     ["ot", "FILE", "--epsilon", "0.05", "--path", "scaling"],
+    ["w1", "FILE", "--path", "stable"],
+    ["w1", "FILE", "--epsilon", "0.05", "--path", "scaling"],
+    ["w1", "FILE", "--deterministic"],
+    ["exact", "FILE", "--deterministic"],
+    ["verify", "--deterministic"],
 ], ids=["exact-epsilon", "exact-path", "verify-max-sweeps", "verify-trace",
         "w1-seed", "ot-path-matrix", "ot-path-scaling", "ot-path-stable",
-        "ot-epsilon-path"])
+        "ot-epsilon-path", "w1-path-stable", "w1-epsilon-path",
+        "w1-deterministic", "exact-deterministic", "verify-deterministic"])
 def test_subcommand_rejects_flags_it_does_not_read(capsys, flow_file, argv):
     argv = [flow_file if a == "FILE" else a for a in argv]
     with pytest.raises(SystemExit) as err:
@@ -497,27 +544,49 @@ def test_subcommand_rejects_flags_it_does_not_read(capsys, flow_file, argv):
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert argv[-2] in captured.err.splitlines()[-1]
+    # the last flag in each row is the one the subcommand does not read
+    flag = [a for a in argv if a.startswith("--")][-1]
+    assert flag in captured.err.splitlines()[-1]
 
 
-def test_option_sets_per_subcommand():
-    """Each subcommand registers exactly the options it reads."""
+def registered_options():
+    """{subcommand: the options its parser registers, 'input' for the
+    positional FILE}."""
     parser = cli._build_parser()
     subparsers = next(a for a in parser._actions
                       if isinstance(a, argparse._SubParsersAction))
-    options = {
+    return {
         name: {a.option_strings[-1] if a.option_strings else a.dest
                for a in sub._actions} - {"--help"}
         for name, sub in subparsers.choices.items()
     }
+
+
+def test_option_sets_per_subcommand():
+    """Each subcommand registers exactly the options it reads."""
     run = {"input", "--gamma", "--epsilon", "--max-sweeps", "--tol",
-           "--trace", "--deterministic"}
-    assert options == {
-        "w1": run | {"--path"},
+           "--trace"}
+    assert registered_options() == {
+        "w1": run,
         "ot": run,
-        "exact": {"input", "--deterministic"},
-        "verify": {"input", "--gamma", "--seed", "--deterministic"},
+        "exact": {"input"},
+        "verify": {"input", "--gamma", "--seed"},
     }
+
+
+def test_readme_flag_list_matches_the_parser():
+    """The README's per-subcommand flag list names the options that
+    _build_parser registers, and no others."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = text.index("Each subcommand takes only the flags it reads")
+    block = text[start:text.index("\n\n", text.index("\n- ", start))]
+    documented = {}
+    for item in block.split("\n- ")[1:]:
+        head, _, flags = item.partition(":")
+        name, *positional = head.strip("`").split()
+        documented[name] = (set(re.findall(r"`(--[a-z-]+)", flags))
+                            | ({"input"} if positional else set()))
+    assert documented == registered_options()
 
 
 def test_gamma_epsilon_conflict_is_usage_error(flow_file):

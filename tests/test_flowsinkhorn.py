@@ -28,9 +28,7 @@ from sinkflow.flowsinkhorn import (
     flow_constants,
     project_C1,
     project_C2,
-    sweep_scaling,
     vertex_dual_from_flow,
-    vertex_dual_from_scaling,
     w1_estimate,
 )
 from sinkflow.graph import Graph, spanning_tree_flow
@@ -233,15 +231,13 @@ def test_two_node_one_sweep_fixed_point():
 
 
 def test_two_node_scaling_fixed_point():
+    """Three sweeps of the scaling engine land on v = (-a, a)."""
     pb = two_node(gamma=1.0)
-    s = np.ones(2)
+    sweeps = pb.sweeps()
     for _ in range(3):
-        s = sweep_scaling(pb, s)
+        u, _, _ = next(sweeps)
     a = math.asinh(2.0 * math.e)
-    np.testing.assert_allclose(
-        vertex_dual_from_scaling(pb, s), [-a, a], rtol=1e-12)
-    np.testing.assert_allclose(
-        np.exp(np.array([-a, a]) / (2.0 * pb.gamma)), s, rtol=1e-12)
+    np.testing.assert_allclose(u.u1, [-a, a], rtol=1e-12)
 
 
 def test_two_node_dual_objective_closed_form():
@@ -250,12 +246,6 @@ def test_two_node_dual_objective_closed_form():
     v = pb.block_update_1(pb.block_update_2(np.zeros(2)))
     _, dual = w1_estimate(pb, DualState(v, pb.block_update_2(v)))
     assert dual == pytest.approx(1.8778712814867873, abs=1e-13)
-
-
-def test_scaling_from_vertex_dual_rejects_nonpositive():
-    pb = two_node()
-    with pytest.raises(ValueError):
-        vertex_dual_from_scaling(pb, np.array([1.0, 0.0]))
 
 
 # ------------------------------------------------------ path equivalence
@@ -267,19 +257,17 @@ def test_three_paths_agree():
     g = pb.graph
 
     f = EdgeFlow(g, np.exp(-pb.w_eff / pb.gamma))
-    s = np.ones(g.n)
+    engine = pb.sweeps()
     v = np.zeros(g.n)
     for _ in range(30):
         f = project_C2(*project_C1(pb, f))
-        s = sweep_scaling(pb, s)
+        u, _, _ = next(engine)
         v = pb.block_update_1(pb.block_update_2(v))
         f_stable = primal_from_dual(
             pb, DualState(v, pb.block_update_2(v)))[:g.p]
-        v_scal = vertex_dual_from_scaling(pb, s)
-        f_scal = primal_from_dual(
-            pb, DualState(v_scal, pb.block_update_2(v_scal)))[:g.p]
+        f_engine = primal_from_dual(pb, u)[:g.p]
         np.testing.assert_allclose(f.values, f_stable, rtol=1e-9)
-        np.testing.assert_allclose(f_scal, f_stable, rtol=1e-9)
+        np.testing.assert_allclose(f_engine, f_stable, rtol=1e-9)
 
     # gauge-invariant dual comparison: differences to vertex 0
     v_mat = vertex_dual_from_flow(pb, f)
@@ -317,15 +305,6 @@ def test_stable_sweep_survives_small_gamma():
             assert cur >= prev - 1e-12
             prev = cur
     assert np.all(np.isfinite(v))
-
-
-def test_scaling_sweep_fails_at_small_gamma():
-    g = Graph(3, [(0, 1, 1.0), (1, 2, 1.5)])
-    pb = FlowProblem(g, [0.7, 0.1, 0.2], [0.1, 0.3, 0.6], gamma=1e-3)
-    with pytest.raises(NumericOverflowError, match="log-domain"):
-        s = np.ones(3)
-        for _ in range(100):
-            s = sweep_scaling(pb, s)
 
 
 # ------------------------------------------------------------- estimates
