@@ -90,9 +90,7 @@ def _bad_input(what: str):
 def _build_graph(data: dict) -> Graph:
     with _bad_input("graph description"):
         spec = data["graph"]
-        n = spec["n"]
-        edges = [(int(i), int(j), float(w)) for i, j, w in spec["edges"]]
-        return Graph(int(n), edges)
+        return Graph(spec["n"], spec["edges"])
 
 
 def _build_flow(graph: Graph, data: dict, gamma: float) -> FlowProblem:
@@ -107,6 +105,18 @@ def _build_ot(cost, data: dict, gamma: float) -> OTProblem:
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload))
+
+
+def _check_trace_path(path: str | None) -> None:
+    """Open --trace for appending before any sweep, so that an unwritable
+    path is an input error and not a failure after the run. Appending
+    leaves an existing file as it is until the trace is written."""
+    if path:
+        try:
+            with open(path, "a"):
+                pass
+        except OSError as err:
+            raise _InputError(f"cannot write --trace {path}: {err}") from err
 
 
 def _write_trace(trace: ConvergenceTrace | None, path: str | None) -> None:
@@ -201,6 +211,7 @@ def _run(args, setup, estimate) -> int:
     _check_run_flags(args)
     data = _load_json(args.input)
     problem, schedule = setup(data, args)
+    _check_trace_path(args.trace)
     try:
         if schedule is None:
             max_sweeps, tol = _budget(args)

@@ -1,10 +1,11 @@
 """Undirected weighted graphs: one arc adjacency, hop diameter, tree flows.
 
-A Graph stores each undirected edge once as (i, j, w) with i < j, and one
-adjacency: the directed arcs (both orientations of every edge) as parallel
-arrays sorted by (src, dst), with a reverse-arc index and per-vertex segment
-offsets. The flow solver's per-sweep reductions run vectorized over these
-arrays, and every traversal here walks the same segments.
+A Graph stores one adjacency: the directed arcs (both orientations of every
+edge) as parallel arrays sorted by (src, dst), with a reverse-arc index and
+per-vertex segment offsets, and the breadth-first tree from vertex 0 that
+its connectivity check walks. The flow solver's per-sweep reductions run
+vectorized over these arrays, every traversal here walks the same
+segments, and the spanning-tree flow reuses the stored tree.
 """
 
 from __future__ import annotations
@@ -18,56 +19,77 @@ __all__ = [
 ]
 
 
+def _vertex(x) -> str:
+    """An endpoint as the input gave it: 3 for 3.0, 1.5 for 1.5."""
+    return str(int(x)) if float(x).is_integer() else repr(float(x))
+
+
 class Graph:
     """Connected undirected graph with positive edge lengths.
 
     Args:
-      n: vertex count, vertices are 0..n-1.
-      edges: iterable of (i, j, w); endpoints in any order, each undirected
-        edge given once, w finite and > 0.
+      n: vertex count, an integer >= 1; vertices are 0..n-1.
+      edges: sequence of (i, j, w) triples, or an (m, 3) array; endpoints
+        integral, in any order, each undirected edge given once, w finite
+        and > 0. The checks and the arc arrays are whole-array operations.
+
+    One breadth-first search from vertex 0 checks connectivity. Its visit
+    order (bfs_order), the arc by which each vertex was first reached
+    (bfs_tree_arc, -1 at vertex 0) and the offsets of its hop levels in the
+    visit order (bfs_level_starts) are kept as intp arrays for
+    spanning_tree_flow.
 
     Raises:
-      ValueError: on self-loops, duplicate edges, bad weights, out-of-range
-        endpoints, or a disconnected graph.
+      ValueError: on a non-integral or nonpositive n, rows that are not
+        triples, self-loops, duplicate edges, bad weights, non-integral or
+        out-of-range endpoints, or a disconnected graph. An edge error
+        names the first bad edge in input order.
     """
 
     def __init__(self, n: int, edges):
-        if n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {n}")
-        canon = []
-        seen = set()
-        for i, j, w in edges:
-            i, j, w = int(i), int(j), float(w)
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-            if not (np.isfinite(w) and w > 0.0):
-                raise ValueError(f"edge ({i},{j}) needs finite positive weight, got {w}")
-            if i > j:
-                i, j = j, i
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i},{j})")
-            seen.add((i, j))
-            canon.append((i, j, w))
-        canon.sort()
-        self.n = n
-        self.edges = tuple(canon)
-        self._build_arcs()
-        if len(_bfs(self, 0)[0]) < n:
+        try:
+            count = float(n)
+        except OverflowError as err:
+            raise ValueError(f"vertex count {n} is too large") from err
+        if not (count.is_integer() and count >= 1):
+            raise ValueError(f"vertex count must be an integer >= 1, got {n!r}")
+        n = int(count)
+        try:
+            edges = np.asarray(edges, dtype=float)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"edges must be (i, j, w) triples: {err}") from err
+        if edges.shape == (0,):
+            edges = edges.reshape(0, 3)
+        if edges.ndim != 2 or edges.shape[1] != 3:
+            raise ValueError(
+                f"edges must be (i, j, w) triples, got shape {edges.shape}")
+        i, j, w = edges.T
+        _check_edges(n, i, j, w)
+        if len(w) < n - 1:
+            # fewer edges than a spanning tree; this also spares a huge n
+            # its per-vertex arrays
             raise ValueError("graph is not connected")
+        self.n = n
+        self._build_arcs(i.astype(np.intp), j.astype(np.intp), w)
+        order, tree_arc, hops = _bfs(self, 0)
+        if len(order) < n:
+            raise ValueError("graph is not connected")
+        self.bfs_order = np.array(order, dtype=np.intp)
+        self.bfs_tree_arc = np.array(tree_arc, dtype=np.intp)
+        depth = np.array(hops, dtype=np.intp)[self.bfs_order]
+        self.bfs_level_starts = np.flatnonzero(np.diff(depth, prepend=-1))
 
-    def _build_arcs(self):
-        # Directed view: both orientations of each stored edge, sorted by
+    def _build_arcs(self, i, j, w):
+        # Directed view: both orientations of each edge, sorted by
         # (src, dst). Arc k < m of the unsorted list is edge k forward and
         # arc k + m the same edge backward, so the reverse of the arc sorted
         # to position e sits where arc (order[e] + m) % p was sorted to.
-        m = len(self.edges)
+        # The (src, dst) pairs are distinct, so the input's edge order and
+        # orientations do not show in the result.
+        m = len(w)
         self.p = 2 * m
-        ends = np.array([e[:2] for e in self.edges], dtype=np.intp).reshape(m, 2)
-        w = np.array([e[2] for e in self.edges], dtype=float)
-        src = np.concatenate([ends[:, 0], ends[:, 1]])
-        dst = np.concatenate([ends[:, 1], ends[:, 0]])
+        src = np.concatenate([i, j])
+        dst = np.concatenate([j, i])
         order = np.lexsort((dst, src))
         rank = np.empty(self.p, dtype=np.intp)
         rank[order] = np.arange(self.p)
@@ -80,7 +102,39 @@ class Graph:
         self.arc_seg_starts = np.searchsorted(self.arc_src, np.arange(self.n))
 
     def __repr__(self):
-        return f"Graph(n={self.n}, edges={len(self.edges)})"
+        return f"Graph(n={self.n}, edges={self.p // 2})"
+
+
+def _check_edges(n: int, i, j, w) -> None:
+    """Raise ValueError for the first edge, in input order, that is a
+    self-loop, has an endpoint that is not an integer in 0..n-1, has a
+    weight that is not finite and positive, or repeats an earlier edge.
+    An edge that fails several checks reports the first in that list."""
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    loop = i == j
+    ends = (lo >= 0) & (hi < n) & (np.floor(i) == i) & (np.floor(j) == j)
+    weight = np.isfinite(w) & (w > 0)
+    bad = np.flatnonzero(loop | ~ends | ~weight)
+    first = bad[0] if bad.size else len(w)
+    # a stable sort on (lo, hi) puts each repeat right after the earlier
+    # edges with its endpoints; NaN endpoints compare unequal
+    order = np.lexsort((hi, lo))
+    same = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
+    repeats = order[1:][same]
+    if repeats.size and repeats.min() < first:
+        k = repeats.min()
+        raise ValueError(f"duplicate edge ({_vertex(lo[k])},{_vertex(hi[k])})")
+    if first == len(w):
+        return
+    a, b = _vertex(i[first]), _vertex(j[first])
+    if loop[first]:
+        raise ValueError(f"self-loop at vertex {a}")
+    if not (lo[first] >= 0 and hi[first] < n):
+        raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+    if not ends[first]:
+        raise ValueError(f"edge ({a},{b}) has a non-integral endpoint")
+    raise ValueError(
+        f"edge ({a},{b}) needs finite positive weight, got {float(w[first])!r}")
 
 
 def _bfs(g: Graph, source: int):
@@ -148,10 +202,10 @@ def hop_diameter(g: Graph) -> int:
 def spanning_tree_flow(g: Graph, b1, b2):
     """Feasible nonnegative arc flow with divergence b1 - b2 on a BFS tree.
 
-    The tree is grown from vertex 0 with neighbors visited in ascending id
-    order, so the result is deterministic. Each tree edge carries the net
-    imbalance of the subtree hanging below it, placed on whichever directed
-    orientation keeps the flow entry nonnegative.
+    The tree is the Graph's own BFS tree from vertex 0, grown with neighbors
+    visited in ascending id order, so the result is deterministic. Each tree
+    edge carries the net imbalance of the subtree hanging below it, placed
+    on whichever directed orientation keeps the flow entry nonnegative.
 
     Raises:
       ValueError: if the marginals are unbalanced beyond 1e-12.
@@ -166,16 +220,20 @@ def spanning_tree_flow(g: Graph, b1, b2):
     if abs(imbalance) > 1e-12:
         raise ValueError(f"marginals differ in total mass by {imbalance:.3e}")
 
-    order, tree_arc, _ = _bfs(g, 0)
-    src = g.arc_src.tolist()
-    rev = g.arc_rev.tolist()
-    # Subtree surplus of (b1 - b2), accumulated leaves-first.
-    surplus = (b1 - b2).tolist()
+    # Subtree surplus of (b1 - b2), gathered leaves-first: one hop level at
+    # a time from the deepest, each in reversed visit order. np.add.at adds
+    # in index order, so every parent takes its children's surpluses in the
+    # order of a reversed-BFS loop, and the sums are bit-identical to it.
+    rev = g.bfs_order[:0:-1]
+    # tree arc e runs (parent -> v) and adds +f to div at v
+    tree_arc = g.bfs_tree_arc[rev]
+    parent = g.arc_src[tree_arc]
+    surplus = b1 - b2
+    # level k >= 1 is rev[n - starts[k + 1]:n - starts[k]], starts[L + 1] = n
+    cuts = (g.n - g.bfs_level_starts[:0:-1]).tolist()
+    for lo, hi in zip([0] + cuts, cuts):
+        np.add.at(surplus, parent[lo:hi], surplus[rev[lo:hi]])
+    s = surplus[rev]
     values = np.zeros(g.p)
-    for v in reversed(order[1:]):
-        # tree arc e runs (parent -> v) and adds +f to div at v
-        e = tree_arc[v]
-        s = surplus[v]
-        values[e if s >= 0.0 else rev[e]] = abs(s)
-        surplus[src[e]] += s
+    values[np.where(s >= 0.0, tree_arc, g.arc_rev[tree_arc])] = np.abs(s)
     return EdgeFlow(g, values)

@@ -25,6 +25,21 @@ def random_connected_graph(rng, n, edge_prob=0.3, w_lo=0.5, w_hi=2.0):
     return Graph(n, edges)
 
 
+def large_budget_edges(rng, n):
+    """A weighted path with n // 3 random chords, as flow-large-budget has,
+    as an (i, j, w) list."""
+    edges = [(k, k + 1, float(w))
+             for k, w in enumerate(rng.uniform(0.5, 2.0, n - 1))]
+    chords = set()
+    while len(chords) < n // 3:
+        i, j = sorted(int(v) for v in rng.integers(0, n, 2))
+        if j - i > 1:
+            chords.add((i, j))
+    weights = rng.uniform(0.5, 2.0, len(chords))
+    edges += [(i, j, float(w)) for (i, j), w in zip(sorted(chords), weights)]
+    return edges
+
+
 def random_marginals(rng, n, floor=0.05):
     m = rng.random(n) + floor
     return m / m.sum()
@@ -40,12 +55,21 @@ def random_ot_problem(rng, m1, m2, gamma, cost_scale=1.0):
     return OTProblem(cost, random_marginals(rng, m1), random_marginals(rng, m2), gamma)
 
 
+def graph_edges(g):
+    """Each undirected edge of a Graph once, as (i, j, w) with i < j in
+    (i, j) order: the arcs with arc_src < arc_dst."""
+    fwd = g.arc_src < g.arc_dst
+    return list(zip(g.arc_src[fwd].tolist(), g.arc_dst[fwd].tolist(),
+                    g.arc_w[fwd].tolist()))
+
+
 def floyd_warshall(g):
     """All-pairs shortest-path lengths of a Graph, as a dense matrix."""
     d = np.full((g.n, g.n), np.inf)
     np.fill_diagonal(d, 0.0)
-    for i, j, w in g.edges:
-        d[i, j] = d[j, i] = min(d[i, j], w)
+    fwd = g.arc_src < g.arc_dst
+    i, j = g.arc_src[fwd], g.arc_dst[fwd]
+    d[i, j] = d[j, i] = g.arc_w[fwd]
     for k in range(g.n):
         d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
     return d

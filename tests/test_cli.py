@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sinkflow.graph as graph_module
 from sinkflow import cli
 from sinkflow.blocklp import BlockProblem, NumericOverflowError, solve
 from sinkflow.cli import main
@@ -354,6 +355,71 @@ def test_bad_marginals_are_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "w1", str(path))
     assert code == 2
     assert "balance" in err
+
+
+@pytest.mark.parametrize("graph", [
+    {"n": 3, "edges": [[0, 1, 1.0], [1, 1, 1.0], [1, 2, 1.0]]},
+    {"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0], [0, 1, 2.0]]},
+    {"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0], [1, 0, 2.0]]},
+    {"n": 3, "edges": [[0, 1, 1.0], [1, 3, 1.0]]},
+    {"n": 3, "edges": [[0, 1.5, 1.0], [1, 2, 1.0]]},
+    {"n": 3.7, "edges": [[0, 1, 1.0], [1, 2, 1.0]]},
+    {"n": 3, "edges": [[0, 1, 0.0], [1, 2, 1.0]]},
+    {"n": 3, "edges": [[0, 1, float("nan")], [1, 2, 1.0]]},
+    {"n": 3, "edges": [[0, 1, -1.0], [1, 2, 1.0]]},
+    {"n": 3, "edges": [[0, 1, 1.0], [1, 2]]},
+    {"n": 3, "edges": [[0, 1, 1.0, 2.0], [1, 2, 1.0, 2.0]]},
+    {"n": 4, "edges": [[0, 1, 1.0], [1, 2, 1.0]]},
+    {"n": 10 ** 400, "edges": [[0, 1, 1.0], [1, 2, 1.0]]},
+], ids=["self-loop", "duplicate", "duplicate-reversed", "out-of-range",
+        "fractional-endpoint", "fractional-n", "zero-weight", "nan-weight",
+        "negative-weight", "ragged-row", "four-number-rows", "disconnected",
+        "n-beyond-float"])
+def test_malformed_graph_is_input_error(capsys, monkeypatch, tmp_path, graph):
+    # JSON carries NaN as a bare literal, which json.dumps writes and
+    # json.load reads
+    path = tmp_path / "bad_graph.json"
+    path.write_text(json.dumps({"graph": graph, "b1": [1.0, 0.0, 0.0],
+                                "b2": [0.0, 0.0, 1.0], "gamma": 0.5}))
+    monkeypatch.setattr(cli, "solve", None)  # no sweep may run
+    code, out, err = run_cli(capsys, "w1", str(path), "--max-sweeps", "5")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: bad graph description: ")
+
+
+@pytest.mark.parametrize("command", ["w1", "ot"])
+def test_unwritable_trace_is_input_error_before_any_sweep(
+        capsys, monkeypatch, tmp_path, flow_file, ot_file, command):
+    path = flow_file if command == "w1" else ot_file
+    trace = tmp_path / "missing" / "t.csv"
+    monkeypatch.setattr(cli, "solve", None)  # no sweep may run
+    code, out, err = run_cli(capsys, command, path, "--max-sweeps", "5",
+                             "--trace", str(trace))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: cannot write --trace {trace}")
+
+
+def test_w1_gamma_runs_one_bfs(capsys, monkeypatch, path3_file):
+    """The Graph's connectivity check is the only traversal of a budget run:
+    the spanning-tree flow reuses its tree."""
+    runs = []
+    bfs = graph_module._bfs
+
+    def counted(g, source):
+        runs.append(source)
+        return bfs(g, source)
+
+    monkeypatch.setattr(graph_module, "_bfs", counted)
+    code, _, _ = run_cli(capsys, "w1", path3_file, "--gamma", "0.2",
+                         "--max-sweeps", "5")
+    assert code == 0
+    assert runs == [0]
 
 
 @pytest.mark.parametrize("command,flag,value", [

@@ -35,7 +35,8 @@ from sinkflow.graph import Graph, spanning_tree_flow
 from sinkflow.numerics import kl_divergence
 from sinkflow.oracle import exact_w1
 
-from conftest import count_block_updates, random_connected_graph, random_marginals
+from conftest import (count_block_updates, graph_edges, large_budget_edges,
+                      random_connected_graph, random_marginals)
 
 
 def two_node(gamma=0.5, w=1.0):
@@ -534,7 +535,7 @@ def test_engine_fallbacks_rare_with_a_zero_mass_vertex_off_the_flow():
     # vertex 20 hangs off vertex 0 by an edge of length 2 and has r = 0:
     # both of its scaled sums sit near 1e-290, and their product underflows
     g, mu1, mu2 = criterion_2_first_graph()
-    g = Graph(21, list(g.edges) + [(0, 20, 2.0)])
+    g = Graph(21, graph_edges(g) + [(0, 20, 2.0)])
     share = scheduled_fallback_share(g, np.append(mu1, 0.0),
                                      np.append(mu2, 0.0))
     assert share <= 0.01
@@ -572,24 +573,10 @@ def test_scaling_root_solves_the_quadratic_without_dividing_by_a_tiny_sum():
 # ------------------------------------------------------------ peak memory
 
 
-def path_plus_chords(rng, n):
-    """A weighted path with n // 3 random chords, as flow-large-budget has."""
-    edges = [(k, k + 1, float(w))
-             for k, w in enumerate(rng.uniform(0.5, 2.0, n - 1))]
-    chords = set()
-    while len(chords) < n // 3:
-        i, j = sorted(int(v) for v in rng.integers(0, n, 2))
-        if j - i > 1:
-            chords.add((i, j))
-    weights = rng.uniform(0.5, 2.0, len(chords))
-    edges += [(i, j, float(w)) for (i, j), w in zip(sorted(chords), weights)]
-    return Graph(n, edges)
-
-
 def solve_peak_in_p_vectors(n=20_000, sweeps=5):
     """tracemalloc peak of a recorded solve above its start, in p-vectors."""
     rng = np.random.default_rng(0x3E)
-    g = path_plus_chords(rng, n)
+    g = Graph(n, large_budget_edges(rng, n))
     pb = FlowProblem(g, random_marginals(rng, n), random_marginals(rng, n), 0.05)
     gc.collect()
     tracemalloc.start()

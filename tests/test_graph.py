@@ -4,7 +4,8 @@ from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order
 
 import sinkflow.graph as graph_module
-from conftest import floyd_warshall, random_connected_graph, random_marginals
+from conftest import (floyd_warshall, graph_edges, large_budget_edges,
+                      random_connected_graph, random_marginals)
 from sinkflow.flowsinkhorn import divergence
 from sinkflow.graph import Graph, _bfs, hop_diameter, spanning_tree_flow
 
@@ -49,7 +50,76 @@ def test_rejects_disconnected():
         Graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    (3, [(0, 1.5, 1.0), (1, 2, 1.0)], "edge (0,1.5) has a non-integral endpoint"),
+    (3.7, [(0, 1, 1.0), (1, 2, 1.0)], "vertex count must be an integer >= 1"),
+    (0, [], "vertex count must be an integer >= 1"),
+    (float("nan"), [], "vertex count must be an integer >= 1"),
+    (3, [(0, 1, 1.0), (1, 2)], "(i, j, w) triples"),
+    (3, [(0, 1, 1.0, 2.0), (1, 2, 1.0, 2.0)], "(i, j, w) triples, got shape (2, 4)"),
+    (2, [0, 1, 1.0], "(i, j, w) triples, got shape (3,)"),
+    (1, [[]], "(i, j, w) triples, got shape (1, 0)"),
+    (2, [(0, 1, float("nan"))], "needs finite positive weight, got nan"),
+    (2, [(0, 1, float("inf"))], "needs finite positive weight, got inf"),
+    (2, [(-1, 1, 1.0)], "edge (-1,1) out of range for n=2"),
+    (10 ** 12, [(0, 1, 1.0)], "graph is not connected"),
+    (10 ** 400, [(0, 1, 1.0)], "is too large"),
+], ids=["fractional-endpoint", "fractional-n", "zero-n", "nan-n",
+        "ragged-row", "four-number-rows", "flat-row", "empty-row", "nan-weight",
+        "inf-weight", "negative-endpoint", "fewer-than-n-1-edges",
+        "n-beyond-float"])
+def test_rejects_malformed_input(n, edges, message):
+    with pytest.raises(ValueError) as err:
+        Graph(n, edges)
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (3, [(0, 1, 1.0), (1, 2, 0.0), (2, 2, 1.0)],
+     "edge (1,2) needs finite positive weight, got 0.0"),
+    (3, [(0, 1, 1.0), (1, 0, 1.0), (1, 5, 1.0)], "duplicate edge (0,1)"),
+    (3, [(0, 1, 1.0), (1, 5, 1.0), (1, 0, 1.0)], "edge (1,5) out of range"),
+    (3, [(2, 1, 1.0), (1, 0, 1.0), (1, 2, -1.0)],
+     "edge (1,2) needs finite positive weight, got -1.0"),
+    (3, [(0, 1, 1.0), (3, 3, -1.0)], "self-loop at vertex 3"),
+    (3, [(0, 1, 1.0), (0, 4, -1.0)], "edge (0,4) out of range for n=3"),
+    (3, [(0, 1, 1.0), (0, 2.5, -1.0)], "edge (0,2.5) has a non-integral"),
+], ids=["weight-before-loop", "repeat-before-range", "range-before-repeat",
+        "weight-on-a-repeat", "loop-first", "range-before-weight",
+        "integral-before-weight"])
+def test_error_names_the_first_bad_edge(n, edges, message):
+    # as a loop over the edges in input order reports them: the first edge
+    # failing any check, and for an edge failing several, self-loop, then
+    # endpoints, then weight, then repeat
+    with pytest.raises(ValueError) as err:
+        Graph(n, edges)
+    assert message in str(err.value)
+
+
 # ------------------------------------------------------------------ arc layout
+
+
+def reference_arcs(n, edges):
+    """The five arc arrays of a Graph, by a Python sort over both
+    orientations of each edge and a count of the arcs leaving each vertex."""
+    arcs = sorted(a for i, j, w in edges
+                  for a in ((int(i), int(j), float(w)), (int(j), int(i), float(w))))
+    index = {(src, dst): e for e, (src, dst, _) in enumerate(arcs)}
+    starts = [sum(src < v for src, _, _ in arcs) for v in range(n)]
+    return {
+        "arc_src": [src for src, _, _ in arcs],
+        "arc_dst": [dst for _, dst, _ in arcs],
+        "arc_w": [w for _, _, w in arcs],
+        "arc_rev": [index[(dst, src)] for src, dst, _ in arcs],
+        "arc_seg_starts": starts,
+    }
+
+
+def shuffled(rng, edges):
+    """The edges in random order, each in a random orientation."""
+    listed = [(j, i, w) if rng.random() < 0.5 else (i, j, w)
+              for i, j, w in edges]
+    return [listed[k] for k in rng.permutation(len(listed))]
 
 
 def test_arc_arrays_are_sorted_and_paired():
@@ -67,20 +137,19 @@ def test_arc_arrays_are_sorted_and_paired():
     assert g.arc_w[arc(g, 1, 2)] == 0.7
     assert g.arc_w[arc(g, 2, 1)] == 0.7
 
-    # any edge order and orientation gives the Python-sorted arc list
+    # any edge order and orientation gives the arrays of a sequential
+    # reference, on random graphs and on the flow-large-budget family
     rng = np.random.default_rng(13)
-    for _ in range(10):
-        base = random_connected_graph(rng, int(rng.integers(2, 15)))
-        listed = [(j, i, w) if rng.random() < 0.5 else (i, j, w)
-                  for i, j, w in base.edges]
-        listed = [listed[k] for k in rng.permutation(len(listed))]
+    graphs = [random_connected_graph(rng, int(rng.integers(2, 15)))
+              for _ in range(10)]
+    graphs += [Graph(n, large_budget_edges(rng, n)) for n in (3, 20, 150)]
+    for base in graphs:
+        listed = shuffled(rng, graph_edges(base))
         g = Graph(base.n, listed)
-        ref = sorted(a for i, j, w in base.edges for a in ((i, j, w), (j, i, w)))
-        index = {(src, dst): e for e, (src, dst, _) in enumerate(ref)}
-        assert g.arc_src.tolist() == [src for src, _, _ in ref]
-        assert g.arc_dst.tolist() == [dst for _, dst, _ in ref]
-        assert g.arc_w.tolist() == [w for _, _, w in ref]
-        assert g.arc_rev.tolist() == [index[(dst, src)] for src, dst, _ in ref]
+        for name, want in reference_arcs(base.n, listed).items():
+            got = getattr(g, name)
+            assert np.array_equal(got, want), name
+            assert got.dtype == (float if name == "arc_w" else np.intp), name
 
 
 def test_arc_segments_cover_each_source():
@@ -90,7 +159,33 @@ def test_arc_segments_cover_each_source():
         lo = g.arc_seg_starts[k]
         hi = g.arc_seg_starts[k + 1] if k + 1 < g.n else g.p
         assert np.all(g.arc_src[lo:hi] == k)
-        assert hi - lo == sum(k in (i, j) for i, j, _ in g.edges)
+        assert hi - lo == sum(k in (i, j) for i, j, _ in graph_edges(g))
+
+
+def test_array_and_tuple_list_give_the_same_graph():
+    rng = np.random.default_rng(19)
+    edges = shuffled(rng, large_budget_edges(rng, 60))
+    from_list = Graph(60, edges)
+    from_array = Graph(np.int64(60), np.array(edges))
+    for name in ("arc_src", "arc_dst", "arc_w", "arc_rev", "arc_seg_starts",
+                 "bfs_order", "bfs_tree_arc", "bfs_level_starts"):
+        a, b = getattr(from_list, name), getattr(from_array, name)
+        assert np.array_equal(a, b) and a.dtype == b.dtype, name
+    assert (from_list.n, from_list.p) == (from_array.n, from_array.p) == (60, 2 * (59 + 20))
+
+
+def test_graph_keeps_the_bfs_from_vertex_0():
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        g = random_connected_graph(rng, int(rng.integers(2, 30)), edge_prob=0.2)
+        order, tree_arc, hops = _bfs(g, 0)
+        assert g.bfs_order.dtype == g.bfs_tree_arc.dtype == np.intp
+        assert g.bfs_order.tolist() == order
+        assert g.bfs_tree_arc.tolist() == tree_arc
+        # each hop level starts where the visit order first reaches it
+        depth = [hops[v] for v in order]
+        assert g.bfs_level_starts.tolist() == [
+            k for k in range(g.n) if k == 0 or depth[k] != depth[k - 1]]
 
 
 def test_neighbors_sorted():
@@ -135,7 +230,7 @@ def test_hop_diameter_matches_unweighted_metric():
     rng = np.random.default_rng(31)
     for _ in range(5):
         g = random_connected_graph(rng, 9)
-        hops = Graph(g.n, [(i, j, 1.0) for i, j, _ in g.edges])
+        hops = Graph(g.n, [(i, j, 1.0) for i, j, _ in graph_edges(g)])
         want = int(round(floyd_warshall(hops).max()))
         assert hop_diameter(g) == want
 
@@ -226,13 +321,16 @@ def test_spanning_tree_flow_two_node_unit():
 def test_spanning_tree_flow_uses_bfs_tree_from_vertex_0():
     # The tree sets FlowProblem's default reference and so every flow
     # output. Referee: scipy's BFS over sorted CSR rows, which visits
-    # neighbours in ascending id order.
+    # neighbours in ascending id order, and a loop that passes each
+    # vertex's subtree surplus to its parent in reversed visit order.
     rng = np.random.default_rng(43)
-    for _ in range(10):
-        g = random_connected_graph(rng, int(rng.integers(3, 15)), edge_prob=0.5)
+    graphs = [random_connected_graph(rng, int(rng.integers(3, 15)), edge_prob=0.5)
+              for _ in range(10)]
+    graphs += [Graph(n, large_budget_edges(rng, n)) for n in (5, 40, 300)]
+    for g in graphs:
         b1 = random_marginals(rng, g.n)
         b2 = random_marginals(rng, g.n)
-        i, j = np.array([e[:2] for e in g.edges]).T
+        i, j, _ = np.array(graph_edges(g)).T
         adj = sparse.csr_matrix((np.ones(g.p), (np.r_[i, j], np.r_[j, i])),
                                 shape=(g.n, g.n))
         adj.sort_indices()
