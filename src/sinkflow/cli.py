@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from functools import partial
+from functools import cache
 
 import numpy as np
 
@@ -244,6 +244,14 @@ def _run(args, setup, estimate) -> int:
     return 0
 
 
+def cmd_w1(args) -> int:
+    return _run(args, _flow_setup, w1_estimate)
+
+
+def cmd_ot(args) -> int:
+    return _run(args, _ot_setup, cost_and_dual)
+
+
 def cmd_exact(args) -> int:
     data = _load_json(args.input)
     if "graph" in data:
@@ -329,18 +337,19 @@ def _hex_seed(text: str) -> int:
         ) from err
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every main call,
+    which only reads it."""
     parser = argparse.ArgumentParser(
         prog="sinkflow",
         description="Smoothed Wasserstein-1 and transport solvers on graphs.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     w1 = sub.add_parser("w1", help="smoothed Wasserstein-1 on a graph")
-    w1.set_defaults(handler=partial(_run, setup=_flow_setup,
-                                    estimate=w1_estimate))
+    w1.set_defaults(handler=cmd_w1)
     ot = sub.add_parser("ot", help="smoothed transport between histograms")
-    ot.set_defaults(handler=partial(_run, setup=_ot_setup,
-                                    estimate=cost_and_dual))
+    ot.set_defaults(handler=cmd_ot)
     exact = sub.add_parser("exact", help="exact oracle value")
     exact.set_defaults(handler=cmd_exact)
     verify = sub.add_parser("verify", help="structural property battery")

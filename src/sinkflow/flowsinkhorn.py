@@ -9,7 +9,7 @@ update per iteration.
 blocklp.solve runs FlowProblem.sweeps(), a log-stabilised scaling engine
 that yields (u, full, half) per sweep, with callables for the trace rows
 (block residuals and mass) at the full and half states. Each epoch absorbs
-the vertex duals into a per-arc kernel, and a sweep is two segmented sums
+the vertex duals into a per-arc kernel, and a sweep is two per-vertex sums
 and one quadratic root per vertex, which also give the full-state row. The
 exact log-domain block updates block_update_1 and block_update_2 are its
 fallback, so it is as safe as they are, down to gamma ~ 1e-4 at desk scale.
@@ -100,9 +100,28 @@ def divergence(g: Graph, f) -> np.ndarray:
     values = f.values if isinstance(f, EdgeFlow) else np.asarray(f, dtype=float)
     if values.shape != (g.p,):
         raise ValueError("flow length does not match the arc count")
-    incoming = np.bincount(g.arc_dst, weights=values, minlength=g.n)
-    outgoing = np.bincount(g.arc_src, weights=values, minlength=g.n)
-    return incoming - outgoing
+    return (_vertex_sums(g.n, g.arc_dst, values)
+            - _vertex_sums(g.n, g.arc_src, values))
+
+
+# Every per-vertex reduction over the arcs is one scatter pass keyed by
+# arc_src (the arcs leaving each vertex) or arc_dst (those entering it). A
+# sum over the reverses of the arcs leaving v is the sum over the arcs
+# entering v, in the same order, so no p-length arc_rev gather is needed.
+def _vertex_sums(n: int, key: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per-vertex sums of per-arc values grouped by key, added in arc order."""
+    return np.bincount(key, weights=values, minlength=n)
+
+
+def _vertex_maxima(n: int, key: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per-vertex maxima of per-arc values grouped by key.
+
+    ufunc.at has a fast path from numpy 1.25 on; before it this is slower
+    than np.maximum.reduceat.
+    """
+    out = np.full(n, -np.inf)
+    np.maximum.at(out, key, values)
+    return out
 
 
 class FlowProblem(BlockProblem):
@@ -163,21 +182,23 @@ class FlowProblem(BlockProblem):
         self.op_norm_1to1 = 2.0
         self.label = f"flow-n{graph.n}-p{p}-gamma{gamma:g}"
 
-    def _seg_lse(self, scores: np.ndarray) -> np.ndarray:
-        """Per-vertex smoothed max of per-arc scores, grouped by arc src."""
+    def _seg_lse(self, scores: np.ndarray, key: np.ndarray | None = None
+                 ) -> np.ndarray:
+        """Per-vertex smoothed max gamma log sum exp(scores / gamma) of
+        per-arc scores, grouped by key: arc_src (the arcs leaving each
+        vertex) unless arc_dst (the arcs entering it) is given."""
         g = self.graph
-        m = np.maximum.reduceat(scores, g.arc_seg_starts)
-        tail = np.add.reduceat(
-            np.exp((scores - m[g.arc_src]) / self.gamma), g.arc_seg_starts
-        )
+        key = g.arc_src if key is None else key
+        m = _vertex_maxima(g.n, key, scores)
+        tail = _vertex_sums(g.n, key, np.exp((scores - m[key]) / self.gamma))
         return m + self.gamma * np.log(tail)
 
     def apply_A1(self, x):
-        p = self.graph.p
-        f, g_part = x[:p], x[p:]
-        out = np.add.reduceat(f, self.graph.arc_seg_starts)
-        inc = np.add.reduceat(g_part[self.graph.arc_rev], self.graph.arc_seg_starts)
-        return out - inc
+        """Per vertex, f over the arcs leaving it minus g over the arcs
+        entering it."""
+        g = self.graph
+        return (_vertex_sums(g.n, g.arc_src, x[:g.p])
+                - _vertex_sums(g.n, g.arc_dst, x[g.p:]))
 
     def apply_A2(self, x):
         p = self.graph.p
@@ -199,7 +220,7 @@ class FlowProblem(BlockProblem):
         """Exact vertex-dual maximizer given the arc dual."""
         u2 = np.asarray(u2, dtype=float)
         la = self._seg_lse(-self.w_eff + u2)
-        lc = self._seg_lse(-(self.w_eff + u2)[self.graph.arc_rev])
+        lc = self._seg_lse(-(self.w_eff + u2), self.graph.arc_dst)
         return 0.5 * (lc - la) - _gamma_arsinh(self.gamma, self.r, la + lc)
 
     def block_update_2(self, u1):
@@ -219,9 +240,10 @@ class FlowProblem(BlockProblem):
         it reaches, K = exp(((v0_src - v0_dst) / 2 - w_eff) / gamma), into a
         per-arc kernel, with sigma = 1 on every vertex. Within the epoch
         v = v0 + 2 gamma log sigma, and the full-state flow is
-        f = g = K sigma_src / sigma_dst. A sweep reads the segmented sums
-        a = sigma P and c = Q / sigma, with P = sum_out K / sigma_dst and
-        Q = sum_out K[arc_rev] sigma_dst; block 1 is then
+        f = g = K sigma_src / sigma_dst. A sweep reads the per-vertex sums
+        a = sigma P and c = Q / sigma, with P the sum of K / sigma_dst over
+        the arcs leaving the vertex and Q the sum of K sigma_src over the
+        arcs entering it; block 1 is then
         sigma' = sigma sqrt(tau), with tau the positive root of
         a tau^2 + 2 r tau - c = 0, and block 2 is exact. The full-state row
         is read from the a' and c' the next sweep uses: A1 x = a' - c',
@@ -274,19 +296,17 @@ def _full_flow(problem: FlowProblem, v: np.ndarray) -> np.ndarray:
 
 
 def _scaled_sums(g: Graph, kernel, sigma):
-    """a = sigma P and c = Q / sigma, for P = sum_out K / sigma_dst and
-    Q = sum_out K[arc_rev] sigma_dst.
+    """a = sigma P and c = Q / sigma, for P the sum of K / sigma_dst over the
+    arcs leaving each vertex and Q the sum of K sigma_src over the arcs
+    entering it.
 
-    K[arc_rev] is gathered here rather than kept beside K, the gather of
-    sigma is reused for the Q terms, and a and c are formed in place: at
-    p ~ 1e5 each p-vector held across sweeps shows in the peak memory of a
-    run.
+    Each sum is one scatter pass over a per-arc array that is freed right
+    after it: at p ~ 1e5 each p-vector held across sweeps shows in the peak
+    memory of a run.
     """
-    terms = sigma[g.arc_dst]
-    a = np.add.reduceat(kernel / terms, g.arc_seg_starts)
+    a = _vertex_sums(g.n, g.arc_src, kernel / sigma[g.arc_dst])
     a *= sigma
-    terms *= kernel[g.arc_rev]
-    c = np.add.reduceat(terms, g.arc_seg_starts)
+    c = _vertex_sums(g.n, g.arc_dst, kernel * sigma[g.arc_src])
     c /= sigma
     return a, c
 
@@ -417,8 +437,8 @@ def project_C1(problem: FlowProblem, h: EdgeFlow) -> tuple[EdgeFlow, EdgeFlow]:
     """
     g = problem.graph
     hv = h.values
-    row = np.add.reduceat(hv, g.arc_seg_starts)
-    col = np.add.reduceat(hv[g.arc_rev], g.arc_seg_starts)
+    row = _vertex_sums(g.n, g.arc_src, hv)
+    col = _vertex_sums(g.n, g.arc_dst, hv)
     if np.any(row <= 0.0) or not np.all(np.isfinite(row)):
         k = int(np.argmin(row))
         raise NumericOverflowError(
@@ -455,8 +475,8 @@ def matrix_sweeps(problem: FlowProblem) -> Iterator[Sweep]:
 
 def _pair_row(problem: FlowProblem, f: np.ndarray, g: np.ndarray):
     """The trace row at x = (f, g), without stacking x."""
-    seg = problem.graph.arc_seg_starts
-    a1x = np.add.reduceat(f, seg) - np.add.reduceat(g[problem.graph.arc_rev], seg)
+    gr = problem.graph
+    a1x = _vertex_sums(gr.n, gr.arc_src, f) - _vertex_sums(gr.n, gr.arc_dst, g)
     return _row_scalars(problem, (a1x, f - g, float(f.sum()) + float(g.sum())))
 
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gc
 import json
 import math
 import re
@@ -665,6 +666,25 @@ def test_bad_seed_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["verify", "--seed", "zz"])
     assert err.value.code == 2
+
+
+def test_main_builds_the_parser_once(capsys, flow_file):
+    """A second main call reuses the parser: it creates no ArgumentParser,
+    not even one that only the cyclic collector would free."""
+    def parsers():
+        return sum(isinstance(o, argparse.ArgumentParser)
+                   for o in gc.get_objects())
+
+    assert main(["exact", flow_file]) == 0
+    gc.collect()
+    before = parsers()
+    gc.disable()
+    try:
+        assert main(["exact", flow_file]) == 0
+        after = parsers()
+    finally:
+        gc.enable()
+    assert after == before
 
 
 # -------------------------------------------------------------- subprocess

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import tracemalloc
 
@@ -24,6 +25,8 @@ from sinkflow.flowsinkhorn import (
     EdgeFlow,
     FlowProblem,
     _scaling_root,
+    _vertex_maxima,
+    _vertex_sums,
     divergence,
     flow_constants,
     project_C1,
@@ -503,6 +506,68 @@ def test_engine_does_not_keep_the_halves_solve_drops():
     for _ in range(1001):
         ref_u, _, ref_half = next(ref)
     np.testing.assert_allclose(half(), ref_half(), rtol=1e-9, atol=1e-15)
+
+
+# ------------------------------------------------------ long arc segments
+
+
+def hub_graph(rng, n=40, hub=25):
+    """Vertex 0 joined to vertices 1..hub, plus a random spanning path. The
+    hub has at least 16 arcs each way, past the 8 from which numpy's
+    reduceat adds a segment in pairwise blocks, so the order in which a
+    reduction adds shows in its last bits."""
+    edges = {(0, j): float(rng.uniform(0.5, 2.0)) for j in range(1, hub + 1)}
+    order = rng.permutation(n)
+    for a, b in zip(order, order[1:]):
+        edges.setdefault((int(min(a, b)), int(max(a, b))),
+                         float(rng.uniform(0.5, 2.0)))
+    g = Graph(n, [(i, j, w) for (i, j), w in edges.items()])
+    assert np.diff(g.arc_seg_starts, append=g.p).max() >= 16
+    return g
+
+
+def test_vertex_reductions_on_long_segments():
+    """The arc_dst-keyed sums are the src-keyed sums of the reverse arcs'
+    values bit for bit, in the same order, and the scatter maxima are the
+    segment maxima; so are the kernels built on them."""
+    rng = np.random.default_rng(0x48)
+    g = hub_graph(rng)
+    values = rng.normal(size=g.p)
+    rev = values[g.arc_rev]
+    assert (_vertex_sums(g.n, g.arc_dst, values).tobytes()
+            == np.bincount(g.arc_src, rev, minlength=g.n).tobytes())
+    assert (_vertex_maxima(g.n, g.arc_src, values).tobytes()
+            == np.maximum.reduceat(values, g.arc_seg_starts).tobytes())
+    assert (_vertex_maxima(g.n, g.arc_dst, values).tobytes()
+            == np.maximum.reduceat(rev, g.arc_seg_starts).tobytes())
+
+    pb = FlowProblem(g, random_marginals(rng, g.n), random_marginals(rng, g.n),
+                     0.05)
+    assert (pb._seg_lse(values, g.arc_dst).tobytes()
+            == pb._seg_lse(rev).tobytes())
+    x = rng.uniform(0.0, 2.0, size=2 * g.p)
+    a1x = (np.bincount(g.arc_src, x[:g.p], minlength=g.n)
+           - np.bincount(g.arc_src, x[g.p:][g.arc_rev], minlength=g.n))
+    assert pb.apply_A1(x).tobytes() == a1x.tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.05, 1e-3])
+def test_engine_matches_block_updates_on_long_segments(gamma):
+    """200 engine sweeps on the hub graph, absorbed sweeps and fallbacks
+    both, agree with the exact block updates to 1e-10."""
+    rng = np.random.default_rng(0x49)
+    g = hub_graph(rng)
+    pb = FlowProblem(g, random_marginals(rng, g.n), random_marginals(rng, g.n),
+                     gamma)
+    counts = count_block_updates(pb)
+    engine = list(itertools.islice(pb.sweeps(), 200))
+    assert 1 <= counts["block_update_1"] <= 20
+    ref = BlockProblem.sweeps(pb)
+    for (u, full, half), (r, ref_full, ref_half) in zip(engine, ref):
+        np.testing.assert_allclose(u.u1, r.u1, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(u.u2, r.u2, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(full(), ref_full(), rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(half(), ref_half(), rtol=1e-10, atol=1e-12)
 
 
 def criterion_2_first_graph():
