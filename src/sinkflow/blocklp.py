@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Iterator
+from itertools import groupby
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -68,7 +69,7 @@ Marginals = tuple[np.ndarray, np.ndarray, float]
 # (||A1 x - b1||_1, ||A2 x - b2||_1, ||x||_1).
 Row = tuple[float, float, float]
 # What a `sweeps` iterator yields for each sweep; see solve().
-Sweep = tuple[DualState, Callable[[], Row], Callable[[], Row]]
+Sweep = tuple[DualState, Row, tuple[Callable[[list], Iterable[Row]], Any]]
 
 # solve holds recorded rows until their duals reach this many floats
 # (m1 + m2 per row, one row at least), then evaluates them as one block.
@@ -140,10 +141,11 @@ class BlockProblem:
         Instances with a faster iteration override this.
         """
         u = self.initial_state()
+        rows = partial(_state_rows, self)
         while True:
             half = DualState(self.block_update_1(u.u2), u.u2)
             u = DualState(half.u1, self.block_update_2(half.u1))
-            yield u, partial(_state_row, self, u), partial(_state_row, self, half)
+            yield u, _state_row(self, u), (rows, half)
 
 
 def _log_primal(problem: BlockProblem, u: DualState) -> np.ndarray:
@@ -290,20 +292,26 @@ def _state_row(problem: BlockProblem, u: DualState) -> Row:
     return _row_scalars(problem, marginals(problem, u))
 
 
+def _state_rows(problem: BlockProblem, states: list) -> Iterator[Row]:
+    """The trace rows at x(u) for each DualState u, one at a time."""
+    return (_state_row(problem, u) for u in states)
+
+
 def _close_block(problem: BlockProblem, trace: ConvergenceTrace,
                  held: list) -> None:
     """Move the held rows (k, u, res1, foc2, mass, half) into the trace.
 
-    Each row's half runs, in order; then F and both seminorms come from the
-    stacked duals. held is emptied first, and if a half raises, the rows
-    before it still go into the trace.
+    The half rows come from one rows(states) call per run of held halves
+    that share rows; then F and both seminorms come from the stacked duals.
+    held is emptied first, and if a half raises, the rows before it still
+    go into the trace.
     """
     rows = held[:]
     held.clear()
     half_rows = []
     try:
-        for *_, half in rows:
-            half_rows.append(half())
+        for evaluate, run in groupby(rows, lambda row: row[-1][0]):
+            half_rows.extend(evaluate([row[-1][1] for row in run]))
     finally:
         del rows[len(half_rows):]
         if rows:
@@ -337,20 +345,21 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
     sweeps replaces the iteration while solve keeps the stopping, thinning
     and recording; the default is problem.sweeps(). It must start from
     problem.initial_state() and yields, for each sweep, a triple
-    (u, full, half): the full DualState reached; a zero-argument callable
-    returning the trace row (||A1 x - b1||_1, ||A2 x - b2||_1, ||x||_1) at
-    x(u), called every sweep for the stopping test; and the same for the
-    half state, after the block-1 update and before the block-2 update.
-    solve never forms a primal itself past the start row.
+    (u, row, (rows, state)): the full DualState reached; the trace row
+    (||A1 x - b1||_1, ||A2 x - b2||_1, ||x||_1) at x(u), which the stopping
+    test reads; and the half state, after the block-1 update and before the
+    block-2 update, with a callable rows that maps a list of such states to
+    their trace rows in order. solve never forms a primal past the start row.
 
     Recorded rows are held and evaluated a block at a time: once the held
     rows' duals reach _BLOCK_FLOATS floats, when the run stops, and before
-    a NumericOverflowError is re-raised. A block forms F and both seminorms
-    from the stacked duals and then calls its rows' halves in order, so an
-    iterator may evaluate the halves of one block together. A half, and a
-    yielded u, may therefore be used up to one block after its sweep:
-    iterators must not change an array they have yielded or captured in a
-    half, in place. Unrecorded halves are never called.
+    a NumericOverflowError is re-raised. A block calls rows once per run of
+    consecutive held halves that share the same rows, so an iterator may
+    evaluate such a run together; if rows returns an iterator, the rows it
+    yields before raising go into the trace. A state, and a yielded u, may
+    be used up to one block after its sweep: iterators must not change an
+    array they have yielded in place, and rows may empty the states it gets.
+    Unrecorded halves are dropped without being evaluated.
 
     Returns the final dual state and the trace. On overflow the partial
     trace rides on the raised NumericOverflowError; it holds the rows
@@ -382,8 +391,7 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
         stop = done(k, res1)
         while not stop:
             k += 1
-            u, full, half = next(sweeps)
-            res1, foc2, mass = full()
+            u, (res1, foc2, mass), half = next(sweeps)
             stop = done(k, res1)
             if k % record_every and not stop:
                 continue

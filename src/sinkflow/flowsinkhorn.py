@@ -7,12 +7,13 @@ KL projections onto both blocks, and the dual sweep reduces to one vertex
 update per iteration.
 
 blocklp.solve runs FlowProblem.sweeps(), a log-stabilised scaling engine
-that yields (u, full, half) per sweep, with callables for the trace rows
-(block residuals and mass) at the full and half states. Each epoch absorbs
-the vertex duals into a per-arc kernel, and a sweep is two per-vertex sums
-and one quadratic root per vertex, which also give the full-state row. The
-exact log-domain block updates block_update_1 and block_update_2 are its
-fallback, so it is as safe as they are, down to gamma ~ 1e-4 at desk scale.
+that yields (u, row, (rows, state)) per sweep: the trace row (block
+residuals and mass) at the full state, and the half state with the callable
+that evaluates its row. Each epoch absorbs the vertex duals into a per-arc
+kernel, and a sweep is two per-vertex sums and one quadratic root per
+vertex, which also give the full-state row. The exact log-domain block
+updates block_update_1 and block_update_2 are its fallback, so it is as
+safe as they are, down to gamma ~ 1e-4 at desk scale.
 
 matrix_sweeps is the reference the engine is held to: explicit flow pairs
 and their KL projections project_C1 and project_C2, the most readable
@@ -27,7 +28,6 @@ transport scale by halving.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, NamedTuple
@@ -43,6 +43,7 @@ from .blocklp import (
     _l1,
     _row_scalars,
     _state_row,
+    _state_rows,
     cost_and_dual,
 )
 from .graph import Graph, hop_diameter, spanning_tree_flow
@@ -129,7 +130,7 @@ class FlowProblem(BlockProblem):
 
     Args:
       graph: connected Graph with n >= 2.
-      mu1, mu2: nonnegative vertex marginals with equal total mass.
+      mu1, mu2: finite nonnegative vertex marginals with equal total mass.
       gamma: regularization strength, positive and finite.
 
     The per-arc reference z is the constant mass-matched alpha * 1 with
@@ -148,9 +149,10 @@ class FlowProblem(BlockProblem):
         mu2 = np.asarray(mu2, dtype=float)
         if mu1.shape != (graph.n,) or mu2.shape != (graph.n,):
             raise ValueError("marginals must have one entry per vertex")
-        if np.any(mu1 < 0) or np.any(mu2 < 0):
-            raise ValueError("marginals must be nonnegative")
-        if abs(mu1.sum() - mu2.sum()) > _BALANCE_TOL:
+        if not (np.all((0 <= mu1) & (mu1 < math.inf))
+                and np.all((0 <= mu2) & (mu2 < math.inf))):
+            raise ValueError("marginals must be finite and nonnegative")
+        if not abs(mu1.sum() - mu2.sum()) <= _BALANCE_TOL:
             raise ValueError(
                 f"marginals must balance, difference {mu1.sum() - mu2.sum():.3e}"
             )
@@ -249,13 +251,17 @@ class FlowProblem(BlockProblem):
         is read from the a' and c' the next sweep uses: A1 x = a' - c',
         A2 x = 0 and ||x||_1 = 2 sum a'. The half-state pair is
         (F tau_src, F / tau_dst), with F = K sigma_src / sigma_dst the
-        full-state flow before the sweep; see _AbsorbedHalves. A new sigma
-        that is not finite or leaves the scaling range ends the epoch: the
-        exact block_update_1 runs in its place and opens a new epoch in the
-        same sweep.
+        full-state flow before the sweep: its state is [sigma, sigma', a, c],
+        and one rows callable per epoch, _absorbed_half_rows, evaluates a
+        run of them together. The half of a sweep that opens an epoch is the
+        exact state (v0, u2), evaluated per row. A new sigma that is not
+        finite or leaves the scaling range ends the epoch: the exact
+        block_update_1 runs in its place and opens a new epoch in the same
+        sweep.
         """
         gamma, r = self.gamma, self.r
         u = self.initial_state()
+        state_rows = partial(_state_rows, self)
         sigma = None  # no epoch open
         while True:
             if sigma is not None:
@@ -264,18 +270,18 @@ class FlowProblem(BlockProblem):
                     sigma = sigma_next = None
             if sigma is None:
                 v0 = self.block_update_1(u.u2)
-                half = partial(_state_row, self, DualState(v0, u.u2))
+                half = state_rows, DualState(v0, u.u2)
                 v = v0
                 kernel = _full_flow(self, v0)
-                halves = _AbsorbedHalves(self, kernel)
+                absorbed_rows = partial(_absorbed_half_rows, self, kernel)
                 sigma = np.ones(self.graph.n)
             else:
-                half = halves.add(sigma, sigma_next, a, c)
+                half = absorbed_rows, [sigma, sigma_next, a, c]
                 sigma = sigma_next
                 v = v0 + 2.0 * gamma * np.log(sigma)
             a, c = _scaled_sums(self.graph, kernel, sigma)
             u = DualState(v, self.block_update_2(v))
-            yield u, partial(_absorbed_row, self, a, c), half
+            yield u, _absorbed_row(self, a, c), half
 
 
 def _full_flow(problem: FlowProblem, v: np.ndarray) -> np.ndarray:
@@ -335,80 +341,39 @@ def _absorbed_row(problem: FlowProblem, a, c):
     return _l1(a - c - problem.b1), 0.0, 2.0 * float(a.sum())
 
 
-class _AbsorbedHalves:
-    """The half rows of one epoch's absorbed sweeps.
-
-    solve calls the halves of the rows it records a block at a time, so the
-    first call evaluates every half of the epoch that is still alive, with
-    2-D arrays over those rows, and the others return the row stored for
-    them. `waiting` holds weak references, so a half that solve dropped is
-    not evaluated; the dead references are pruned as they pile up on a
-    thinned run.
+def _absorbed_half_rows(problem: FlowProblem, kernel: np.ndarray,
+                        states: list):
+    """The half rows of absorbed sweeps of one epoch, with 2-D arrays over
+    the rows.
 
     For the sweep from sigma to sigma' = sigma sqrt(tau), with a and c the
     sums at sigma, the half state is f = F tau_src, g = F / tau_dst with
     F = K sigma_src / sigma_dst. Then A1 x = tau a - c / tau and the mass is
     sum(tau a + c / tau), from the sums the root used; A2 x = f - g is one
     per-arc pass over the rows, formed as the pair so that res2_l1 is the
-    same number a per-row evaluation gives.
+    same number a per-row evaluation gives. Each state [sigma, sigma', a, c]
+    is emptied once stacked.
     """
-
-    __slots__ = ("problem", "kernel", "waiting", "prune_at")
-
-    def __init__(self, problem: FlowProblem, kernel: np.ndarray):
-        self.problem = problem
-        self.kernel = kernel
-        self.waiting = []
-        self.prune_at = 16
-
-    def add(self, sigma, sigma_next, a, c) -> "_AbsorbedHalf":
-        half = _AbsorbedHalf(self, (sigma, sigma_next, a, c))
-        if len(self.waiting) >= self.prune_at:
-            self.waiting = [ref for ref in self.waiting if ref() is not None]
-            self.prune_at = 2 * len(self.waiting) + 16
-        self.waiting.append(weakref.ref(half))
-        return half
-
-    def evaluate(self) -> None:
-        halves = [h for h in (ref() for ref in self.waiting) if h is not None]
-        self.waiting = []
-        states = [h.state for h in halves]
-        for half in halves:
-            half.state = None
-        sigma, sigma_next, a, c = (np.array(col) for col in zip(*states))
-        g = self.problem.graph
-        tau = np.square(sigma_next / sigma)
-        a *= tau
-        c /= tau
-        foc1 = np.abs(a - c - self.problem.b1).sum(axis=1)
-        mass = a.sum(axis=1) + c.sum(axis=1)
-        # the per-arc pass below holds (rows, p) arrays: free what it does
-        # not read first, which counts for a one-row block at p ~ 1e5
-        del states, sigma_next, a, c
-        f = self.kernel * sigma[:, g.arc_src]
-        f /= sigma[:, g.arc_dst]
-        del sigma
-        g_part = f / tau[:, g.arc_dst]
-        f *= tau[:, g.arc_src]
-        f -= g_part
-        res2 = np.abs(f, out=f).sum(axis=1)
-        for half, row in zip(halves, zip(foc1.tolist(), res2.tolist(),
-                                         mass.tolist())):
-            half.row = row
-
-
-class _AbsorbedHalf:
-    """One sweep's half row, evaluated with its epoch's; see _AbsorbedHalves."""
-
-    __slots__ = ("halves", "state", "row", "__weakref__")
-
-    def __init__(self, halves: _AbsorbedHalves, state: tuple):
-        self.halves, self.state, self.row = halves, state, None
-
-    def __call__(self):
-        if self.row is None:
-            self.halves.evaluate()
-        return self.row
+    sigma, sigma_next, a, c = (np.array(col) for col in zip(*states))
+    for state in states:
+        state.clear()
+    g = problem.graph
+    tau = np.square(sigma_next / sigma)
+    a *= tau
+    c /= tau
+    foc1 = np.abs(a - c - problem.b1).sum(axis=1)
+    mass = a.sum(axis=1) + c.sum(axis=1)
+    # the per-arc pass below holds (rows, p) arrays: free what it does not
+    # read first, which counts for a one-row block at p ~ 1e5
+    del sigma_next, a, c
+    f = kernel * sigma[:, g.arc_src]
+    f /= sigma[:, g.arc_dst]
+    del sigma
+    g_part = f / tau[:, g.arc_dst]
+    f *= tau[:, g.arc_src]
+    f -= g_part
+    res2 = np.abs(f, out=f).sum(axis=1)
+    return zip(foc1.tolist(), res2.tolist(), mass.tolist())
 
 
 def _gamma_arsinh(gamma: float, r: np.ndarray, exponent_sum: np.ndarray) -> np.ndarray:
@@ -464,20 +429,23 @@ def matrix_sweeps(problem: FlowProblem) -> Iterator[Sweep]:
     the pair (f, g) after project_C1, before the geometric mean.
     """
     f = EdgeFlow(problem.graph, np.exp(-problem.w_eff / problem.gamma))
+    pair_rows = partial(_pair_rows, problem)
     while True:
         f1, g1 = project_C1(problem, f)
         f = project_C2(f1, g1)
         v = vertex_dual_from_flow(problem, f)
         u = DualState(v, problem.block_update_2(v))
-        yield u, partial(_state_row, problem, u), partial(
-            _pair_row, problem, f1.values, g1.values)
+        yield u, _state_row(problem, u), (pair_rows, (f1.values, g1.values))
 
 
-def _pair_row(problem: FlowProblem, f: np.ndarray, g: np.ndarray):
-    """The trace row at x = (f, g), without stacking x."""
+def _pair_rows(problem: FlowProblem, pairs: list):
+    """The trace rows at x = (f, g) for each pair, without stacking x."""
     gr = problem.graph
-    a1x = _vertex_sums(gr.n, gr.arc_src, f) - _vertex_sums(gr.n, gr.arc_dst, g)
-    return _row_scalars(problem, (a1x, f - g, float(f.sum()) + float(g.sum())))
+    for f, g in pairs:
+        a1x = (_vertex_sums(gr.n, gr.arc_src, f)
+               - _vertex_sums(gr.n, gr.arc_dst, g))
+        yield _row_scalars(problem, (a1x, f - g,
+                                     float(f.sum()) + float(g.sum())))
 
 
 def vertex_dual_from_flow(problem: FlowProblem, f: EdgeFlow) -> np.ndarray:

@@ -208,7 +208,8 @@ def spanning_tree_flow(g: Graph, b1, b2):
     on whichever directed orientation keeps the flow entry nonnegative.
 
     Raises:
-      ValueError: if the marginals are unbalanced beyond 1e-12.
+      ValueError: if the marginals are not finite or are unbalanced beyond
+        1e-12.
     """
     from .flowsinkhorn import EdgeFlow
 
@@ -216,8 +217,10 @@ def spanning_tree_flow(g: Graph, b1, b2):
     b2 = np.asarray(b2, dtype=float)
     if b1.shape != (g.n,) or b2.shape != (g.n,):
         raise ValueError("marginals must have one entry per vertex")
+    if not (np.all(np.isfinite(b1)) and np.all(np.isfinite(b2))):
+        raise ValueError("marginals must be finite")
     imbalance = float(b1.sum() - b2.sum())
-    if abs(imbalance) > 1e-12:
+    if not abs(imbalance) <= 1e-12:
         raise ValueError(f"marginals differ in total mass by {imbalance:.3e}")
 
     # Subtree surplus of (b1 - b2), gathered leaves-first: one hop level at

@@ -51,7 +51,9 @@ def _validate(inst: MinCostFlowInstance) -> np.ndarray:
     supplies = np.asarray(inst.supplies, dtype=float)
     if supplies.shape != (inst.n_nodes,):
         raise ValueError("supplies must have one entry per node")
-    if abs(supplies.sum()) > _MASS_TOL:
+    if not np.all(np.isfinite(supplies)):
+        raise ValueError("supplies must be finite")
+    if not abs(supplies.sum()) <= _MASS_TOL:
         raise ValueError(f"supplies must sum to zero, got {supplies.sum():.3e}")
     for a, (u, v, c, cap) in enumerate(inst.arcs):
         if not (0 <= u < inst.n_nodes and 0 <= v < inst.n_nodes):

@@ -40,7 +40,7 @@ class OTProblem(BlockProblem):
 
     Args:
       cost: (m1, m2) array, finite and entrywise >= 0.
-      b1: length-m1 marginal, strictly positive, total mass 1.
+      b1: length-m1 marginal, finite and strictly positive, total mass 1.
       b2: length-m2 marginal, same requirements.
       gamma: regularization strength, positive and finite.
     """
@@ -57,9 +57,9 @@ class OTProblem(BlockProblem):
         if not np.all(np.isfinite(cost)) or np.any(cost < 0):
             raise ValueError("cost entries must be finite and >= 0")
         for name, b in (("b1", b1), ("b2", b2)):
-            if np.any(b <= 0):
-                raise ValueError(f"{name} must be strictly positive")
-            if abs(b.sum() - 1.0) > _BALANCE_TOL:
+            if not np.all((0 < b) & (b < math.inf)):
+                raise ValueError(f"{name} must be finite and strictly positive")
+            if not abs(b.sum() - 1.0) <= _BALANCE_TOL:
                 raise ValueError(f"{name} must sum to 1, got {b.sum()!r}")
         if not 0 < gamma < math.inf:
             raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
@@ -108,16 +108,19 @@ class OTProblem(BlockProblem):
         and a sweep is a = b1 / (K b), b = b2 / (K^T a): the two block updates
         in scaling form. Both trace rows come from K b, K^T a and the
         previous K b, so a sweep costs two matrix-vector products and never
-        forms the plan. A new scaling that is not finite or leaves the
-        scaling range ends the epoch and the exact log-domain update takes
-        its place: for a, that update opens a new epoch in the same sweep;
-        for b, the next sweep opens one. The rows of K sum to b1, so a stays
-        within the range of 1/b unless a marginal entry sits near the
-        float64 limit. Its row of K b is then subnormal or 0, and a is not
-        formed from it: the exact update runs instead.
+        forms the plan. The full row is formed every sweep; the half state
+        is (a, K b, b, K^T a) before the update of b, and _half_rows
+        evaluates a run of them together. A new scaling that is not finite
+        or leaves the scaling range ends the epoch and the exact log-domain
+        update takes its place: for a, that update opens a new epoch in the
+        same sweep; for b, the next sweep opens one. The rows of K sum to
+        b1, so a stays within the range of 1/b unless a marginal entry sits
+        near the float64 limit. Its row of K b is then subnormal or 0, and a
+        is not formed from it: the exact update runs instead.
         """
         gamma, b1, b2 = self.gamma, self.b1, self.b2
         u = self.initial_state()
+        half_rows = partial(_half_rows, self)
         kernel = None  # no epoch open
         while True:
             if kernel is not None:
@@ -137,19 +140,19 @@ class OTProblem(BlockProblem):
             else:
                 u1 = f + gamma * np.log(a)
             kta = a @ kernel
-            half = partial(_scaled_row, self, a, kb, b, kta)
+            half = half_rows, (a, kb, b, kta)
             with np.errstate(divide="ignore", over="ignore"):
                 b_next = b2 / kta
             if in_scaling_range(b_next):
                 b = b_next
                 kb = kernel @ b
                 u = DualState(u1, g + gamma * np.log(b))
-                full = partial(_scaled_row, self, a, kb, b, kta)
+                row = _scaled_row(self, a, kb, b, kta)
             else:
                 u = DualState(u1, self.block_update_2(u1))
                 kernel = None
-                full = partial(_state_row, self, u)
-            yield u, full, half
+                row = _state_row(self, u)
+            yield u, row, half
 
 
 def _kernel(problem: OTProblem, f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -164,6 +167,17 @@ def _kernel(problem: OTProblem, f: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _scaled_row(problem: OTProblem, a, kb, b, kta):
     """The trace row at the plan diag(a) K diag(b), given K b and K^T a."""
     return _row_scalars(problem, (a * kb, b * kta, float(a @ kb)))
+
+
+def _half_rows(problem: OTProblem, states: list):
+    """_scaled_row for each state (a, kb, b, kta), with 2-D row sums over
+    the states; the l1 norms equal _scaled_row's bit for bit, the masses
+    only up to roundoff."""
+    a, kb, b, kta = (np.array(col) for col in zip(*states))
+    row_sums = a * kb
+    res1 = np.abs(row_sums - problem.b1).sum(axis=1)
+    res2 = np.abs(b * kta - problem.b2).sum(axis=1)
+    return zip(res1.tolist(), res2.tolist(), row_sums.sum(axis=1).tolist())
 
 
 def _neg_lse_rows(gamma: float, scores: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 import csv
+import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -172,7 +174,8 @@ def test_solve_residual_stop_before_budget():
 
 
 class CountingToy(ToyProblem):
-    """ToyProblem whose sweeps count the calls solve makes to them."""
+    """ToyProblem whose sweeps count the iterators solve makes, the full
+    rows they form and the half rows solve has them evaluate."""
 
     def __init__(self, **kw):
         super().__init__(**kw)
@@ -180,13 +183,17 @@ class CountingToy(ToyProblem):
 
     def sweeps(self):
         self.calls["sweeps"] += 1
-        for u, full, half in BlockProblem.sweeps(self):
-            yield u, self._counted("full", full), self._counted("half", half)
+        counted = None
+        for u, row, (rows, state) in BlockProblem.sweeps(self):
+            self.calls["full"] += 1
+            counted = counted or self._counted(rows)
+            yield u, row, (counted, state)
 
-    def _counted(self, name, fn):
-        def call():
-            self.calls[name] += 1
-            return fn()
+    def _counted(self, rows):
+        def call(states):
+            for row in rows(states):
+                self.calls["half"] += 1
+                yield row
         return call
 
 
@@ -329,19 +336,24 @@ def _raise_overflow():
 
 def overflowing_sweeps(pb, at, where):
     """BlockProblem.sweeps with a NumericOverflowError at sweep `at`: from
-    next() itself, or from that sweep's full or half callable."""
-    for k, (u, full, half) in enumerate(BlockProblem.sweeps(pb), start=1):
+    next() itself, or from that sweep's half row, which one rows callable
+    evaluates together with the halves before it."""
+    def rows(states):
+        for state in states:
+            if state is None:
+                _raise_overflow()
+            yield from state_rows([state])
+
+    for k, (u, row, (state_rows, state)) in enumerate(BlockProblem.sweeps(pb),
+                                                      start=1):
         if k == at:
             if where == "next":
                 _raise_overflow()
-            if where == "full":
-                full = _raise_overflow
-            if where == "half":
-                half = _raise_overflow
-        yield u, full, half
+            state = None
+        yield u, row, (rows, state)
 
 
-@pytest.mark.parametrize("where", ["next", "full", "half"])
+@pytest.mark.parametrize("where", ["next", "half"])
 def test_overflow_mid_block_keeps_the_rows_before_it(monkeypatch, where):
     """A toy block holds 2048 rows, so sweep 20 overflows mid-block; the
     partial trace holds rows 0-19, as with one-row blocks."""
@@ -357,6 +369,52 @@ def test_overflow_mid_block_keeps_the_rows_before_it(monkeypatch, where):
     trace, ref = traces
     assert trace.k == list(range(20))
     assert_same_rows(trace, ref)
+
+
+def _block_updates():
+    pb = random_flow_problem(np.random.default_rng(74), 8, 1e-3)
+    return pb, BlockProblem.sweeps(pb)
+
+
+@pytest.mark.parametrize("make", [
+    _block_updates, _matrix_path, _flow_engine, _ot_engine],
+    ids=["block-updates", "matrix", "flow-engine", "ot-engine"])
+def test_sweeps_yield_a_state_a_row_and_a_half(make):
+    """Each shipped iterator yields (u, row, (rows, state)): a DualState,
+    the full row as three floats, and a callable that maps a list of half
+    states to their rows."""
+    pb, sweeps = make()
+    for u, row, (rows, state) in itertools.islice(sweeps or pb.sweeps(), 40):
+        assert isinstance(u, DualState)
+        assert len(row) == 3 and all(type(v) is float for v in row)
+        assert callable(rows)
+        (half_row,) = rows([state])
+        assert len(half_row) == 3 and all(type(v) is float for v in half_row)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_flow_problem(np.random.default_rng(75), 9, 0.3),
+    lambda: random_ot_problem(np.random.default_rng(76), 4, 5, 0.3)],
+    ids=["flow-engine", "ot-engine"])
+def test_no_engine_keeps_the_halves_solve_drops(make):
+    """A thinned run drops most halves: after 1,000 more sweeps the arrays
+    of an early half state are freed, and a half that is kept still
+    evaluates to the exact block updates' half row."""
+    pb = make()
+    sweeps = pb.sweeps()
+    next(sweeps)  # opens the first epoch
+    _, _, (_, state) = next(sweeps)
+    assert isinstance(state, (list, tuple))  # an absorbed half
+    freed = [weakref.ref(array) for array in state]
+    del state
+    for _ in range(1000):
+        _, _, (rows, state) = next(sweeps)
+    assert all(ref() is None for ref in freed)
+    ref = BlockProblem.sweeps(pb)
+    for _ in range(1002):
+        _, _, (ref_rows, ref_state) = next(ref)
+    np.testing.assert_allclose(list(rows([state])), list(ref_rows([ref_state])),
+                               rtol=1e-9, atol=1e-15)
 
 
 def test_trace_rows_monotone_and_half_diagnostics():

@@ -490,6 +490,35 @@ def test_nonfinite_gamma_is_input_error(capsys, tmp_path, flow_file, ot_file,
     assert "gamma" in lines[0]
 
 
+_PATH3 = {"graph": {"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.5]]},
+          "b2": [0.0, 0.0, 1.0], "gamma": 0.2}
+_OT_2X2 = {"cost": [[0.0, 1.0], [1.0, 0.0]], "b2": [0.5, 0.5], "gamma": 0.1}
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+@pytest.mark.parametrize("argv", [
+    ["w1", "flow", "--max-sweeps", "5"], ["w1", "flow", "--epsilon", "0.1"],
+    ["ot", "ot", "--gamma", "0.1"], ["ot", "ot", "--epsilon", "0.1"],
+    ["exact", "flow"], ["exact", "ot"], ["verify", "flow"], ["verify", "ot"],
+], ids=["w1-budget", "w1-epsilon", "ot-gamma", "ot-epsilon", "exact-flow",
+        "exact-ot", "verify-flow", "verify-ot"])
+def test_nonfinite_marginal_is_input_error(capsys, monkeypatch, tmp_path,
+                                           argv, value):
+    # JSON carries NaN and Infinity as bare literals, which json.load reads
+    command, kind, *flags = argv
+    payload, b1 = (_PATH3, "[%s, 0, 0]") if kind == "flow" else (
+        _OT_2X2, "[%s, 0.5]")
+    text = json.dumps(payload)
+    path = tmp_path / "nonfinite.json"
+    path.write_text(text[:-1] + f', "b1": {b1 % value}}}')
+    monkeypatch.setattr(cli, "solve", None)  # no sweep may run
+    code, out, err = run_cli(capsys, command, str(path), *flags)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: bad ")
+
+
 @pytest.mark.parametrize("command", ["w1", "ot"])
 @pytest.mark.parametrize("budget,cap,tol", [
     ([], 3, 1e-9),

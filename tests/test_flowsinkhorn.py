@@ -493,21 +493,6 @@ def test_engine_half_state_through_fallbacks():
     assert max(trace.foc1[1:]) <= 1e-12
 
 
-def test_engine_does_not_keep_the_halves_solve_drops():
-    """A thinned run drops most halves; the epoch's list of weak references
-    to them is pruned, and a half that is kept still evaluates."""
-    pb = random_flow(np.random.default_rng(63), n=9, gamma=0.3)
-    sweeps = pb.sweeps()
-    next(sweeps)  # opens the one epoch
-    for _ in range(1000):
-        u, full, half = next(sweeps)
-    assert len(half.halves.waiting) <= 32
-    ref = BlockProblem.sweeps(pb)
-    for _ in range(1001):
-        ref_u, _, ref_half = next(ref)
-    np.testing.assert_allclose(half(), ref_half(), rtol=1e-9, atol=1e-15)
-
-
 # ------------------------------------------------------ long arc segments
 
 
@@ -563,11 +548,14 @@ def test_engine_matches_block_updates_on_long_segments(gamma):
     engine = list(itertools.islice(pb.sweeps(), 200))
     assert 1 <= counts["block_update_1"] <= 20
     ref = BlockProblem.sweeps(pb)
-    for (u, full, half), (r, ref_full, ref_half) in zip(engine, ref):
+    for (u, row, (rows, state)), (r, ref_row, (ref_rows, ref_state)) in zip(
+            engine, ref):
         np.testing.assert_allclose(u.u1, r.u1, rtol=0, atol=1e-10)
         np.testing.assert_allclose(u.u2, r.u2, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(full(), ref_full(), rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(half(), ref_half(), rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(row, ref_row, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(list(rows([state])),
+                                   list(ref_rows([ref_state])), rtol=1e-10,
+                                   atol=1e-12)
 
 
 def criterion_2_first_graph():

@@ -14,6 +14,8 @@ from sinkflow import sinkhorn
 from sinkflow.blocklp import BlockProblem, DualState, dual_objective, marginals, primal_from_dual, solve
 from sinkflow.sinkhorn import OTProblem, ot_constants, soft_c_transform_1, soft_c_transform_2
 
+from conftest import count_block_updates, random_ot_problem
+
 
 def small_ot(rng, m1=4, m2=5, gamma=0.5):
     cost = rng.uniform(0.0, 1.0, size=(m1, m2))
@@ -266,6 +268,19 @@ def test_stabilized_sweeps_are_the_default_and_match_block_updates(monkeypatch):
         solve(pb, max_sweeps=150)
         assert (len(rows), len(cols)) == (1, 0)
         _assert_runs_agree(pb, 150)
+
+
+def test_engine_forms_one_scaled_row_per_sweep(monkeypatch):
+    """The full row is formed every sweep, and the half rows a block at a
+    time with 2-D row sums: _row_scalars runs once per sweep that keeps its
+    epoch, not twice."""
+    pb = random_ot_problem(np.random.default_rng(72), 4, 5, 1e-3)
+    counts = count_block_updates(pb)
+    calls = _count_calls(monkeypatch, "_row_scalars")
+    solve(pb, max_sweeps=600)
+    # a sweep whose column scaling falls back forms its row through blocklp
+    assert counts["block_update_2"] >= 1
+    assert len(calls) == 600 - counts["block_update_2"]
 
 
 def test_stabilized_fallback_when_first_column_update_underflows(monkeypatch):
