@@ -22,7 +22,6 @@ from .blocklp import (
     solve_scheduled,
 )
 from .flowsinkhorn import (
-    EdgeFlow,
     FlowConstants,
     FlowProblem,
     divergence,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocklp import BlockProblem, ConvergenceTrace, DualState, primal_from_dual
+from .flowsinkhorn import FlowProblem
 from .numerics import variation_seminorm
 
 __all__ = [
@@ -214,8 +215,6 @@ class SignedOrderSpec:
 
 def default_signed_order(problem: BlockProblem) -> SignedOrderSpec:
     """The shipped sign patterns: all +1 for plans, (+1 on f, -1 on g) for flows."""
-    from .flowsinkhorn import FlowProblem
-
     if isinstance(problem, FlowProblem):
         p = problem.graph.p
         return SignedOrderSpec(np.concatenate([np.ones(p), -np.ones(p)]))

@@ -172,7 +172,7 @@ def _flow_setup(data: dict, args):
     graph = _build_graph(data)
     with _bad_input("flow problem"):
         fbar = spanning_tree_flow(graph, data["b1"], data["b2"])
-    fbar_mass = fbar.mass()
+    fbar_mass = float(fbar.sum())
     x0 = fbar_mass if fbar_mass > 0 else 1.0
     d = 2 * graph.p
     with _bad_input("--epsilon"):

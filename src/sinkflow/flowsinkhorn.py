@@ -17,18 +17,18 @@ safe as they are, down to gamma ~ 1e-4 at desk scale.
 
 matrix_sweeps is the reference the engine is held to: explicit flow pairs
 and their KL projections project_C1 and project_C2, the most readable
-form, whose half-state row comes from the projected pair (f, g). Both
-produce the same iterates up to roundoff; tests hold them to that, and to
-the exact block updates in turn (BlockProblem.sweeps). Since the lifted
-objective counts the transport cost on both copies f and g, optimal values
-sit at twice the Wasserstein-1 distance, and w1_estimate reports on the
-transport scale by halving.
+form, whose half-state row comes from the projected pair (f, g). A flow,
+here as in graph, is a float array with one value per arc, aligned with
+the Graph's arc arrays. Both produce the same iterates up to roundoff;
+tests hold them to that, and to the exact block updates in turn
+(BlockProblem.sweeps). Since the lifted objective counts the transport cost
+on both copies f and g, optimal values sit at twice the Wasserstein-1
+distance, and w1_estimate reports on the transport scale by halving.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, NamedTuple
 
@@ -47,10 +47,9 @@ from .blocklp import (
     cost_and_dual,
 )
 from .graph import Graph, hop_diameter, spanning_tree_flow
-from .numerics import in_scaling_range, kl_divergence, phi_root
+from .numerics import in_scaling_range, kl_divergence, measure_pair, phi_root
 
 __all__ = [
-    "EdgeFlow",
     "FlowProblem",
     "divergence",
     "project_C1",
@@ -62,35 +61,6 @@ __all__ = [
     "vertex_dual_from_flow",
 ]
 
-_BALANCE_TOL = 1e-12
-
-
-@dataclass
-class EdgeFlow:
-    """Nonnegative values on the directed arcs of a graph.
-
-    Aligned with Graph's arc arrays (both orientations of every edge, sorted
-    by (src, dst)).
-    """
-
-    graph: Graph
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.graph.p,):
-            raise ValueError(
-                f"flow needs one value per directed arc ({self.graph.p}), "
-                f"got shape {values.shape}"
-            )
-        if np.any(values < 0) or not np.all(np.isfinite(values)):
-            raise ValueError("flow values must be finite and >= 0")
-        self.values = values
-
-    def mass(self) -> float:
-        return float(self.values.sum())
-
-
 def divergence(g: Graph, f) -> np.ndarray:
     """Per-vertex net flow: arcs entering k minus arcs leaving k.
 
@@ -98,11 +68,10 @@ def divergence(g: Graph, f) -> np.ndarray:
     reading of the arc values as a sparse matrix; feasible flows satisfy
     divergence(f) = mu1 - mu2.
     """
-    values = f.values if isinstance(f, EdgeFlow) else np.asarray(f, dtype=float)
-    if values.shape != (g.p,):
+    f = np.asarray(f, dtype=float)
+    if f.shape != (g.p,):
         raise ValueError("flow length does not match the arc count")
-    return (_vertex_sums(g.n, g.arc_dst, values)
-            - _vertex_sums(g.n, g.arc_src, values))
+    return _vertex_sums(g.n, g.arc_dst, f) - _vertex_sums(g.n, g.arc_src, f)
 
 
 # Every per-vertex reduction over the arcs is one scatter pass keyed by
@@ -115,11 +84,7 @@ def _vertex_sums(n: int, key: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _vertex_maxima(n: int, key: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per-vertex maxima of per-arc values grouped by key.
-
-    ufunc.at has a fast path from numpy 1.25 on; before it this is slower
-    than np.maximum.reduceat.
-    """
+    """Per-vertex maxima of per-arc values grouped by key."""
     out = np.full(n, -np.inf)
     np.maximum.at(out, key, values)
     return out
@@ -145,22 +110,12 @@ class FlowProblem(BlockProblem):
     def __init__(self, graph: Graph, mu1, mu2, gamma: float):
         if graph.n < 2:
             raise ValueError("flow problems need at least two vertices")
-        mu1 = np.asarray(mu1, dtype=float)
-        mu2 = np.asarray(mu2, dtype=float)
-        if mu1.shape != (graph.n,) or mu2.shape != (graph.n,):
-            raise ValueError("marginals must have one entry per vertex")
-        if not (np.all((0 <= mu1) & (mu1 < math.inf))
-                and np.all((0 <= mu2) & (mu2 < math.inf))):
-            raise ValueError("marginals must be finite and nonnegative")
-        if not abs(mu1.sum() - mu2.sum()) <= _BALANCE_TOL:
-            raise ValueError(
-                f"marginals must balance, difference {mu1.sum() - mu2.sum():.3e}"
-            )
+        mu1, mu2 = measure_pair(mu1, mu2, graph.n, graph.n)
         if not 0 < gamma < math.inf:
             raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
 
         p = graph.p
-        tree_mass = spanning_tree_flow(graph, mu1, mu2).mass()
+        tree_mass = float(spanning_tree_flow(graph, mu1, mu2).sum())
         alpha = tree_mass / (2.0 * p) if tree_mass > 0 else 1.0 / (2.0 * p)
         z = np.full(p, alpha)
 
@@ -392,7 +347,8 @@ def _gamma_arsinh(gamma: float, r: np.ndarray, exponent_sum: np.ndarray) -> np.n
         return np.where(m > 700.0, asym, direct)
 
 
-def project_C1(problem: FlowProblem, h: EdgeFlow) -> tuple[EdgeFlow, EdgeFlow]:
+def project_C1(problem: FlowProblem, h: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
     """KL projection of the pair (h, h) onto the marginal-coupling block.
 
     Solves one quadratic per vertex: s = phi_root(t, u) with
@@ -401,25 +357,24 @@ def project_C1(problem: FlowProblem, h: EdgeFlow) -> tuple[EdgeFlow, EdgeFlow]:
     -f 1 + g^T 1 = mu1 - mu2 up to roundoff.
     """
     g = problem.graph
-    hv = h.values
-    row = _vertex_sums(g.n, g.arc_src, hv)
-    col = _vertex_sums(g.n, g.arc_dst, hv)
+    row = _vertex_sums(g.n, g.arc_src, h)
+    col = _vertex_sums(g.n, g.arc_dst, h)
     if np.any(row <= 0.0) or not np.all(np.isfinite(row)):
         k = int(np.argmin(row))
         raise NumericOverflowError(
             f"degenerate vertex {k}: its outgoing arc mass is {row[k]!r}"
         )
     s = phi_root((problem.mu1 - problem.mu2) / row, col / row)
-    f = s[g.arc_src] * hv
-    g_vals = hv / s[g.arc_dst]
+    f = s[g.arc_src] * h
+    g_vals = h / s[g.arc_dst]
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g_vals))):
         raise NumericOverflowError("marginal projection left the float range")
-    return EdgeFlow(g, f), EdgeFlow(g, g_vals)
+    return f, g_vals
 
 
-def project_C2(f: EdgeFlow, g: EdgeFlow) -> EdgeFlow:
+def project_C2(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """KL projection of (f, g) onto f = g: the entrywise geometric mean."""
-    return EdgeFlow(f.graph, np.sqrt(f.values * g.values))
+    return np.sqrt(f * g)
 
 
 def matrix_sweeps(problem: FlowProblem) -> Iterator[Sweep]:
@@ -428,14 +383,14 @@ def matrix_sweeps(problem: FlowProblem) -> Iterator[Sweep]:
     Each sweep projects onto block 1, then onto block 2; the half state is
     the pair (f, g) after project_C1, before the geometric mean.
     """
-    f = EdgeFlow(problem.graph, np.exp(-problem.w_eff / problem.gamma))
+    f = np.exp(-problem.w_eff / problem.gamma)
     pair_rows = partial(_pair_rows, problem)
     while True:
         f1, g1 = project_C1(problem, f)
         f = project_C2(f1, g1)
         v = vertex_dual_from_flow(problem, f)
         u = DualState(v, problem.block_update_2(v))
-        yield u, _state_row(problem, u), (pair_rows, (f1.values, g1.values))
+        yield u, _state_row(problem, u), (pair_rows, (f1, g1))
 
 
 def _pair_rows(problem: FlowProblem, pairs: list):
@@ -448,7 +403,7 @@ def _pair_rows(problem: FlowProblem, pairs: list):
                                      float(f.sum()) + float(g.sum())))
 
 
-def vertex_dual_from_flow(problem: FlowProblem, f: EdgeFlow) -> np.ndarray:
+def vertex_dual_from_flow(problem: FlowProblem, f: np.ndarray) -> np.ndarray:
     """Recover the vertex dual of a positive matrix-path iterate.
 
     Integrates the per-arc log ratios log f - log z^C along a tree from
@@ -459,10 +414,10 @@ def vertex_dual_from_flow(problem: FlowProblem, f: EdgeFlow) -> np.ndarray:
     it the matrix path's outputs to the last digit, so this order is kept.
     """
     g = problem.graph
-    if np.any(f.values <= 0):
+    if np.any(f <= 0):
         raise ValueError("dual recovery needs a strictly positive flow")
     # v_src - v_dst = 2 gamma log f + 2 w_eff on every arc
-    diff = 2.0 * problem.gamma * np.log(f.values) + 2.0 * problem.w_eff
+    diff = 2.0 * problem.gamma * np.log(f) + 2.0 * problem.w_eff
     starts = g.arc_seg_starts.tolist() + [g.p]
     dst = g.arc_dst.tolist()
     v = np.zeros(g.n)
@@ -499,7 +454,7 @@ class FlowConstants(NamedTuple):
     X_gamma: float
 
 
-def flow_constants(problem: FlowProblem, fbar: EdgeFlow) -> FlowConstants:
+def flow_constants(problem: FlowProblem, fbar: np.ndarray) -> FlowConstants:
     """Certificate constants from a feasible comparison flow.
 
     fbar must satisfy the divergence constraint (spanning_tree_flow output
@@ -517,8 +472,8 @@ def flow_constants(problem: FlowProblem, fbar: EdgeFlow) -> FlowConstants:
     gamma = problem.gamma
     w_min = float(g.arc_w.min())
     w_max = float(g.arc_w.max())
-    cost = float(g.arc_w @ fbar.values)
-    x_bar = (cost + gamma * kl_divergence(fbar.values, problem.z_arc)) / w_min
+    cost = float(g.arc_w @ fbar)
+    x_bar = (cost + gamma * kl_divergence(fbar, problem.z_arc)) / w_min
     h = float(np.log(x_bar)) + 2.0 * w_max / gamma + float(
         np.abs(problem.log_z_arc).max()
     )

@@ -3,14 +3,17 @@
 A Graph stores one adjacency: the directed arcs (both orientations of every
 edge) as parallel arrays sorted by (src, dst), with a reverse-arc index and
 per-vertex segment offsets, and the breadth-first tree from vertex 0 that
-its connectivity check walks. The flow solver's per-sweep reductions run
-vectorized over these arrays, every traversal here walks the same
-segments, and the spanning-tree flow reuses the stored tree.
+its connectivity check walks. A flow is a float array with one value per
+arc, aligned with these arrays. The flow solver's per-sweep reductions run
+vectorized over them, every traversal here walks the same segments, and
+the spanning-tree flow reuses the stored tree.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .numerics import measure_pair
 
 __all__ = [
     "Graph",
@@ -199,29 +202,20 @@ def hop_diameter(g: Graph) -> int:
     return diameter
 
 
-def spanning_tree_flow(g: Graph, b1, b2):
+def spanning_tree_flow(g: Graph, b1, b2) -> np.ndarray:
     """Feasible nonnegative arc flow with divergence b1 - b2 on a BFS tree.
 
     The tree is the Graph's own BFS tree from vertex 0, grown with neighbors
     visited in ascending id order, so the result is deterministic. Each tree
     edge carries the net imbalance of the subtree hanging below it, placed
-    on whichever directed orientation keeps the flow entry nonnegative.
+    on whichever directed orientation keeps the flow entry nonnegative. The
+    flow is returned as a float array aligned with the Graph's arc arrays.
 
     Raises:
-      ValueError: if the marginals are not finite or are unbalanced beyond
-        1e-12.
+      ValueError: if b1 and b2 are not a measure pair on the vertices (see
+        numerics.measure_pair).
     """
-    from .flowsinkhorn import EdgeFlow
-
-    b1 = np.asarray(b1, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
-    if b1.shape != (g.n,) or b2.shape != (g.n,):
-        raise ValueError("marginals must have one entry per vertex")
-    if not (np.all(np.isfinite(b1)) and np.all(np.isfinite(b2))):
-        raise ValueError("marginals must be finite")
-    imbalance = float(b1.sum() - b2.sum())
-    if not abs(imbalance) <= 1e-12:
-        raise ValueError(f"marginals differ in total mass by {imbalance:.3e}")
+    b1, b2 = measure_pair(b1, b2, g.n, g.n)
 
     # Subtree surplus of (b1 - b2), gathered leaves-first: one hop level at
     # a time from the deepest, each in reversed visit order. np.add.at adds
@@ -239,4 +233,4 @@ def spanning_tree_flow(g: Graph, b1, b2):
     s = surplus[rev]
     values = np.zeros(g.p)
     values[np.where(s >= 0.0, tree_arc, g.arc_rev[tree_arc])] = np.abs(s)
-    return EdgeFlow(g, values)
+    return values

@@ -1,10 +1,13 @@
-"""Scalar and vector kernels shared by every solver path.
+"""Scalar and vector kernels shared by every solver path, and the one check
+of a pair of measures that the solvers and the oracle accept.
 
 All functions are pure and deterministic: reductions run in index order on
 contiguous float64 arrays, so repeated calls are bit-identical.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -14,7 +17,12 @@ __all__ = [
     "variation_seminorm",
     "SCALING_LIMIT",
     "in_scaling_range",
+    "MASS_TOL",
+    "measure_pair",
 ]
+
+# Two measures whose totals differ by at most MASS_TOL carry equal mass.
+MASS_TOL = 1e-12
 
 # A stabilised engine's scaling leaving [1/SCALING_LIMIT, SCALING_LIMIT]
 # ends its epoch; see OTProblem.sweeps and FlowProblem.sweeps.
@@ -89,3 +97,23 @@ def in_scaling_range(s: np.ndarray) -> bool:
     False for NaN entries too.
     """
     return 1.0 / SCALING_LIMIT <= s.min() and s.max() <= SCALING_LIMIT
+
+
+def measure_pair(b1, b2, n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two measures, on n1 and on n2 vertices, as float arrays.
+
+    Raises:
+      ValueError: on a wrong length, an entry that is not finite or is
+        negative, or totals that differ by more than MASS_TOL.
+    """
+    b1 = np.asarray(b1, dtype=float)
+    b2 = np.asarray(b2, dtype=float)
+    if b1.shape != (n1,) or b2.shape != (n2,):
+        raise ValueError("marginals must have one entry per vertex")
+    if not (np.all((0 <= b1) & (b1 < math.inf))
+            and np.all((0 <= b2) & (b2 < math.inf))):
+        raise ValueError("marginals must be finite and nonnegative")
+    imbalance = float(b1.sum() - b2.sum())
+    if not abs(imbalance) <= MASS_TOL:
+        raise ValueError(f"marginals must balance, difference {imbalance:.3e}")
+    return b1, b2

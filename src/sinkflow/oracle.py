@@ -15,6 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .graph import Graph
+from .numerics import MASS_TOL, measure_pair
 
 __all__ = [
     "InfeasibleFlowError",
@@ -25,8 +26,6 @@ __all__ = [
     "exact_w1",
     "exact_ot",
 ]
-
-_MASS_TOL = 1e-12
 
 
 class InfeasibleFlowError(RuntimeError):
@@ -53,15 +52,15 @@ def _validate(inst: MinCostFlowInstance) -> np.ndarray:
         raise ValueError("supplies must have one entry per node")
     if not np.all(np.isfinite(supplies)):
         raise ValueError("supplies must be finite")
-    if not abs(supplies.sum()) <= _MASS_TOL:
+    if not abs(supplies.sum()) <= MASS_TOL:
         raise ValueError(f"supplies must sum to zero, got {supplies.sum():.3e}")
     for a, (u, v, c, cap) in enumerate(inst.arcs):
         if not (0 <= u < inst.n_nodes and 0 <= v < inst.n_nodes):
             raise ValueError(f"arc {a} endpoint out of range")
-        if c < 0:
-            raise ValueError(f"arc {a} has negative cost {c}")
-        if cap is not None and cap < 0:
-            raise ValueError(f"arc {a} has negative capacity {cap}")
+        if not 0 <= c < math.inf:
+            raise ValueError(f"arc {a} needs a finite cost >= 0, got {c}")
+        if cap is not None and not cap >= 0:
+            raise ValueError(f"arc {a} needs a capacity >= 0, got {cap}")
     return supplies
 
 
@@ -189,10 +188,10 @@ def exact_w1(graph: Graph, b1, b2) -> float:
     Supplies b1 - b2, one uncapacitated arc per direction per edge at the
     edge weight. Each augmentation exhausts a source, a sink, or a backward
     residual arc, so the count stays near n in practice (it is not bounded
-    by n: a backward bottleneck leaves both endpoints unexhausted).
+    by n: a backward bottleneck leaves both endpoints unexhausted). The
+    measures are checked by numerics.measure_pair, as the solvers do.
     """
-    b1 = np.asarray(b1, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
+    b1, b2 = measure_pair(b1, b2, graph.n, graph.n)
     arcs = [
         (int(graph.arc_src[a]), int(graph.arc_dst[a]), float(graph.arc_w[a]), None)
         for a in range(graph.p)
@@ -205,12 +204,12 @@ def exact_ot(cost_matrix, b1, b2) -> tuple[float, np.ndarray]:
     """Optimal transport between histograms over a complete bipartite graph.
 
     Returns the optimal value and a vertex-optimal plan with marginals
-    (b1, b2).
+    (b1, b2). The marginals are checked by numerics.measure_pair, and each
+    cost entry must be finite and >= 0.
     """
     cost_matrix = np.asarray(cost_matrix, dtype=float)
-    b1 = np.asarray(b1, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
     m1, m2 = cost_matrix.shape
+    b1, b2 = measure_pair(b1, b2, m1, m2)
     arcs = [
         (i, m1 + j, float(cost_matrix[i, j]), None)
         for i in range(m1)

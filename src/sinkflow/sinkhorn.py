@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .blocklp import BlockProblem, DualState, Sweep, _row_scalars, _state_row
-from .numerics import in_scaling_range
+from .numerics import MASS_TOL, in_scaling_range
 
 __all__ = [
     "OTProblem",
@@ -31,7 +31,6 @@ __all__ = [
     "OTConstants",
 ]
 
-_BALANCE_TOL = 1e-12
 _TINY = np.finfo(float).tiny
 
 
@@ -59,7 +58,7 @@ class OTProblem(BlockProblem):
         for name, b in (("b1", b1), ("b2", b2)):
             if not np.all((0 < b) & (b < math.inf)):
                 raise ValueError(f"{name} must be finite and strictly positive")
-            if not abs(b.sum() - 1.0) <= _BALANCE_TOL:
+            if not abs(b.sum() - 1.0) <= MASS_TOL:
                 raise ValueError(f"{name} must sum to 1, got {b.sum()!r}")
         if not 0 < gamma < math.inf:
             raise ValueError(f"gamma must be positive and finite, got {gamma!r}")

@@ -1,5 +1,7 @@
-"""The public surface of sinkflow and the hooks the benchmark wraps."""
+"""The public surface of sinkflow, its import structure and the hooks the
+benchmark wraps."""
 
+import ast
 import importlib
 import importlib.util
 import types
@@ -11,17 +13,16 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Change together with __init__.py and the README's library section.
 PUBLIC = [
-    "BlockProblem", "ConvergenceTrace", "DualState", "EdgeFlow",
-    "FlowConstants", "FlowProblem", "Graph", "InfeasibleFlowError",
-    "MinCostFlowInstance", "MinCostFlowResult", "NumericOverflowError",
-    "OTConstants", "OTProblem", "divergence", "dual_objective", "exact_ot",
-    "exact_w1", "flow_constants", "hop_diameter", "kl_divergence",
-    "marginals", "matrix_sweeps", "min_cost_flow", "operator_norm_1to1",
-    "ot_constants", "phi_root", "plan_schedule", "primal_from_dual",
-    "project_C1", "project_C2", "schedule_gamma", "soft_c_transform_1",
-    "soft_c_transform_2", "solve", "solve_scheduled", "spanning_tree_flow",
-    "variation_seminorm", "verify_certificate", "vertex_dual_from_flow",
-    "w1_estimate",
+    "BlockProblem", "ConvergenceTrace", "DualState", "FlowConstants",
+    "FlowProblem", "Graph", "InfeasibleFlowError", "MinCostFlowInstance",
+    "MinCostFlowResult", "NumericOverflowError", "OTConstants", "OTProblem",
+    "divergence", "dual_objective", "exact_ot", "exact_w1", "flow_constants",
+    "hop_diameter", "kl_divergence", "marginals", "matrix_sweeps",
+    "min_cost_flow", "operator_norm_1to1", "ot_constants", "phi_root",
+    "plan_schedule", "primal_from_dual", "project_C1", "project_C2",
+    "schedule_gamma", "soft_c_transform_1", "soft_c_transform_2", "solve",
+    "solve_scheduled", "spanning_tree_flow", "variation_seminorm",
+    "verify_certificate", "vertex_dual_from_flow", "w1_estimate",
 ]
 
 MODULES = ["analysis", "blocklp", "cli", "flowsinkhorn", "graph", "numerics",
@@ -40,6 +41,41 @@ def test_every_module_all_entry_resolves():
         module = importlib.import_module(f"sinkflow.{name}")
         missing = [n for n in module.__all__ if not hasattr(module, n)]
         assert missing == [], f"sinkflow.{name}: {missing}"
+
+
+def _sinkflow_imports(tree):
+    """(statement, names of the sinkflow modules it imports) for every
+    import of a sinkflow module in a module's syntax tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            yield node, [node.module or ""]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.module or "").split(".")[0] == "sinkflow":
+            yield node, [node.module.partition(".")[2]]
+        elif isinstance(node, ast.Import):
+            names = [a.name.partition(".")[2] for a in node.names
+                     if a.name.split(".")[0] == "sinkflow"]
+            if names:
+                yield node, names
+
+
+def test_import_structure():
+    """Sinkflow modules import each other at the top of the module only,
+    and graph, which the solvers build on, imports only numerics."""
+    paths = sorted((ROOT / "src" / "sinkflow").glob("*.py"))
+    assert [p.stem for p in paths] == sorted(["__init__", *MODULES])
+    inside = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inside += [f"{path.stem}.{func.name}:{node.lineno}"
+                           for node, _ in _sinkflow_imports(func)]
+        if path.stem == "graph":
+            used = {name for _, names in _sinkflow_imports(tree)
+                    for name in names}
+            assert used <= {"numerics"}, used
+    assert inside == []
 
 
 def test_benchmark_span_targets_resolve():

@@ -495,28 +495,58 @@ _PATH3 = {"graph": {"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.5]]},
 _OT_2X2 = {"cost": [[0.0, 1.0], [1.0, 0.0]], "b2": [0.5, 0.5], "gamma": 0.1}
 
 
-@pytest.mark.parametrize("value", ["NaN", "Infinity"])
-@pytest.mark.parametrize("argv", [
-    ["w1", "flow", "--max-sweeps", "5"], ["w1", "flow", "--epsilon", "0.1"],
-    ["ot", "ot", "--gamma", "0.1"], ["ot", "ot", "--epsilon", "0.1"],
-    ["exact", "flow"], ["exact", "ot"], ["verify", "flow"], ["verify", "ot"],
-], ids=["w1-budget", "w1-epsilon", "ot-gamma", "ot-epsilon", "exact-flow",
-        "exact-ot", "verify-flow", "verify-ot"])
-def test_nonfinite_marginal_is_input_error(capsys, monkeypatch, tmp_path,
-                                           argv, value):
-    # JSON carries NaN and Infinity as bare literals, which json.load reads
-    command, kind, *flags = argv
-    payload, b1 = (_PATH3, "[%s, 0, 0]") if kind == "flow" else (
-        _OT_2X2, "[%s, 0.5]")
-    text = json.dumps(payload)
-    path = tmp_path / "nonfinite.json"
-    path.write_text(text[:-1] + f', "b1": {b1 % value}}}')
+# argv by test id; the second word is the kind of file the call reads
+_INPUT_ARGVS = {
+    "w1-budget": ["w1", "flow", "--max-sweeps", "5"],
+    "w1-epsilon": ["w1", "flow", "--epsilon", "0.1"],
+    "ot-gamma": ["ot", "ot", "--gamma", "0.1"],
+    "ot-epsilon": ["ot", "ot", "--epsilon", "0.1"],
+    "exact-flow": ["exact", "flow"], "exact-ot": ["exact", "ot"],
+    "verify-flow": ["verify", "flow"], "verify-ot": ["verify", "ot"],
+}
+
+
+def assert_bad_input(capsys, monkeypatch, tmp_path, argv, text):
+    """argv, with its kind replaced by a file holding text, exits 2 with one
+    'error: bad ...' line before any sweep."""
+    command, _kind, *flags = argv
+    path = tmp_path / "bad_input.json"
+    path.write_text(text)
     monkeypatch.setattr(cli, "solve", None)  # no sweep may run
     code, out, err = run_cli(capsys, command, str(path), *flags)
     assert code == 2
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: bad ")
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+@pytest.mark.parametrize("argv", _INPUT_ARGVS.values(), ids=_INPUT_ARGVS)
+def test_nonfinite_marginal_is_input_error(capsys, monkeypatch, tmp_path,
+                                           argv, value):
+    # JSON carries NaN and Infinity as bare literals, which json.load reads
+    payload, b1 = (_PATH3, "[%s, 0, 0]") if argv[1] == "flow" else (
+        _OT_2X2, "[%s, 0.5]")
+    text = json.dumps(payload)
+    assert_bad_input(capsys, monkeypatch, tmp_path, argv,
+                     text[:-1] + f', "b1": {b1 % value}}}')
+
+
+@pytest.mark.parametrize("argv", _INPUT_ARGVS.values(), ids=_INPUT_ARGVS)
+def test_negative_marginal_is_input_error(capsys, monkeypatch, tmp_path,
+                                          argv):
+    # the totals balance, so only the sign is at fault
+    payload = ({**_PATH3, "b1": [1.5, -0.5, 0.0]} if argv[1] == "flow"
+               else {**_OT_2X2, "b1": [1.5, -0.5]})
+    assert_bad_input(capsys, monkeypatch, tmp_path, argv, json.dumps(payload))
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_exact_nonfinite_cost_is_input_error(capsys, monkeypatch, tmp_path,
+                                             value):
+    text = json.dumps({**_OT_2X2, "b1": [0.5, 0.5]})
+    assert_bad_input(capsys, monkeypatch, tmp_path, _INPUT_ARGVS["exact-ot"],
+                     text.replace("[[0.0, 1.0]", f"[[0.0, {value}]"))
 
 
 @pytest.mark.parametrize("command", ["w1", "ot"])

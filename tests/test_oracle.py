@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -104,6 +106,10 @@ def test_instance_validation():
         min_cost_flow(MinCostFlowInstance(2, [(0, 2, 1.0, None)], [1.0, -1.0]))
     with pytest.raises(ValueError):
         min_cost_flow(MinCostFlowInstance(2, [(0, 1, 1.0, -2.0)], [1.0, -1.0]))
+    for arc in [(0, 1, math.nan, None), (0, 1, math.inf, None),
+                (0, 1, 1.0, math.nan)]:
+        with pytest.raises(ValueError):
+            min_cost_flow(MinCostFlowInstance(2, [arc], [1.0, -1.0]))
 
 
 def test_certificate_flags_bad_potentials():
