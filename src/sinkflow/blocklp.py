@@ -6,8 +6,12 @@ smoothed dual
 
     F(u) = <b, u> + gamma * (Z - ||x(u)||_1),    Z = sum(z),
 
-where x(u) = z * exp((A^T u - C) / gamma). The sweep driver alternates the
-exact block updates, records a per-sweep trace, and never decreases F.
+where x(u) = z * exp((A^T u - C) / gamma). The sweep driver, solve, runs an
+iterator of sweeps, by default the exact block updates in turn, which never
+decrease F. Each sweep yields its stopping residual as a float and defers
+the rest of its full state and its half state; solve evaluates the
+recorded ones a block at a time, with 2-D arrays over the rows, into a
+per-sweep trace.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import groupby
-from typing import Any, Callable, Iterable, Iterator
+from itertools import chain, groupby
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,8 +72,15 @@ Marginals = tuple[np.ndarray, np.ndarray, float]
 # A trace row's three numbers at a primal x:
 # (||A1 x - b1||_1, ||A2 x - b2||_1, ||x||_1).
 Row = tuple[float, float, float]
-# What a `sweeps` iterator yields for each sweep; see solve().
-Sweep = tuple[DualState, Row, tuple[Callable[[list], Iterable[Row]], Any]]
+# The full states of a run of sweeps: the dual stacks U1 (rows, m1) and
+# U2 (rows, m2), one row per sweep, then ||A2 x - b2||_1 and ||x||_1 at
+# x(u), one float per sweep.
+Stacks = tuple[np.ndarray, np.ndarray, Sequence[float], Sequence[float]]
+# What a `sweeps` iterator yields for each sweep: the stopping residual
+# ||A1 x - b1||_1 at the full state, then the full and the half state, each
+# deferred as (rows, state); see solve().
+Sweep = tuple[float, tuple[Callable[[list], Stacks], Any],
+              tuple[Callable[[list], Iterable[Row]], Any]]
 
 # solve holds recorded rows until their duals reach this many floats
 # (m1 + m2 per row, one row at least), then evaluates them as one block.
@@ -145,7 +156,8 @@ class BlockProblem:
         while True:
             half = DualState(self.block_update_1(u.u2), u.u2)
             u = DualState(half.u1, self.block_update_2(half.u1))
-            yield u, _state_row(self, u), (rows, half)
+            res1, res2, mass = _state_row(self, u)
+            yield res1, (_stacked, (u.u1, u.u2, res2, mass)), (rows, half)
 
 
 def _log_primal(problem: BlockProblem, u: DualState) -> np.ndarray:
@@ -297,34 +309,71 @@ def _state_rows(problem: BlockProblem, states: list) -> Iterator[Row]:
     return (_state_row(problem, u) for u in states)
 
 
-def _close_block(problem: BlockProblem, trace: ConvergenceTrace,
-                 held: list) -> None:
-    """Move the held rows (k, u, res1, foc2, mass, half) into the trace.
+def _stacked(states: list) -> Stacks:
+    """The stacks of full states given as (u1, u2, res2, mass) tuples."""
+    u1, u2, res2, mass = zip(*states)
+    return np.array(u1), np.array(u2), res2, mass
 
-    The half rows come from one rows(states) call per run of held halves
-    that share rows; then F and both seminorms come from the stacked duals.
-    held is emptied first, and if a half raises, the rows before it still
-    go into the trace.
+
+def _full_stacks(evaluate: Callable[[list], Stacks],
+                 states: list) -> Iterator[Stacks]:
+    """evaluate(states); if that overflows, evaluate([state]) for each state
+    in turn, so that the stacks before the state that overflows are yielded
+    before it raises."""
+    try:
+        stacks = evaluate(states)
+    except NumericOverflowError:
+        for state in states:
+            yield evaluate([state])
+        raise
+    yield stacks
+
+
+def _close_block(problem: BlockProblem, trace: ConvergenceTrace,
+                 held: list) -> DualState | None:
+    """Move the held sweeps (k, res1, full, half) into the trace and return
+    the full DualState of the last one, or None if none was held.
+
+    Each run of held halves that share rows takes one rows(states) call,
+    then each run of held full states that share rows one; F and both
+    seminorms come from the joined dual stacks. held is emptied first, and
+    if a half or a full state raises, the rows before it still go into the
+    trace.
     """
     rows = held[:]
     held.clear()
-    half_rows = []
+    halves, stacks, u = [], [], None
     try:
-        for evaluate, run in groupby(rows, lambda row: row[-1][0]):
-            half_rows.extend(evaluate([row[-1][1] for row in run]))
+        for evaluate, run in groupby(rows, lambda row: row[3][0]):
+            halves.extend(evaluate([row[3][1] for row in run]))
     finally:
-        del rows[len(half_rows):]
-        if rows:
-            k, states, res1, foc2, mass, _ = zip(*rows)
-            u1 = np.array([u.u1 for u in states])
-            u2 = np.array([u.u2 for u in states])
-            F = (u1 @ problem.b1 + u2 @ problem.b2 + problem.gamma
-                 * (problem.reference_mass - np.array(mass)))
-            foc1, res2, half_mass = zip(*half_rows)
-            trace.extend(k, F.tolist(), res1, res2, mass,
-                         problem.seminorm_V1(u1).tolist(),
-                         problem.seminorm_V2(u2).tolist(), half_mass, foc1,
-                         foc2)
+        del rows[len(halves):]
+        try:
+            for evaluate, run in groupby(rows, lambda row: row[2][0]):
+                stacks.extend(_full_stacks(evaluate,
+                                           [row[2][1] for row in run]))
+        finally:
+            if stacks:
+                u = _extend_trace(problem, trace, rows, halves, stacks)
+    return u
+
+
+def _extend_trace(problem: BlockProblem, trace: ConvergenceTrace,
+                  rows: list, halves: list, stacks: list) -> DualState:
+    """Add the held rows that have a half row and a full-state stack row
+    to the trace; return the last one's full DualState."""
+    u1, u2, foc2, mass = zip(*stacks)
+    u1, u2 = (col[0] if len(col) == 1 else np.concatenate(col)
+              for col in (u1, u2))
+    foc2, mass = (list(chain.from_iterable(col)) for col in (foc2, mass))
+    k, res1, _, _ = zip(*rows[:len(mass)])
+    foc1, res2, half_mass = zip(*halves[:len(mass)])
+    F = (u1 @ problem.b1 + u2 @ problem.b2 + problem.gamma
+         * (problem.reference_mass - np.array(mass)))
+    trace.extend(k, F.tolist(), res1, res2, mass,
+                 problem.seminorm_V1(u1).tolist(),
+                 problem.seminorm_V2(u2).tolist(), half_mass, foc1, foc2)
+    return DualState(u1[-1], u2[-1])
 
 
 def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
@@ -345,25 +394,33 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
     sweeps replaces the iteration while solve keeps the stopping, thinning
     and recording; the default is problem.sweeps(). It must start from
     problem.initial_state() and yields, for each sweep, a triple
-    (u, row, (rows, state)): the full DualState reached; the trace row
-    (||A1 x - b1||_1, ||A2 x - b2||_1, ||x||_1) at x(u), which the stopping
-    test reads; and the half state, after the block-1 update and before the
-    block-2 update, with a callable rows that maps a list of such states to
-    their trace rows in order. solve never forms a primal past the start row.
+    (res1, (rows, state), (rows, state)): the block-1 residual
+    ||A1 x - b1||_1 at x(u) for the full state u reached, as a float, which
+    the stopping test reads; then that full state and the half state, after
+    the block-1 update and before the block-2 update, each deferred as a
+    callable rows and a state it takes. For full states rows maps a list of
+    states to their Stacks (U1, U2, ||A2 x - b2||_1, ||x||_1), a row or a
+    float per state; for half states it maps a list of states to their
+    trace rows (||A1 x - b1||_1, ||A2 x - b2||_1, ||x||_1), in order. solve
+    never forms a primal past the start row, and forms a DualState only for
+    the row it returns.
 
-    Recorded rows are held and evaluated a block at a time: once the held
+    Recorded sweeps are held and evaluated a block at a time: once the held
     rows' duals reach _BLOCK_FLOATS floats, when the run stops, and before
-    a NumericOverflowError is re-raised. A block calls rows once per run of
-    consecutive held halves that share the same rows, so an iterator may
-    evaluate such a run together; if rows returns an iterator, the rows it
-    yields before raising go into the trace. A state, and a yielded u, may
-    be used up to one block after its sweep: iterators must not change an
-    array they have yielded in place, and rows may empty the states it gets.
-    Unrecorded halves are dropped without being evaluated.
+    a NumericOverflowError is re-raised. A block calls each rows once per
+    run of consecutive held states that share it, halves first, so an
+    iterator may evaluate such a run together. If a half's rows returns an
+    iterator, the rows it yields before raising go into the trace; if a
+    full state's rows overflows, solve evaluates its run again a state at a
+    time and keeps the rows before the state that overflows. A state may be
+    used up to one block after its sweep: iterators must not change an
+    array they have yielded in place, and a half's rows may empty the
+    states it gets, a full state's rows may not. Unrecorded sweeps are
+    dropped without being evaluated.
 
     Returns the final dual state and the trace. On overflow the partial
     trace rides on the raised NumericOverflowError; it holds the rows
-    recorded before the sweep, or the half, that overflowed.
+    recorded before the sweep, or the state, that overflowed.
     """
     if max_sweeps is None and residual_tol is None:
         raise ValueError("need max_sweeps and/or residual_tol")
@@ -378,36 +435,50 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
 
     trace = ConvergenceTrace(problem.gamma, operator_norm_1to1(problem),
                              getattr(problem, "label", ""))
-    u = problem.initial_state()
     if sweeps is None:
         sweeps = problem.sweeps()
     block_rows = -(-_BLOCK_FLOATS // sum(problem.dims_dual))  # ceiling
-    held = []  # recorded rows not yet in the trace; see _close_block
+    held = []  # recorded sweeps not yet in the trace; see _close_block
     try:
-        res1, res2, mass = _state_row(problem, u)
-        trace.append(0, _dual_value(problem, u, mass), res1, res2, mass,
-                     problem.seminorm_V1(u.u1), problem.seminorm_V2(u.u2))
+        res1 = _start_row(problem, trace)
         k = 0
         stop = done(k, res1)
         while not stop:
             k += 1
-            u, (res1, foc2, mass), half = next(sweeps)
+            res1, full, half = next(sweeps)
             stop = done(k, res1)
             if k % record_every and not stop:
                 continue
-            held.append((k, u, res1, foc2, mass, half))
-            if stop or len(held) >= block_rows:
+            held.append((k, res1, full, half))
+            if len(held) >= block_rows and not stop:
                 _close_block(problem, trace, held)
+        u = _close_block(problem, trace, held)
     except NumericOverflowError as err:
         try:
             _close_block(problem, trace, held)
-        except NumericOverflowError as half_err:
-            # a held half overflowed first: the trace ends before its row
-            half_err.trace = trace
-            raise half_err from None
+        except NumericOverflowError as held_err:
+            # a held state overflowed first: the trace ends before its row
+            held_err.trace = trace
+            raise held_err from None
         err.trace = trace
         raise
-    return u, trace
+    if u is None:  # no sweep ran
+        return problem.initial_state(), trace
+    # copies, so that the state does not keep the last block's stacks alive
+    return DualState(u.u1.copy(), u.u2.copy()), trace
+
+
+def _start_row(problem: BlockProblem, trace: ConvergenceTrace) -> float:
+    """Record row 0, at problem.initial_state(); return its res1.
+
+    Apart from solve, so that solve holds no start state through the sweeps:
+    at p ~ 1e5 its arc dual would add a p-vector to every sweep's peak.
+    """
+    u = problem.initial_state()
+    res1, res2, mass = _state_row(problem, u)
+    trace.append(0, _dual_value(problem, u, mass), res1, res2, mass,
+                 problem.seminorm_V1(u.u1), problem.seminorm_V2(u.u2))
+    return res1
 
 
 def schedule_gamma(eps: float, X0: float, d: int) -> float:

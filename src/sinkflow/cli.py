@@ -209,8 +209,8 @@ def _run(args, setup, estimate) -> int:
     estimate(problem, state) returns the (primal, dual) answer.
     """
     _check_run_flags(args)
-    data = _load_json(args.input)
-    problem, schedule = setup(data, args)
+    # the parsed file is dropped once set-up has built the problem
+    problem, schedule = setup(_load_json(args.input), args)
     _check_trace_path(args.trace)
     try:
         if schedule is None:

@@ -7,13 +7,15 @@ KL projections onto both blocks, and the dual sweep reduces to one vertex
 update per iteration.
 
 blocklp.solve runs FlowProblem.sweeps(), a log-stabilised scaling engine
-that yields (u, row, (rows, state)) per sweep: the trace row (block
-residuals and mass) at the full state, and the half state with the callable
-that evaluates its row. Each epoch absorbs the vertex duals into a per-arc
-kernel, and a sweep is two per-vertex sums and one quadratic root per
-vertex, which also give the full-state row. The exact log-domain block
-updates block_update_1 and block_update_2 are its fallback, so it is as
-safe as they are, down to gamma ~ 1e-4 at desk scale.
+that yields (res1, (rows, state), (rows, state)) per sweep: the block-1
+residual at the full state, then the full and the half state, each with
+the callable that evaluates a run of them. Each epoch absorbs the vertex
+duals into a per-arc kernel, and a sweep is two per-vertex sums and one
+quadratic root per vertex, which also give the residual; the duals, the
+mass and the half rows are formed only for the sweeps solve records, an
+epoch's run at a time. The exact log-domain block updates block_update_1
+and block_update_2 are its fallback, so it is as safe as they are, down to
+gamma ~ 1e-4 at desk scale.
 
 matrix_sweeps is the reference the engine is held to: explicit flow pairs
 and their KL projections project_C1 and project_C2, the most readable
@@ -42,6 +44,7 @@ from .blocklp import (
     Sweep,
     _l1,
     _row_scalars,
+    _stacked,
     _state_row,
     _state_rows,
     cost_and_dual,
@@ -181,10 +184,11 @@ class FlowProblem(BlockProblem):
         return 0.5 * (lc - la) - _gamma_arsinh(self.gamma, self.r, la + lc)
 
     def block_update_2(self, u1):
-        """Exact arc-dual maximizer: U_e = -(v_src + v_dst) / 2."""
+        """Exact arc-dual maximizer: U_e = -(v_src + v_dst) / 2, for each
+        row of a stack of vertex duals too."""
         u1 = np.asarray(u1, dtype=float)
-        u2 = u1[self.graph.arc_src]
-        u2 += u1[self.graph.arc_dst]
+        u2 = u1.take(self.graph.arc_src, axis=-1)
+        u2 += u1.take(self.graph.arc_dst, axis=-1)
         u2 *= -0.5
         return u2
 
@@ -202,41 +206,46 @@ class FlowProblem(BlockProblem):
         the arcs leaving the vertex and Q the sum of K sigma_src over the
         arcs entering it; block 1 is then
         sigma' = sigma sqrt(tau), with tau the positive root of
-        a tau^2 + 2 r tau - c = 0, and block 2 is exact. The full-state row
-        is read from the a' and c' the next sweep uses: A1 x = a' - c',
-        A2 x = 0 and ||x||_1 = 2 sum a'. The half-state pair is
-        (F tau_src, F / tau_dst), with F = K sigma_src / sigma_dst the
-        full-state flow before the sweep: its state is [sigma, sigma', a, c],
-        and one rows callable per epoch, _absorbed_half_rows, evaluates a
-        run of them together. The half of a sweep that opens an epoch is the
-        exact state (v0, u2), evaluated per row. A new sigma that is not
-        finite or leaves the scaling range ends the epoch: the exact
-        block_update_1 runs in its place and opens a new epoch in the same
+        a tau^2 + 2 r tau - c = 0, and block 2 is exact. The full state is
+        read from the a' and c' the next sweep uses: A1 x = a' - c', whose
+        l1 norm each sweep yields, A2 x = 0 and ||x||_1 = 2 sum a'. It is
+        deferred as (sigma', a'), and one rows callable per epoch,
+        _absorbed_full_rows, forms v and u2 for a run of them. The
+        half-state pair is (F tau_src, F / tau_dst), with
+        F = K sigma_src / sigma_dst the full-state flow before the sweep:
+        its state is [sigma, sigma', a, c], and one rows callable per epoch,
+        _absorbed_half_rows, evaluates a run of them together. The half of
+        a sweep that opens an epoch is the exact state (v0, u2), evaluated
+        per row. A new sigma that is not finite or leaves the scaling range
+        ends the epoch: the exact block_update_1 runs in its place, on the
+        u2 of the full state reached, and opens a new epoch in the same
         sweep.
         """
-        gamma, r = self.gamma, self.r
-        u = self.initial_state()
+        gamma = self.gamma
+        r_abs, r_pos = np.abs(self.r), self.r >= 0.0
+        u2 = self.initial_state().u2
         state_rows = partial(_state_rows, self)
         sigma = None  # no epoch open
         while True:
             if sigma is not None:
-                sigma_next = sigma * np.sqrt(_scaling_root(r, a, c))
+                sigma_next = sigma * np.sqrt(
+                    _scaling_root(self.r, a, c, r_abs, r_pos))
                 if not in_scaling_range(sigma_next):
+                    u2 = self.block_update_2(v0 + 2.0 * gamma * np.log(sigma))
                     sigma = sigma_next = None
             if sigma is None:
-                v0 = self.block_update_1(u.u2)
-                half = state_rows, DualState(v0, u.u2)
-                v = v0
+                v0 = self.block_update_1(u2)
+                half = state_rows, DualState(v0, u2)
+                del u2  # the half holds it, until solve drops the half
                 kernel = _full_flow(self, v0)
+                full_rows = partial(_absorbed_full_rows, self, v0)
                 absorbed_rows = partial(_absorbed_half_rows, self, kernel)
                 sigma = np.ones(self.graph.n)
             else:
                 half = absorbed_rows, [sigma, sigma_next, a, c]
                 sigma = sigma_next
-                v = v0 + 2.0 * gamma * np.log(sigma)
             a, c = _scaled_sums(self.graph, kernel, sigma)
-            u = DualState(v, self.block_update_2(v))
-            yield u, _absorbed_row(self, a, c), half
+            yield _l1(a - c - self.b1), (full_rows, (sigma, a)), half
 
 
 def _full_flow(problem: FlowProblem, v: np.ndarray) -> np.ndarray:
@@ -272,28 +281,37 @@ def _scaled_sums(g: Graph, kernel, sigma):
     return a, c
 
 
-def _scaling_root(r: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _scaling_root(r: np.ndarray, a: np.ndarray, c: np.ndarray,
+                  r_abs: np.ndarray | None = None,
+                  r_pos: np.ndarray | None = None) -> np.ndarray:
     """Positive root tau of a tau^2 + 2 r tau - c = 0, per vertex.
 
     At small gamma a pure source or sink has one of a and c below 1e-290 or
-    exactly 0, legitimately, so the root divides by neither: it is
-    c / (r + disc) for r >= 0 and (disc - r) / a for r < 0, where the sum
-    or difference has no cancellation. disc = sqrt(r^2 + a c) is formed
-    without the product a c, which underflows at a vertex with r = 0 far
-    from the flow. Where no finite positive root exists the result is 0,
-    inf or NaN, which the caller's range check turns into a fallback.
+    exactly 0, legitimately, so the root divides by neither: with
+    s = |r| + disc it is c / s for r >= 0 and s / a for r < 0, where the
+    sum has no cancellation (for r < 0, disc - r is disc + |r| exactly).
+    disc = sqrt(r^2 + a c) is formed without the product a c, which
+    underflows at a vertex with r = 0 far from the flow. Where no finite
+    positive root exists the result is 0, inf or NaN, which the caller's
+    range check turns into a fallback. A caller that solves for the same r
+    again and again passes r_abs = |r| and r_pos = (r >= 0) in.
     """
+    if r_abs is None:
+        r_abs, r_pos = np.abs(r), r >= 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        disc = np.hypot(r, np.sqrt(a) * np.sqrt(c))
-        return np.where(r >= 0.0, c / (r + disc), (disc - r) / a)
+        s = np.hypot(r, np.sqrt(a) * np.sqrt(c))
+        s += r_abs
+        return np.where(r_pos, c / s, s / a)
 
 
-def _absorbed_row(problem: FlowProblem, a, c):
-    """The trace row at the full state f = g = K sigma_src / sigma_dst.
-
-    f = g, so block 2 holds exactly and its residual is 0.
-    """
-    return _l1(a - c - problem.b1), 0.0, 2.0 * float(a.sum())
+def _absorbed_full_rows(problem: FlowProblem, v0: np.ndarray, states: list):
+    """The Stacks of the full states (sigma, a) of absorbed sweeps of one
+    epoch: v = v0 + 2 gamma log sigma with its exact u2, a block-2 residual
+    of 0 since f = g, and the mass 2 sum a."""
+    sigma, a = (np.array(col) for col in zip(*states))
+    u1 = v0 + 2.0 * problem.gamma * np.log(sigma)
+    return (u1, problem.block_update_2(u1), [0.0] * len(states),
+            (2.0 * a.sum(axis=1)).tolist())
 
 
 def _absorbed_half_rows(problem: FlowProblem, kernel: np.ndarray,
@@ -389,8 +407,9 @@ def matrix_sweeps(problem: FlowProblem) -> Iterator[Sweep]:
         f1, g1 = project_C1(problem, f)
         f = project_C2(f1, g1)
         v = vertex_dual_from_flow(problem, f)
-        u = DualState(v, problem.block_update_2(v))
-        yield u, _state_row(problem, u), (pair_rows, (f1, g1))
+        u2 = problem.block_update_2(v)
+        res1, res2, mass = _state_row(problem, DualState(v, u2))
+        yield res1, (_stacked, (v, u2, res2, mass)), (pair_rows, (f1, g1))
 
 
 def _pair_rows(problem: FlowProblem, pairs: list):

@@ -9,7 +9,9 @@ domain, which keeps gamma down to 1e-3 usable.
 solve() runs OTProblem.sweeps(), a log-stabilised scaling iteration: the
 same iterates as the two block updates in turn, at the cost of two
 matrix-vector products per sweep, with the soft c-transforms as its
-fallback.
+fallback. A sweep yields its block-1 residual and defers its duals and the
+rest of its trace row, which solve evaluates only for the sweeps it
+records, an epoch's run at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .blocklp import BlockProblem, DualState, Sweep, _row_scalars, _state_row
+from .blocklp import (
+    BlockProblem,
+    DualState,
+    Sweep,
+    _l1,
+    _stacked,
+    _state_row,
+)
 from .numerics import MASS_TOL, in_scaling_range
 
 __all__ = [
@@ -107,18 +116,22 @@ class OTProblem(BlockProblem):
         and a sweep is a = b1 / (K b), b = b2 / (K^T a): the two block updates
         in scaling form. Both trace rows come from K b, K^T a and the
         previous K b, so a sweep costs two matrix-vector products and never
-        forms the plan. The full row is formed every sweep; the half state
-        is (a, K b, b, K^T a) before the update of b, and _half_rows
+        forms the plan. The block-1 residual is formed every sweep; the
+        full state is deferred as (a, b, K^T a, K b), with K^T a the one
+        before the update of b, and _scaled_full_rows forms the duals, the
+        block-2 residual and the mass for a run of them. The half state is
+        (a, K b, b, K^T a) before the update of b, and _half_rows
         evaluates a run of them together. A new scaling that is not finite
         or leaves the scaling range ends the epoch and the exact log-domain
         update takes its place: for a, that update opens a new epoch in the
-        same sweep; for b, the next sweep opens one. The rows of K sum to
+        same sweep, on the u2 of the full state reached; for b, the next
+        sweep opens one. The rows of K sum to
         b1, so a stays within the range of 1/b unless a marginal entry sits
         near the float64 limit. Its row of K b is then subnormal or 0, and a
         is not formed from it: the exact update runs instead.
         """
         gamma, b1, b2 = self.gamma, self.b1, self.b2
-        u = self.initial_state()
+        u2 = self.initial_state().u2
         half_rows = partial(_half_rows, self)
         kernel = None  # no epoch open
         while True:
@@ -130,14 +143,14 @@ class OTProblem(BlockProblem):
                     a = b1 / kb
                     if not in_scaling_range(a):
                         kernel = None
+                if kernel is None:
+                    u2 = g + gamma * np.log(b)
             if kernel is None:
-                f, g = self.block_update_1(u.u2), u.u2
+                f, g = self.block_update_1(u2), u2
                 kernel = _kernel(self, f, g)
+                full_rows = partial(_scaled_full_rows, self, f, g)
                 a, b = np.ones(self.m1), np.ones(self.m2)
                 kb = kernel.sum(axis=1)
-                u1 = f
-            else:
-                u1 = f + gamma * np.log(a)
             kta = a @ kernel
             half = half_rows, (a, kb, b, kta)
             with np.errstate(divide="ignore", over="ignore"):
@@ -145,13 +158,13 @@ class OTProblem(BlockProblem):
             if in_scaling_range(b_next):
                 b = b_next
                 kb = kernel @ b
-                u = DualState(u1, g + gamma * np.log(b))
-                row = _scaled_row(self, a, kb, b, kta)
+                yield _l1(a * kb - b1), (full_rows, (a, b, kta, kb)), half
             else:
-                u = DualState(u1, self.block_update_2(u1))
+                u1 = f + gamma * np.log(a)
+                u2 = self.block_update_2(u1)
                 kernel = None
-                row = _state_row(self, u)
-            yield u, row, half
+                res1, res2, mass = _state_row(self, DualState(u1, u2))
+                yield res1, (_stacked, (u1, u2, res2, mass)), half
 
 
 def _kernel(problem: OTProblem, f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -163,9 +176,18 @@ def _kernel(problem: OTProblem, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.exp(k, out=k)
 
 
-def _scaled_row(problem: OTProblem, a, kb, b, kta):
-    """The trace row at the plan diag(a) K diag(b), given K b and K^T a."""
-    return _row_scalars(problem, (a * kb, b * kta, float(a @ kb)))
+def _scaled_full_rows(problem: OTProblem, f: np.ndarray, g: np.ndarray,
+                      states: list):
+    """The Stacks of the full states (a, b, kta, kb) of one epoch, at the
+    plans diag(a) K diag(b): the duals (f + gamma log a, g + gamma log b),
+    ||b K^T a - b2||_1 with the K^T a formed before b, and the mass a K b,
+    one dot product per state as a sweep would form it. The l1 norms equal
+    the per-state ones bit for bit."""
+    mass = [float(a @ kb) for a, _, _, kb in states]
+    a, b, kta, _ = (np.array(col) for col in zip(*states))
+    res2 = np.abs(b * kta - problem.b2).sum(axis=1)
+    return (f + problem.gamma * np.log(a), g + problem.gamma * np.log(b),
+            res2.tolist(), mass)
 
 
 def _half_rows(problem: OTProblem, states: list):

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from sinkflow.blocklp import DualState
 from sinkflow.flowsinkhorn import FlowProblem
 from sinkflow.graph import Graph
 from sinkflow.sinkhorn import OTProblem, _neg_lse_rows
@@ -111,6 +112,14 @@ def count_block_updates(problem):
 
         setattr(problem, name, counted)
     return counts
+
+
+def full_state(sweep):
+    """The DualState a sweep reaches and its trace row (res1, res2, mass),
+    from the residual it yields and its deferred full state."""
+    res1, (rows, state), _ = sweep
+    u1, u2, res2, mass = rows([state])
+    return DualState(u1[0], u2[0]), (res1, float(res2[0]), float(mass[0]))
 
 
 def pytest_terminal_summary(terminalreporter):

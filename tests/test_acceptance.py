@@ -46,6 +46,7 @@ from conftest import (
     ACCEPTANCE_RESULTS,
     count_block_updates,
     floyd_warshall,
+    full_state,
     lse_kernels,
     random_connected_graph,
     random_flow_problem,
@@ -322,7 +323,7 @@ def test_criterion_7_cross_path_equivalence():
         v = np.zeros(g.n)
         for _ in range(200):
             f = project_C2(*project_C1(pb, f))
-            u, _, _ = next(engine)
+            u, _ = full_state(next(engine))
             v = pb.block_update_1(pb.block_update_2(v))
             f_stable = primal_from_dual(
                 pb, DualState(v, pb.block_update_2(v)))[:g.p]

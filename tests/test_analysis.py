@@ -1,11 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from sinkflow.analysis import (
     DEFAULT_SEED,
-    RateCertificate,
     SignedOrderSpec,
     bias_bound,
     check_monotone_sweep,

@@ -26,7 +26,8 @@ from sinkflow.flowsinkhorn import FlowProblem, matrix_sweeps
 from sinkflow.graph import Graph
 from sinkflow.sinkhorn import OTProblem
 
-from conftest import count_block_updates, random_flow_problem, random_ot_problem
+from conftest import (count_block_updates, full_state, random_flow_problem,
+                      random_ot_problem)
 
 
 class ToyProblem(BlockProblem):
@@ -174,40 +175,46 @@ def test_solve_residual_stop_before_budget():
 
 
 class CountingToy(ToyProblem):
-    """ToyProblem whose sweeps count the iterators solve makes, the full
-    rows they form and the half rows solve has them evaluate."""
+    """ToyProblem whose sweeps count the iterators solve makes, the sweeps
+    it draws from them, and the full states and half states solve has them
+    evaluate."""
 
     def __init__(self, **kw):
         super().__init__(**kw)
-        self.calls = {"sweeps": 0, "full": 0, "half": 0}
+        self.calls = {"sweeps": 0, "next": 0, "full": 0, "half": 0}
 
     def sweeps(self):
         self.calls["sweeps"] += 1
-        counted = None
-        for u, row, (rows, state) in BlockProblem.sweeps(self):
-            self.calls["full"] += 1
-            counted = counted or self._counted(rows)
-            yield u, row, (counted, state)
+        full_rows = half_rows = None
+        for res1, (rows, full), (h_rows, half) in BlockProblem.sweeps(self):
+            self.calls["next"] += 1
+            full_rows = full_rows or self._counted("full", rows)
+            half_rows = half_rows or self._counted("half", h_rows)
+            yield res1, (full_rows, full), (half_rows, half)
 
-    def _counted(self, rows):
+    def _counted(self, kind, rows):
         def call(states):
-            for row in rows(states):
-                self.calls["half"] += 1
-                yield row
+            self.calls[kind] += len(states)
+            return rows(states)
         return call
 
 
 def test_solve_runs_problem_sweeps_by_default():
     pb = CountingToy(gamma=0.2)
-    solve(pb, max_sweeps=12)
-    assert pb.calls == {"sweeps": 1, "full": 12, "half": 12}
+    state, trace = solve(pb, max_sweeps=12)
+    assert pb.calls == {"sweeps": 1, "next": 12, "full": 12, "half": 12}
+    # the returned state is the one the last full state evaluates to
+    ref = BlockProblem.sweeps(ToyProblem(gamma=0.2))
+    ref_state, _ = full_state(list(itertools.islice(ref, 12))[-1])
+    np.testing.assert_array_equal(state.u1, ref_state.u1)
+    np.testing.assert_array_equal(state.u2, ref_state.u2)
 
 
 def test_solve_calls_half_only_on_recorded_rows():
     pb = CountingToy(gamma=0.2)
     _, trace = solve(pb, max_sweeps=35, record_every=10)
     assert trace.k == [0, 10, 20, 30, 35]
-    assert pb.calls == {"sweeps": 1, "full": 35, "half": 4}
+    assert pb.calls == {"sweeps": 1, "next": 35, "full": 4, "half": 4}
     assert all(math.isfinite(v) for v in trace.foc1[1:])
 
 
@@ -215,10 +222,10 @@ def test_solve_call_counts_do_not_depend_on_blocks(monkeypatch):
     monkeypatch.setattr(blocklp, "_BLOCK_FLOATS", 1)
     pb = CountingToy(gamma=0.2)
     solve(pb, max_sweeps=12)
-    assert pb.calls == {"sweeps": 1, "full": 12, "half": 12}
+    assert pb.calls == {"sweeps": 1, "next": 12, "full": 12, "half": 12}
     pb = CountingToy(gamma=0.2)
     solve(pb, max_sweeps=35, record_every=10)
-    assert pb.calls == {"sweeps": 1, "full": 35, "half": 4}
+    assert pb.calls == {"sweeps": 1, "next": 35, "full": 4, "half": 4}
 
 
 def test_marginals_match_the_primal():
@@ -320,6 +327,49 @@ def test_blocks_match_one_row_blocks(monkeypatch, make, sweeps):
     np.testing.assert_array_equal(state.u2, ref_state.u2)
 
 
+@pytest.mark.parametrize("make, tol, fallback", [
+    (_flow_engine, 1e-6, "block_update_1"),
+    (_ot_engine, 1e-6, "block_update_2")], ids=["flow-engine", "ot-engine"])
+def test_residual_stop_mid_block_matches_one_row_blocks(monkeypatch, make,
+                                                        tol, fallback):
+    """A residual_tol stop that lands inside a block, after full blocks with
+    fallbacks in them, returns the same final duals, the same k and the
+    same rows as one-row blocks."""
+    pb, _ = make()
+    rows = -(-blocklp._BLOCK_FLOATS // sum(pb.dims_dual))
+    counts = count_block_updates(pb)
+    _, trace = solve(pb, residual_tol=tol, max_sweeps=10**5)
+    k = trace.k[-1]
+    assert k > rows and k % rows and counts[fallback] >= 3
+    state, trace = solve_in_blocks(monkeypatch, make, None, residual_tol=tol,
+                                   max_sweeps=10**5)
+    ref_state, ref = solve_in_blocks(monkeypatch, make, 1, residual_tol=tol,
+                                     max_sweeps=10**5)
+    assert trace.k == ref.k == list(range(k + 1))
+    assert_same_rows(trace, ref)
+    np.testing.assert_array_equal(state.u1, ref_state.u1)
+    np.testing.assert_array_equal(state.u2, ref_state.u2)
+
+
+def test_flow_engine_runs_no_speculative_sweeps():
+    """solve draws exactly the sweeps it stops at, and the flow engine runs
+    the exact block_update_1 as often as when it formed each full state as
+    it went: 41 times in the 1,304 sweeps of this run."""
+    pb, _ = _flow_engine()
+    counts = count_block_updates(pb)
+    drawn = []
+
+    def counted(sweeps):
+        for sweep in sweeps:
+            drawn.append(1)
+            yield sweep
+
+    _, trace = solve(pb, residual_tol=1e-6, max_sweeps=10**5,
+                     sweeps=counted(pb.sweeps()))
+    assert trace.k[-1] == len(drawn) == 1304
+    assert counts["block_update_1"] == 41
+
+
 def test_blocks_keep_record_every_and_the_final_row(monkeypatch):
     # the engine drops the halves of the rows solve does not record
     _, trace = solve_in_blocks(monkeypatch, _flow_engine, None,
@@ -336,24 +386,34 @@ def _raise_overflow():
 
 def overflowing_sweeps(pb, at, where):
     """BlockProblem.sweeps with a NumericOverflowError at sweep `at`: from
-    next() itself, or from that sweep's half row, which one rows callable
-    evaluates together with the halves before it."""
-    def rows(states):
+    next() itself, from that sweep's half row, which one rows callable
+    evaluates together with the halves before it, or from its full state,
+    which one rows callable stacks together with the full states before
+    it."""
+    def half_rows(states):
         for state in states:
             if state is None:
                 _raise_overflow()
             yield from state_rows([state])
 
-    for k, (u, row, (state_rows, state)) in enumerate(BlockProblem.sweeps(pb),
-                                                      start=1):
+    def full_rows(states):
+        if any(state is None for state in states):
+            _raise_overflow()
+        return stack(states)
+
+    for k, (res1, (stack, full), (state_rows, half)) in enumerate(
+            BlockProblem.sweeps(pb), start=1):
         if k == at:
             if where == "next":
                 _raise_overflow()
-            state = None
-        yield u, row, (rows, state)
+            if where == "half":
+                half = None
+            else:
+                full = None
+        yield res1, (full_rows, full), (half_rows, half)
 
 
-@pytest.mark.parametrize("where", ["next", "half"])
+@pytest.mark.parametrize("where", ["next", "half", "full"])
 def test_overflow_mid_block_keeps_the_rows_before_it(monkeypatch, where):
     """A toy block holds 2048 rows, so sweep 20 overflows mid-block; the
     partial trace holds rows 0-19, as with one-row blocks."""
@@ -380,15 +440,24 @@ def _block_updates():
     _block_updates, _matrix_path, _flow_engine, _ot_engine],
     ids=["block-updates", "matrix", "flow-engine", "ot-engine"])
 def test_sweeps_yield_a_state_a_row_and_a_half(make):
-    """Each shipped iterator yields (u, row, (rows, state)): a DualState,
-    the full row as three floats, and a callable that maps a list of half
-    states to their rows."""
+    """Each shipped iterator yields (res1, (rows, full), (rows, half)): the
+    stopping residual as a float; a callable that maps a list of full states
+    to their stacks (U1, U2, res2, mass), a row or a float per state; and a
+    callable that maps a list of half states to their rows of three floats.
+    The residual is the one at the duals the full state evaluates to."""
     pb, sweeps = make()
-    for u, row, (rows, state) in itertools.islice(sweeps or pb.sweeps(), 40):
-        assert isinstance(u, DualState)
-        assert len(row) == 3 and all(type(v) is float for v in row)
-        assert callable(rows)
-        (half_row,) = rows([state])
+    m1, m2 = pb.dims_dual
+    for res1, (full_rows, full), (rows, half) in itertools.islice(
+            sweeps or pb.sweeps(), 40):
+        assert type(res1) is float
+        assert callable(full_rows) and callable(rows)
+        u1, u2, res2, mass = full_rows([full])
+        assert u1.shape == (1, m1) and u2.shape == (1, m2)
+        assert len(res2) == len(mass) == 1
+        a1x, _, _ = marginals(pb, DualState(u1[0], u2[0]))
+        assert res1 == pytest.approx(float(np.abs(a1x - pb.b1).sum()),
+                                     rel=1e-9, abs=1e-12)
+        (half_row,) = rows([half])
         assert len(half_row) == 3 and all(type(v) is float for v in half_row)
 
 
@@ -397,23 +466,29 @@ def test_sweeps_yield_a_state_a_row_and_a_half(make):
     lambda: random_ot_problem(np.random.default_rng(76), 4, 5, 0.3)],
     ids=["flow-engine", "ot-engine"])
 def test_no_engine_keeps_the_halves_solve_drops(make):
-    """A thinned run drops most halves: after 1,000 more sweeps the arrays
-    of an early half state are freed, and a half that is kept still
-    evaluates to the exact block updates' half row."""
+    """A thinned run drops most full states and halves: after 1,000 more
+    sweeps the arrays of an early sweep's full state and half state are
+    freed, and a sweep that is kept still evaluates to the exact block
+    updates' duals, full row and half row."""
     pb = make()
     sweeps = pb.sweeps()
     next(sweeps)  # opens the first epoch
-    _, _, (_, state) = next(sweeps)
-    assert isinstance(state, (list, tuple))  # an absorbed half
-    freed = [weakref.ref(array) for array in state]
-    del state
+    _, (_, full), (_, half) = next(sweeps)
+    assert isinstance(half, (list, tuple))  # an absorbed half
+    freed = [weakref.ref(array) for array in [*full, *half]]
+    del full, half
     for _ in range(1000):
-        _, _, (rows, state) = next(sweeps)
+        sweep = next(sweeps)
     assert all(ref() is None for ref in freed)
     ref = BlockProblem.sweeps(pb)
     for _ in range(1002):
-        _, _, (ref_rows, ref_state) = next(ref)
-    np.testing.assert_allclose(list(rows([state])), list(ref_rows([ref_state])),
+        ref_sweep = next(ref)
+    (u, row), (ref_u, ref_row) = full_state(sweep), full_state(ref_sweep)
+    np.testing.assert_allclose(u.u1, ref_u.u1, rtol=1e-9, atol=1e-15)
+    np.testing.assert_allclose(u.u2, ref_u.u2, rtol=1e-9, atol=1e-15)
+    np.testing.assert_allclose(row, ref_row, rtol=1e-9, atol=1e-15)
+    (rows, half), (ref_rows, ref_half) = sweep[2], ref_sweep[2]
+    np.testing.assert_allclose(list(rows([half])), list(ref_rows([ref_half])),
                                rtol=1e-9, atol=1e-15)
 
 

@@ -37,8 +37,9 @@ from sinkflow.graph import Graph, spanning_tree_flow
 from sinkflow.numerics import kl_divergence
 from sinkflow.oracle import exact_w1
 
-from conftest import (count_block_updates, graph_edges, large_budget_edges,
-                      random_connected_graph, random_marginals)
+from conftest import (count_block_updates, full_state, graph_edges,
+                      large_budget_edges, random_connected_graph,
+                      random_marginals)
 
 
 def two_node(gamma=0.5, w=1.0):
@@ -225,7 +226,7 @@ def test_two_node_scaling_fixed_point():
     pb = two_node(gamma=1.0)
     sweeps = pb.sweeps()
     for _ in range(3):
-        u, _, _ = next(sweeps)
+        u, _ = full_state(next(sweeps))
     a = math.asinh(2.0 * math.e)
     np.testing.assert_allclose(u.u1, [-a, a], rtol=1e-12)
 
@@ -251,7 +252,7 @@ def test_three_paths_agree():
     v = np.zeros(g.n)
     for _ in range(30):
         f = project_C2(*project_C1(pb, f))
-        u, _, _ = next(engine)
+        u, _ = full_state(next(engine))
         v = pb.block_update_1(pb.block_update_2(v))
         f_stable = primal_from_dual(
             pb, DualState(v, pb.block_update_2(v)))[:g.p]
@@ -534,8 +535,9 @@ def test_engine_matches_block_updates_on_long_segments(gamma):
     engine = list(itertools.islice(pb.sweeps(), 200))
     assert 1 <= counts["block_update_1"] <= 20
     ref = BlockProblem.sweeps(pb)
-    for (u, row, (rows, state)), (r, ref_row, (ref_rows, ref_state)) in zip(
-            engine, ref):
+    for sweep, ref_sweep in zip(engine, ref):
+        (u, row), (r, ref_row) = full_state(sweep), full_state(ref_sweep)
+        (rows, state), (ref_rows, ref_state) = sweep[2], ref_sweep[2]
         np.testing.assert_allclose(u.u1, r.u1, rtol=0, atol=1e-10)
         np.testing.assert_allclose(u.u2, r.u2, rtol=0, atol=1e-10)
         np.testing.assert_allclose(row, ref_row, rtol=1e-10, atol=1e-12)

@@ -14,7 +14,7 @@ from sinkflow import sinkhorn
 from sinkflow.blocklp import BlockProblem, DualState, dual_objective, marginals, primal_from_dual, solve
 from sinkflow.sinkhorn import OTProblem, ot_constants, soft_c_transform_1, soft_c_transform_2
 
-from conftest import count_block_updates, random_ot_problem
+from conftest import count_block_updates, full_state, random_ot_problem
 
 
 def small_ot(rng, m1=4, m2=5, gamma=0.5):
@@ -270,17 +270,26 @@ def test_stabilized_sweeps_are_the_default_and_match_block_updates(monkeypatch):
         _assert_runs_agree(pb, 150)
 
 
-def test_engine_forms_one_scaled_row_per_sweep(monkeypatch):
-    """The full row is formed every sweep, and the half rows a block at a
-    time with 2-D row sums: _row_scalars runs once per sweep that keeps its
-    epoch, not twice."""
+def test_engine_forms_its_rows_a_run_at_a_time(monkeypatch):
+    """A sweep forms its block-1 residual and nothing else of its trace
+    row: solve evaluates each full state and each half once, a run of an
+    epoch's sweeps per call with 2-D arrays. Only a sweep whose column
+    scaling falls back forms its full row when it runs, through blocklp."""
     pb = random_ot_problem(np.random.default_rng(72), 4, 5, 1e-3)
     counts = count_block_updates(pb)
-    calls = _count_calls(monkeypatch, "_row_scalars")
+    state_rows = _count_calls(monkeypatch, "_state_row")
+    full = _count_calls(monkeypatch, "_scaled_full_rows")
+    half = _count_calls(monkeypatch, "_half_rows")
     solve(pb, max_sweeps=600)
-    # a sweep whose column scaling falls back forms its row through blocklp
-    assert counts["block_update_2"] >= 1
-    assert len(calls) == 600 - counts["block_update_2"]
+    fallbacks = counts["block_update_2"]
+    assert fallbacks >= 1
+    assert len(state_rows) == fallbacks
+    assert sum(len(args[-1]) for args in full) == 600 - fallbacks
+    assert sum(len(args[-1]) for args in half) == 600
+    # two blocks of up to 456 rows: the full states take at most one call
+    # per epoch in each, the halves, which all share one rows, one call
+    assert len(full) <= counts["block_update_1"] + 1
+    assert len(half) == 2
 
 
 def test_stabilized_fallback_when_first_column_update_underflows(monkeypatch):
@@ -298,7 +307,7 @@ def test_stabilized_fallback_when_first_column_update_underflows(monkeypatch):
 
     cols = _count_calls(monkeypatch, "soft_c_transform_2")
     sweeps = pb.sweeps()
-    u, _, _ = next(sweeps)
+    u, _ = full_state(next(sweeps))
     assert len(cols) == 1
     # epoch start and fallback are the exact block updates, to the bit
     want_u1 = pb.block_update_1(np.zeros(pb.m2))
