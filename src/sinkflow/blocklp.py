@@ -279,14 +279,17 @@ class ConvergenceTrace:
         return all(f[i + 1] >= f[i] - slack for i in range(len(f) - 1))
 
     def to_csv(self, path) -> None:
-        """Write the seven public columns, floats in round-trip precision."""
-        rows = zip(map(str, self.k), *(
-            map(repr, column) for column in (
-                self.F_gamma, self.res1_l1, self.res2_l1, self.primal_mass,
-                self.u1_seminorm, self.u2_seminorm)))
-        lines = [self.CSV_HEADER, *map(",".join, rows)]
+        """Write the seven public columns, floats in round-trip precision.
+
+        Rows are formatted as they are written, so no copy of the whole
+        text is held; %r gives the repr of the Python floats extend and
+        append store.
+        """
+        rows = zip(self.k, self.F_gamma, self.res1_l1, self.res2_l1,
+                   self.primal_mass, self.u1_seminorm, self.u2_seminorm)
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(self.CSV_HEADER + "\n")
+            fh.writelines(map("%d,%r,%r,%r,%r,%r,%r\n".__mod__, rows))
 
 
 def _l1(v: np.ndarray) -> float:
@@ -416,7 +419,11 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
     used up to one block after its sweep: iterators must not change an
     array they have yielded in place, and a half's rows may empty the
     states it gets, a full state's rows may not. Unrecorded sweeps are
-    dropped without being evaluated.
+    dropped without being evaluated. solve draws exactly the sweeps up to
+    the one it stops at and keeps a sweep only in its block. An iterator
+    may compute a few sweeps ahead of the one drawn, as the flow engine
+    does a burst at a time, but runs its exact updates only for the
+    sweeps drawn.
 
     Returns the final dual state and the trace. On overflow the partial
     trace rides on the raised NumericOverflowError; it holds the rows
@@ -445,12 +452,13 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
         stop = done(k, res1)
         while not stop:
             k += 1
-            res1, full, half = next(sweeps)
-            stop = done(k, res1)
+            # held is the only reference solve keeps to a sweep's states,
+            # so a closed block's are freed before the next sweep runs
+            held.append((k, *next(sweeps)))
+            stop = done(k, held[-1][1])
             if k % record_every and not stop:
-                continue
-            held.append((k, res1, full, half))
-            if len(held) >= block_rows and not stop:
+                del held[-1]
+            elif len(held) >= block_rows and not stop:
                 _close_block(problem, trace, held)
         u = _close_block(problem, trace, held)
     except NumericOverflowError as err:

@@ -11,11 +11,13 @@ that yields (res1, (rows, state), (rows, state)) per sweep: the block-1
 residual at the full state, then the full and the half state, each with
 the callable that evaluates a run of them. Each epoch absorbs the vertex
 duals into a per-arc kernel, and a sweep is two per-vertex sums and one
-quadratic root per vertex, which also give the residual; the duals, the
-mass and the half rows are formed only for the sweeps solve records, an
-epoch's run at a time. The exact log-domain block updates block_update_1
-and block_update_2 are its fallback, so it is as safe as they are, down to
-gamma ~ 1e-4 at desk scale.
+quadratic root per vertex. The sweeps of an epoch run in short bursts
+that write their scalings and sums into one buffer, with one range check
+and one residual pass over the burst's rows; the duals, the mass and the
+half rows are formed only for the sweeps solve records, an epoch's run at
+a time, from slices of those buffers. The exact log-domain block updates
+block_update_1 and block_update_2 are its fallback, so it is as safe as
+they are, down to gamma ~ 1e-4 at desk scale.
 
 matrix_sweeps is the reference the engine is held to: explicit flow pairs
 and their KL projections project_C1 and project_C2, the most readable
@@ -36,13 +38,13 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from . import blocklp
 from .blocklp import (
     _EXP_LIMIT,
     BlockProblem,
     DualState,
     NumericOverflowError,
     Sweep,
-    _l1,
     _row_scalars,
     _stacked,
     _state_row,
@@ -63,6 +65,11 @@ __all__ = [
     "FlowConstants",
     "vertex_dual_from_flow",
 ]
+
+# The flow engine's longest burst, in sweeps. A burst's buffer holds 3 n
+# floats a sweep, so a burst is also held to _BLOCK_FLOATS / n sweeps.
+_BURST_SWEEPS = 16
+
 
 def divergence(g: Graph, f) -> np.ndarray:
     """Per-vertex net flow: arcs entering k minus arcs leaving k.
@@ -208,44 +215,60 @@ class FlowProblem(BlockProblem):
         sigma' = sigma sqrt(tau), with tau the positive root of
         a tau^2 + 2 r tau - c = 0, and block 2 is exact. The full state is
         read from the a' and c' the next sweep uses: A1 x = a' - c', whose
-        l1 norm each sweep yields, A2 x = 0 and ||x||_1 = 2 sum a'. It is
-        deferred as (sigma', a'), and one rows callable per epoch,
-        _absorbed_full_rows, forms v and u2 for a run of them. The
-        half-state pair is (F tau_src, F / tau_dst), with
-        F = K sigma_src / sigma_dst the full-state flow before the sweep:
-        its state is [sigma, sigma', a, c], and one rows callable per epoch,
-        _absorbed_half_rows, evaluates a run of them together. The half of
-        a sweep that opens an epoch is the exact state (v0, u2), evaluated
-        per row. A new sigma that is not finite or leaves the scaling range
-        ends the epoch: the exact block_update_1 runs in its place, on the
-        u2 of the full state reached, and opens a new epoch in the same
-        sweep.
+        l1 norm each sweep yields, A2 x = 0 and ||x||_1 = 2 sum a'.
+
+        An epoch runs in bursts of up to _BURST_SWEEPS sweeps, of fewer on
+        a graph of more than _BLOCK_FLOATS / _BURST_SWEEPS vertices: each
+        sweep of a burst writes its row (sigma', a', c') into the burst's
+        fresh (3, rows, n) buffer, and one errstate, one range check and
+        one residual pass cover the burst. Its sweeps are then yielded one
+        at a time, so the engine computes at most a burst less one sweeps
+        ahead of the one drawn. A full state is deferred as its row
+        (buffer, index), and one rows callable per epoch,
+        _absorbed_full_rows, forms v and u2 for a run of them from slices
+        of the buffers. The half-state pair is (F tau_src, F / tau_dst),
+        with F = K sigma_src / sigma_dst the full-state flow before the
+        sweep: its state is the pair of rows before and after the sweep,
+        and one rows callable per epoch, _absorbed_half_rows, evaluates a
+        run of them together. The half of a sweep that opens an epoch is
+        the exact state (v0, u2), evaluated per row. A new sigma that is
+        not finite or leaves the scaling range ends the epoch: the sweeps
+        computed past it are dropped, and when its sweep is drawn the exact
+        block_update_1 runs in its place, on the u2 of the full state
+        reached, and opens a new epoch in the same sweep.
         """
-        gamma = self.gamma
+        n = self.graph.n
+        burst = min(_BURST_SWEEPS, max(1, blocklp._BLOCK_FLOATS // n))
         r_abs, r_pos = np.abs(self.r), self.r >= 0.0
         u2 = self.initial_state().u2
         state_rows = partial(_state_rows, self)
-        sigma = None  # no epoch open
         while True:
-            if sigma is not None:
-                sigma_next = sigma * np.sqrt(
-                    _scaling_root(self.r, a, c, r_abs, r_pos))
-                if not in_scaling_range(sigma_next):
-                    u2 = self.block_update_2(v0 + 2.0 * gamma * np.log(sigma))
-                    sigma = sigma_next = None
-            if sigma is None:
-                v0 = self.block_update_1(u2)
-                half = state_rows, DualState(v0, u2)
-                del u2  # the half holds it, until solve drops the half
-                kernel = _full_flow(self, v0)
-                full_rows = partial(_absorbed_full_rows, self, v0)
-                absorbed_rows = partial(_absorbed_half_rows, self, kernel)
-                sigma = np.ones(self.graph.n)
-            else:
-                half = absorbed_rows, [sigma, sigma_next, a, c]
-                sigma = sigma_next
-            a, c = _scaled_sums(self.graph, kernel, sigma)
-            yield _l1(a - c - self.b1), (full_rows, (sigma, a)), half
+            v0 = self.block_update_1(u2)
+            half = state_rows, DualState(v0, u2)
+            del u2  # the half holds it, until solve drops the half
+            kernel = _full_flow(self, v0)
+            full_rows = partial(_absorbed_full_rows, self, v0)
+            half_rows = partial(_absorbed_half_rows, self, kernel)
+            last = None  # the row of the last sweep yielded
+            good = burst
+            while good == burst:
+                rows = np.empty((3, burst, n))
+                good, res1 = _burst(self, kernel, rows, last, r_abs, r_pos)
+                for i in range(good):
+                    if last is not None:
+                        half = half_rows, (last, (rows, i))
+                    last = rows, i
+                    yield res1[i], (full_rows, last), half
+                    # only solve holds a half: at p ~ 1e5 the u2 of an
+                    # epoch's first half, or the buffer before a burst,
+                    # held here too would show in a run's peak memory
+                    del half
+            # fall back from the last row yielded; this epoch's arrays go
+            # before block_update_1 runs, for the same reason
+            rows, i = last
+            u2 = self.block_update_2(v0 + 2.0 * self.gamma
+                                     * np.log(rows[0, i]))
+            del kernel, full_rows, half_rows, rows, last
 
 
 def _full_flow(problem: FlowProblem, v: np.ndarray) -> np.ndarray:
@@ -265,25 +288,64 @@ def _full_flow(problem: FlowProblem, v: np.ndarray) -> np.ndarray:
     return np.exp(log_f, out=log_f)
 
 
-def _scaled_sums(g: Graph, kernel, sigma):
-    """a = sigma P and c = Q / sigma, for P the sum of K / sigma_dst over the
-    arcs leaving each vertex and Q the sum of K sigma_src over the arcs
-    entering it.
+def _burst(problem: FlowProblem, kernel: np.ndarray, rows: np.ndarray,
+           last: tuple | None, r_abs: np.ndarray, r_pos: np.ndarray
+           ) -> tuple[int, list]:
+    """Fill the rows (sigma, a, c) of a burst, each a sweep from the row
+    before it; return the number of leading rows whose sigma lies in the
+    scaling range and the block-1 residual ||a - c - b1||_1 of each.
+
+    last is the row (buffer, index) before the burst, read in place, or
+    None when the burst opens an epoch, whose first row is sigma = 1. The
+    rows past the first that leaves the range are computed from it and
+    must be dropped; one errstate covers them all, so none of them warns.
+    The last row's sums wait for the range check, so that a one-sweep
+    burst that leaves the range forms none, as a sweep that falls back
+    forms none.
+    """
+    g = problem.graph
+    sigmas, a_rows, c_rows = rows
+    end = len(sigmas) - 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if last is not None:
+            buffer, i = last
+            sigma, a, c = buffer[:, i]
+        for i in range(len(sigmas)):
+            if last is None and i == 0:
+                sigma = sigmas[0]
+                sigma.fill(1.0)
+            else:
+                tau = _root(problem.r, a, c, r_abs, r_pos)
+                sigma = np.multiply(sigma, np.sqrt(tau, out=tau),
+                                    out=sigmas[i])
+            if i < end:
+                a, c = _scaled_sums(g, kernel, sigma, a_rows[i], c_rows[i])
+        in_range = in_scaling_range(sigmas).tolist()
+        good = (in_range + [False]).index(False)
+        if good > end:
+            _scaled_sums(g, kernel, sigma, a_rows[end], c_rows[end])
+        res1 = np.abs(a_rows[:good] - c_rows[:good] - problem.b1).sum(axis=1)
+    return good, res1.tolist()
+
+
+def _scaled_sums(g: Graph, kernel, sigma, a, c):
+    """a = sigma P and c = Q / sigma, written into a and c, for P the sum
+    of K / sigma_dst over the arcs leaving each vertex and Q the sum of
+    K sigma_src over the arcs entering it.
 
     Each sum is one scatter pass over a per-arc array that is freed right
     after it: at p ~ 1e5 each p-vector held across sweeps shows in the peak
     memory of a run.
     """
-    a = _vertex_sums(g.n, g.arc_src, kernel / sigma[g.arc_dst])
-    a *= sigma
-    c = _vertex_sums(g.n, g.arc_dst, kernel * sigma[g.arc_src])
-    c /= sigma
+    np.multiply(_vertex_sums(g.n, g.arc_src, kernel / sigma[g.arc_dst]),
+                sigma, out=a)
+    np.divide(_vertex_sums(g.n, g.arc_dst, kernel * sigma[g.arc_src]),
+              sigma, out=c)
     return a, c
 
 
-def _scaling_root(r: np.ndarray, a: np.ndarray, c: np.ndarray,
-                  r_abs: np.ndarray | None = None,
-                  r_pos: np.ndarray | None = None) -> np.ndarray:
+def _scaling_root(r: np.ndarray, a: np.ndarray, c: np.ndarray
+                  ) -> np.ndarray:
     """Positive root tau of a tau^2 + 2 r tau - c = 0, per vertex.
 
     At small gamma a pure source or sink has one of a and c below 1e-290 or
@@ -293,22 +355,43 @@ def _scaling_root(r: np.ndarray, a: np.ndarray, c: np.ndarray,
     disc = sqrt(r^2 + a c) is formed without the product a c, which
     underflows at a vertex with r = 0 far from the flow. Where no finite
     positive root exists the result is 0, inf or NaN, which the caller's
-    range check turns into a fallback. A caller that solves for the same r
-    again and again passes r_abs = |r| and r_pos = (r >= 0) in.
+    range check turns into a fallback.
     """
-    if r_abs is None:
-        r_abs, r_pos = np.abs(r), r >= 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.hypot(r, np.sqrt(a) * np.sqrt(c))
-        s += r_abs
-        return np.where(r_pos, c / s, s / a)
+        return _root(r, a, c, np.abs(r), r >= 0.0)
+
+
+def _root(r, a, c, r_abs, r_pos):
+    """_scaling_root under the caller's errstate, with r_abs = |r| and
+    r_pos = (r >= 0) passed in by a caller that solves for the same r again
+    and again."""
+    s = np.hypot(r, np.sqrt(a) * np.sqrt(c))
+    s += r_abs
+    return np.where(r_pos, c / s, s / a)
+
+
+def _burst_rows(states, part) -> np.ndarray:
+    """part (an index or a slice into (sigma, a, c)) of the burst rows
+    (buffer, index), one per state, stacked along the rows axis: a slice
+    of its buffer for each run of consecutive rows, so that a run in one
+    buffer is a view."""
+    pieces = []
+    buffer, first = states[0]
+    stop = first
+    for rows, i in states:
+        if rows is not buffer or i != stop:
+            pieces.append(buffer[part, first:stop])
+            buffer, first = rows, i
+        stop = i + 1
+    pieces.append(buffer[part, first:stop])
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=-2)
 
 
 def _absorbed_full_rows(problem: FlowProblem, v0: np.ndarray, states: list):
-    """The Stacks of the full states (sigma, a) of absorbed sweeps of one
-    epoch: v = v0 + 2 gamma log sigma with its exact u2, a block-2 residual
-    of 0 since f = g, and the mass 2 sum a."""
-    sigma, a = (np.array(col) for col in zip(*states))
+    """The Stacks of the full states, burst rows (sigma, a, c), of absorbed
+    sweeps of one epoch: v = v0 + 2 gamma log sigma with its exact u2, a
+    block-2 residual of 0 since f = g, and the mass 2 sum a."""
+    sigma, a = _burst_rows(states, slice(2))
     u1 = v0 + 2.0 * problem.gamma * np.log(sigma)
     return (u1, problem.block_update_2(u1), [0.0] * len(states),
             (2.0 * a.sum(axis=1)).tolist())
@@ -324,16 +407,17 @@ def _absorbed_half_rows(problem: FlowProblem, kernel: np.ndarray,
     F = K sigma_src / sigma_dst. Then A1 x = tau a - c / tau and the mass is
     sum(tau a + c / tau), from the sums the root used; A2 x = f - g is one
     per-arc pass over the rows, formed as the pair so that res2_l1 is the
-    same number a per-row evaluation gives. Each state [sigma, sigma', a, c]
-    is emptied once stacked.
+    same number a per-row evaluation gives. Each state is the pair of burst
+    rows before and after its sweep, read in place: a slice of a buffer is
+    a view, so nothing here writes into a, c or sigma.
     """
-    sigma, sigma_next, a, c = (np.array(col) for col in zip(*states))
-    for state in states:
-        state.clear()
+    before, after = zip(*states)
+    sigma, a, c = _burst_rows(before, slice(None))
+    sigma_next = _burst_rows(after, 0)
     g = problem.graph
     tau = np.square(sigma_next / sigma)
-    a *= tau
-    c /= tau
+    a = a * tau
+    c = c / tau
     foc1 = np.abs(a - c - problem.b1).sum(axis=1)
     mass = a.sum(axis=1) + c.sum(axis=1)
     # the per-arc pass below holds (rows, p) arrays: free what it does not

@@ -91,12 +91,15 @@ def variation_seminorm(v):
     return 0.5 * (float(v.max()) - float(v.min()))
 
 
-def in_scaling_range(s: np.ndarray) -> bool:
+def in_scaling_range(s: np.ndarray) -> np.bool_ | np.ndarray:
     """Whether every entry of s lies in [1/SCALING_LIMIT, SCALING_LIMIT].
 
-    False for NaN entries too.
+    False for NaN entries too. A 2-D s is a stack of scalings, one per row,
+    and gives a bool array with one value per row, each equal to the value
+    of its row alone.
     """
-    return 1.0 / SCALING_LIMIT <= s.min() and s.max() <= SCALING_LIMIT
+    return ((1.0 / SCALING_LIMIT <= s.min(axis=-1))
+            & (s.max(axis=-1) <= SCALING_LIMIT))
 
 
 def measure_pair(b1, b2, n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:

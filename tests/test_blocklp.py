@@ -1,12 +1,13 @@
 import csv
 import itertools
 import math
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
-from sinkflow import blocklp
+from sinkflow import blocklp, flowsinkhorn
 from sinkflow.blocklp import (
     BlockProblem,
     ConvergenceTrace,
@@ -370,6 +371,61 @@ def test_flow_engine_runs_no_speculative_sweeps():
     assert counts["block_update_1"] == 41
 
 
+def _flow_engine_run(monkeypatch, burst):
+    """The residual stop of test_flow_engine_runs_no_speculative_sweeps
+    with bursts of at most burst sweeps; also returns the sweeps that
+    opened an epoch, by the exact block_update_1 they ran."""
+    monkeypatch.setattr(flowsinkhorn, "_BURST_SWEEPS", burst)
+    pb, _ = _flow_engine()
+    drawn, opened = [], []
+    update = pb.block_update_1
+
+    def counted_update(u2):
+        opened.append(len(drawn) + 1)
+        return update(u2)
+
+    def counted(sweeps):
+        for sweep in sweeps:
+            drawn.append(1)
+            yield sweep
+
+    pb.block_update_1 = counted_update
+    state, trace = solve(pb, residual_tol=1e-6, max_sweeps=10**5,
+                         sweeps=counted(pb.sweeps()))
+    assert trace.k[-1] == len(drawn)
+    return state, trace, opened
+
+
+def test_flow_engine_bursts_match_one_sweep_bursts(monkeypatch):
+    """Bursts of 16 sweeps give the same trace, bit for bit in all ten
+    columns, and the same final duals as bursts of one sweep, on a run at
+    gamma 1e-3 where at least three fallbacks and the residual stop land
+    inside a burst."""
+    state, trace, opened = _flow_engine_run(monkeypatch, 16)
+    ref_state, ref, ref_opened = _flow_engine_run(monkeypatch, 1)
+    assert opened == ref_opened
+    # the sweeps of each epoch, the last one up to the stop; one that is
+    # not a whole number of bursts ends inside a burst
+    epochs = np.diff(opened + [trace.k[-1] + 1])
+    assert np.count_nonzero(epochs[:-1] % 16) >= 3 and epochs[-1] % 16
+    for name in _COLUMNS:
+        np.testing.assert_array_equal(getattr(trace, name),
+                                      getattr(ref, name), err_msg=name)
+    np.testing.assert_array_equal(state.u1, ref_state.u1)
+    np.testing.assert_array_equal(state.u2, ref_state.u2)
+
+
+def test_flow_burst_that_leaves_the_range_does_not_warn():
+    """The sweeps a burst computes past a scaling that leaves the range
+    divide by zero; none of them warns, whatever the warning filters."""
+    pb, _ = _flow_engine()
+    counts = count_block_updates(pb)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve(pb, max_sweeps=600)
+    assert counts["block_update_1"] >= 3
+
+
 def test_blocks_keep_record_every_and_the_final_row(monkeypatch):
     # the engine drops the halves of the rows solve does not record
     _, trace = solve_in_blocks(monkeypatch, _flow_engine, None,
@@ -461,22 +517,35 @@ def test_sweeps_yield_a_state_a_row_and_a_half(make):
         assert len(half_row) == 3 and all(type(v) is float for v in half_row)
 
 
+def _state_arrays(state):
+    """The arrays a deferred state holds: its items, or those of the pairs
+    (burst buffer, row) it is made of."""
+    for item in state:
+        if isinstance(item, np.ndarray):
+            yield item
+        elif isinstance(item, (list, tuple)):
+            yield from _state_arrays(item)
+
+
 @pytest.mark.parametrize("make", [
     lambda: random_flow_problem(np.random.default_rng(75), 9, 0.3),
     lambda: random_ot_problem(np.random.default_rng(76), 4, 5, 0.3)],
     ids=["flow-engine", "ot-engine"])
 def test_no_engine_keeps_the_halves_solve_drops(make):
     """A thinned run drops most full states and halves: after 1,000 more
-    sweeps the arrays of an early sweep's full state and half state are
-    freed, and a sweep that is kept still evaluates to the exact block
-    updates' duals, full row and half row."""
+    sweeps the arrays of an early sweep's full state and half state, the
+    flow engine's burst buffers among them, are freed, and a sweep that is
+    kept still evaluates to the exact block updates' duals, full row and
+    half row."""
     pb = make()
     sweeps = pb.sweeps()
     next(sweeps)  # opens the first epoch
     _, (_, full), (_, half) = next(sweeps)
     assert isinstance(half, (list, tuple))  # an absorbed half
-    freed = [weakref.ref(array) for array in [*full, *half]]
-    del full, half
+    arrays = list(_state_arrays([full, half]))
+    assert arrays
+    freed = [weakref.ref(array) for array in arrays]
+    del arrays, full, half
     for _ in range(1000):
         sweep = next(sweeps)
     assert all(ref() is None for ref in freed)

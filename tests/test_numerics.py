@@ -240,6 +240,15 @@ def test_in_scaling_range_bounds_and_nan():
     assert not in_scaling_range(np.array([0.99 / SCALING_LIMIT, 1.0]))
     assert not in_scaling_range(np.array([1.0, np.nan]))
     assert not in_scaling_range(np.array([np.inf, 1.0]))
+    # a stack of scalings: one value per row, each its row's alone
+    rows = np.array([[1.0 / SCALING_LIMIT, 1.0, SCALING_LIMIT],
+                     [1.0, SCALING_LIMIT * 1.0000001, 1.0],
+                     [0.99 / SCALING_LIMIT, 1.0, 1.0],
+                     [1.0, np.nan, 1.0],
+                     [np.inf, 1.0, 1.0]])
+    assert in_scaling_range(rows).tolist() == [True] + [False] * 4
+    assert in_scaling_range(rows).tolist() == [
+        bool(in_scaling_range(row)) for row in rows]
 
 
 def test_variation_seminorm_empty_rejected():
