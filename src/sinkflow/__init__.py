@@ -19,7 +19,6 @@ from .blocklp import (
     primal_from_dual,
     schedule_gamma,
     solve,
-    solve_scheduled,
 )
 from .flowsinkhorn import (
     FlowConstants,

@@ -37,7 +37,6 @@ __all__ = [
     "dual_objective",
     "cost_and_dual",
     "solve",
-    "solve_scheduled",
     "schedule_gamma",
     "plan_schedule",
     "operator_norm_1to1",
@@ -514,37 +513,6 @@ def plan_schedule(eps: float, X0: float, X: float, U: float,
     k = math.ceil(64.0 * X * U * U * A_norm * A_norm * max(X0, X)
                   * math.log(d) / (eps * eps))
     return gamma, int(k)
-
-
-def solve_scheduled(problem: BlockProblem, eps: float, *, X0: float,
-                    X: float, U: float, A_norm: float, d: int,
-                    sweep_cap: int = 10 ** 6, fallback_tol: float = 1e-6):
-    """Plan the sweep count for a problem built at the scheduled gamma, run it.
-
-    problem.gamma must equal schedule_gamma(eps, X0, d). When the planned
-    sweep count exceeds sweep_cap the run falls back to the residual rule
-    at fallback_tol (capped at sweep_cap sweeps), which in practice lands
-    far inside the planned accuracy. A planned run stops early only at an
-    exact zero residual, where the gap-residual bound 2 U ||r1||_1 on
-    F*_gamma - F(u) is 0, so no further sweep can raise F.
-
-    Returns (state, trace, planned_k, fell_back).
-
-    Raises:
-      ValueError: if problem.gamma is not the scheduled gamma.
-    """
-    gamma, planned_k = plan_schedule(eps, X0, X, U, A_norm, d)
-    if problem.gamma != gamma:
-        raise ValueError(
-            f"problem is built at gamma {problem.gamma!r}, the schedule "
-            f"needs {gamma!r}"
-        )
-    if planned_k > sweep_cap:
-        state, trace = solve(problem, residual_tol=fallback_tol,
-                             max_sweeps=sweep_cap)
-        return state, trace, planned_k, True
-    state, trace = solve(problem, max_sweeps=planned_k, residual_tol=0.0)
-    return state, trace, planned_k, False
 
 
 def operator_norm_1to1(problem: BlockProblem) -> float:

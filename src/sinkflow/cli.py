@@ -32,17 +32,15 @@ from .blocklp import (
     cost_and_dual,
     schedule_gamma,
     solve,
-    solve_scheduled,
 )
-from .flowsinkhorn import FlowProblem, flow_constants, w1_estimate
+from .flowsinkhorn import FlowProblem, w1_estimate
 from .graph import Graph, spanning_tree_flow
 from .oracle import exact_ot, exact_w1
-from .sinkhorn import OTProblem, ot_constants
+from .sinkhorn import OTProblem
 
 __all__ = ["main"]
 
 _SWEEP_CAP = 10 ** 6
-_FALLBACK_TOL = 1e-6
 
 
 class _InputError(Exception):
@@ -125,8 +123,11 @@ def _write_trace(trace: ConvergenceTrace | None, path: str | None) -> None:
 
 
 def _budget(args) -> tuple[int, float | None]:
-    """(cap, tolerance) of a budget run: --max-sweeps or else the sweep cap,
-    and --tol, which is 1e-9 when neither flag is given."""
+    """(cap, tolerance) of a run: --max-sweeps or else the sweep cap, and
+    --tol, which is 1e-9 when neither flag is given and 1e-6 under
+    --epsilon."""
+    if args.epsilon is not None:
+        return _SWEEP_CAP, 1e-6
     if args.max_sweeps is None and args.tol is None:
         return _SWEEP_CAP, 1e-9
     cap = _SWEEP_CAP if args.max_sweeps is None else args.max_sweeps
@@ -162,70 +163,52 @@ def _check_run_flags(args) -> None:
             f"--tol must be >= 0 and finite, got {args.tol!r}")
 
 
-def _flow_setup(data: dict, args):
-    """(problem, schedule) for w1; see _run."""
+def _flow_setup(data: dict, args) -> FlowProblem:
+    """The w1 problem, under --epsilon at the scheduled gamma."""
     if "graph" not in data:
         raise _InputError("w1 expects a flow problem (with a 'graph' field)")
     if args.epsilon is None:
-        gamma = _json_gamma(data, args)
-        return _build_flow(_build_graph(data), data, gamma), None
+        return _build_flow(_build_graph(data), data, _json_gamma(data, args))
     graph = _build_graph(data)
     with _bad_input("flow problem"):
-        fbar = spanning_tree_flow(graph, data["b1"], data["b2"])
-    fbar_mass = float(fbar.sum())
-    x0 = fbar_mass if fbar_mass > 0 else 1.0
-    d = 2 * graph.p
+        x0 = float(spanning_tree_flow(graph, data["b1"], data["b2"]).sum())
     with _bad_input("--epsilon"):
-        gamma = schedule_gamma(args.epsilon, x0, d)
-    problem = _build_flow(graph, data, gamma)
-    return problem, (x0, flow_constants(problem, fbar), d)
+        gamma = schedule_gamma(args.epsilon, x0 if x0 > 0 else 1.0,
+                               2 * graph.p)
+    return _build_flow(graph, data, gamma)
 
 
-def _ot_setup(data: dict, args):
-    """(problem, schedule) for ot; see _run."""
+def _ot_setup(data: dict, args) -> OTProblem:
+    """The ot problem, under --epsilon at the scheduled gamma."""
     if "cost" not in data:
         raise _InputError("ot expects a transport problem (with a 'cost' field)")
     if args.epsilon is None:
-        return _build_ot(data["cost"], data, _json_gamma(data, args)), None
+        return _build_ot(data["cost"], data, _json_gamma(data, args))
     with _bad_input("transport problem"):
         cost = np.asarray(data["cost"], dtype=float)
-    d = cost.size
-    if d < 3:
+    if cost.size < 3:
         raise _InputError(
             "epsilon scheduling needs a plan with at least 3 entries; "
             "pass --gamma for tiny instances"
         )
     with _bad_input("--epsilon"):
-        gamma = schedule_gamma(args.epsilon, 1.0, d)
-    problem = _build_ot(cost, data, gamma)
-    return problem, (1.0, ot_constants(problem), d)
+        gamma = schedule_gamma(args.epsilon, 1.0, cost.size)
+    return _build_ot(cost, data, gamma)
 
 
 def _run(args, setup, estimate) -> int:
     """One w1 or ot run.
 
-    setup(data, args) returns (problem, schedule): the problem, and under
-    --epsilon the schedule's (X0, constants, d), None otherwise.
-    estimate(problem, state) returns the (primal, dual) answer.
+    setup(data, args) returns the problem; estimate(problem, state) returns
+    the (primal, dual) answer.
     """
     _check_run_flags(args)
     # the parsed file is dropped once set-up has built the problem
-    problem, schedule = setup(_load_json(args.input), args)
+    problem = setup(_load_json(args.input), args)
     _check_trace_path(args.trace)
+    max_sweeps, tol = _budget(args)
     try:
-        if schedule is None:
-            max_sweeps, tol = _budget(args)
-            state, trace = solve(problem, max_sweeps=max_sweeps,
-                                 residual_tol=tol)
-        else:
-            x0, consts, d = schedule
-            state, trace, _, fell_back = solve_scheduled(
-                problem, args.epsilon, X0=x0, X=consts.X_gamma,
-                U=consts.U_gamma, A_norm=2.0, d=d, sweep_cap=_SWEEP_CAP,
-                fallback_tol=_FALLBACK_TOL,
-            )
-            max_sweeps = _SWEEP_CAP
-            tol = _FALLBACK_TOL if fell_back else None
+        state, trace = solve(problem, max_sweeps=max_sweeps, residual_tol=tol)
     except NumericOverflowError as err:
         _write_trace(err.trace, args.trace)
         where = f"; partial trace at {args.trace}" if args.trace else ""
@@ -361,8 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
         group = p.add_mutually_exclusive_group()
         group.add_argument("--gamma", type=float, help=gamma_help)
         group.add_argument("--epsilon", type=float,
-                           help="target accuracy; picks gamma and the sweep "
-                                "budget automatically")
+                           help="target accuracy; runs at the scheduled gamma "
+                                "eps / (2 X0 log d) to the residual 1e-6")
         p.add_argument("--max-sweeps", type=int, default=None)
         p.add_argument("--tol", type=float, default=None,
                        help="stop when the block-1 residual l1 norm reaches "

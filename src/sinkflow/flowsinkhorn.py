@@ -344,9 +344,10 @@ def _scaled_sums(g: Graph, kernel, sigma, a, c):
     return a, c
 
 
-def _scaling_root(r: np.ndarray, a: np.ndarray, c: np.ndarray
-                  ) -> np.ndarray:
-    """Positive root tau of a tau^2 + 2 r tau - c = 0, per vertex.
+def _root(r, a, c, r_abs, r_pos):
+    """Positive root tau of a tau^2 + 2 r tau - c = 0, per vertex, with
+    r_abs = |r| and r_pos = (r >= 0) passed in by a caller that solves for
+    the same r again and again, under the caller's errstate.
 
     At small gamma a pure source or sink has one of a and c below 1e-290 or
     exactly 0, legitimately, so the root divides by neither: with
@@ -357,14 +358,6 @@ def _scaling_root(r: np.ndarray, a: np.ndarray, c: np.ndarray
     positive root exists the result is 0, inf or NaN, which the caller's
     range check turns into a fallback.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _root(r, a, c, np.abs(r), r >= 0.0)
-
-
-def _root(r, a, c, r_abs, r_pos):
-    """_scaling_root under the caller's errstate, with r_abs = |r| and
-    r_pos = (r >= 0) passed in by a caller that solves for the same r again
-    and again."""
     s = np.hypot(r, np.sqrt(a) * np.sqrt(c))
     s += r_abs
     return np.where(r_pos, c / s, s / a)

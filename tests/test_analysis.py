@@ -15,7 +15,8 @@ from sinkflow.analysis import (
     verify_gap_residual,
     verify_rate,
 )
-from sinkflow.blocklp import ConvergenceTrace, dual_objective, schedule_gamma, solve, solve_scheduled
+from sinkflow.blocklp import (ConvergenceTrace, dual_objective, plan_schedule,
+                              schedule_gamma, solve)
 from sinkflow.flowsinkhorn import FlowProblem
 from sinkflow.graph import Graph
 from sinkflow.oracle import exact_ot
@@ -244,9 +245,8 @@ def test_scheduled_run_meets_eps_guarantee():
     gamma = schedule_gamma(eps, 1.0, d)
     problem = OTProblem(cost, b1, b2, gamma)
     c = ot_constants(problem)
-    state, trace, planned_k, fell_back = solve_scheduled(
-        problem, eps, X0=1.0, X=c.X_gamma, U=c.U_gamma, A_norm=2.0, d=d,
-    )
-    assert not fell_back
+    _, planned_k = plan_schedule(eps, 1.0, c.X_gamma, c.U_gamma, 2.0, d)
+    assert planned_k <= 10**6
+    state, trace = solve(problem, max_sweeps=planned_k, residual_tol=0.0)
     reached = dual_objective(problem, state)
     assert abs(reached - exact) <= eps

@@ -21,7 +21,7 @@ PUBLIC = [
     "min_cost_flow", "operator_norm_1to1", "ot_constants", "phi_root",
     "plan_schedule", "primal_from_dual", "project_C1", "project_C2",
     "schedule_gamma", "soft_c_transform_1", "soft_c_transform_2", "solve",
-    "solve_scheduled", "spanning_tree_flow", "variation_seminorm",
+    "spanning_tree_flow", "variation_seminorm",
     "verify_certificate", "vertex_dual_from_flow", "w1_estimate",
 ]
 

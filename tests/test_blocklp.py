@@ -21,7 +21,6 @@ from sinkflow.blocklp import (
     primal_from_dual,
     schedule_gamma,
     solve,
-    solve_scheduled,
 )
 from sinkflow.flowsinkhorn import FlowProblem, matrix_sweeps
 from sinkflow.graph import Graph
@@ -624,32 +623,6 @@ def test_plan_schedule_positivity_checks():
         plan_schedule(1.0, 1.0, 0.0, 1.0, 1.0, 21)
     with pytest.raises(ValueError):
         plan_schedule(1.0, 1.0, 1.0, 1.0, -2.0, 21)
-
-
-def test_solve_scheduled_runs_planned_budget():
-    state, trace, planned_k, fell_back = solve_scheduled(
-        ToyProblem(gamma=schedule_gamma(0.9, 1.0, 21)), 0.9, X0=1.0, X=1.0,
-        U=1.0, A_norm=1.0, d=21,
-    )
-    assert not fell_back
-    assert planned_k == math.ceil(64 * math.log(21) / 0.81)
-    assert trace.k[-1] == planned_k
-
-
-def test_solve_scheduled_fallback_on_huge_budget():
-    state, trace, planned_k, fell_back = solve_scheduled(
-        ToyProblem(gamma=schedule_gamma(1.0, 1.0, 21)), 1.0, X0=1.0, X=1e6,
-        U=10.0, A_norm=2.0, d=21, sweep_cap=1000, fallback_tol=1e-8,
-    )
-    assert fell_back
-    assert planned_k > 1000
-    assert trace.res1_l1[-1] <= 1e-8 or trace.k[-1] == 1000
-
-
-def test_solve_scheduled_rejects_problem_at_other_gamma():
-    with pytest.raises(ValueError, match="gamma"):
-        solve_scheduled(ToyProblem(gamma=0.5), 0.9, X0=1.0, X=1.0, U=1.0,
-                        A_norm=1.0, d=21)
 
 
 # ---------------------------------------------------------- operator norm

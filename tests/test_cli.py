@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import sinkflow.graph as graph_module
-from sinkflow import cli
+from sinkflow import blocklp, cli, flowsinkhorn, sinkhorn
 from sinkflow.blocklp import BlockProblem, NumericOverflowError, solve
 from sinkflow.cli import main
 from sinkflow.flowsinkhorn import FlowProblem, matrix_sweeps, w1_estimate
@@ -228,30 +228,71 @@ def test_ot_single_cell_epsilon_mode_is_input_error(capsys, tmp_path):
     assert "at least 3" in err
 
 
-def test_ot_identity_cost_epsilon_mode(capsys, tmp_path):
-    cost = (np.ones((3, 3)) - np.eye(3)).tolist()
-    path = tmp_path / "diag.json"
-    path.write_text(json.dumps({
-        "cost": cost, "b1": [0.3, 0.3, 0.4], "b2": [0.3, 0.3, 0.4],
-    }))
-    code, out, _ = run_cli(capsys, "ot", str(path), "--epsilon", "0.25")
+@pytest.fixture
+def identity_file(tmp_path):
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(_ONES_3X3))
+    return str(path)
+
+
+def test_ot_identity_cost_epsilon_mode(capsys, identity_file):
+    code, out, _ = run_cli(capsys, "ot", identity_file, "--epsilon", "0.25")
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["ot_dual"] - 0.0) <= 0.25
     assert payload["ot_primal"] >= -1e-12
 
 
-def test_ot_epsilon_planned_run_stops_at_zero_residual(capsys, ot_file):
-    # the planned budget here is 775,993 sweeps; res1_l1 is exactly 0.0
-    # after 47, and the gap-residual bound is then 0
-    code, out, _ = run_cli(capsys, "ot", ot_file, "--epsilon", "0.1")
-    assert code == 0
+@pytest.mark.parametrize("command,fixture,eps", [
+    ("w1", "path3_file", 0.05),
+    ("w1", "flow_file", 0.1),
+    ("ot", "ot_file", 0.1),
+    ("ot", "identity_file", 0.25),
+], ids=["w1-path3", "w1-two-node", "ot", "ot-identity-cost"])
+def test_epsilon_runs_as_scheduled_gamma_to_tol_1e6(capsys, request,
+                                                    tmp_path, command,
+                                                    fixture, eps):
+    """--epsilon E is --gamma G --tol 1e-6 at the scheduled G, and lands
+    within E of the exact value."""
+    path = request.getfixturevalue(fixture)
+    eps_csv, gamma_csv = tmp_path / "eps.csv", tmp_path / "gamma.csv"
+    code, out, err = run_cli(capsys, command, path, "--epsilon", repr(eps),
+                             "--trace", str(eps_csv))
+    assert (code, err) == (0, "")
     payload = json.loads(out)
-    assert payload["res1_l1"] == 0.0
-    assert payload["sweeps"] < 100
-    code, exact_out, _ = run_cli(capsys, "exact", ot_file)
+    got = run_cli(capsys, command, path, "--gamma", repr(payload["gamma"]),
+                  "--tol", "1e-6", "--trace", str(gamma_csv))
+    assert got == (0, out, "")
+    assert eps_csv.read_text() == gamma_csv.read_text()
+    assert payload["res1_l1"] <= 1e-6
+    if fixture == "identity_file":
+        # the a-priori count here is 154,030 sweeps
+        assert payload["sweeps"] <= 10
+    code, exact_out, _ = run_cli(capsys, "exact", path)
     assert code == 0
-    assert abs(payload["ot_dual"] - json.loads(exact_out)["ot_exact"]) <= 0.1
+    exact = json.loads(exact_out)[f"{command}_exact"]
+    assert abs(payload[f"{command}_dual"] - exact) <= eps
+
+
+@pytest.mark.parametrize("command,fixture", [("w1", "path3_file"),
+                                             ("ot", "ot_file")])
+def test_epsilon_setup_skips_the_a_priori_constants(capsys, monkeypatch,
+                                                    request, command,
+                                                    fixture):
+    path = request.getfixturevalue(fixture)
+    code, want, _ = run_cli(capsys, command, path, "--epsilon", "0.1")
+    assert code == 0
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the a-priori constants are off the run path")
+
+    for module, name in ((flowsinkhorn, "flow_constants"),
+                         (flowsinkhorn, "hop_diameter"),
+                         (graph_module, "hop_diameter"),
+                         (sinkhorn, "ot_constants"),
+                         (blocklp, "plan_schedule")):
+        monkeypatch.setattr(module, name, unused)
+    assert run_cli(capsys, command, path, "--epsilon", "0.1") == (0, want, "")
 
 
 def test_ot_schema_keys(capsys, ot_file):

@@ -23,7 +23,7 @@ from sinkflow.blocklp import (
 )
 from sinkflow.flowsinkhorn import (
     FlowProblem,
-    _scaling_root,
+    _root,
     _vertex_maxima,
     _vertex_sums,
     divergence,
@@ -583,12 +583,18 @@ def test_engine_fallbacks_rare_with_a_zero_mass_vertex_off_the_flow():
     assert share <= 0.01
 
 
+def scaling_root(r, a, c):
+    """_root as a burst calls it, under the burst's errstate."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _root(r, a, c, np.abs(r), r >= 0.0)
+
+
 def test_scaling_root_solves_the_quadratic_without_dividing_by_a_tiny_sum():
     rng = np.random.default_rng(67)
     r = rng.normal(size=2000) * 10.0 ** rng.uniform(-8, 2, 2000)
     a = 10.0 ** rng.uniform(-300, 10, 2000)
     c = 10.0 ** rng.uniform(-300, 10, 2000)
-    tau = _scaling_root(r, a, c)
+    tau = scaling_root(r, a, c)
     assert np.all(np.isfinite(tau)) and np.all(tau > 0)
     # a tau - c / tau = -2 r, relative to the largest term
     resid = a * tau - c / tau + 2.0 * r
@@ -596,17 +602,17 @@ def test_scaling_root_solves_the_quadratic_without_dividing_by_a_tiny_sum():
     assert np.max(np.abs(resid) / scale) <= 1e-13
     # r = 0 with both sums far below sqrt(tiny): tau = sqrt(c / a)
     np.testing.assert_allclose(
-        _scaling_root(np.zeros(2), np.array([1e-200, 4e-250]),
+        scaling_root(np.zeros(2), np.array([1e-200, 4e-250]),
                       np.array([1e-200, 1e-250])),
         [1.0, 0.5], rtol=1e-15)
     # a negligible or zero sum on the side r does not need
     np.testing.assert_allclose(
-        _scaling_root(np.array([0.25, -0.25]), np.array([0.0, 2.0]),
+        scaling_root(np.array([0.25, -0.25]), np.array([0.0, 2.0]),
                       np.array([1.0, 0.0])),
         [2.0, 0.25], rtol=1e-15)
     # no finite positive root: the caller's range check must catch it
     with np.errstate(all="raise"):
-        bad = _scaling_root(np.array([0.25, -0.25, 0.0]),
+        bad = scaling_root(np.array([0.25, -0.25, 0.0]),
                             np.array([1.0, 0.0, 0.0]),
                             np.array([0.0, 1.0, 0.0]))
     assert bad[0] == 0.0 and bad[1] == np.inf and np.isnan(bad[2])
