@@ -17,6 +17,7 @@ per-sweep trace.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, groupby
@@ -227,35 +228,42 @@ class ConvergenceTrace:
     block-1 residual right after its own update) and foc2 (block-2 residual
     right after its update). The latter two should sit at roundoff level on
     every recorded sweep.
+
+    Each column is an array.array, of typecode 'q' for k and 'd' for the
+    other nine, so a row costs 8 bytes per column however long the run.
+    Indexing gives a Python int or float; compare a column with a list
+    through list(column), or read it with np.asarray(column).
     """
 
     gamma: float
     a_norm: float
     label: str = ""
-    k: list = field(default_factory=list)
-    F_gamma: list = field(default_factory=list)
-    res1_l1: list = field(default_factory=list)
-    res2_l1: list = field(default_factory=list)
-    primal_mass: list = field(default_factory=list)
-    u1_seminorm: list = field(default_factory=list)
-    u2_seminorm: list = field(default_factory=list)
-    half_mass: list = field(default_factory=list)
-    foc1: list = field(default_factory=list)
-    foc2: list = field(default_factory=list)
+    k: array = field(default_factory=partial(array, "q"))
+    F_gamma: array = field(default_factory=partial(array, "d"))
+    res1_l1: array = field(default_factory=partial(array, "d"))
+    res2_l1: array = field(default_factory=partial(array, "d"))
+    primal_mass: array = field(default_factory=partial(array, "d"))
+    u1_seminorm: array = field(default_factory=partial(array, "d"))
+    u2_seminorm: array = field(default_factory=partial(array, "d"))
+    half_mass: array = field(default_factory=partial(array, "d"))
+    foc1: array = field(default_factory=partial(array, "d"))
+    foc2: array = field(default_factory=partial(array, "d"))
 
     CSV_HEADER = "k,F_gamma,res1_l1,res2_l1,primal_mass,u1_seminorm,u2_seminorm"
 
     def extend(self, k, F, res1, res2, mass, u1_sem, u2_sem, half_mass,
                foc1, foc2):
-        """Add rows given column-wise, one sequence per column."""
-        self.k.extend([int(v) for v in k])
-        for column, values in ((self.F_gamma, F), (self.res1_l1, res1),
-                               (self.res2_l1, res2), (self.primal_mass, mass),
+        """Add rows given column-wise, one sequence per column: ints for k,
+        floats or ints for the others. Each column takes its sequence in
+        one call, which keeps no Python object per value."""
+        for column, values in ((self.k, k), (self.F_gamma, F),
+                               (self.res1_l1, res1), (self.res2_l1, res2),
+                               (self.primal_mass, mass),
                                (self.u1_seminorm, u1_sem),
                                (self.u2_seminorm, u2_sem),
                                (self.half_mass, half_mass), (self.foc1, foc1),
                                (self.foc2, foc2)):
-            column.extend([float(v) for v in values])
+            column.extend(values)
 
     def append(self, k, F, res1, res2, mass, u1_sem, u2_sem,
                half_mass=math.nan, foc1=math.nan, foc2=math.nan):
@@ -281,8 +289,8 @@ class ConvergenceTrace:
         """Write the seven public columns, floats in round-trip precision.
 
         Rows are formatted as they are written, so no copy of the whole
-        text is held; %r gives the repr of the Python floats extend and
-        append store.
+        text is held; indexing the columns gives Python ints and floats,
+        so %d and %r print each stored value as its repr.
         """
         rows = zip(self.k, self.F_gamma, self.res1_l1, self.res2_l1,
                    self.primal_mass, self.u1_seminorm, self.u2_seminorm)

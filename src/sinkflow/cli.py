@@ -207,8 +207,12 @@ def _run(args, setup, estimate) -> int:
     problem = setup(_load_json(args.input), args)
     _check_trace_path(args.trace)
     max_sweeps, tol = _budget(args)
+    # without --trace only the final row is read, so only the start and
+    # final rows are recorded: solve keeps both at any stride
+    record_every = 1 if args.trace else max(1, max_sweeps)
     try:
-        state, trace = solve(problem, max_sweeps=max_sweeps, residual_tol=tol)
+        state, trace = solve(problem, max_sweeps=max_sweeps, residual_tol=tol,
+                             record_every=record_every)
     except NumericOverflowError as err:
         _write_trace(err.trace, args.trace)
         where = f"; partial trace at {args.trace}" if args.trace else ""

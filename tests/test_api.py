@@ -2,9 +2,11 @@
 benchmark wraps."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import types
+from array import array
 from pathlib import Path
 
 import sinkflow
@@ -34,6 +36,20 @@ def test_public_top_level_names_are_pinned():
                    if not name.startswith("_")
                    and not isinstance(value, types.ModuleType))
     assert names == PUBLIC
+
+
+def test_trace_column_typecodes_are_pinned():
+    """ConvergenceTrace keeps each column as an array.array: 'q' for k and
+    'd' for the nine float columns, 8 bytes a value."""
+    trace = sinkflow.ConvergenceTrace(1.0, 1.0)
+    columns = {f.name: getattr(trace, f.name).typecode
+               for f in dataclasses.fields(trace)
+               if isinstance(getattr(trace, f.name), array)}
+    assert columns == {
+        "k": "q", "F_gamma": "d", "res1_l1": "d", "res2_l1": "d",
+        "primal_mass": "d", "u1_seminorm": "d", "u2_seminorm": "d",
+        "half_mass": "d", "foc1": "d", "foc2": "d"}
+    assert all(array(code).itemsize == 8 for code in columns.values())
 
 
 def test_every_module_all_entry_resolves():

@@ -1,6 +1,8 @@
 import csv
+import gc
 import itertools
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -156,7 +158,7 @@ def test_solve_requires_a_stopping_rule():
 
 def test_solve_zero_sweeps_records_start_row():
     _, trace = solve(ToyProblem(), max_sweeps=0)
-    assert trace.k == [0]
+    assert list(trace.k) == [0]
     assert trace.res1_l1[0] > 0
 
 
@@ -164,7 +166,7 @@ def test_solve_record_every_keeps_first_and_last():
     _, trace = solve(ToyProblem(gamma=0.05), max_sweeps=17, record_every=5)
     assert trace.k[0] == 0
     assert trace.k[-1] == 17
-    assert trace.k[1:-1] == [5, 10, 15]
+    assert list(trace.k[1:-1]) == [5, 10, 15]
 
 
 def test_solve_residual_stop_before_budget():
@@ -213,7 +215,7 @@ def test_solve_runs_problem_sweeps_by_default():
 def test_solve_calls_half_only_on_recorded_rows():
     pb = CountingToy(gamma=0.2)
     _, trace = solve(pb, max_sweeps=35, record_every=10)
-    assert trace.k == [0, 10, 20, 30, 35]
+    assert list(trace.k) == [0, 10, 20, 30, 35]
     assert pb.calls == {"sweeps": 1, "next": 35, "full": 4, "half": 4}
     assert all(math.isfinite(v) for v in trace.foc1[1:])
 
@@ -321,7 +323,7 @@ def test_blocks_match_one_row_blocks(monkeypatch, make, sweeps):
         assert counts[name] >= 3
     state, trace = solve_in_blocks(monkeypatch, make, None, max_sweeps=sweeps)
     ref_state, ref = solve_in_blocks(monkeypatch, make, 1, max_sweeps=sweeps)
-    assert trace.k == list(range(sweeps + 1))
+    assert list(trace.k) == list(range(sweeps + 1))
     assert_same_rows(trace, ref)
     np.testing.assert_array_equal(state.u1, ref_state.u1)
     np.testing.assert_array_equal(state.u2, ref_state.u2)
@@ -345,7 +347,7 @@ def test_residual_stop_mid_block_matches_one_row_blocks(monkeypatch, make,
                                    max_sweeps=10**5)
     ref_state, ref = solve_in_blocks(monkeypatch, make, 1, residual_tol=tol,
                                      max_sweeps=10**5)
-    assert trace.k == ref.k == list(range(k + 1))
+    assert list(trace.k) == list(ref.k) == list(range(k + 1))
     assert_same_rows(trace, ref)
     np.testing.assert_array_equal(state.u1, ref_state.u1)
     np.testing.assert_array_equal(state.u2, ref_state.u2)
@@ -431,7 +433,7 @@ def test_blocks_keep_record_every_and_the_final_row(monkeypatch):
                                max_sweeps=1000, record_every=7)
     _, ref = solve_in_blocks(monkeypatch, _flow_engine, 1, max_sweeps=1000,
                              record_every=7)
-    assert trace.k == list(range(0, 1000, 7)) + [1000]
+    assert list(trace.k) == list(range(0, 1000, 7)) + [1000]
     assert_same_rows(trace, ref)
 
 
@@ -482,7 +484,7 @@ def test_overflow_mid_block_keeps_the_rows_before_it(monkeypatch, where):
             solve_in_blocks(monkeypatch, make, budget, max_sweeps=50)
         traces.append(err.value.trace)
     trace, ref = traces
-    assert trace.k == list(range(20))
+    assert list(trace.k) == list(range(20))
     assert_same_rows(trace, ref)
 
 
@@ -592,6 +594,66 @@ def test_trace_csv_round_trip(tmp_path):
         assert float(row[1]) == trace.F_gamma[i]
         assert float(row[2]) == trace.res1_l1[i]
         assert float(row[4]) == trace.primal_mass[i]
+
+
+def test_trace_csv_text_is_that_of_python_float_columns(tmp_path):
+    """Rows extended from np.float64 values, Python floats and ints are
+    written as the %d,%r text of the Python ints and floats they equal,
+    -0.0, 1e-300 and inf included, and are read back as int and float."""
+    values = [np.float64(-0.0), 1e-300, math.inf, 3, np.float64(0.1),
+              -2.5e-17, 1, np.float64(1e300), -0.0]
+    n = len(values)
+    # column j holds values rotated by j, so each column gets every value
+    columns = [values[j:] + values[:j] for j in range(9)]
+    k = [1, np.int64(2), *range(3, n + 1)]
+    trace = ConvergenceTrace(0.5, 2.0)
+    trace.append(0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    trace.extend(k, *columns)
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    rows = [(0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)] + [
+        (int(k[i]), *(float(col[i]) for col in columns[:6]))
+        for i in range(n)]
+    assert path.read_text() == "".join(
+        [ConvergenceTrace.CSV_HEADER + "\n"]
+        + ["%d,%r,%r,%r,%r,%r,%r\n" % row for row in rows])
+    assert all(type(v) is int for v in trace.k)
+    for name in _COLUMNS[1:]:
+        assert all(type(v) is float for v in getattr(trace, name)), name
+    assert math.copysign(1.0, trace.F_gamma[1]) == -1.0
+
+
+def _retained_bytes(make):
+    """The bytes tracemalloc sees freed when the object make() returns is
+    dropped, that is, what that object keeps alive."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = make()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del kept
+        gc.collect()
+        return held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_memory_per_row():
+    """A stride-1 trace keeps 8 bytes per column and row, with the arrays'
+    spare room, under 112 bytes per row; the same rows as lists of Python
+    ints and floats, the layout before typed columns, keep about 320."""
+    sweeps = 3000
+    per_row = _retained_bytes(
+        lambda: solve(ToyProblem(gamma=0.2), max_sweeps=sweeps)[1]
+    ) / (sweeps + 1)
+    assert per_row <= 112
+    _, trace = solve(ToyProblem(gamma=0.2), max_sweeps=sweeps)
+    assert len(trace) == sweeps + 1
+    as_lists = _retained_bytes(
+        lambda: {name: list(getattr(trace, name)) for name in _COLUMNS}
+    ) / (sweeps + 1)
+    assert as_lists > 112
 
 
 # -------------------------------------------------------------- scheduling

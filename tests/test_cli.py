@@ -295,6 +295,54 @@ def test_epsilon_setup_skips_the_a_priori_constants(capsys, monkeypatch,
     assert run_cli(capsys, command, path, "--epsilon", "0.1") == (0, want, "")
 
 
+@pytest.mark.parametrize("command,fixture", [("w1", "path3_file"),
+                                             ("ot", "ot_file")])
+def test_untraced_run_keeps_two_rows_and_prints_the_traced_stdout(
+        capsys, monkeypatch, request, tmp_path, command, fixture):
+    """Without --trace a run records only the start and final rows and
+    prints what the traced run prints, with sweeps a JSON integer. The
+    flow engine evaluates the half row of every sweep of a traced run, and
+    only the final sweep's of an untraced one."""
+    path = request.getfixturevalue(fixture)
+    traces, halves = [], []
+
+    def kept(solve):
+        def call(*args, **kwargs):
+            state, trace = solve(*args, **kwargs)
+            traces.append(trace)
+            return state, trace
+        return call
+
+    def counted(rows):
+        def call(*args):
+            states = len(args[-1])
+            out = list(rows(*args))
+            halves.append((states, out))
+            return out
+        return call
+
+    monkeypatch.setattr(cli, "solve", kept(cli.solve))
+    for name in ("_absorbed_half_rows", "_state_rows"):
+        monkeypatch.setattr(flowsinkhorn, name,
+                            counted(getattr(flowsinkhorn, name)))
+    csv_path = tmp_path / "trace.csv"
+    traced = run_cli(capsys, command, path, "--epsilon", "0.05",
+                     "--trace", str(csv_path))
+    sweeps = json.loads(traced[1])["sweeps"]
+    assert traced[0] == 0 and type(sweeps) is int and sweeps > 10
+    traced_halves = halves[:]
+    del halves[:]
+    assert run_cli(capsys, command, path, "--epsilon", "0.05") == traced
+    assert list(traces[0].k) == list(range(sweeps + 1))
+    assert list(traces[1].k) == [0, sweeps]
+    if command == "w1":
+        assert sum(n for n, _ in traced_halves) == sweeps
+        # the one half row is the final sweep's: the CSV's last res2_l1
+        last = csv_path.read_text().splitlines()[-1].split(",")
+        [(states, [row])] = halves
+        assert (states, row[1]) == (1, float(last[3]))
+
+
 def test_ot_schema_keys(capsys, ot_file):
     code, out, _ = run_cli(capsys, "ot", ot_file)
     assert code == 0
