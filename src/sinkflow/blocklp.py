@@ -1,8 +1,8 @@
 """Two-block entropic LP framework.
 
 A problem instance exposes the two constraint blocks (A1, b1) and (A2, b2),
-the cost and reference vectors, and closed-form block maximizers of the
-smoothed dual
+the cost, the log of the reference z and its mass, and closed-form block
+maximizers of the smoothed dual
 
     F(u) = <b, u> + gamma * (Z - ||x(u)||_1),    Z = sum(z),
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain, groupby
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -96,8 +96,8 @@ class BlockProblem:
       dims_dual: (int, int)      block dimensions (m1, m2)
       b1, b2: arrays             block right-hand sides
       cost: array (d,)           linear cost C
-      reference: array (d,)      positive reference z
-      log_reference: array (d,)  log(z)
+      log_reference: array (d,)  log(z), z > 0; a float for a constant z
+      reference_mass: float      Z = sum(z), summed once per instance
       gamma: float               regularization strength
       label: str                 short instance tag for reports
 
@@ -106,11 +106,6 @@ class BlockProblem:
     """
 
     op_norm_1to1: float | None = None
-
-    @cached_property
-    def reference_mass(self) -> float:
-        """Z = sum(z), summed once per instance rather than once per sweep."""
-        return float(self.reference.sum())
 
     def apply_A1(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -176,11 +171,15 @@ def primal_from_dual(problem: BlockProblem, u: DualState) -> np.ndarray:
     Raises NumericOverflowError naming the worst entry if some exponent
     exceeds the float64 range.
     """
-    log_x = _log_primal(problem, u)
+    return _exp_in_range(_log_primal(problem, u), "primal entry")
+
+
+def _exp_in_range(log_x: np.ndarray, entry: str) -> np.ndarray:
+    """exp(log_x) in place; NumericOverflowError names an entry too large."""
     worst = int(np.argmax(log_x))
     if log_x[worst] > _EXP_LIMIT:
         raise NumericOverflowError(
-            f"primal entry {worst} has log value {log_x[worst]:.6g}, "
+            f"{entry} {worst} has log value {log_x[worst]:.6g}, "
             f"beyond the exp() range (~{_EXP_LIMIT:.0f})"
         )
     return np.exp(log_x, out=log_x)

@@ -40,11 +40,11 @@ import numpy as np
 
 from . import blocklp
 from .blocklp import (
-    _EXP_LIMIT,
     BlockProblem,
     DualState,
     NumericOverflowError,
     Sweep,
+    _exp_in_range,
     _row_scalars,
     _stacked,
     _state_row,
@@ -108,9 +108,9 @@ class FlowProblem(BlockProblem):
       mu1, mu2: finite nonnegative vertex marginals with equal total mass.
       gamma: regularization strength, positive and finite.
 
-    The per-arc reference z is the constant mass-matched alpha * 1 with
-    alpha = ||tree flow||_1 / (2p), falling back to 1 / (2p) when the
-    marginals coincide and the tree flow is empty.
+    The reference z is the number alpha = ||tree flow||_1 / (2p) on every
+    entry of x, or 1 / (2p) when the marginals coincide and the tree flow
+    is empty; log_reference is the float log(alpha).
 
     The primal layout is x = (f, g), each of length p. Block 1 couples the
     divergence of f to the marginals via g (right-hand side mu2 - mu1 on
@@ -127,25 +127,25 @@ class FlowProblem(BlockProblem):
         p = graph.p
         tree_mass = float(spanning_tree_flow(graph, mu1, mu2).sum())
         alpha = tree_mass / (2.0 * p) if tree_mass > 0 else 1.0 / (2.0 * p)
-        z = np.full(p, alpha)
 
         self.graph = graph
         self.mu1 = mu1
         self.mu2 = mu2
         self.r = 0.5 * (mu1 - mu2)
         self.gamma = float(gamma)
-        self.z_arc = z
-        self.log_z_arc = np.log(z)
+        self.alpha = alpha
+        # np.log, not math.log, whose last bit differs on some alphas
+        self.log_reference = float(np.log(alpha))
+        # Z = sum(z) over its 2p entries: 2p * alpha moves Z's last bits
+        self.reference_mass = float(np.full(2 * p, alpha).sum())
         # Reference folded into the weights: z^C = exp(-w_eff / gamma).
-        self.w_eff = graph.arc_w - self.gamma * self.log_z_arc
+        self.w_eff = graph.arc_w - self.gamma * self.log_reference
 
         self.dim_primal = 2 * p
         self.dims_dual = (graph.n, p)
         self.b1 = mu2 - mu1
         self.b2 = np.zeros(p)
         self.cost = np.concatenate([graph.arc_w, graph.arc_w])
-        self.reference = np.concatenate([z, z])
-        self.log_reference = np.concatenate([self.log_z_arc, self.log_z_arc])
         self.op_norm_1to1 = 2.0
         self.label = f"flow-n{graph.n}-p{p}-gamma{gamma:g}"
 
@@ -279,13 +279,7 @@ def _full_flow(problem: FlowProblem, v: np.ndarray) -> np.ndarray:
     g = problem.graph
     log_f = 0.5 * (v[g.arc_src] - v[g.arc_dst]) - problem.w_eff
     log_f /= problem.gamma
-    worst = int(np.argmax(log_f))
-    if log_f[worst] > _EXP_LIMIT:
-        raise NumericOverflowError(
-            f"arc {worst} flow has log value {log_f[worst]:.6g}, "
-            f"beyond the exp() range (~{_EXP_LIMIT:.0f})"
-        )
-    return np.exp(log_f, out=log_f)
+    return _exp_in_range(log_f, "arc flow")
 
 
 def _burst(problem: FlowProblem, kernel: np.ndarray, rows: np.ndarray,
@@ -502,33 +496,23 @@ def _pair_rows(problem: FlowProblem, pairs: list):
 def vertex_dual_from_flow(problem: FlowProblem, f: np.ndarray) -> np.ndarray:
     """Recover the vertex dual of a positive matrix-path iterate.
 
-    Integrates the per-arc log ratios log f - log z^C along a tree from
-    vertex 0 (v_0 = 0) grown depth-first with a stack, not breadth-first:
-    each popped vertex claims its unseen neighbours in ascending id order
-    and pushes them. The dual objective is invariant under the constant
-    shift this pins down. The tree decides the roundoff in v, and through
-    it the matrix path's outputs to the last digit, so this order is kept.
+    Integrates the per-arc log ratios log f - log z^C along the Graph's
+    BFS tree from v_0 = 0, in visit order, so each tree arc's source is set
+    before its head. The dual objective is invariant under the constant
+    shift this pins down.
     """
     g = problem.graph
     if np.any(f <= 0):
         raise ValueError("dual recovery needs a strictly positive flow")
     # v_src - v_dst = 2 gamma log f + 2 w_eff on every arc
     diff = 2.0 * problem.gamma * np.log(f) + 2.0 * problem.w_eff
-    starts = g.arc_seg_starts.tolist() + [g.p]
-    dst = g.arc_dst.tolist()
-    v = np.zeros(g.n)
-    seen = np.zeros(g.n, dtype=bool)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        a = stack.pop()
-        for e in range(starts[a], starts[a + 1]):
-            b = dst[e]
-            if not seen[b]:
-                seen[b] = True
-                v[b] = v[a] - diff[e]
-                stack.append(b)
-    return v
+    order = g.bfs_order[1:]
+    arcs = g.bfs_tree_arc[order]
+    v = [0.0] * g.n
+    for x, a, d in zip(order.tolist(), g.arc_src[arcs].tolist(),
+                       diff[arcs].tolist()):
+        v[x] = v[a] - d
+    return np.array(v)
 
 
 def w1_estimate(problem: FlowProblem, state: DualState) -> tuple[float, float]:
@@ -569,10 +553,9 @@ def flow_constants(problem: FlowProblem, fbar: np.ndarray) -> FlowConstants:
     w_min = float(g.arc_w.min())
     w_max = float(g.arc_w.max())
     cost = float(g.arc_w @ fbar)
-    x_bar = (cost + gamma * kl_divergence(fbar, problem.z_arc)) / w_min
-    h = float(np.log(x_bar)) + 2.0 * w_max / gamma + float(
-        np.abs(problem.log_z_arc).max()
-    )
+    z = np.full(g.p, problem.alpha)
+    x_bar = (cost + gamma * kl_divergence(fbar, z)) / w_min
+    h = float(np.log(x_bar)) + 2.0 * w_max / gamma + abs(problem.log_reference)
     diam = hop_diameter(g)
     kappa_bound = 2.0 * diam
     u = 4.0 * diam * (w_max + gamma * h)

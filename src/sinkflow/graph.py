@@ -6,7 +6,7 @@ per-vertex segment offsets, and the breadth-first tree from vertex 0 that
 its connectivity check walks. A flow is a float array with one value per
 arc, aligned with these arrays. The flow solver's per-sweep reductions run
 vectorized over them, every traversal here walks the same segments, and
-the spanning-tree flow reuses the stored tree.
+the spanning-tree flow and the flow dual recovery reuse the stored tree.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class Graph:
     order (bfs_order), the arc by which each vertex was first reached
     (bfs_tree_arc, -1 at vertex 0) and the offsets of its hop levels in the
     visit order (bfs_level_starts) are kept as intp arrays for
-    spanning_tree_flow.
+    spanning_tree_flow and flowsinkhorn.vertex_dual_from_flow.
 
     Raises:
       ValueError: on a non-integral or nonpositive n, rows that are not

@@ -51,6 +51,8 @@ class OTProblem(BlockProblem):
       b1: length-m1 marginal, finite and strictly positive, total mass 1.
       b2: length-m2 marginal, same requirements.
       gamma: regularization strength, positive and finite.
+
+    The reference z = b1 (x) b2 is kept only as its log and its mass.
     """
 
     def __init__(self, cost, b1, b2, gamma: float):
@@ -84,7 +86,8 @@ class OTProblem(BlockProblem):
         self.dims_dual = (m1, m2)
         self.cost = cost.ravel()
         self.log_reference = (self.log_b1[:, None] + self.log_b2[None, :]).ravel()
-        self.reference = np.exp(self.log_reference)
+        # Z = sum(z) over its entries: the closed form 1.0 moves its last bits
+        self.reference_mass = float(np.exp(self.log_reference).sum())
         self.op_norm_1to1 = 2.0
         self.label = f"ot-{m1}x{m2}-gamma{gamma:g}"
 

@@ -28,8 +28,8 @@ from sinkflow.flowsinkhorn import FlowProblem, matrix_sweeps
 from sinkflow.graph import Graph
 from sinkflow.sinkhorn import OTProblem
 
-from conftest import (count_block_updates, full_state, random_flow_problem,
-                      random_ot_problem)
+from conftest import (count_block_updates, full_state, large_budget_edges,
+                      random_flow_problem, random_marginals, random_ot_problem)
 
 
 class ToyProblem(BlockProblem):
@@ -46,7 +46,7 @@ class ToyProblem(BlockProblem):
         self.b1 = np.array([b])
         self.b2 = np.array([0.0])
         self.cost = np.asarray(cost, dtype=float)
-        self.reference = np.ones(2)
+        self.reference_mass = 2.0
         self.log_reference = np.zeros(2)
         self.gamma = gamma
         self.label = "toy"
@@ -654,6 +654,38 @@ def test_trace_memory_per_row():
         lambda: {name: list(getattr(trace, name)) for name in _COLUMNS}
     ) / (sweeps + 1)
     assert as_lists > 112
+
+
+def _flow_problem_footprint():
+    """What a FlowProblem keeps beyond its Graph, in p-vectors."""
+    rng = np.random.default_rng(0)
+    n = 20_000
+    g = Graph(n, large_budget_edges(rng, n))
+    mu1, mu2 = random_marginals(rng, n), random_marginals(rng, n)
+    return _retained_bytes(lambda: FlowProblem(g, mu1, mu2, 0.05)) / (8 * g.p)
+
+
+def _ot_problem_footprint():
+    """What an OTProblem keeps beyond its cost matrix, in plan-sized
+    arrays."""
+    rng = np.random.default_rng(0)
+    m = 200
+    cost = rng.random((m, m))
+    b1, b2 = random_marginals(rng, m), random_marginals(rng, m)
+    return _retained_bytes(lambda: OTProblem(cost, b1, b2, 0.05)) / (8 * m * m)
+
+
+@pytest.mark.parametrize("footprint, bound", [
+    (_flow_problem_footprint, 5.0),
+    (_ot_problem_footprint, 1.1),
+], ids=["flow", "ot"])
+def test_problem_keeps_one_copy_of_its_reference(footprint, bound):
+    """A constant flow reference is one float, not per-arc arrays: a
+    FlowProblem on 53k arcs keeps w_eff, its cost (2 p), b2 and the
+    n-vectors r and b1, 4.75 p-vectors. An OTProblem keeps log z, one
+    plan, and sums z only at construction. With z and log z as arrays
+    beside them the two read 10.75 and 2.01."""
+    assert footprint() <= bound
 
 
 # -------------------------------------------------------------- scheduling

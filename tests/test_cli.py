@@ -565,7 +565,7 @@ def test_nonfinite_gamma_is_input_error(capsys, tmp_path, flow_file, ot_file,
     if how == "json":
         # 1e999 loads as inf, which json.dumps would write as Infinity; true
         # loads as a bool, which Python counts as the int 1
-        text = open(path).read()
+        text = Path(path).read_text()
         path = tmp_path / "bad_gamma.json"
         path.write_text(text[:text.rindex("}")] + f', "gamma": {value}}}')
         argv = [command, str(path)]

@@ -82,13 +82,13 @@ def test_flow_problem_rejects_nonfinite_gamma(gamma):
 def test_default_reference_matches_tree_mass():
     # unit transport distance, p = 2 arcs: alpha = 1 / (2 p) = 0.25
     pb = two_node()
-    np.testing.assert_array_equal(pb.z_arc, [0.25, 0.25])
+    assert pb.alpha == 0.25
 
 
 def test_default_reference_equal_marginals():
     g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     pb = FlowProblem(g, [0.2, 0.5, 0.3], [0.2, 0.5, 0.3], 0.5)
-    np.testing.assert_array_equal(pb.z_arc, np.full(4, 0.125))
+    assert pb.alpha == 0.125
 
 
 # ------------------------------------------------------------- divergence
@@ -266,12 +266,29 @@ def test_three_paths_agree():
 
 
 def test_dual_recovery_round_trip():
+    """On a random graph, a 2,000-vertex path and a 2,000-vertex path with
+    chords, the recovered dual matches the one the flow came from, and it
+    is integrated exactly along the Graph's BFS tree: each vertex is its
+    tree arc's source minus that arc's log ratio, bit for bit."""
     rng = np.random.default_rng(47)
-    pb = random_flow(rng, n=6)
-    v = rng.normal(size=pb.graph.n)
-    f = primal_from_dual(pb, DualState(v, pb.block_update_2(v)))[:pb.graph.p]
-    back = vertex_dual_from_flow(pb, f)
-    np.testing.assert_allclose(back - back[0], v - v[0], atol=1e-10)
+    n = 2000
+    path = [(k, k + 1, float(w))
+            for k, w in enumerate(rng.uniform(0.5, 2.0, n - 1))]
+    for pb in (random_flow(rng, n=6),
+               FlowProblem(Graph(n, path), random_marginals(rng, n),
+                           random_marginals(rng, n), 0.5),
+               FlowProblem(Graph(n, large_budget_edges(rng, n)),
+                           random_marginals(rng, n),
+                           random_marginals(rng, n), 0.5)):
+        g = pb.graph
+        v = rng.normal(size=g.n)
+        f = primal_from_dual(pb, DualState(v, pb.block_update_2(v)))[:g.p]
+        back = vertex_dual_from_flow(pb, f)
+        np.testing.assert_allclose(back - back[0], v - v[0], atol=1e-10)
+        diff = 2.0 * pb.gamma * np.log(f) + 2.0 * pb.w_eff
+        x = g.bfs_order[1:]
+        e = g.bfs_tree_arc[x]
+        np.testing.assert_array_equal(back[x], back[g.arc_src[e]] - diff[e])
 
 
 def test_dual_recovery_rejects_zero_flow():
@@ -401,7 +418,8 @@ def test_dual_objective_equals_regularized_cost_at_optimum():
     a1x, _, _ = marginals(pb, duals)
     assert np.abs(a1x - pb.b1).sum() <= 1e-11
     x = primal_from_dual(pb, duals)
-    f = float(pb.cost @ x) + pb.gamma * kl_divergence(x, pb.reference)
+    z = np.full(pb.dim_primal, pb.alpha)
+    f = float(pb.cost @ x) + pb.gamma * kl_divergence(x, z)
     assert dual_objective(pb, duals) == pytest.approx(f, abs=1e-9)
 
 
