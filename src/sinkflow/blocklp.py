@@ -119,6 +119,14 @@ class BlockProblem:
     def apply_A2_adjoint(self, u2: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def apply_adjoint(self, u: DualState) -> np.ndarray:
+        """A^T u = A1^T u1 + A2^T u2, as a new d-vector that the caller
+        may write. An instance can override it to form the sum with fewer
+        temporaries."""
+        out = self.apply_A1_adjoint(u.u1)
+        out += self.apply_A2_adjoint(u.u2)
+        return out
+
     def block_update_1(self, u2: np.ndarray) -> np.ndarray:
         """Exact maximizer of F over u1 with u2 held fixed."""
         raise NotImplementedError
@@ -157,8 +165,7 @@ class BlockProblem:
 
 def _log_primal(problem: BlockProblem, u: DualState) -> np.ndarray:
     # log z + (A^T u - C) / gamma, built in place to hold fewer d-vectors
-    log_x = problem.apply_A1_adjoint(u.u1)
-    log_x += problem.apply_A2_adjoint(u.u2)
+    log_x = problem.apply_adjoint(u)
     log_x -= problem.cost
     log_x /= problem.gamma
     log_x += problem.log_reference
@@ -302,10 +309,19 @@ def _l1(v: np.ndarray) -> float:
     return float(np.abs(v).sum())
 
 
+def _residual_l1(ax: np.ndarray, b: np.ndarray) -> float:
+    """||ax - b||_1, computed in ax, which it overwrites."""
+    np.subtract(ax, b, out=ax)
+    return float(np.abs(ax, out=ax).sum())
+
+
 def _row_scalars(problem: BlockProblem, m: Marginals) -> Row:
-    """Block-1 and block-2 residual l1 norms and the mass, from marginals."""
+    """Block-1 and block-2 residual l1 norms and the mass, from marginals
+    whose arrays are overwritten: at p ~ 1e5 a row then holds no
+    p-vector beyond A2 x."""
     a1x, a2x, mass = m
-    return _l1(a1x - problem.b1), _l1(a2x - problem.b2), mass
+    return (_residual_l1(a1x, problem.b1), _residual_l1(a2x, problem.b2),
+            mass)
 
 
 def _state_row(problem: BlockProblem, u: DualState) -> Row:

@@ -34,7 +34,8 @@ from .blocklp import (
     solve,
 )
 from .flowsinkhorn import FlowProblem, w1_estimate
-from .graph import Graph, spanning_tree_flow
+from .graph import Graph, _graph_input, spanning_tree_flow
+from .numerics import measure_pair
 from .oracle import exact_ot, exact_w1
 from .sinkhorn import OTProblem
 
@@ -85,10 +86,13 @@ def _bad_input(what: str):
         raise _InputError(f"bad {what}: {err}") from err
 
 
+# Set-up pops each large JSON list from the parsed file as it converts it
+# to an array, so that no list outlives its conversion: at p ~ 1e5 the
+# edge list alone is larger than every array the run needs.
 def _build_graph(data: dict) -> Graph:
     with _bad_input("graph description"):
         spec = data["graph"]
-        return Graph(spec["n"], spec["edges"])
+        return Graph(*_graph_input(spec["n"], spec.pop("edges")))
 
 
 def _build_flow(graph: Graph, data: dict, gamma: float) -> FlowProblem:
@@ -167,15 +171,18 @@ def _flow_setup(data: dict, args) -> FlowProblem:
     """The w1 problem, under --epsilon at the scheduled gamma."""
     if "graph" not in data:
         raise _InputError("w1 expects a flow problem (with a 'graph' field)")
-    if args.epsilon is None:
-        return _build_flow(_build_graph(data), data, _json_gamma(data, args))
     graph = _build_graph(data)
+    gamma = None if args.epsilon is not None else _json_gamma(data, args)
     with _bad_input("flow problem"):
-        x0 = float(spanning_tree_flow(graph, data["b1"], data["b2"]).sum())
-    with _bad_input("--epsilon"):
-        gamma = schedule_gamma(args.epsilon, x0 if x0 > 0 else 1.0,
-                               2 * graph.p)
-    return _build_flow(graph, data, gamma)
+        # checked as FlowProblem and spanning_tree_flow check them
+        b1, b2 = measure_pair(data.pop("b1"), data.pop("b2"), graph.n, graph.n)
+    if gamma is None:
+        x0 = float(spanning_tree_flow(graph, b1, b2).sum())
+        with _bad_input("--epsilon"):
+            gamma = schedule_gamma(args.epsilon, x0 if x0 > 0 else 1.0,
+                                   2 * graph.p)
+    with _bad_input("flow problem"):
+        return FlowProblem(graph, b1, b2, gamma)
 
 
 def _ot_setup(data: dict, args) -> OTProblem:
@@ -183,9 +190,14 @@ def _ot_setup(data: dict, args) -> OTProblem:
     if "cost" not in data:
         raise _InputError("ot expects a transport problem (with a 'cost' field)")
     if args.epsilon is None:
-        return _build_ot(data["cost"], data, _json_gamma(data, args))
+        gamma = _json_gamma(data, args)
+        with _bad_input("transport problem"):
+            # the marginals are looked up before the cost is converted
+            b1, b2 = data["b1"], data["b2"]
+            cost = np.asarray(data.pop("cost"), dtype=float)
+            return OTProblem(cost, b1, b2, gamma)
     with _bad_input("transport problem"):
-        cost = np.asarray(data["cost"], dtype=float)
+        cost = np.asarray(data.pop("cost"), dtype=float)
     if cost.size < 3:
         raise _InputError(
             "epsilon scheduling needs a plan with at least 3 entries; "

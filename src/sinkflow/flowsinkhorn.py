@@ -171,8 +171,6 @@ class FlowProblem(BlockProblem):
         p = self.graph.p
         return x[:p] - x[p:]
 
-    # The adjoints negate their second half in place: building x(u) then
-    # holds one p-vector fewer at its peak, which counts at p ~ 1e5.
     def apply_A1_adjoint(self, u1):
         out = np.concatenate([u1[self.graph.arc_src], u1[self.graph.arc_dst]])
         out[self.graph.p:] *= -1.0
@@ -181,6 +179,23 @@ class FlowProblem(BlockProblem):
     def apply_A2_adjoint(self, u2):
         out = np.concatenate([u2, u2])
         out[self.graph.p:] *= -1.0
+        return out
+
+    def apply_adjoint(self, u):
+        """A^T u = (u1_src + u2, -u1_dst - u2), formed in one 2p buffer:
+        x(u) then holds no p-vector beyond itself, which counts at
+        p ~ 1e5. Bit for bit the sum of the two adjoints, since
+        -a - b is -a + (-b) in IEEE arithmetic."""
+        g = self.graph
+        out = np.empty(2 * g.p)
+        forward, backward = out[:g.p], out[g.p:]
+        # mode="clip" writes into out directly, where the default "raise"
+        # buffers a p-vector; every index is a vertex, so none is clipped
+        u.u1.take(g.arc_src, out=forward, mode="clip")
+        u.u1.take(g.arc_dst, out=backward, mode="clip")
+        np.negative(backward, out=backward)
+        forward += u.u2
+        backward -= u.u2
         return out
 
     def block_update_1(self, u2):

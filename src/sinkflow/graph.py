@@ -7,9 +7,13 @@ its connectivity check walks. A flow is a float array with one value per
 arc, aligned with these arrays. The flow solver's per-sweep reductions run
 vectorized over them, every traversal here walks the same segments, and
 the spanning-tree flow and the flow dual recovery reuse the stored tree.
+A traversal reads the arc arrays through memoryviews and writes
+array('q') outputs, so it holds no Python object per arc.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
@@ -36,11 +40,13 @@ class Graph:
         integral, in any order, each undirected edge given once, w finite
         and > 0. The checks and the arc arrays are whole-array operations.
 
-    One breadth-first search from vertex 0 checks connectivity. Its visit
-    order (bfs_order), the arc by which each vertex was first reached
-    (bfs_tree_arc, -1 at vertex 0) and the offsets of its hop levels in the
-    visit order (bfs_level_starts) are kept as intp arrays for
-    spanning_tree_flow and flowsinkhorn.vertex_dual_from_flow.
+    One breadth-first search from vertex 0 checks connectivity; it walks
+    the arc arrays through memoryviews into array('q') outputs, with no
+    Python object per arc. Its visit order (bfs_order), the arc by which
+    each vertex was first reached (bfs_tree_arc, -1 at vertex 0) and the
+    offsets of its hop levels in the visit order (bfs_level_starts) are
+    kept as intp arrays for spanning_tree_flow and
+    flowsinkhorn.vertex_dual_from_flow.
 
     Raises:
       ValueError: on a non-integral or nonpositive n, rows that are not
@@ -50,22 +56,7 @@ class Graph:
     """
 
     def __init__(self, n: int, edges):
-        try:
-            count = float(n)
-        except OverflowError as err:
-            raise ValueError(f"vertex count {n} is too large") from err
-        if not (count.is_integer() and count >= 1):
-            raise ValueError(f"vertex count must be an integer >= 1, got {n!r}")
-        n = int(count)
-        try:
-            edges = np.asarray(edges, dtype=float)
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"edges must be (i, j, w) triples: {err}") from err
-        if edges.shape == (0,):
-            edges = edges.reshape(0, 3)
-        if edges.ndim != 2 or edges.shape[1] != 3:
-            raise ValueError(
-                f"edges must be (i, j, w) triples, got shape {edges.shape}")
+        n, edges = _graph_input(n, edges)
         i, j, w = edges.T
         _check_edges(n, i, j, w)
         if len(w) < n - 1:
@@ -108,6 +99,31 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.p // 2})"
 
 
+def _graph_input(n, edges) -> tuple[int, np.ndarray]:
+    """n as an int and edges as an (m, 3) float array, checked in that
+    order; an (m, 3) float array is used as it is, without a copy.
+
+    A caller that holds the edges as a list can drop the list once this
+    returns, before the Graph is built from the array.
+    """
+    try:
+        count = float(n)
+    except OverflowError as err:
+        raise ValueError(f"vertex count {n} is too large") from err
+    if not (count.is_integer() and count >= 1):
+        raise ValueError(f"vertex count must be an integer >= 1, got {n!r}")
+    try:
+        edges = np.asarray(edges, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"edges must be (i, j, w) triples: {err}") from err
+    if edges.shape == (0,):
+        edges = edges.reshape(0, 3)
+    if edges.ndim != 2 or edges.shape[1] != 3:
+        raise ValueError(
+            f"edges must be (i, j, w) triples, got shape {edges.shape}")
+    return int(count), edges
+
+
 def _check_edges(n: int, i, j, w) -> None:
     """Raise ValueError for the first edge, in input order, that is a
     self-loop, has an endpoint that is not an integer in 0..n-1, has a
@@ -143,16 +159,17 @@ def _check_edges(n: int, i, j, w) -> None:
 def _bfs(g: Graph, source: int):
     """Breadth-first walk over the arc segments, neighbours in ascending id.
 
-    Returns (order, tree_arc, hops) as lists: the vertices in visit order,
-    the arc each vertex was first reached by (-1 for the source), and hop
-    counts from the source (-1 where unreached).
+    Returns (order, tree_arc, hops) as array('q')s: the vertices in visit
+    order, the arc each vertex was first reached by (-1 for the source),
+    and hop counts from the source (-1 where unreached). The walk reads the
+    arc arrays through memoryviews, so it holds no Python object per arc.
     """
-    starts = g.arc_seg_starts.tolist() + [g.p]
-    dst = g.arc_dst.tolist()
-    tree_arc = [-1] * g.n
-    hops = [-1] * g.n
+    starts = memoryview(np.append(g.arc_seg_starts, g.p))
+    dst = memoryview(g.arc_dst)
+    tree_arc = array("q", [-1]) * g.n
+    hops = array("q", [-1]) * g.n
     hops[source] = 0
-    order = [source]
+    order = array("q", [source])
     # the loop also visits the vertices appended while it runs
     for v in order:
         for e in range(starts[v], starts[v + 1]):
@@ -176,7 +193,7 @@ def hop_diameter(g: Graph) -> int:
     trees and graphs with a few chords that takes a handful of BFS runs
     instead of one per vertex.
     """
-    src = g.arc_src.tolist()
+    src = memoryview(g.arc_src)
     diameter = 0
     u = int(np.argmax(np.diff(g.arc_seg_starts, append=g.p)))
     for _ in range(2):

@@ -1,5 +1,8 @@
 """Shared builders for randomized test instances."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 
 from sinkflow.blocklp import DualState
@@ -120,6 +123,20 @@ def full_state(sweep):
     res1, (rows, state), _ = sweep
     u1, u2, res2, mass = rows([state])
     return DualState(u1[0], u2[0]), (res1, float(res2[0]), float(mass[0]))
+
+
+def traced_peak(fn):
+    """(fn(), the tracemalloc peak while fn ran above the traced memory at
+    its start, in bytes), after a gc.collect; tracing stops even if fn
+    raises."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        value = fn()
+        return value, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def pytest_terminal_summary(terminalreporter):

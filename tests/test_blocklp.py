@@ -29,7 +29,8 @@ from sinkflow.graph import Graph
 from sinkflow.sinkhorn import OTProblem
 
 from conftest import (count_block_updates, full_state, large_budget_edges,
-                      random_flow_problem, random_marginals, random_ot_problem)
+                      random_flow_problem, random_marginals, random_ot_problem,
+                      traced_peak)
 
 
 class ToyProblem(BlockProblem):
@@ -626,17 +627,15 @@ def test_trace_csv_text_is_that_of_python_float_columns(tmp_path):
 def _retained_bytes(make):
     """The bytes tracemalloc sees freed when the object make() returns is
     dropped, that is, what that object keeps alive."""
-    gc.collect()
-    tracemalloc.start()
-    try:
+    def freed():
         kept = make()
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
         del kept
         gc.collect()
         return held - tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+
+    return traced_peak(freed)[0]
 
 
 def test_trace_memory_per_row():
