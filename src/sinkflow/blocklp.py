@@ -9,9 +9,8 @@ maximizers of the smoothed dual
 where x(u) = z * exp((A^T u - C) / gamma). The sweep driver, solve, runs an
 iterator of sweeps, by default the exact block updates in turn, which never
 decrease F. Each sweep yields its stopping residual as a float and defers
-the rest of its full state and its half state; solve evaluates the
-recorded ones a block at a time, with 2-D arrays over the rows, into a
-per-sweep trace.
+the rest of its state, full and half; solve evaluates the recorded ones a
+block at a time, with 2-D arrays over the rows, into a per-sweep trace.
 """
 
 from __future__ import annotations
@@ -72,15 +71,17 @@ Marginals = tuple[np.ndarray, np.ndarray, float]
 # A trace row's three numbers at a primal x:
 # (||A1 x - b1||_1, ||A2 x - b2||_1, ||x||_1).
 Row = tuple[float, float, float]
-# The full states of a run of sweeps: the dual stacks U1 (rows, m1) and
-# U2 (rows, m2), one row per sweep, then ||A2 x - b2||_1 and ||x||_1 at
-# x(u), one float per sweep.
-Stacks = tuple[np.ndarray, np.ndarray, Sequence[float], Sequence[float]]
+# The states of a run of sweeps: the dual stacks U1 (rows, m1) and
+# U2 (rows, m2) of the full states, one row per sweep, then five floats
+# per sweep: ||A2 x - b2||_1 at the half state, ||x||_1 at the full and at
+# the half state, ||A1 x - b1||_1 at the half state (foc1) and
+# ||A2 x - b2||_1 at the full state (foc2).
+Stacks = tuple[np.ndarray, np.ndarray, Sequence[float], Sequence[float],
+               Sequence[float], Sequence[float], Sequence[float]]
 # What a `sweeps` iterator yields for each sweep: the stopping residual
-# ||A1 x - b1||_1 at the full state, then the full and the half state, each
+# ||A1 x - b1||_1 at the full state, then the sweep's state, full and half,
 # deferred as (rows, state); see solve().
-Sweep = tuple[float, tuple[Callable[[list], Stacks], Any],
-              tuple[Callable[[list], Iterable[Row]], Any]]
+Sweep = tuple[float, tuple[Callable[[list], Iterable[Stacks]], Any]]
 
 # solve holds recorded rows until their duals reach this many floats
 # (m1 + m2 per row, one row at least), then evaluates them as one block.
@@ -155,12 +156,12 @@ class BlockProblem:
         Instances with a faster iteration override this.
         """
         u = self.initial_state()
-        rows = partial(_state_rows, self)
+        rows = partial(_formed_stacks, partial(_state_row, self))
         while True:
             half = DualState(self.block_update_1(u.u2), u.u2)
             u = DualState(half.u1, self.block_update_2(half.u1))
             res1, res2, mass = _state_row(self, u)
-            yield res1, (_stacked, (u.u1, u.u2, res2, mass)), (rows, half)
+            yield res1, (rows, (u.u1, u.u2, res2, mass, half))
 
 
 def _log_primal(problem: BlockProblem, u: DualState) -> np.ndarray:
@@ -329,70 +330,51 @@ def _state_row(problem: BlockProblem, u: DualState) -> Row:
     return _row_scalars(problem, marginals(problem, u))
 
 
-def _state_rows(problem: BlockProblem, states: list) -> Iterator[Row]:
-    """The trace rows at x(u) for each DualState u, one at a time."""
-    return (_state_row(problem, u) for u in states)
-
-
-def _stacked(states: list) -> Stacks:
-    """The stacks of full states given as (u1, u2, res2, mass) tuples."""
-    u1, u2, res2, mass = zip(*states)
-    return np.array(u1), np.array(u2), res2, mass
-
-
-def _full_stacks(evaluate: Callable[[list], Stacks],
-                 states: list) -> Iterator[Stacks]:
-    """evaluate(states); if that overflows, evaluate([state]) for each state
-    in turn, so that the stacks before the state that overflows are yielded
+def _formed_stacks(half_row: Callable[[Any], Row],
+                   states: list) -> Iterator[Stacks]:
+    """The Stacks of sweeps that formed their full state as they ran, each
+    state given as (u1, u2, ||A2 x - b2||_1, ||x||_1, half), with half_row
+    mapping the half to its trace row. One stack per state, formed as it
+    is drawn, so that the stacks before a half that overflows are yielded
     before it raises."""
-    try:
-        stacks = evaluate(states)
-    except NumericOverflowError:
-        for state in states:
-            yield evaluate([state])
-        raise
-    yield stacks
+    for u1, u2, foc2, mass, half in states:
+        foc1, res2, half_mass = half_row(half)
+        yield (u1[None], u2[None], (res2,), (mass,), (half_mass,), (foc1,),
+               (foc2,))
 
 
 def _close_block(problem: BlockProblem, trace: ConvergenceTrace,
                  held: list) -> DualState | None:
-    """Move the held sweeps (k, res1, full, half) into the trace and return
-    the full DualState of the last one, or None if none was held.
+    """Move the held sweeps (k, res1, (rows, state)) into the trace and
+    return the full DualState of the last one, or None if none was held.
 
-    Each run of held halves that share rows takes one rows(states) call,
-    then each run of held full states that share rows one; F and both
-    seminorms come from the joined dual stacks. held is emptied first, and
-    if a half or a full state raises, the rows before it still go into the
-    trace.
+    Each run of held states that share rows takes one rows(states) call; F
+    and both seminorms come from the joined dual stacks. held is emptied
+    first, and if a rows iterator raises, the stacks it yielded before
+    still go into the trace.
     """
     rows = held[:]
     held.clear()
-    halves, stacks, u = [], [], None
+    stacks, u = [], None
     try:
-        for evaluate, run in groupby(rows, lambda row: row[3][0]):
-            halves.extend(evaluate([row[3][1] for row in run]))
+        for evaluate, run in groupby(rows, lambda row: row[2][0]):
+            stacks.extend(evaluate([row[2][1] for row in run]))
     finally:
-        del rows[len(halves):]
-        try:
-            for evaluate, run in groupby(rows, lambda row: row[2][0]):
-                stacks.extend(_full_stacks(evaluate,
-                                           [row[2][1] for row in run]))
-        finally:
-            if stacks:
-                u = _extend_trace(problem, trace, rows, halves, stacks)
+        if stacks:
+            u = _extend_trace(problem, trace, rows, stacks)
     return u
 
 
 def _extend_trace(problem: BlockProblem, trace: ConvergenceTrace,
-                  rows: list, halves: list, stacks: list) -> DualState:
-    """Add the held rows that have a half row and a full-state stack row
-    to the trace; return the last one's full DualState."""
-    u1, u2, foc2, mass = zip(*stacks)
+                  rows: list, stacks: list) -> DualState:
+    """Add the held rows that have a stack row to the trace; return the
+    last one's full DualState."""
+    u1, u2, *columns = zip(*stacks)
     u1, u2 = (col[0] if len(col) == 1 else np.concatenate(col)
               for col in (u1, u2))
-    foc2, mass = (list(chain.from_iterable(col)) for col in (foc2, mass))
-    k, res1, _, _ = zip(*rows[:len(mass)])
-    foc1, res2, half_mass = zip(*halves[:len(mass)])
+    res2, mass, half_mass, foc1, foc2 = (list(chain.from_iterable(col))
+                                         for col in columns)
+    k, res1, _ = zip(*rows[:len(mass)])
     F = (u1 @ problem.b1 + u2 @ problem.b2 + problem.gamma
          * (problem.reference_mass - np.array(mass)))
     trace.extend(k, F.tolist(), res1, res2, mass,
@@ -418,34 +400,28 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
 
     sweeps replaces the iteration while solve keeps the stopping, thinning
     and recording; the default is problem.sweeps(). It must start from
-    problem.initial_state() and yields, for each sweep, a triple
-    (res1, (rows, state), (rows, state)): the block-1 residual
-    ||A1 x - b1||_1 at x(u) for the full state u reached, as a float, which
-    the stopping test reads; then that full state and the half state, after
-    the block-1 update and before the block-2 update, each deferred as a
-    callable rows and a state it takes. For full states rows maps a list of
-    states to their Stacks (U1, U2, ||A2 x - b2||_1, ||x||_1), a row or a
-    float per state; for half states it maps a list of states to their
-    trace rows (||A1 x - b1||_1, ||A2 x - b2||_1, ||x||_1), in order. solve
-    never forms a primal past the start row, and forms a DualState only for
-    the row it returns.
+    problem.initial_state() and yields, for each sweep, a pair
+    (res1, (rows, state)): the block-1 residual ||A1 x - b1||_1 at x(u)
+    for the full state u reached, as a float, which the stopping test
+    reads; then the rest of the sweep, its full state and its half state
+    (after the block-1 update, before the block-2 update), deferred as a
+    callable rows and a state it takes. rows maps a list of states to an
+    iterable of Stacks, whose rows follow the states in order. solve never
+    forms a primal past the start row, and forms a DualState only for the
+    row it returns.
 
     Recorded sweeps are held and evaluated a block at a time: once the held
     rows' duals reach _BLOCK_FLOATS floats, when the run stops, and before
     a NumericOverflowError is re-raised. A block calls each rows once per
-    run of consecutive held states that share it, halves first, so an
-    iterator may evaluate such a run together. If a half's rows returns an
-    iterator, the rows it yields before raising go into the trace; if a
-    full state's rows overflows, solve evaluates its run again a state at a
-    time and keeps the rows before the state that overflows. A state may be
-    used up to one block after its sweep: iterators must not change an
-    array they have yielded in place, and a half's rows may empty the
-    states it gets, a full state's rows may not. Unrecorded sweeps are
-    dropped without being evaluated. solve draws exactly the sweeps up to
-    the one it stops at and keeps a sweep only in its block. An iterator
-    may compute a few sweeps ahead of the one drawn, as the flow engine
-    does a burst at a time, but runs its exact updates only for the
-    sweeps drawn.
+    run of consecutive held states that share it, so an iterator may
+    evaluate such a run together. If rows returns an iterator, the stacks
+    it yields before raising go into the trace. A state may be used up to
+    one block after its sweep, so iterators must not change an array they
+    have yielded in place. Unrecorded sweeps are dropped without being
+    evaluated. solve draws exactly the sweeps up to the one it stops at and
+    keeps a sweep only in its block. An iterator may compute a few sweeps
+    ahead of the one drawn, as the flow engine does a burst at a time, but
+    runs its exact updates only for the sweeps drawn.
 
     Returns the final dual state and the trace. On overflow the partial
     trace rides on the raised NumericOverflowError; it holds the rows

@@ -7,15 +7,15 @@ KL projections onto both blocks, and the dual sweep reduces to one vertex
 update per iteration.
 
 blocklp.solve runs FlowProblem.sweeps(), a log-stabilised scaling engine
-that yields (res1, (rows, state), (rows, state)) per sweep: the block-1
-residual at the full state, then the full and the half state, each with
-the callable that evaluates a run of them. Each epoch absorbs the vertex
-duals into a per-arc kernel, and a sweep is two per-vertex sums and one
-quadratic root per vertex. The sweeps of an epoch run in short bursts
-that write their scalings and sums into one buffer, with one range check
-and one residual pass over the burst's rows; the duals, the mass and the
-half rows are formed only for the sweeps solve records, an epoch's run at
-a time, from slices of those buffers. The exact log-domain block updates
+that yields (res1, (rows, state)) per sweep: the block-1 residual at the
+full state, then the sweep's full and half state with the callable that
+evaluates a run of them. Each epoch absorbs the vertex duals into a
+per-arc kernel, and a sweep is two per-vertex sums and one quadratic root
+per vertex. The sweeps of an epoch run in short bursts that write their
+scalings and sums into one buffer, with one range check and one residual
+pass over the burst's rows; the duals, the masses and the half rows are
+formed only for the sweeps solve records, an epoch's run at a time, from
+slices of those buffers. The exact log-domain block updates
 block_update_1 and block_update_2 are its fallback, so it is as safe as
 they are, down to gamma ~ 1e-4 at desk scale.
 
@@ -45,10 +45,9 @@ from .blocklp import (
     NumericOverflowError,
     Sweep,
     _exp_in_range,
+    _formed_stacks,
     _row_scalars,
-    _stacked,
     _state_row,
-    _state_rows,
     cost_and_dual,
 )
 from .graph import Graph, hop_diameter, spanning_tree_flow
@@ -238,32 +237,29 @@ class FlowProblem(BlockProblem):
         fresh (3, rows, n) buffer, and one errstate, one range check and
         one residual pass cover the burst. Its sweeps are then yielded one
         at a time, so the engine computes at most a burst less one sweeps
-        ahead of the one drawn. A full state is deferred as its row
-        (buffer, index), and one rows callable per epoch,
-        _absorbed_full_rows, forms v and u2 for a run of them from slices
-        of the buffers. The half-state pair is (F tau_src, F / tau_dst),
-        with F = K sigma_src / sigma_dst the full-state flow before the
-        sweep: its state is the pair of rows before and after the sweep,
-        and one rows callable per epoch, _absorbed_half_rows, evaluates a
-        run of them together. The half of a sweep that opens an epoch is
-        the exact state (v0, u2), evaluated per row. A new sigma that is
-        not finite or leaves the scaling range ends the epoch: the sweeps
-        computed past it are dropped, and when its sweep is drawn the exact
-        block_update_1 runs in its place, on the u2 of the full state
-        reached, and opens a new epoch in the same sweep.
+        ahead of the one drawn. A sweep's state is the pair of burst rows
+        (buffer, index) before and after it, read in place, and one rows
+        callable per epoch, _absorbed_rows, evaluates a run of them from
+        slices of the buffers: the full state's v and u2 from the row
+        after, and the half-state pair (F tau_src, F / tau_dst), with
+        F = K sigma_src / sigma_dst the full-state flow before the sweep,
+        from both. The sweep that opens an epoch has no row before it: its
+        half is the exact state (v0, u2) in that row's place. A new sigma
+        that is not finite or leaves the scaling range ends the epoch: the
+        sweeps computed past it are dropped, and when its sweep is drawn
+        the exact block_update_1 runs in its place, on the u2 of the full
+        state reached, and opens a new epoch in the same sweep.
         """
         n = self.graph.n
         burst = min(_BURST_SWEEPS, max(1, blocklp._BLOCK_FLOATS // n))
         r_abs, r_pos = np.abs(self.r), self.r >= 0.0
         u2 = self.initial_state().u2
-        state_rows = partial(_state_rows, self)
         while True:
             v0 = self.block_update_1(u2)
-            half = state_rows, DualState(v0, u2)
-            del u2  # the half holds it, until solve drops the half
+            before = DualState(v0, u2)
+            del u2  # the opening half holds it, until solve drops the half
             kernel = _full_flow(self, v0)
-            full_rows = partial(_absorbed_full_rows, self, v0)
-            half_rows = partial(_absorbed_half_rows, self, kernel)
+            epoch_rows = partial(_absorbed_rows, self, v0, kernel)
             last = None  # the row of the last sweep yielded
             good = burst
             while good == burst:
@@ -271,19 +267,19 @@ class FlowProblem(BlockProblem):
                 good, res1 = _burst(self, kernel, rows, last, r_abs, r_pos)
                 for i in range(good):
                     if last is not None:
-                        half = half_rows, (last, (rows, i))
+                        before = last
                     last = rows, i
-                    yield res1[i], (full_rows, last), half
-                    # only solve holds a half: at p ~ 1e5 the u2 of an
-                    # epoch's first half, or the buffer before a burst,
+                    yield res1[i], (epoch_rows, (before, last))
+                    # only solve holds a state: at p ~ 1e5 the u2 of an
+                    # epoch's opening half, or the buffer before a burst,
                     # held here too would show in a run's peak memory
-                    del half
+                    del before
             # fall back from the last row yielded; this epoch's arrays go
             # before block_update_1 runs, for the same reason
             rows, i = last
             u2 = self.block_update_2(v0 + 2.0 * self.gamma
                                      * np.log(rows[0, i]))
-            del kernel, full_rows, half_rows, rows, last
+            del kernel, epoch_rows, rows, last
 
 
 def _full_flow(problem: FlowProblem, v: np.ndarray) -> np.ndarray:
@@ -389,33 +385,48 @@ def _burst_rows(states, part) -> np.ndarray:
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=-2)
 
 
-def _absorbed_full_rows(problem: FlowProblem, v0: np.ndarray, states: list):
-    """The Stacks of the full states, burst rows (sigma, a, c), of absorbed
-    sweeps of one epoch: v = v0 + 2 gamma log sigma with its exact u2, a
-    block-2 residual of 0 since f = g, and the mass 2 sum a."""
-    sigma, a = _burst_rows(states, slice(2))
+def _absorbed_rows(problem: FlowProblem, v0: np.ndarray, kernel: np.ndarray,
+                   states: list):
+    """The Stacks of a run of sweeps of one epoch, each state the pair
+    (before, after) of its burst rows (sigma, a, c), with 2-D arrays over
+    the rows. For the sweep that opens the epoch, which can only come
+    first, before is the exact half state, evaluated on its own.
+
+    The full state is v = v0 + 2 gamma log sigma' with its exact u2, a
+    block-2 residual of 0 since f = g, and the mass 2 sum a'. The half
+    rows go first: the dual stacks are formed once their (rows, p) arrays
+    are freed.
+    """
+    opening = isinstance(states[0][0], DualState)
+    halves = ([[], [], []] if len(states) == opening
+              else _absorbed_halves(problem, kernel, states[opening:]))
+    if opening:
+        for column, value in zip(halves, _state_row(problem, states[0][0])):
+            column.insert(0, value)
+    foc1, res2, half_mass = halves
+    sigma, a = _burst_rows([after for _, after in states], slice(2))
     u1 = v0 + 2.0 * problem.gamma * np.log(sigma)
-    return (u1, problem.block_update_2(u1), [0.0] * len(states),
-            (2.0 * a.sum(axis=1)).tolist())
+    return [(u1, problem.block_update_2(u1), res2,
+             (2.0 * a.sum(axis=1)).tolist(), half_mass, foc1,
+             [0.0] * len(states))]
 
 
-def _absorbed_half_rows(problem: FlowProblem, kernel: np.ndarray,
-                        states: list):
+def _absorbed_halves(problem: FlowProblem, kernel: np.ndarray,
+                     states: list) -> list:
     """The half rows of absorbed sweeps of one epoch, with 2-D arrays over
-    the rows.
+    the rows, as the columns [foc1, res2, mass].
 
     For the sweep from sigma to sigma' = sigma sqrt(tau), with a and c the
     sums at sigma, the half state is f = F tau_src, g = F / tau_dst with
     F = K sigma_src / sigma_dst. Then A1 x = tau a - c / tau and the mass is
     sum(tau a + c / tau), from the sums the root used; A2 x = f - g is one
     per-arc pass over the rows, formed as the pair so that res2_l1 is the
-    same number a per-row evaluation gives. Each state is the pair of burst
-    rows before and after its sweep, read in place: a slice of a buffer is
-    a view, so nothing here writes into a, c or sigma.
+    same number a per-row evaluation gives. The burst rows are read in
+    place: a slice of a buffer is a view, so nothing here writes into a,
+    c or sigma.
     """
-    before, after = zip(*states)
-    sigma, a, c = _burst_rows(before, slice(None))
-    sigma_next = _burst_rows(after, 0)
+    sigma, a, c = _burst_rows([before for before, _ in states], slice(None))
+    sigma_next = _burst_rows([after for _, after in states], 0)
     g = problem.graph
     tau = np.square(sigma_next / sigma)
     a = a * tau
@@ -432,7 +443,7 @@ def _absorbed_half_rows(problem: FlowProblem, kernel: np.ndarray,
     f *= tau[:, g.arc_src]
     f -= g_part
     res2 = np.abs(f, out=f).sum(axis=1)
-    return zip(foc1.tolist(), res2.tolist(), mass.tolist())
+    return [foc1.tolist(), res2.tolist(), mass.tolist()]
 
 
 def _gamma_arsinh(gamma: float, r: np.ndarray, exponent_sum: np.ndarray) -> np.ndarray:
@@ -488,24 +499,23 @@ def matrix_sweeps(problem: FlowProblem) -> Iterator[Sweep]:
     the pair (f, g) after project_C1, before the geometric mean.
     """
     f = np.exp(-problem.w_eff / problem.gamma)
-    pair_rows = partial(_pair_rows, problem)
+    rows = partial(_formed_stacks, partial(_pair_row, problem))
     while True:
         f1, g1 = project_C1(problem, f)
         f = project_C2(f1, g1)
         v = vertex_dual_from_flow(problem, f)
         u2 = problem.block_update_2(v)
         res1, res2, mass = _state_row(problem, DualState(v, u2))
-        yield res1, (_stacked, (v, u2, res2, mass)), (pair_rows, (f1, g1))
+        yield res1, (rows, (v, u2, res2, mass, (f1, g1)))
 
 
-def _pair_rows(problem: FlowProblem, pairs: list):
-    """The trace rows at x = (f, g) for each pair, without stacking x."""
+def _pair_row(problem: FlowProblem, pair: tuple):
+    """The trace row at x = (f, g) for a pair, without stacking x."""
+    f, g = pair
     gr = problem.graph
-    for f, g in pairs:
-        a1x = (_vertex_sums(gr.n, gr.arc_src, f)
-               - _vertex_sums(gr.n, gr.arc_dst, g))
-        yield _row_scalars(problem, (a1x, f - g,
-                                     float(f.sum()) + float(g.sum())))
+    a1x = (_vertex_sums(gr.n, gr.arc_src, f)
+           - _vertex_sums(gr.n, gr.arc_dst, g))
+    return _row_scalars(problem, (a1x, f - g, float(f.sum()) + float(g.sum())))
 
 
 def vertex_dual_from_flow(problem: FlowProblem, f: np.ndarray) -> np.ndarray:

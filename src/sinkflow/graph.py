@@ -110,7 +110,8 @@ def _graph_input(n, edges) -> tuple[int, np.ndarray]:
         count = float(n)
     except OverflowError as err:
         raise ValueError(f"vertex count {n} is too large") from err
-    if not (count.is_integer() and count >= 1):
+    # a JSON true converts to 1.0, so a bool is refused by its type
+    if isinstance(n, bool) or not (count.is_integer() and count >= 1):
         raise ValueError(f"vertex count must be an integer >= 1, got {n!r}")
     try:
         edges = np.asarray(edges, dtype=float)

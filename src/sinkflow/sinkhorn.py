@@ -9,9 +9,9 @@ domain, which keeps gamma down to 1e-3 usable.
 solve() runs OTProblem.sweeps(), a log-stabilised scaling iteration: the
 same iterates as the two block updates in turn, at the cost of two
 matrix-vector products per sweep, with the soft c-transforms as its
-fallback. A sweep yields its block-1 residual and defers its duals and the
-rest of its trace row, which solve evaluates only for the sweeps it
-records, an epoch's run at a time.
+fallback. A sweep yields its block-1 residual and defers its state, full
+and half, which solve evaluates only for the sweeps it records, an epoch's
+run at a time.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .blocklp import (
     BlockProblem,
     DualState,
     Sweep,
+    _formed_stacks,
     _l1,
-    _stacked,
     _state_row,
 )
 from .numerics import MASS_TOL, in_scaling_range
@@ -120,22 +120,21 @@ class OTProblem(BlockProblem):
         in scaling form. Both trace rows come from K b, K^T a and the
         previous K b, so a sweep costs two matrix-vector products and never
         forms the plan. The block-1 residual is formed every sweep; the
-        full state is deferred as (a, b, K^T a, K b), with K^T a the one
-        before the update of b, and _scaled_full_rows forms the duals, the
-        block-2 residual and the mass for a run of them. The half state is
-        (a, K b, b, K^T a) before the update of b, and _half_rows
-        evaluates a run of them together. A new scaling that is not finite
-        or leaves the scaling range ends the epoch and the exact log-domain
-        update takes its place: for a, that update opens a new epoch in the
-        same sweep, on the u2 of the full state reached; for b, the next
-        sweep opens one. The rows of K sum to
+        state is deferred as (a, K b, b, K^T a, b', K b'), the half state
+        before the update of b and the full state after it, and one rows
+        callable per epoch, _scaled_rows, evaluates a run of them together.
+        A new scaling that is not finite or leaves the scaling range ends
+        the epoch and the exact log-domain update takes its place: for a,
+        that update opens a new epoch in the same sweep, on the u2 of the
+        full state reached; for b, the next sweep opens one, and the sweep
+        forms its full row as it runs. The rows of K sum to
         b1, so a stays within the range of 1/b unless a marginal entry sits
         near the float64 limit. Its row of K b is then subnormal or 0, and a
         is not formed from it: the exact update runs instead.
         """
         gamma, b1, b2 = self.gamma, self.b1, self.b2
         u2 = self.initial_state().u2
-        half_rows = partial(_half_rows, self)
+        formed_rows = partial(_formed_stacks, partial(_half_row, self))
         kernel = None  # no epoch open
         while True:
             if kernel is not None:
@@ -151,23 +150,23 @@ class OTProblem(BlockProblem):
             if kernel is None:
                 f, g = self.block_update_1(u2), u2
                 kernel = _kernel(self, f, g)
-                full_rows = partial(_scaled_full_rows, self, f, g)
+                epoch_rows = partial(_scaled_rows, self, f, g)
                 a, b = np.ones(self.m1), np.ones(self.m2)
                 kb = kernel.sum(axis=1)
             kta = a @ kernel
-            half = half_rows, (a, kb, b, kta)
+            half = a, kb, b, kta
             with np.errstate(divide="ignore", over="ignore"):
                 b_next = b2 / kta
             if in_scaling_range(b_next):
                 b = b_next
                 kb = kernel @ b
-                yield _l1(a * kb - b1), (full_rows, (a, b, kta, kb)), half
+                yield _l1(a * kb - b1), (epoch_rows, (*half, b, kb))
             else:
                 u1 = f + gamma * np.log(a)
                 u2 = self.block_update_2(u1)
                 kernel = None
                 res1, res2, mass = _state_row(self, DualState(u1, u2))
-                yield res1, (_stacked, (u1, u2, res2, mass)), half
+                yield res1, (formed_rows, (u1, u2, res2, mass, half))
 
 
 def _kernel(problem: OTProblem, f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -179,29 +178,34 @@ def _kernel(problem: OTProblem, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.exp(k, out=k)
 
 
-def _scaled_full_rows(problem: OTProblem, f: np.ndarray, g: np.ndarray,
-                      states: list):
-    """The Stacks of the full states (a, b, kta, kb) of one epoch, at the
-    plans diag(a) K diag(b): the duals (f + gamma log a, g + gamma log b),
-    ||b K^T a - b2||_1 with the K^T a formed before b, and the mass a K b,
-    one dot product per state as a sweep would form it. The l1 norms equal
-    the per-state ones bit for bit."""
-    mass = [float(a @ kb) for a, _, _, kb in states]
-    a, b, kta, _ = (np.array(col) for col in zip(*states))
-    res2 = np.abs(b * kta - problem.b2).sum(axis=1)
-    return (f + problem.gamma * np.log(a), g + problem.gamma * np.log(b),
-            res2.tolist(), mass)
-
-
-def _half_rows(problem: OTProblem, states: list):
-    """_scaled_row for each state (a, kb, b, kta), with 2-D row sums over
-    the states; the l1 norms equal _scaled_row's bit for bit, the masses
-    only up to roundoff."""
-    a, kb, b, kta = (np.array(col) for col in zip(*states))
+def _scaled_rows(problem: OTProblem, f: np.ndarray, g: np.ndarray,
+                 states: list):
+    """The Stacks of the states (a, kb, b, kta, b', kb') of one epoch, with
+    2-D row sums over the states. The full state is the plan
+    diag(a) K diag(b'): the duals (f + gamma log a, g + gamma log b'),
+    ||b' K^T a - b2||_1 with the K^T a formed before b', and the mass
+    a K b', one dot product per state as a sweep would form it. The half
+    state is diag(a) K diag(b), whose rows equal _half_row's bit for bit."""
+    a, kb, b, kta, b_next, kb_next = zip(*states)
+    mass = [float(x @ y) for x, y in zip(a, kb_next)]
+    a, kb, b, kta, b_next = map(np.array, (a, kb, b, kta, b_next))
     row_sums = a * kb
-    res1 = np.abs(row_sums - problem.b1).sum(axis=1)
+    foc1 = np.abs(row_sums - problem.b1).sum(axis=1)
     res2 = np.abs(b * kta - problem.b2).sum(axis=1)
-    return zip(res1.tolist(), res2.tolist(), row_sums.sum(axis=1).tolist())
+    foc2 = np.abs(b_next * kta - problem.b2).sum(axis=1)
+    return [(f + problem.gamma * np.log(a), g + problem.gamma * np.log(b_next),
+             res2.tolist(), mass, row_sums.sum(axis=1).tolist(),
+             foc1.tolist(), foc2.tolist())]
+
+
+def _half_row(problem: OTProblem, half: tuple):
+    """The trace row at the half state (a, kb, b, kta): the plan
+    diag(a) K diag(b), whose row sums are a K b and whose column sums are
+    b K^T a."""
+    a, kb, b, kta = half
+    row_sums = a * kb
+    return (_l1(row_sums - problem.b1), _l1(b * kta - problem.b2),
+            float(row_sums.sum()))
 
 
 def _neg_lse_rows(gamma: float, scores: np.ndarray) -> np.ndarray:

@@ -117,12 +117,26 @@ def count_block_updates(problem):
     return counts
 
 
+def sweep_stacks(sweep):
+    """The seven columns a sweep's deferred state evaluates to on its own:
+    the dual stacks U1 (1, m1) and U2 (1, m2), then res2, mass, half_mass,
+    foc1 and foc2, one value each."""
+    _, (rows, state) = sweep
+    (stacks,) = rows([state])
+    return stacks
+
+
 def full_state(sweep):
-    """The DualState a sweep reaches and its trace row (res1, res2, mass),
-    from the residual it yields and its deferred full state."""
-    res1, (rows, state), _ = sweep
-    u1, u2, res2, mass = rows([state])
-    return DualState(u1[0], u2[0]), (res1, float(res2[0]), float(mass[0]))
+    """The DualState a sweep reaches and its trace row (res1, res2, mass)
+    at that state, from the residual it yields and its deferred state."""
+    u1, u2, _, mass, _, _, foc2 = sweep_stacks(sweep)
+    return DualState(u1[0], u2[0]), (sweep[0], float(foc2[0]), float(mass[0]))
+
+
+def half_row(sweep):
+    """A sweep's trace row at its half state, (foc1, res2, half_mass)."""
+    _, _, res2, _, half_mass, foc1, _ = sweep_stacks(sweep)
+    return float(foc1[0]), float(res2[0]), float(half_mass[0])
 
 
 def traced_peak(fn):

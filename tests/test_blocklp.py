@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,8 +29,9 @@ from sinkflow.flowsinkhorn import FlowProblem, matrix_sweeps
 from sinkflow.graph import Graph
 from sinkflow.sinkhorn import OTProblem
 
-from conftest import (count_block_updates, full_state, large_budget_edges,
-                      random_flow_problem, random_marginals, random_ot_problem,
+from conftest import (count_block_updates, full_state, half_row,
+                      large_budget_edges, random_flow_problem,
+                      random_marginals, random_ot_problem, sweep_stacks,
                       traced_peak)
 
 
@@ -179,25 +181,23 @@ def test_solve_residual_stop_before_budget():
 
 class CountingToy(ToyProblem):
     """ToyProblem whose sweeps count the iterators solve makes, the sweeps
-    it draws from them, and the full states and half states solve has them
-    evaluate."""
+    it draws from them, and the states solve has them evaluate."""
 
     def __init__(self, **kw):
         super().__init__(**kw)
-        self.calls = {"sweeps": 0, "next": 0, "full": 0, "half": 0}
+        self.calls = {"sweeps": 0, "next": 0, "rows": 0}
 
     def sweeps(self):
         self.calls["sweeps"] += 1
-        full_rows = half_rows = None
-        for res1, (rows, full), (h_rows, half) in BlockProblem.sweeps(self):
+        counted = None
+        for res1, (rows, state) in BlockProblem.sweeps(self):
             self.calls["next"] += 1
-            full_rows = full_rows or self._counted("full", rows)
-            half_rows = half_rows or self._counted("half", h_rows)
-            yield res1, (full_rows, full), (half_rows, half)
+            counted = counted or self._counted(rows)
+            yield res1, (counted, state)
 
-    def _counted(self, kind, rows):
+    def _counted(self, rows):
         def call(states):
-            self.calls[kind] += len(states)
+            self.calls["rows"] += len(states)
             return rows(states)
         return call
 
@@ -205,7 +205,7 @@ class CountingToy(ToyProblem):
 def test_solve_runs_problem_sweeps_by_default():
     pb = CountingToy(gamma=0.2)
     state, trace = solve(pb, max_sweeps=12)
-    assert pb.calls == {"sweeps": 1, "next": 12, "full": 12, "half": 12}
+    assert pb.calls == {"sweeps": 1, "next": 12, "rows": 12}
     # the returned state is the one the last full state evaluates to
     ref = BlockProblem.sweeps(ToyProblem(gamma=0.2))
     ref_state, _ = full_state(list(itertools.islice(ref, 12))[-1])
@@ -217,7 +217,7 @@ def test_solve_calls_half_only_on_recorded_rows():
     pb = CountingToy(gamma=0.2)
     _, trace = solve(pb, max_sweeps=35, record_every=10)
     assert list(trace.k) == [0, 10, 20, 30, 35]
-    assert pb.calls == {"sweeps": 1, "next": 35, "full": 4, "half": 4}
+    assert pb.calls == {"sweeps": 1, "next": 35, "rows": 4}
     assert all(math.isfinite(v) for v in trace.foc1[1:])
 
 
@@ -225,10 +225,10 @@ def test_solve_call_counts_do_not_depend_on_blocks(monkeypatch):
     monkeypatch.setattr(blocklp, "_BLOCK_FLOATS", 1)
     pb = CountingToy(gamma=0.2)
     solve(pb, max_sweeps=12)
-    assert pb.calls == {"sweeps": 1, "next": 12, "full": 12, "half": 12}
+    assert pb.calls == {"sweeps": 1, "next": 12, "rows": 12}
     pb = CountingToy(gamma=0.2)
     solve(pb, max_sweeps=35, record_every=10)
-    assert pb.calls == {"sweeps": 1, "next": 35, "full": 4, "half": 4}
+    assert pb.calls == {"sweeps": 1, "next": 35, "rows": 4}
 
 
 def test_marginals_match_the_primal():
@@ -444,34 +444,23 @@ def _raise_overflow():
 
 def overflowing_sweeps(pb, at, where):
     """BlockProblem.sweeps with a NumericOverflowError at sweep `at`: from
-    next() itself, from that sweep's half row, which one rows callable
-    evaluates together with the halves before it, or from its full state,
-    which one rows callable stacks together with the full states before
-    it."""
-    def half_rows(states):
-        for state in states:
-            if state is None:
-                _raise_overflow()
-            yield from state_rows([state])
-
-    def full_rows(states):
-        if any(state is None for state in states):
+    next() itself, or from that sweep's half row, which one rows callable
+    evaluates together with the sweeps before it."""
+    def half_row(half):
+        if half is None:
             _raise_overflow()
-        return stack(states)
+        return blocklp._state_row(pb, half)
 
-    for k, (res1, (stack, full), (state_rows, half)) in enumerate(
-            BlockProblem.sweeps(pb), start=1):
+    rows = partial(blocklp._formed_stacks, half_row)
+    for k, (res1, (_, state)) in enumerate(BlockProblem.sweeps(pb), start=1):
         if k == at:
             if where == "next":
                 _raise_overflow()
-            if where == "half":
-                half = None
-            else:
-                full = None
-        yield res1, (full_rows, full), (half_rows, half)
+            state = (*state[:4], None)
+        yield res1, (rows, state)
 
 
-@pytest.mark.parametrize("where", ["next", "half", "full"])
+@pytest.mark.parametrize("where", ["next", "half"])
 def test_overflow_mid_block_keeps_the_rows_before_it(monkeypatch, where):
     """A toy block holds 2048 rows, so sweep 20 overflows mid-block; the
     partial trace holds rows 0-19, as with one-row blocks."""
@@ -498,25 +487,24 @@ def _block_updates():
     _block_updates, _matrix_path, _flow_engine, _ot_engine],
     ids=["block-updates", "matrix", "flow-engine", "ot-engine"])
 def test_sweeps_yield_a_state_a_row_and_a_half(make):
-    """Each shipped iterator yields (res1, (rows, full), (rows, half)): the
-    stopping residual as a float; a callable that maps a list of full states
-    to their stacks (U1, U2, res2, mass), a row or a float per state; and a
-    callable that maps a list of half states to their rows of three floats.
-    The residual is the one at the duals the full state evaluates to."""
+    """Each shipped iterator yields (res1, (rows, state)): the stopping
+    residual as a float, then a callable that maps a list of states to
+    their stacks (U1, U2, res2, mass, half_mass, foc1, foc2), a row or a
+    float per state, the full state's duals and the half state's row
+    among them. The residual is the one at the duals the full state
+    evaluates to."""
     pb, sweeps = make()
     m1, m2 = pb.dims_dual
-    for res1, (full_rows, full), (rows, half) in itertools.islice(
-            sweeps or pb.sweeps(), 40):
-        assert type(res1) is float
-        assert callable(full_rows) and callable(rows)
-        u1, u2, res2, mass = full_rows([full])
+    for sweep in itertools.islice(sweeps or pb.sweeps(), 40):
+        res1, (rows, _) = sweep
+        assert type(res1) is float and callable(rows)
+        u1, u2, *columns = sweep_stacks(sweep)
         assert u1.shape == (1, m1) and u2.shape == (1, m2)
-        assert len(res2) == len(mass) == 1
+        assert [len(col) for col in columns] == [1] * 5
         a1x, _, _ = marginals(pb, DualState(u1[0], u2[0]))
         assert res1 == pytest.approx(float(np.abs(a1x - pb.b1).sum()),
                                      rel=1e-9, abs=1e-12)
-        (half_row,) = rows([half])
-        assert len(half_row) == 3 and all(type(v) is float for v in half_row)
+        assert all(type(v) is float for v in half_row(sweep))
 
 
 def _state_arrays(state):
@@ -534,20 +522,20 @@ def _state_arrays(state):
     lambda: random_ot_problem(np.random.default_rng(76), 4, 5, 0.3)],
     ids=["flow-engine", "ot-engine"])
 def test_no_engine_keeps_the_halves_solve_drops(make):
-    """A thinned run drops most full states and halves: after 1,000 more
-    sweeps the arrays of an early sweep's full state and half state, the
-    flow engine's burst buffers among them, are freed, and a sweep that is
-    kept still evaluates to the exact block updates' duals, full row and
-    half row."""
+    """A thinned run drops most states: after 1,000 more sweeps the arrays
+    of an early sweep's state, the flow engine's burst buffers among them,
+    are freed, and a sweep that is kept still evaluates to the exact block
+    updates' duals, full row and half row."""
     pb = make()
     sweeps = pb.sweeps()
     next(sweeps)  # opens the first epoch
-    _, (_, full), (_, half) = next(sweeps)
-    assert isinstance(half, (list, tuple))  # an absorbed half
-    arrays = list(_state_arrays([full, half]))
+    _, (_, state) = next(sweeps)
+    # an absorbed sweep, whose half is no exact DualState
+    assert not any(isinstance(item, DualState) for item in state)
+    arrays = list(_state_arrays(state))
     assert arrays
     freed = [weakref.ref(array) for array in arrays]
-    del arrays, full, half
+    del arrays, state
     for _ in range(1000):
         sweep = next(sweeps)
     assert all(ref() is None for ref in freed)
@@ -558,8 +546,7 @@ def test_no_engine_keeps_the_halves_solve_drops(make):
     np.testing.assert_allclose(u.u1, ref_u.u1, rtol=1e-9, atol=1e-15)
     np.testing.assert_allclose(u.u2, ref_u.u2, rtol=1e-9, atol=1e-15)
     np.testing.assert_allclose(row, ref_row, rtol=1e-9, atol=1e-15)
-    (rows, half), (ref_rows, ref_half) = sweep[2], ref_sweep[2]
-    np.testing.assert_allclose(list(rows([half])), list(ref_rows([ref_half])),
+    np.testing.assert_allclose(half_row(sweep), half_row(ref_sweep),
                                rtol=1e-9, atol=1e-15)
 
 

@@ -302,10 +302,10 @@ def test_untraced_run_keeps_two_rows_and_prints_the_traced_stdout(
         capsys, monkeypatch, request, tmp_path, command, fixture):
     """Without --trace a run records only the start and final rows and
     prints what the traced run prints, with sweeps a JSON integer. The
-    flow engine evaluates the half row of every sweep of a traced run, and
+    flow engine evaluates the state of every sweep of a traced run, and
     only the final sweep's of an untraced one."""
     path = request.getfixturevalue(fixture)
-    traces, halves = [], []
+    traces, stacks = [], []
 
     def kept(solve):
         def call(*args, **kwargs):
@@ -318,30 +318,29 @@ def test_untraced_run_keeps_two_rows_and_prints_the_traced_stdout(
         def call(*args):
             states = len(args[-1])
             out = list(rows(*args))
-            halves.append((states, out))
+            stacks.append((states, out))
             return out
         return call
 
     monkeypatch.setattr(cli, "solve", kept(cli.solve))
-    for name in ("_absorbed_half_rows", "_state_rows"):
-        monkeypatch.setattr(flowsinkhorn, name,
-                            counted(getattr(flowsinkhorn, name)))
+    monkeypatch.setattr(flowsinkhorn, "_absorbed_rows",
+                        counted(flowsinkhorn._absorbed_rows))
     csv_path = tmp_path / "trace.csv"
     traced = run_cli(capsys, command, path, "--epsilon", "0.05",
                      "--trace", str(csv_path))
     sweeps = json.loads(traced[1])["sweeps"]
     assert traced[0] == 0 and type(sweeps) is int and sweeps > 10
-    traced_halves = halves[:]
-    del halves[:]
+    traced_stacks = stacks[:]
+    del stacks[:]
     assert run_cli(capsys, command, path, "--epsilon", "0.05") == traced
     assert list(traces[0].k) == list(range(sweeps + 1))
     assert list(traces[1].k) == [0, sweeps]
     if command == "w1":
-        assert sum(n for n, _ in traced_halves) == sweeps
-        # the one half row is the final sweep's: the CSV's last res2_l1
+        assert sum(n for n, _ in traced_stacks) == sweeps
+        # the one state is the final sweep's: the CSV's last res2_l1
         last = csv_path.read_text().splitlines()[-1].split(",")
-        [(states, [row])] = halves
-        assert (states, row[1]) == (1, float(last[3]))
+        [(states, [stack])] = stacks
+        assert (states, stack[2][0]) == (1, float(last[3]))
 
 
 def test_ot_schema_keys(capsys, ot_file):
@@ -673,6 +672,9 @@ _ONE_LINE_ERRORS = [
      "bad graph description: 'n'"),
     ("flow", "bad-n-and-edge-pair", {"graph": {"n": -1, "edges": [[0, 1]]}},
      "bad graph description: vertex count must be an integer >= 1, got -1"),
+    ("flow", "bool-n", {"graph": {"n": True, "edges": []}, "b1": [1.0],
+                        "b2": [1.0]},
+     "bad graph description: vertex count must be an integer >= 1, got True"),
     ("flow", "edge-pair-and-string-b1",
      {"graph": {"n": 3, "edges": [[0, 1]]}, "b1": [1.0, "a", 0.0]},
      "bad graph description: edges must be (i, j, w) triples, "

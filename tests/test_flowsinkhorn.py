@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sinkflow import blocklp, flowsinkhorn
 from sinkflow.analysis import (
     check_monotone_sweep,
     check_nonexpansive,
@@ -35,7 +36,7 @@ from sinkflow.graph import Graph, spanning_tree_flow
 from sinkflow.numerics import kl_divergence
 from sinkflow.oracle import exact_w1
 
-from conftest import (count_block_updates, full_state, graph_edges,
+from conftest import (count_block_updates, full_state, graph_edges, half_row,
                       large_budget_edges, random_connected_graph,
                       random_marginals, traced_peak)
 
@@ -553,29 +554,35 @@ def test_engine_matches_block_updates_on_long_segments(gamma):
     ref = BlockProblem.sweeps(pb)
     for sweep, ref_sweep in zip(engine, ref):
         (u, row), (r, ref_row) = full_state(sweep), full_state(ref_sweep)
-        (rows, state), (ref_rows, ref_state) = sweep[2], ref_sweep[2]
         np.testing.assert_allclose(u.u1, r.u1, rtol=0, atol=1e-10)
         np.testing.assert_allclose(u.u2, r.u2, rtol=0, atol=1e-10)
         np.testing.assert_allclose(row, ref_row, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(list(rows([state])),
-                                   list(ref_rows([ref_state])), rtol=1e-10,
-                                   atol=1e-12)
+        np.testing.assert_allclose(half_row(sweep), half_row(ref_sweep),
+                                   rtol=1e-10, atol=1e-12)
 
 
-def criterion_2_first_graph():
-    """The first of the ten criterion-2 instances: graph and marginals."""
+def criterion_2_graph(trial=0):
+    """One of the ten criterion-2 instances, the first by default: graph
+    and marginals."""
     rng = np.random.default_rng(0x2A)
-    g = random_connected_graph(rng, 20)
-    return g, random_marginals(rng, 20), random_marginals(rng, 20)
+    for _ in range(trial + 1):
+        g = random_connected_graph(rng, 20)
+        mu1, mu2 = random_marginals(rng, 20), random_marginals(rng, 20)
+    return g, mu1, mu2
+
+
+def scheduled_problem(g, mu1, mu2):
+    """The FlowProblem at the scheduled gamma for eps = 0.05 W1."""
+    fbar = spanning_tree_flow(g, mu1, mu2)
+    gamma = schedule_gamma(0.05 * exact_w1(g, mu1, mu2), float(fbar.sum()),
+                           2 * g.p)
+    return FlowProblem(g, mu1, mu2, gamma)
 
 
 def scheduled_fallback_share(g, mu1, mu2):
     """Share of sweeps on which the engine runs the exact block_update_1,
     solving at the scheduled gamma for eps = 0.05 W1 to residual 1e-6."""
-    fbar = spanning_tree_flow(g, mu1, mu2)
-    gamma = schedule_gamma(0.05 * exact_w1(g, mu1, mu2), float(fbar.sum()),
-                           2 * g.p)
-    pb = FlowProblem(g, mu1, mu2, gamma)
+    pb = scheduled_problem(g, mu1, mu2)
     counts = count_block_updates(pb)
     state, trace = solve(pb, residual_tol=1e-6, max_sweeps=10**5,
                          record_every=10**5)
@@ -586,17 +593,58 @@ def scheduled_fallback_share(g, mu1, mu2):
 def test_engine_fallbacks_rare_at_scheduled_gamma():
     # at this gamma a pure source or sink has one of its scaled sums at
     # 1e-290 or exactly 0; that alone must not end an epoch
-    assert scheduled_fallback_share(*criterion_2_first_graph()) <= 0.01
+    assert scheduled_fallback_share(*criterion_2_graph()) <= 0.01
 
 
 def test_engine_fallbacks_rare_with_a_zero_mass_vertex_off_the_flow():
     # vertex 20 hangs off vertex 0 by an edge of length 2 and has r = 0:
     # both of its scaled sums sit near 1e-290, and their product underflows
-    g, mu1, mu2 = criterion_2_first_graph()
+    g, mu1, mu2 = criterion_2_graph()
     g = Graph(21, graph_edges(g) + [(0, 20, 2.0)])
     share = scheduled_fallback_share(g, np.append(mu1, 0.0),
                                      np.append(mu2, 0.0))
     assert share <= 0.01
+
+
+def test_engine_overflow_mid_block_keeps_the_rows_before_it(monkeypatch):
+    """On the second criterion-2 instance at its scheduled gamma a block
+    holds 26 rows, and the sixth epoch opens at sweep 60, inside the third
+    block. When that sweep's exact half row overflows, the partial trace
+    holds rows 0-59, those of an unpatched run that stops at sweep 59."""
+    pb = scheduled_problem(*criterion_2_graph(1))
+    assert -(-blocklp._BLOCK_FLOATS // sum(pb.dims_dual)) == 26
+    drawn, opened, halves = [], [], []
+    update, row = pb.block_update_1, flowsinkhorn._state_row
+
+    def counted_update(u2):
+        opened.append(len(drawn) + 1)
+        return update(u2)
+
+    def counted(sweeps):
+        for sweep in sweeps:
+            drawn.append(1)
+            yield sweep
+
+    def overflowing_row(problem, u):
+        halves.append(u)
+        if len(halves) == 6:
+            raise NumericOverflowError("test overflow")
+        return row(problem, u)
+
+    pb.block_update_1 = counted_update
+    monkeypatch.setattr(flowsinkhorn, "_state_row", overflowing_row)
+    with pytest.raises(NumericOverflowError, match="test overflow") as err:
+        solve(pb, residual_tol=1e-6, max_sweeps=10**5,
+              sweeps=counted(pb.sweeps()))
+    assert opened[:6] == [1, 2, 3, 4, 10, 60]
+    monkeypatch.undo()
+    _, ref = solve(scheduled_problem(*criterion_2_graph(1)), max_sweeps=59)
+    trace = err.value.trace
+    assert list(trace.k) == list(range(60))
+    for name in ("k", "F_gamma", "res1_l1", "res2_l1", "primal_mass",
+                 "u1_seminorm", "u2_seminorm", "half_mass", "foc1", "foc2"):
+        np.testing.assert_array_equal(getattr(trace, name),
+                                      getattr(ref, name), err_msg=name)
 
 
 def scaling_root(r, a, c):

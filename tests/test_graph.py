@@ -55,6 +55,7 @@ def test_rejects_disconnected():
     (3.7, [(0, 1, 1.0), (1, 2, 1.0)], "vertex count must be an integer >= 1"),
     (0, [], "vertex count must be an integer >= 1"),
     (float("nan"), [], "vertex count must be an integer >= 1"),
+    (True, [], "vertex count must be an integer >= 1, got True"),
     (3, [(0, 1, 1.0), (1, 2)], "(i, j, w) triples"),
     (3, [(0, 1, 1.0, 2.0), (1, 2, 1.0, 2.0)], "(i, j, w) triples, got shape (2, 4)"),
     (2, [0, 1, 1.0], "(i, j, w) triples, got shape (3,)"),
@@ -64,7 +65,7 @@ def test_rejects_disconnected():
     (2, [(-1, 1, 1.0)], "edge (-1,1) out of range for n=2"),
     (10 ** 12, [(0, 1, 1.0)], "graph is not connected"),
     (10 ** 400, [(0, 1, 1.0)], "is too large"),
-], ids=["fractional-endpoint", "fractional-n", "zero-n", "nan-n",
+], ids=["fractional-endpoint", "fractional-n", "zero-n", "nan-n", "bool-n",
         "ragged-row", "four-number-rows", "flat-row", "empty-row", "nan-weight",
         "inf-weight", "negative-endpoint", "fewer-than-n-1-edges",
         "n-beyond-float"])

@@ -272,24 +272,23 @@ def test_stabilized_sweeps_are_the_default_and_match_block_updates(monkeypatch):
 
 def test_engine_forms_its_rows_a_run_at_a_time(monkeypatch):
     """A sweep forms its block-1 residual and nothing else of its trace
-    row: solve evaluates each full state and each half once, a run of an
-    epoch's sweeps per call with 2-D arrays. Only a sweep whose column
-    scaling falls back forms its full row when it runs, through blocklp."""
+    row: solve evaluates each state once, a run of an epoch's sweeps per
+    call with 2-D arrays. Only a sweep whose column scaling falls back
+    forms its full row when it runs, through blocklp, and its half row
+    when solve evaluates it."""
     pb = random_ot_problem(np.random.default_rng(72), 4, 5, 1e-3)
     counts = count_block_updates(pb)
     state_rows = _count_calls(monkeypatch, "_state_row")
-    full = _count_calls(monkeypatch, "_scaled_full_rows")
-    half = _count_calls(monkeypatch, "_half_rows")
+    rows = _count_calls(monkeypatch, "_scaled_rows")
+    half_rows = _count_calls(monkeypatch, "_half_row")
     solve(pb, max_sweeps=600)
     fallbacks = counts["block_update_2"]
     assert fallbacks >= 1
-    assert len(state_rows) == fallbacks
-    assert sum(len(args[-1]) for args in full) == 600 - fallbacks
-    assert sum(len(args[-1]) for args in half) == 600
-    # two blocks of up to 456 rows: the full states take at most one call
-    # per epoch in each, the halves, which all share one rows, one call
-    assert len(full) <= counts["block_update_1"] + 1
-    assert len(half) == 2
+    assert len(state_rows) == len(half_rows) == fallbacks
+    assert sum(len(args[-1]) for args in rows) == 600 - fallbacks
+    # two blocks of up to 456 rows: an epoch's run takes at most one call
+    # in each
+    assert len(rows) <= counts["block_update_1"] + 1
 
 
 def test_stabilized_fallback_when_first_column_update_underflows(monkeypatch):
