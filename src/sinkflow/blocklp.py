@@ -244,7 +244,6 @@ class ConvergenceTrace:
 
     gamma: float
     a_norm: float
-    label: str = ""
     k: array = field(default_factory=partial(array, "q"))
     F_gamma: array = field(default_factory=partial(array, "d"))
     res1_l1: array = field(default_factory=partial(array, "d"))
@@ -438,8 +437,7 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
         return ((residual_tol is not None and res1 <= residual_tol)
                 or (max_sweeps is not None and k >= max_sweeps))
 
-    trace = ConvergenceTrace(problem.gamma, operator_norm_1to1(problem),
-                             getattr(problem, "label", ""))
+    trace = ConvergenceTrace(problem.gamma, operator_norm_1to1(problem))
     if sweeps is None:
         sweeps = problem.sweeps()
     block_rows = -(-_BLOCK_FLOATS // sum(problem.dims_dual))  # ceiling

@@ -127,11 +127,25 @@ def _write_trace(trace: ConvergenceTrace | None, path: str | None) -> None:
 
 
 def _budget(args) -> tuple[int, float | None]:
-    """(cap, tolerance) of a run: --max-sweeps or else the sweep cap, and
-    --tol, which is 1e-9 when neither flag is given and 1e-6 under
-    --epsilon."""
+    """(cap, tolerance) of a run, after checking the flags: --max-sweeps or
+    else the sweep cap, and --tol, which is 1e-9 when neither is given and
+    1e-6 under --epsilon, which excludes both."""
     if args.epsilon is not None:
+        # --epsilon picks gamma and the sweep budget
+        for flag, given in (("--max-sweeps", args.max_sweeps is not None),
+                            ("--tol", args.tol is not None)):
+            if given:
+                raise _InputError(
+                    f"{flag} cannot be combined with --epsilon, which sets "
+                    "the sweep budget"
+                )
         return _SWEEP_CAP, 1e-6
+    if args.max_sweeps is not None and args.max_sweeps < 0:
+        raise _InputError(
+            f"--max-sweeps must be >= 0, got {args.max_sweeps}")
+    if args.tol is not None and not 0 <= args.tol < math.inf:
+        raise _InputError(
+            f"--tol must be >= 0 and finite, got {args.tol!r}")
     if args.max_sweeps is None and args.tol is None:
         return _SWEEP_CAP, 1e-9
     cap = _SWEEP_CAP if args.max_sweeps is None else args.max_sweeps
@@ -146,25 +160,6 @@ def _warn_at_cap(trace: ConvergenceTrace, max_sweeps: int,
         print(f"warning: stopped at the sweep cap of {max_sweeps} with "
               f"res1_l1 {res1!r} above the tolerance {tol!r}",
               file=sys.stderr)
-
-
-def _check_run_flags(args) -> None:
-    """The w1/ot flag values and combinations the parser lets through."""
-    if args.epsilon is not None:
-        # --epsilon picks gamma and the sweep budget
-        for flag, given in (("--max-sweeps", args.max_sweeps is not None),
-                            ("--tol", args.tol is not None)):
-            if given:
-                raise _InputError(
-                    f"{flag} cannot be combined with --epsilon, which sets "
-                    "the sweep budget"
-                )
-    if args.max_sweeps is not None and args.max_sweeps < 0:
-        raise _InputError(
-            f"--max-sweeps must be >= 0, got {args.max_sweeps}")
-    if args.tol is not None and not 0 <= args.tol < math.inf:
-        raise _InputError(
-            f"--tol must be >= 0 and finite, got {args.tol!r}")
 
 
 def _flow_setup(data: dict, args) -> FlowProblem:
@@ -214,11 +209,10 @@ def _run(args, setup, estimate) -> int:
     setup(data, args) returns the problem; estimate(problem, state) returns
     the (primal, dual) answer.
     """
-    _check_run_flags(args)
+    max_sweeps, tol = _budget(args)
     # the parsed file is dropped once set-up has built the problem
     problem = setup(_load_json(args.input), args)
     _check_trace_path(args.trace)
-    max_sweeps, tol = _budget(args)
     # without --trace only the final row is read, so only the start and
     # final rows are recorded: solve keeps both at any stride
     record_every = 1 if args.trace else max(1, max_sweeps)

@@ -449,17 +449,15 @@ def _absorbed_halves(problem: FlowProblem, kernel: np.ndarray,
 def _gamma_arsinh(gamma: float, r: np.ndarray, exponent_sum: np.ndarray) -> np.ndarray:
     """gamma * arsinh(r * exp(-exponent_sum / (2 gamma))) without overflow.
 
-    For exponents beyond the exp() range the asymptotic form
-    sign(r) * (log 2 + log|r| - S/(2 gamma)) is exact to double precision
-    (the correction is O(1/beta^2) with beta > e^700).
+    The exponent m = log|r| - S/(2 gamma) is clipped at blocklp._EXP_LIMIT,
+    L, and m - L added back: beyond L, arsinh(e^m) - arsinh(e^L) - (m - L)
+    is O(e^(-2L)). At r = 0, m = -inf and the result is 0.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_abs_r = np.where(r != 0.0, np.log(np.abs(r)), -np.inf)
-        m = log_abs_r - exponent_sum / (2.0 * gamma)
-        sign = np.sign(r)
-        direct = gamma * np.arcsinh(sign * np.exp(np.minimum(m, 700.0)))
-        asym = gamma * sign * (np.log(2.0) + m)
-        return np.where(m > 700.0, asym, direct)
+    with np.errstate(divide="ignore"):
+        m = np.log(np.abs(r)) - exponent_sum / (2.0 * gamma)
+    limit = blocklp._EXP_LIMIT
+    return gamma * np.sign(r) * (np.arcsinh(np.exp(np.minimum(m, limit)))
+                                 + np.maximum(m - limit, 0.0))
 
 
 def project_C1(problem: FlowProblem, h: np.ndarray
@@ -493,12 +491,12 @@ def project_C2(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def matrix_sweeps(problem: FlowProblem) -> Iterator[Sweep]:
-    """Matrix-path sweeps from the reference flow z^C, for solve().
+    """Matrix-path sweeps for solve() from z^C = _full_flow at u = 0.
 
     Each sweep projects onto block 1, then onto block 2; the half state is
     the pair (f, g) after project_C1, before the geometric mean.
     """
-    f = np.exp(-problem.w_eff / problem.gamma)
+    f = _full_flow(problem, problem.initial_state().u1)
     rows = partial(_formed_stacks, partial(_pair_row, problem))
     while True:
         f1, g1 = project_C1(problem, f)

@@ -9,9 +9,9 @@ domain, which keeps gamma down to 1e-3 usable.
 solve() runs OTProblem.sweeps(), a log-stabilised scaling iteration: the
 same iterates as the two block updates in turn, at the cost of two
 matrix-vector products per sweep, with the soft c-transforms as its
-fallback. A sweep yields its block-1 residual and defers its state, full
-and half, which solve evaluates only for the sweeps it records, an epoch's
-run at a time.
+fallback and primal_from_dual's plan as each epoch's kernel. A sweep yields
+its block-1 residual and defers its state, full and half, which solve
+evaluates only for the sweeps it records, an epoch's run at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .blocklp import (
     _formed_stacks,
     _l1,
     _state_row,
+    primal_from_dual,
 )
 from .numerics import MASS_TOL, in_scaling_range
 
@@ -113,8 +114,8 @@ class OTProblem(BlockProblem):
         """Log-stabilised scaling sweeps from u = 0, for solve().
 
         Schmitzer's absorption scheme (SIAM J. Sci. Comput. 2019). An epoch
-        starts with an exact log-domain block_update_1 and absorbs the duals
-        (f, g) reached into the kernel K = x(f, g), with scalings a = b = 1.
+        starts with the exact log-domain block_update_1, absorbs the duals
+        (f, g) reached into K = primal_from_dual(f, g) and sets a = b = 1.
         Within the epoch the state is u = (f + gamma log a, g + gamma log b),
         and a sweep is a = b1 / (K b), b = b2 / (K^T a): the two block updates
         in scaling form. Both trace rows come from K b, K^T a and the
@@ -149,7 +150,8 @@ class OTProblem(BlockProblem):
                     u2 = g + gamma * np.log(b)
             if kernel is None:
                 f, g = self.block_update_1(u2), u2
-                kernel = _kernel(self, f, g)
+                kernel = primal_from_dual(self, DualState(f, g)).reshape(
+                    self.m1, self.m2)
                 epoch_rows = partial(_scaled_rows, self, f, g)
                 a, b = np.ones(self.m1), np.ones(self.m2)
                 kb = kernel.sum(axis=1)
@@ -167,15 +169,6 @@ class OTProblem(BlockProblem):
                 kernel = None
                 res1, res2, mass = _state_row(self, DualState(u1, u2))
                 yield res1, (formed_rows, (u1, u2, res2, mass, half))
-
-
-def _kernel(problem: OTProblem, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The plan x(f, g) as an (m1, m2) matrix, built in place."""
-    k = np.add.outer(f, g)
-    k -= problem.cost_matrix
-    k /= problem.gamma
-    k += problem.log_reference.reshape(problem.m1, problem.m2)
-    return np.exp(k, out=k)
 
 
 def _scaled_rows(problem: OTProblem, f: np.ndarray, g: np.ndarray,

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -22,6 +23,7 @@ from sinkflow.blocklp import (
 )
 from sinkflow.flowsinkhorn import (
     FlowProblem,
+    _gamma_arsinh,
     _root,
     _vertex_maxima,
     _vertex_sums,
@@ -680,6 +682,32 @@ def test_scaling_root_solves_the_quadratic_without_dividing_by_a_tiny_sum():
                             np.array([1.0, 0.0, 0.0]),
                             np.array([0.0, 1.0, 0.0]))
     assert bad[0] == 0.0 and bad[1] == np.inf and np.isnan(bad[2])
+
+
+def test_gamma_arsinh_matches_mpmath_through_the_clipped_exponent():
+    """gamma arsinh(r exp(-S / (2 gamma))) for exponents m = log|r| -
+    S / (2 gamma) from -750 to 1e5, through a band of +-1 around the exp
+    limit where the root clips m, for both signs of r and r = 0."""
+    limit = blocklp._EXP_LIMIT
+    m = np.concatenate([np.linspace(-750.0, 750.0, 301),
+                        limit + np.linspace(-1.0, 1.0, 41),
+                        np.geomspace(750.0, 1e5, 60)])
+    tiny = np.finfo(float).tiny
+    for gamma in (1e-3, 0.5):
+        for abs_r in (1e-3, 1.0, 7.5):
+            for sign in (1.0, -1.0):
+                r = np.full(m.size, sign * abs_r)
+                s = 2.0 * gamma * (math.log(abs_r) - m)
+                got = _gamma_arsinh(gamma, r, s)
+                with mp.workdps(40):
+                    for ri, si, gi in zip(r.tolist(), s.tolist(), got.tolist()):
+                        want = gamma * mp.asinh(ri * mp.exp(-mp.mpf(si)
+                                                            / (2 * gamma)))
+                        assert abs(gi - want) <= 1e-12 * abs(want) + tiny, \
+                            (ri, si)
+        # r = 0: m = -inf, and the result is 0 whatever S is
+        zero = _gamma_arsinh(gamma, np.zeros(3), np.array([-1e5, 0.0, 1e5]))
+        assert np.all(zero == 0.0)
 
 
 # ------------------------------------------------------------ peak memory
