@@ -108,6 +108,15 @@ def verify_rate(
 def verify_ascent(trace: ConvergenceTrace) -> bool:
     """Per-sweep gain against the measured ascent lower bound.
 
+    The block-1 update of sweep k gains gamma KL(x_half || x_prev), the
+    generalized KL divergence from the previous full state's primal to the
+    half state's, and the block-2 update gains more. With Pinsker's
+    inequality for positive measures,
+    KL(p || q) >= ||p - q||_1^2 / (2 ||p||_1 / 3 + 4 ||q||_1 / 3), and
+    ||A1 (x_prev - x_half)||_1 = res1_l1 of the previous row, the sweep
+    gains at least gamma r^2 / (A^2 (2 X_half / 3 + 4 X_prev / 3)), with
+    X_half the half state's mass and X_prev the previous row's.
+
     Needs every sweep recorded (stride 1): the bound compares consecutive
     objective values.
     """
@@ -121,8 +130,9 @@ def verify_ascent(trace: ConvergenceTrace) -> bool:
     for i in range(1, len(ks)):
         gain = trace.F_gamma[i] - trace.F_gamma[i - 1]
         res_prev = trace.res1_l1[i - 1]
-        x_half = trace.half_mass[i]
-        bound = gamma * res_prev * res_prev / (2.0 * x_half * a_sq)
+        masses = (2.0 * trace.half_mass[i]
+                  + 4.0 * trace.primal_mass[i - 1]) / 3.0
+        bound = gamma * res_prev * res_prev / (masses * a_sq)
         if gain < bound - _ASCENT_SLACK:
             return False
     return True

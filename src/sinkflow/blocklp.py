@@ -15,6 +15,7 @@ block at a time, with 2-D arrays over the rows, into a per-sweep trace.
 
 from __future__ import annotations
 
+import copy
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -149,13 +150,22 @@ class BlockProblem:
         m1, m2 = self.dims_dual
         return DualState(np.zeros(m1), np.zeros(m2))
 
-    def sweeps(self) -> Iterator[Sweep]:
+    def with_gamma(self, gamma: float) -> "BlockProblem":
+        """This instance at another gamma: a shallow copy that shares every
+        array, with no input checked again. Instances that hold arrays
+        derived from gamma override this to form them anew."""
+        other = copy.copy(self)
+        other.gamma = float(gamma)
+        return other
+
+    def sweeps(self, u0: DualState | None = None) -> Iterator[Sweep]:
         """The sweeps solve() runs by default: the exact block updates in
-        turn from initial_state(), trace rows through primal_from_dual.
+        turn from u0, initial_state() unless given, trace rows through
+        primal_from_dual.
 
         Instances with a faster iteration override this.
         """
-        u = self.initial_state()
+        u = self.initial_state() if u0 is None else u0
         rows = partial(_formed_stacks, partial(_state_row, self))
         while True:
             half = DualState(self.block_update_1(u.u2), u.u2)
@@ -224,11 +234,12 @@ def cost_and_dual(problem: BlockProblem, u: DualState) -> tuple[float, float]:
 class ConvergenceTrace:
     """Per-sweep run record.
 
-    Row 0 is the start state u = 0. For row k >= 1, res1_l1 and res2_l1
-    follow the convention used throughout: res1_l1 is the block-1 residual
-    at the full state after sweep k (the stopping quantity; block 2 is tight
-    there), while res2_l1 is the block-2 residual at the half state of sweep
-    k, after the block-1 update and before the block-2 update.
+    Row 0 is the start state: u = 0, or the u0 solve was given. For row
+    k >= 1, res1_l1 and res2_l1 follow the convention used throughout:
+    res1_l1 is the block-1 residual at the full state after sweep k (the
+    stopping quantity; block 2 is tight there), while res2_l1 is the
+    block-2 residual at the half state of sweep k, after the block-1
+    update and before the block-2 update.
 
     Three diagnostic columns stay out of the CSV export: half_mass (primal
     mass at the half state, which the ascent certificate needs), foc1 (the
@@ -384,9 +395,15 @@ def _extend_trace(problem: BlockProblem, trace: ConvergenceTrace,
 
 def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
           residual_tol: float | None = None, record_every: int = 1,
-          sweeps: Iterator[Sweep] | None = None
+          sweeps: Iterator[Sweep] | None = None,
+          u0: DualState | None = None
           ) -> tuple[DualState, ConvergenceTrace]:
-    """Run cyclic block ascent from u = 0 until a stopping rule fires.
+    """Run cyclic block ascent from u0 until a stopping rule fires.
+
+    u0 is the start state, problem.initial_state() (u = 0) unless given;
+    it is recorded as row 0, and its residual is tested before any sweep.
+    A start from u0 = initial_state() runs the same iterates, bit for bit,
+    as a start without it.
 
     Stopping rules (at least one required):
       max_sweeps: stop after this many full sweeps;
@@ -398,8 +415,8 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
     final row are always recorded.
 
     sweeps replaces the iteration while solve keeps the stopping, thinning
-    and recording; the default is problem.sweeps(). It must start from
-    problem.initial_state() and yields, for each sweep, a pair
+    and recording; the default is problem.sweeps(u0). It must start from
+    the start state and yields, for each sweep, a pair
     (res1, (rows, state)): the block-1 residual ||A1 x - b1||_1 at x(u)
     for the full state u reached, as a float, which the stopping test
     reads; then the rest of the sweep, its full state and its half state
@@ -439,11 +456,11 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
 
     trace = ConvergenceTrace(problem.gamma, operator_norm_1to1(problem))
     if sweeps is None:
-        sweeps = problem.sweeps()
+        sweeps = problem.sweeps(u0)
     block_rows = -(-_BLOCK_FLOATS // sum(problem.dims_dual))  # ceiling
     held = []  # recorded sweeps not yet in the trace; see _close_block
     try:
-        res1 = _start_row(problem, trace)
+        res1 = _start_row(problem, trace, u0)
         k = 0
         stop = done(k, res1)
         while not stop:
@@ -467,18 +484,20 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
         err.trace = trace
         raise
     if u is None:  # no sweep ran
-        return problem.initial_state(), trace
+        return problem.initial_state() if u0 is None else u0, trace
     # copies, so that the state does not keep the last block's stacks alive
     return DualState(u.u1.copy(), u.u2.copy()), trace
 
 
-def _start_row(problem: BlockProblem, trace: ConvergenceTrace) -> float:
-    """Record row 0, at problem.initial_state(); return its res1.
+def _start_row(problem: BlockProblem, trace: ConvergenceTrace,
+               u0: DualState | None) -> float:
+    """Record row 0, at u0 or else problem.initial_state(); return its res1.
 
-    Apart from solve, so that solve holds no start state through the sweeps:
-    at p ~ 1e5 its arc dual would add a p-vector to every sweep's peak.
+    Apart from solve, so that solve holds no start state of its own through
+    the sweeps: at p ~ 1e5 its arc dual would add a p-vector to every
+    sweep's peak.
     """
-    u = problem.initial_state()
+    u = problem.initial_state() if u0 is None else u0
     res1, res2, mass = _state_row(problem, u)
     trace.append(0, _dual_value(problem, u, mass), res1, res2, mass,
                  problem.seminorm_V1(u.u1), problem.seminorm_V2(u.u2))

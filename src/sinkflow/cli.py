@@ -28,6 +28,7 @@ from .analysis import (
 )
 from .blocklp import (
     ConvergenceTrace,
+    DualState,
     NumericOverflowError,
     cost_and_dual,
     schedule_gamma,
@@ -42,6 +43,10 @@ from .sinkhorn import OTProblem
 __all__ = ["main"]
 
 _SWEEP_CAP = 10 ** 6
+# --epsilon warm-starts its solve at the scheduled gamma from rungs at
+# gamma * _RUNG_RATIO ** j, j = _RUNG_DEPTH, ..., 1, each solved to the
+# residual _RUNG_TOL (see _ladder)
+_RUNG_RATIO, _RUNG_DEPTH, _RUNG_TOL = 2.0, 1, 1e-4
 
 
 class _InputError(Exception):
@@ -152,14 +157,32 @@ def _budget(args) -> tuple[int, float | None]:
     return cap, args.tol
 
 
-def _warn_at_cap(trace: ConvergenceTrace, max_sweeps: int,
+def _warn_at_cap(sweeps: int, res1: float, max_sweeps: int,
                  tol: float | None) -> None:
     """One stderr line when a run stopped at its cap short of its tolerance."""
-    res1 = trace.res1_l1[-1]
-    if tol is not None and trace.k[-1] >= max_sweeps and not res1 <= tol:
+    if tol is not None and sweeps >= max_sweeps and not res1 <= tol:
         print(f"warning: stopped at the sweep cap of {max_sweeps} with "
               f"res1_l1 {res1!r} above the tolerance {tol!r}",
               file=sys.stderr)
+
+
+def _ladder(problem, max_sweeps: int) -> tuple[DualState | None, int]:
+    """The warm start of an --epsilon run and the sweeps it took.
+
+    The rungs solve the problem at gamma * _RUNG_RATIO ** j for
+    j = _RUNG_DEPTH, ..., 1, each from the last rung's duals and to the
+    residual _RUNG_TOL, within what is left of max_sweeps. Each records
+    only its start and final rows, and a NumericOverflowError carries the
+    trace of the rung it stopped.
+    """
+    u0, sweeps = None, 0
+    for j in range(_RUNG_DEPTH, 0, -1):
+        rung = problem.with_gamma(problem.gamma * _RUNG_RATIO ** j)
+        u0, trace = solve(rung, max_sweeps=max_sweeps - sweeps,
+                          residual_tol=_RUNG_TOL,
+                          record_every=max(1, max_sweeps), u0=u0)
+        sweeps += trace.k[-1]
+    return u0, sweeps
 
 
 def _flow_setup(data: dict, args) -> FlowProblem:
@@ -171,13 +194,15 @@ def _flow_setup(data: dict, args) -> FlowProblem:
     with _bad_input("flow problem"):
         # checked as FlowProblem and spanning_tree_flow check them
         b1, b2 = measure_pair(data.pop("b1"), data.pop("b2"), graph.n, graph.n)
+    tree_mass = None
     if gamma is None:
-        x0 = float(spanning_tree_flow(graph, b1, b2).sum())
+        tree_mass = float(spanning_tree_flow(graph, b1, b2).sum())
         with _bad_input("--epsilon"):
-            gamma = schedule_gamma(args.epsilon, x0 if x0 > 0 else 1.0,
+            gamma = schedule_gamma(args.epsilon,
+                                   tree_mass if tree_mass > 0 else 1.0,
                                    2 * graph.p)
     with _bad_input("flow problem"):
-        return FlowProblem(graph, b1, b2, gamma)
+        return FlowProblem(graph, b1, b2, gamma, tree_mass=tree_mass)
 
 
 def _ot_setup(data: dict, args) -> OTProblem:
@@ -217,22 +242,28 @@ def _run(args, setup, estimate) -> int:
     # final rows are recorded: solve keeps both at any stride
     record_every = 1 if args.trace else max(1, max_sweeps)
     try:
-        state, trace = solve(problem, max_sweeps=max_sweeps, residual_tol=tol,
-                             record_every=record_every)
+        u0, rung_sweeps = None, 0
+        if args.epsilon is not None:
+            u0, rung_sweeps = _ladder(problem, max_sweeps)
+        state, trace = solve(problem, max_sweeps=max_sweeps - rung_sweeps,
+                             residual_tol=tol, record_every=record_every,
+                             u0=u0)
     except NumericOverflowError as err:
         _write_trace(err.trace, args.trace)
         where = f"; partial trace at {args.trace}" if args.trace else ""
         print(f"numeric failure: {err}{where}", file=sys.stderr)
         return 3
-    _warn_at_cap(trace, max_sweeps, tol)
+    del u0  # the rung's duals, a p-vector at scale, go before the estimate
+    sweeps, res1 = rung_sweeps + trace.k[-1], trace.res1_l1[-1]
+    _warn_at_cap(sweeps, res1, max_sweeps, tol)
     _write_trace(trace, args.trace)
     primal, dual = estimate(problem, state)
     _emit({
         f"{args.subcommand}_dual": dual,
         f"{args.subcommand}_primal": primal,
         "gamma": problem.gamma,
-        "sweeps": trace.k[-1],
-        "res1_l1": trace.res1_l1[-1],
+        "sweeps": sweeps,
+        "res1_l1": res1,
     })
     return 0
 
@@ -354,8 +385,10 @@ def _build_parser() -> argparse.ArgumentParser:
         group = p.add_mutually_exclusive_group()
         group.add_argument("--gamma", type=float, help=gamma_help)
         group.add_argument("--epsilon", type=float,
-                           help="target accuracy; runs at the scheduled gamma "
-                                "eps / (2 X0 log d) to the residual 1e-6")
+                           help="target accuracy; solves at the scheduled "
+                                "gamma eps / (2 X0 log d) to the residual "
+                                "1e-6, warm-started from a solve at twice "
+                                "that gamma to the residual 1e-4")
         p.add_argument("--max-sweeps", type=int, default=None)
         p.add_argument("--tol", type=float, default=None,
                        help="stop when the block-1 residual l1 norm reaches "

@@ -109,14 +109,17 @@ class FlowProblem(BlockProblem):
 
     The reference z is the number alpha = ||tree flow||_1 / (2p) on every
     entry of x, or 1 / (2p) when the marginals coincide and the tree flow
-    is empty; log_reference is the float log(alpha).
+    is empty; log_reference is the float log(alpha). A caller that has
+    already formed spanning_tree_flow(graph, mu1, mu2) passes its l1 mass
+    as tree_mass, and the tree flow is not formed again.
 
     The primal layout is x = (f, g), each of length p. Block 1 couples the
     divergence of f to the marginals via g (right-hand side mu2 - mu1 on
     vertices); block 2 is f - g = 0 on arcs.
     """
 
-    def __init__(self, graph: Graph, mu1, mu2, gamma: float):
+    def __init__(self, graph: Graph, mu1, mu2, gamma: float, *,
+                 tree_mass: float | None = None):
         if graph.n < 2:
             raise ValueError("flow problems need at least two vertices")
         mu1, mu2 = measure_pair(mu1, mu2, graph.n, graph.n)
@@ -124,7 +127,8 @@ class FlowProblem(BlockProblem):
             raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
 
         p = graph.p
-        tree_mass = float(spanning_tree_flow(graph, mu1, mu2).sum())
+        if tree_mass is None:
+            tree_mass = float(spanning_tree_flow(graph, mu1, mu2).sum())
         alpha = tree_mass / (2.0 * p) if tree_mass > 0 else 1.0 / (2.0 * p)
 
         self.graph = graph
@@ -137,8 +141,7 @@ class FlowProblem(BlockProblem):
         self.log_reference = float(np.log(alpha))
         # Z = sum(z) over its 2p entries: 2p * alpha moves Z's last bits
         self.reference_mass = float(np.full(2 * p, alpha).sum())
-        # Reference folded into the weights: z^C = exp(-w_eff / gamma).
-        self.w_eff = graph.arc_w - self.gamma * self.log_reference
+        self.w_eff = self._w_eff()
 
         self.dim_primal = 2 * p
         self.dims_dual = (graph.n, p)
@@ -146,7 +149,21 @@ class FlowProblem(BlockProblem):
         self.b2 = np.zeros(p)
         self.cost = np.concatenate([graph.arc_w, graph.arc_w])
         self.op_norm_1to1 = 2.0
-        self.label = f"flow-n{graph.n}-p{p}-gamma{gamma:g}"
+
+    @property
+    def label(self) -> str:
+        return f"flow-n{self.graph.n}-p{self.graph.p}-gamma{self.gamma:g}"
+
+    def _w_eff(self) -> np.ndarray:
+        """The reference folded into the weights: z^C = exp(-w_eff / gamma)."""
+        return self.graph.arc_w - self.gamma * self.log_reference
+
+    def with_gamma(self, gamma: float) -> "FlowProblem":
+        """This instance at another gamma, sharing its graph, marginals and
+        reference alpha: only w_eff is formed anew."""
+        other = super().with_gamma(gamma)
+        other.w_eff = other._w_eff()
+        return other
 
     def _seg_lse(self, scores: np.ndarray, key: np.ndarray | None = None
                  ) -> np.ndarray:
@@ -213,14 +230,16 @@ class FlowProblem(BlockProblem):
         u2 *= -0.5
         return u2
 
-    def sweeps(self) -> Iterator[Sweep]:
-        """Log-stabilised scaling sweeps from u = 0, for solve().
+    def sweeps(self, u0: DualState | None = None) -> Iterator[Sweep]:
+        """Log-stabilised scaling sweeps from u0, initial_state() unless
+        given, for solve().
 
         Schmitzer's absorption scheme (arXiv:1610.06519) on the vertex
         scaling. An epoch starts with an exact log-domain block_update_1,
-        v0 = block_update_1(u2), and absorbs the flow f = g of the full state
-        it reaches, K = exp(((v0_src - v0_dst) / 2 - w_eff) / gamma), into a
-        per-arc kernel, with sigma = 1 on every vertex. Within the epoch
+        v0 = block_update_1(u2), the first one on u0's u2, and absorbs the
+        flow f = g of the full state it reaches,
+        K = exp(((v0_src - v0_dst) / 2 - w_eff) / gamma), into a per-arc
+        kernel, with sigma = 1 on every vertex. Within the epoch
         v = v0 + 2 gamma log sigma, and the full-state flow is
         f = g = K sigma_src / sigma_dst. A sweep reads the per-vertex sums
         a = sigma P and c = Q / sigma, with P the sum of K / sigma_dst over
@@ -253,7 +272,7 @@ class FlowProblem(BlockProblem):
         n = self.graph.n
         burst = min(_BURST_SWEEPS, max(1, blocklp._BLOCK_FLOATS // n))
         r_abs, r_pos = np.abs(self.r), self.r >= 0.0
-        u2 = self.initial_state().u2
+        u2 = (self.initial_state() if u0 is None else u0).u2
         while True:
             v0 = self.block_update_1(u2)
             before = DualState(v0, u2)

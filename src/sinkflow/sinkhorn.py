@@ -90,7 +90,10 @@ class OTProblem(BlockProblem):
         # Z = sum(z) over its entries: the closed form 1.0 moves its last bits
         self.reference_mass = float(np.exp(self.log_reference).sum())
         self.op_norm_1to1 = 2.0
-        self.label = f"ot-{m1}x{m2}-gamma{gamma:g}"
+
+    @property
+    def label(self) -> str:
+        return f"ot-{self.m1}x{self.m2}-gamma{self.gamma:g}"
 
     def apply_A1(self, x):
         return x.reshape(self.m1, self.m2).sum(axis=1)
@@ -104,18 +107,25 @@ class OTProblem(BlockProblem):
     def apply_A2_adjoint(self, u2):
         return np.tile(u2, self.m1)
 
+    def apply_adjoint(self, u):
+        """A^T u = u1_i + u2_j, formed as one plan-sized array: bit for bit
+        the sum of the two adjoints, without their two temporaries."""
+        return np.add.outer(u.u1, u.u2).ravel()
+
     def block_update_1(self, u2):
         return soft_c_transform_1(self, u2)
 
     def block_update_2(self, u1):
         return soft_c_transform_2(self, u1)
 
-    def sweeps(self) -> Iterator[Sweep]:
-        """Log-stabilised scaling sweeps from u = 0, for solve().
+    def sweeps(self, u0: DualState | None = None) -> Iterator[Sweep]:
+        """Log-stabilised scaling sweeps from u0, initial_state() unless
+        given, for solve().
 
         Schmitzer's absorption scheme (SIAM J. Sci. Comput. 2019). An epoch
-        starts with the exact log-domain block_update_1, absorbs the duals
-        (f, g) reached into K = primal_from_dual(f, g) and sets a = b = 1.
+        starts with the exact log-domain block_update_1, the first one on
+        u0's u2, absorbs the duals (f, g) reached into
+        K = primal_from_dual(f, g) and sets a = b = 1.
         Within the epoch the state is u = (f + gamma log a, g + gamma log b),
         and a sweep is a = b1 / (K b), b = b2 / (K^T a): the two block updates
         in scaling form. Both trace rows come from K b, K^T a and the
@@ -134,7 +144,7 @@ class OTProblem(BlockProblem):
         is not formed from it: the exact update runs instead.
         """
         gamma, b1, b2 = self.gamma, self.b1, self.b2
-        u2 = self.initial_state().u2
+        u2 = (self.initial_state() if u0 is None else u0).u2
         formed_rows = partial(_formed_stacks, partial(_half_row, self))
         kernel = None  # no epoch open
         while True:

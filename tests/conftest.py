@@ -49,6 +49,16 @@ def random_marginals(rng, n, floor=0.05):
     return m / m.sum()
 
 
+def criterion_2_graph(trial=0):
+    """One of the ten criterion-2 instances, the first by default: graph
+    and marginals."""
+    rng = np.random.default_rng(0x2A)
+    for _ in range(trial + 1):
+        g = random_connected_graph(rng, 20)
+        mu1, mu2 = random_marginals(rng, 20), random_marginals(rng, 20)
+    return g, mu1, mu2
+
+
 def random_flow_problem(rng, n, gamma, edge_prob=0.3):
     g = random_connected_graph(rng, n, edge_prob=edge_prob)
     return FlowProblem(g, random_marginals(rng, n), random_marginals(rng, n), gamma)

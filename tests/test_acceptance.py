@@ -121,10 +121,12 @@ def test_criterion_2_scheduled_flow_accuracy():
     The lifted optimum is 2 W1 because the optimal (f, g) pair carries the
     optimal flow twice. The a-priori sweep count at the scheduled gamma is
     astronomically conservative (~1e19 here), so every instance runs as
-    `w1 --epsilon` does, to residual 1e-6 under a 1e6-sweep cap, and is
-    checked against the same inequality. The flow engine's exact
-    block_update_1 runs on at most 1% of the sweeps over the ten runs. As in `w1 --epsilon`,
-    every sweep is recorded, so criterion 5 audits every row of these runs.
+    `w1 --gamma G --tol 1e-6` does at the scheduled G: one solve from
+    u = 0 to residual 1e-6 under a 1e6-sweep cap, the solve that
+    `w1 --epsilon` warm-starts from its rung, checked against the same
+    inequality. The flow engine's exact block_update_1 runs on at most 1%
+    of the sweeps over the ten runs. As in a traced CLI run, every sweep
+    is recorded, so criterion 5 audits every row of these runs.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(0x2A)

@@ -93,6 +93,16 @@ def test_verify_ascent_flags_deficient_gain():
     assert not verify_ascent(crafted_trace(rows))
 
 
+@pytest.mark.parametrize("gain,passes", [(0.08, True), (0.06, False)])
+def test_verify_ascent_bounds_the_gain_by_pinsker_for_positive_measures(
+        gain, passes):
+    """From a start of mass 10 to a half state of mass 1 with res1_l1 = 1,
+    the bound is 1 / (2 / 3 + 40 / 3) = 1 / 14 at gamma = A = 1: a gain of
+    0.08 clears it, one of 0.06 does not."""
+    rows = [(0, 0.0, 1.0, 0.0, 10.0, 0, 0), (1, gain, 0.0, 0.0, 1.0, 0, 0, 1.0)]
+    assert verify_ascent(crafted_trace(rows)) is passes
+
+
 def test_verify_ascent_trivial_trace():
     assert verify_ascent(crafted_trace([(0, 0.0, 1, 1, 1, 0, 0)]))
 

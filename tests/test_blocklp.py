@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from sinkflow import blocklp, flowsinkhorn
+from sinkflow.analysis import verify_ascent
 from sinkflow.blocklp import (
     BlockProblem,
     ConvergenceTrace,
@@ -187,10 +188,10 @@ class CountingToy(ToyProblem):
         super().__init__(**kw)
         self.calls = {"sweeps": 0, "next": 0, "rows": 0}
 
-    def sweeps(self):
+    def sweeps(self, u0=None):
         self.calls["sweeps"] += 1
         counted = None
-        for res1, (rows, state) in BlockProblem.sweeps(self):
+        for res1, (rows, state) in BlockProblem.sweeps(self, u0):
             self.calls["next"] += 1
             counted = counted or self._counted(rows)
             yield res1, (counted, state)
@@ -730,3 +731,108 @@ def test_operator_norm_closed_forms_match_the_probe():
         assert operator_norm_1to1(pb) == 2.0
         pb.op_norm_1to1 = None
         assert operator_norm_1to1(pb) == 2.0
+
+
+def _block_updates_ot():
+    pb = random_ot_problem(np.random.default_rng(77), 4, 5, 1e-3)
+    return pb, BlockProblem.sweeps(pb)
+
+
+def _coarse_start(pb, factor=4.0, sweeps=300):
+    """A warm start for pb: the state of a solve of pb at factor * gamma."""
+    state, _ = solve(pb.with_gamma(factor * pb.gamma), max_sweeps=sweeps)
+    return state
+
+
+@pytest.mark.parametrize("make", [
+    _flow_engine, _ot_engine, _block_updates, _block_updates_ot],
+    ids=["flow-engine", "ot-engine", "block-updates-flow",
+         "block-updates-ot"])
+def test_start_at_the_initial_state_is_the_default_start(make):
+    """solve(pb, u0=pb.initial_state()) and sweeps(u0) at the initial state
+    run the iterates of a start without u0, bit for bit: all ten trace
+    columns and the final state, over 600 sweeps with fallbacks."""
+    pb, sweeps = make()
+    u0 = pb.initial_state()
+    warm = None if sweeps is None else BlockProblem.sweeps(pb, u0)
+    state, trace = solve(pb, max_sweeps=600, sweeps=sweeps)
+    ref_state, ref = solve(pb, max_sweeps=600, sweeps=warm, u0=u0)
+    assert list(trace.k) == list(ref.k) == list(range(601))
+    assert_same_rows(trace, ref, rtol=0)
+    np.testing.assert_array_equal(state.u1, ref_state.u1)
+    np.testing.assert_array_equal(state.u2, ref_state.u2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_flow_problem(np.random.default_rng(78), 10, 0.05),
+    lambda: random_flow_problem(np.random.default_rng(79), 12, 1e-3),
+    lambda: random_ot_problem(np.random.default_rng(80), 6, 7, 0.05),
+    lambda: random_ot_problem(np.random.default_rng(81), 8, 6, 1e-3,
+                              cost_scale=10.0)],
+    ids=["flow-0.05", "flow-1e-3", "ot-0.05", "ot-1e-3"])
+def test_warm_started_engines_match_block_updates(make):
+    """From the same nonzero u0, a coarser solve's state, each engine
+    agrees row by row with the exact block updates in turn, as criterion 7
+    asks of a start at 0: F to 1e-8 relative, res1_l1 and the final duals
+    to 1e-8. Row 0 is u0's own row in both."""
+    pb = make()
+    u0 = _coarse_start(pb)
+    assert np.ptp(u0.u1) > 0.0
+    state, trace = solve(pb, max_sweeps=200, u0=u0)
+    ref_state, ref = solve(pb, max_sweeps=200, u0=u0,
+                           sweeps=BlockProblem.sweeps(pb, u0))
+    assert trace.F_gamma[0] == ref.F_gamma[0] == dual_objective(pb, u0)
+    np.testing.assert_allclose(trace.F_gamma, ref.F_gamma, rtol=1e-8)
+    np.testing.assert_allclose(trace.res1_l1, ref.res1_l1, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(state.u1, ref_state.u1, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(state.u2, ref_state.u2, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("make, fallback", [
+    (lambda: random_flow_problem(np.random.default_rng(82), 10, 1e-3),
+     "block_update_1"),
+    (lambda: random_ot_problem(np.random.default_rng(83), 6, 9, 1e-3,
+                               cost_scale=10.0), "block_update_2")],
+    ids=["flow-engine", "ot-engine"])
+def test_warm_started_traces_pass_the_ascent_audits(make, fallback):
+    """A run at gamma 1e-3 from a state solved at 4 gamma, as the last rung
+    of a ladder starts: F ascends, verify_ascent holds on every sweep, and
+    both first-order conditions sit at criterion 5's roundoff bounds."""
+    pb = make()
+    u0 = _coarse_start(pb)
+    counts = count_block_updates(pb)
+    _, trace = solve(pb, max_sweeps=300, u0=u0)
+    assert counts[fallback] >= 1
+    assert trace.check_monotone(1e-12)
+    assert verify_ascent(trace)
+    for i in range(1, len(trace)):
+        assert trace.foc1[i] <= 1e-9 * max(1.0, trace.half_mass[i])
+        assert trace.foc2[i] <= 1e-9 * max(1.0, trace.primal_mass[i])
+
+
+def test_solve_without_sweeps_returns_its_start():
+    pb = random_flow_problem(np.random.default_rng(84), 6, 0.1)
+    u0 = _coarse_start(pb, sweeps=20)
+    state, trace = solve(pb, max_sweeps=0, u0=u0)
+    assert state is u0
+    assert list(trace.k) == [0]
+    assert trace.F_gamma[0] == dual_objective(pb, u0)
+
+
+def test_with_gamma_shares_the_instance_and_matches_a_fresh_build():
+    """A problem at another gamma shares every array that does not depend
+    on gamma, and runs the iterates of a problem built at that gamma."""
+    rng = np.random.default_rng(85)
+    for pb, fresh in (
+            (random_flow_problem(rng, 8, 0.2), lambda pb, gamma: FlowProblem(
+                pb.graph, pb.mu1, pb.mu2, gamma)),
+            (random_ot_problem(rng, 4, 5, 0.2), lambda pb, gamma: OTProblem(
+                pb.cost_matrix, pb.b1, pb.b2, gamma))):
+        other = pb.with_gamma(0.05)
+        assert (pb.gamma, other.gamma) == (0.2, 0.05)
+        assert other.cost is pb.cost and other.b1 is pb.b1
+        assert other.log_reference is pb.log_reference
+        assert other.label == fresh(pb, 0.05).label != pb.label
+        _, trace = solve(other, max_sweeps=50)
+        _, ref = solve(fresh(pb, 0.05), max_sweeps=50)
+        assert_same_rows(trace, ref, rtol=0)

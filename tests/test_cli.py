@@ -13,12 +13,18 @@ import numpy as np
 import pytest
 
 import sinkflow.graph as graph_module
-from conftest import large_budget_edges, random_marginals, traced_peak
+from conftest import (criterion_2_graph, graph_edges, large_budget_edges,
+                      random_marginals, traced_peak)
 from sinkflow import blocklp, cli, flowsinkhorn, sinkhorn
-from sinkflow.blocklp import BlockProblem, NumericOverflowError, solve
+from sinkflow.blocklp import (BlockProblem, NumericOverflowError,
+                              cost_and_dual, dual_objective, schedule_gamma,
+                              solve)
 from sinkflow.cli import main
 from sinkflow.flowsinkhorn import FlowProblem, matrix_sweeps, w1_estimate
 from sinkflow.graph import Graph
+from sinkflow.numerics import variation_seminorm
+from sinkflow.oracle import exact_w1
+from sinkflow.sinkhorn import OTProblem
 
 
 @pytest.fixture
@@ -78,6 +84,43 @@ def reference_w1_duals(path, gamma, max_sweeps):
         state, _ = solve(pb, max_sweeps=max_sweeps, sweeps=sweeps)
         duals[name] = w1_estimate(pb, state)[1]
     return duals
+
+
+def problem_in(command, path, gamma):
+    """The w1 or ot problem in path, built in the library at gamma, and
+    the estimate its subcommand prints."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if command == "w1":
+        graph = Graph(data["graph"]["n"], data["graph"]["edges"])
+        return FlowProblem(graph, data["b1"], data["b2"], gamma), w1_estimate
+    return OTProblem(data["cost"], data["b1"], data["b2"], gamma), cost_and_dual
+
+
+def epsilon_reference(command, path, gamma, cap=None, record_every=1):
+    """An --epsilon run at the scheduled gamma, in the library as the
+    README states it: rungs at gamma * ratio ** j for j = depth, ..., 1,
+    each from the last rung's state to the rung tolerance and recording
+    its start and final rows, then gamma itself to 1e-6 from the last
+    rung's state, all within the sweep cap. Returns the stdout payload,
+    the final solve's trace and the sweeps the rungs took."""
+    cap = cli._SWEEP_CAP if cap is None else cap
+    problem, estimate = problem_in(command, path, gamma)
+    u0, rung_sweeps = None, 0
+    for j in range(cli._RUNG_DEPTH, 0, -1):
+        rung = problem.with_gamma(gamma * cli._RUNG_RATIO ** j)
+        u0, trace = solve(rung, max_sweeps=cap - rung_sweeps,
+                          residual_tol=cli._RUNG_TOL, record_every=cap,
+                          u0=u0)
+        assert list(trace.k) in ([0], [0, trace.k[-1]])
+        rung_sweeps += trace.k[-1]
+    state, trace = solve(problem, max_sweeps=cap - rung_sweeps,
+                         residual_tol=1e-6, record_every=record_every, u0=u0)
+    primal, dual = estimate(problem, state)
+    payload = {f"{command}_dual": dual, f"{command}_primal": primal,
+               "gamma": gamma, "sweeps": rung_sweeps + trace.k[-1],
+               "res1_l1": trace.res1_l1[-1]}
+    return payload, trace, rung_sweeps
 
 
 # ------------------------------------------------------------------- w1
@@ -155,8 +198,8 @@ def test_w1_scaling_overflow_exits_3_with_partial_trace(capsys, monkeypatch,
     at = 7
     engine = FlowProblem.sweeps
 
-    def overflowing(problem):
-        for k, sweep in enumerate(engine(problem), start=1):
+    def overflowing(problem, u0=None):
+        for k, sweep in enumerate(engine(problem, u0), start=1):
             if k == at:
                 raise NumericOverflowError(f"overflow at sweep {k}")
             yield sweep
@@ -181,8 +224,8 @@ def test_w1_frees_the_sweeps_before_the_estimate(capsys, monkeypatch,
     made = []
     start = FlowProblem.sweeps
 
-    def recorded(problem):
-        sweeps = start(problem)
+    def recorded(problem, u0=None):
+        sweeps = start(problem, u0)
         made.append(weakref.ref(sweeps))
         return sweeps
 
@@ -253,18 +296,22 @@ def test_ot_identity_cost_epsilon_mode(capsys, identity_file):
 def test_epsilon_runs_as_scheduled_gamma_to_tol_1e6(capsys, request,
                                                     tmp_path, command,
                                                     fixture, eps):
-    """--epsilon E is --gamma G --tol 1e-6 at the scheduled G, and lands
-    within E of the exact value."""
+    """--epsilon E solves at the scheduled G to --tol 1e-6, warm-started
+    from the rung ladder: stdout and the CSV equal the library's ladder run
+    bit for bit, the CSV holds the final solve from its warm start, and
+    the answer lands within E of the exact value."""
     path = request.getfixturevalue(fixture)
-    eps_csv, gamma_csv = tmp_path / "eps.csv", tmp_path / "gamma.csv"
+    eps_csv, ref_csv = tmp_path / "eps.csv", tmp_path / "ref.csv"
     code, out, err = run_cli(capsys, command, path, "--epsilon", repr(eps),
                              "--trace", str(eps_csv))
     assert (code, err) == (0, "")
     payload = json.loads(out)
-    got = run_cli(capsys, command, path, "--gamma", repr(payload["gamma"]),
-                  "--tol", "1e-6", "--trace", str(gamma_csv))
-    assert got == (0, out, "")
-    assert eps_csv.read_text() == gamma_csv.read_text()
+    want, trace, rung_sweeps = epsilon_reference(command, path,
+                                                 payload["gamma"])
+    assert payload == want
+    trace.to_csv(ref_csv)
+    assert eps_csv.read_text() == ref_csv.read_text()
+    assert list(trace.k) == list(range(payload["sweeps"] - rung_sweeps + 1))
     assert payload["res1_l1"] <= 1e-6
     if fixture == "identity_file":
         # the a-priori count here is 154,030 sweeps
@@ -273,6 +320,66 @@ def test_epsilon_runs_as_scheduled_gamma_to_tol_1e6(capsys, request,
     assert code == 0
     exact = json.loads(exact_out)[f"{command}_exact"]
     assert abs(payload[f"{command}_dual"] - exact) <= eps
+
+
+def test_w1_epsilon_forms_one_tree_flow(capsys, monkeypatch, path3_file):
+    """Set-up's tree flow schedules gamma and gives the problem its
+    reference; the rungs form none. The printed gamma is
+    schedule_gamma(eps, ||tree flow||_1, 2p) bit for bit."""
+    calls = []
+    tree_flow = graph_module.spanning_tree_flow
+
+    def counted(*args):
+        calls.append(args)
+        return tree_flow(*args)
+
+    for module in (cli, flowsinkhorn, graph_module):
+        monkeypatch.setattr(module, "spanning_tree_flow", counted)
+    code, out, err = run_cli(capsys, "w1", path3_file, "--epsilon", "0.05")
+    assert (code, err) == (0, "")
+    assert len(calls) == 1
+    problem, _ = problem_in("w1", path3_file, 1.0)
+    x0 = float(tree_flow(problem.graph, problem.mu1, problem.mu2).sum())
+    assert json.loads(out)["gamma"] == schedule_gamma(0.05, x0,
+                                                      2 * problem.graph.p)
+
+
+@pytest.mark.parametrize("trial", [0, 1])
+def test_epsilon_ladder_makes_fewer_sweeps_than_the_scheduled_solve(
+        capsys, tmp_path, trial):
+    """On two criterion-2 graphs, w1 --epsilon makes fewer sweeps in all
+    than --gamma G --tol 1e-6 at its scheduled G, and the two w1_dual
+    agree within the residual bound both runs satisfy. At a full state,
+    F* - F(u) <= <A1 x - b1, u1 - u1*> <= res1_l1 (V(u1) + V(u1*)), with V
+    the variation seminorm, since the residual sums to 0 and block 2 is
+    tight; both runs sit below F*, so they differ by at most the larger
+    of their two bounds."""
+    g, mu1, mu2 = criterion_2_graph(trial)
+    eps = 0.05 * exact_w1(g, mu1, mu2)
+    path = tmp_path / "desk.json"
+    path.write_text(json.dumps({"graph": {"n": g.n, "edges": graph_edges(g)},
+                                "b1": mu1.tolist(), "b2": mu2.tolist()}))
+    runs = []
+    for budget in (["--epsilon", repr(eps)], None):
+        if budget is None:
+            budget = ["--gamma", repr(runs[0][0]["gamma"]), "--tol", "1e-6"]
+        csv_path = tmp_path / f"run{len(runs)}.csv"
+        code, out, err = run_cli(capsys, "w1", str(path), *budget,
+                                 "--trace", str(csv_path))
+        assert (code, err) == (0, "")
+        last = csv_path.read_text().splitlines()[-1].split(",")
+        runs.append((json.loads(out), float(last[5])))
+    (ladder, v_ladder), (plain, v_plain) = runs
+    assert ladder["sweeps"] < plain["sweeps"]
+    problem, _ = problem_in("w1", str(path), ladder["gamma"])
+    star, trace = solve(problem, residual_tol=1e-10, max_sweeps=10**6,
+                        record_every=10**6)
+    assert trace.res1_l1[-1] <= 1e-10
+    v_star = variation_seminorm(star.u1)
+    bound = max(run["res1_l1"] * (v + v_star)
+                for run, v in ((ladder, v_ladder), (plain, v_plain)))
+    assert 2.0 * abs(ladder["w1_dual"] - plain["w1_dual"]) <= bound + 1e-12
+    assert bound <= 1e-3 * eps
 
 
 @pytest.mark.parametrize("command,fixture", [("w1", "path3_file"),
@@ -301,9 +408,11 @@ def test_epsilon_setup_skips_the_a_priori_constants(capsys, monkeypatch,
 def test_untraced_run_keeps_two_rows_and_prints_the_traced_stdout(
         capsys, monkeypatch, request, tmp_path, command, fixture):
     """Without --trace a run records only the start and final rows and
-    prints what the traced run prints, with sweeps a JSON integer. The
-    flow engine evaluates the state of every sweep of a traced run, and
-    only the final sweep's of an untraced one."""
+    prints what the traced run prints, with sweeps a JSON integer. Under
+    --epsilon every rung records only those two rows either way, and the
+    final solve records every sweep of a traced run. The flow engine
+    evaluates the state of every recorded sweep, and so only the final
+    sweep's of each untraced solve."""
     path = request.getfixturevalue(fixture)
     traces, stacks = [], []
 
@@ -333,14 +442,25 @@ def test_untraced_run_keeps_two_rows_and_prints_the_traced_stdout(
     traced_stacks = stacks[:]
     del stacks[:]
     assert run_cli(capsys, command, path, "--epsilon", "0.05") == traced
-    assert list(traces[0].k) == list(range(sweeps + 1))
-    assert list(traces[1].k) == [0, sweeps]
+    solves = cli._RUNG_DEPTH + 1
+    assert len(traces) == 2 * solves
+    rungs = [trace.k[-1] for trace in traces[:solves - 1]]
+    assert [list(t.k) for t in traces[:solves - 1]] == [
+        [0, k] if k else [0] for k in rungs]
+    assert [list(t.k) for t in traces[solves:-1]] == [
+        list(t.k) for t in traces[:solves - 1]]
+    final = sweeps - sum(rungs)
+    assert final > 0
+    assert list(traces[solves - 1].k) == list(range(final + 1))
+    assert list(traces[-1].k) == [0, final]
     if command == "w1":
-        assert sum(n for n, _ in traced_stacks) == sweeps
-        # the one state is the final sweep's: the CSV's last res2_l1
+        ran = [k for k in rungs if k] + [final]
+        assert sum(n for n, _ in traced_stacks) == final + len(ran) - 1
+        assert [n for n, _ in stacks] == [1] * len(ran)
+        # the final solve's one state is its last sweep's: the CSV's last
+        # res2_l1
         last = csv_path.read_text().splitlines()[-1].split(",")
-        [(states, [stack])] = stacks
-        assert (states, stack[2][0]) == (1, float(last[3]))
+        assert stacks[-1][1][0][2][0] == float(last[3])
 
 
 def test_ot_schema_keys(capsys, ot_file):
@@ -736,30 +856,95 @@ def test_exact_nonfinite_cost_is_input_error(capsys, monkeypatch, tmp_path,
 def test_sweep_cap_short_of_tolerance_warns(capsys, monkeypatch, tmp_path,
                                             path3_file, ot_file, command,
                                             budget, cap, tol):
-    monkeypatch.setattr(cli, "_SWEEP_CAP", 3)
+    """A run that stops at its cap short of its tolerance prints one
+    warning line and otherwise runs as given the cap as its budget. Under
+    --epsilon the cap bounds the sweeps of all rungs together and the
+    warning reads the final solve's residual: with a cap of 3, spent in
+    the first rung, and with one that leaves the final solve 3 sweeps."""
     path = path3_file if command == "w1" else ot_file
-    trace = tmp_path / "trace.csv"
-    code, out, err = run_cli(capsys, command, path, *budget,
-                             "--trace", str(trace))
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["sweeps"] == cap
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("warning:")
-    assert f"cap of {cap} " in lines[0]
-    assert repr(payload["res1_l1"]) in lines[0]
-    assert repr(tol) in lines[0]
-    # the warning changes nothing else: same stdout and trace as a run
-    # given the cap as its budget
-    budget_argv = [command, path, "--max-sweeps", str(cap), "--trace",
-                   str(tmp_path / "plain.csv")]
+    caps = [cap]
     if "--epsilon" in budget:
-        gamma = payload["gamma"]
-        budget_argv += ["--gamma", repr(gamma)]
-    code2, out2, err2 = run_cli(capsys, *budget_argv)
-    assert (code2, err2) == (0, "")
-    assert json.loads(out2)["res1_l1"] == payload["res1_l1"]
-    assert trace.read_text() == (tmp_path / "plain.csv").read_text()
+        code, out, _ = run_cli(capsys, command, path, *budget)
+        gamma = json.loads(out)["gamma"]
+        _, _, rung_sweeps = epsilon_reference(command, path, gamma)
+        assert rung_sweeps > cap
+        caps.append(rung_sweeps + 3)
+    for cap in caps:
+        monkeypatch.setattr(cli, "_SWEEP_CAP", cap)
+        trace = tmp_path / "trace.csv"
+        code, out, err = run_cli(capsys, command, path, *budget,
+                                 "--trace", str(trace))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["sweeps"] == cap
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning:")
+        assert f"cap of {cap} " in lines[0]
+        assert repr(payload["res1_l1"]) in lines[0]
+        assert repr(tol) in lines[0]
+        # the warning changes nothing else: same stdout and trace as a run
+        # given the cap as its budget
+        if "--epsilon" in budget:
+            want, ref, _ = epsilon_reference(command, path, gamma, cap)
+            assert payload == want
+            assert ref.k[-1] == max(0, cap - rung_sweeps)
+            ref.to_csv(tmp_path / "plain.csv")
+        else:
+            code2, out2, err2 = run_cli(
+                capsys, command, path, "--max-sweeps", str(cap), "--trace",
+                str(tmp_path / "plain.csv"))
+            assert (code2, err2) == (0, "")
+            assert json.loads(out2)["res1_l1"] == payload["res1_l1"]
+        assert trace.read_text() == (tmp_path / "plain.csv").read_text()
+
+
+@pytest.mark.parametrize("command", ["w1", "ot"])
+@pytest.mark.parametrize("which", range(cli._RUNG_DEPTH + 1))
+def test_overflow_mid_ladder_exits_3_with_that_solves_partial_trace(
+        capsys, monkeypatch, tmp_path, path3_file, ot_file, command, which):
+    """A NumericOverflowError at the third sweep of any solve of an
+    --epsilon run, a rung's or the final one's, exits 3 with one stderr
+    line and writes that solve's partial trace: a rung's start row only,
+    since a rung records its start and final rows, or the final solve's
+    rows 0-2."""
+    path = path3_file if command == "w1" else ot_file
+    code, out, _ = run_cli(capsys, command, path, "--epsilon", "0.05")
+    gamma = json.loads(out)["gamma"]
+    problem_type = FlowProblem if command == "w1" else OTProblem
+    engine = problem_type.sweeps
+    made = []
+
+    def overflowing(problem, u0=None):
+        made.append(problem.gamma)
+        for k, sweep in enumerate(engine(problem, u0), start=1):
+            if len(made) == which + 1 and k == 3:
+                raise NumericOverflowError(f"overflow at sweep {k}")
+            yield sweep
+
+    monkeypatch.setattr(problem_type, "sweeps", overflowing)
+    trace = tmp_path / "partial.csv"
+    code, out, err = run_cli(capsys, command, path, "--epsilon", "0.05",
+                             "--trace", str(trace))
+    assert (code, out) == (3, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric failure")
+    assert made == [gamma * cli._RUNG_RATIO ** j for j in
+                    range(cli._RUNG_DEPTH, cli._RUNG_DEPTH - which - 1, -1)]
+    with open(trace) as fh:
+        rows = list(csv.reader(fh))
+    final = which == cli._RUNG_DEPTH
+    assert [int(row[0]) for row in rows[1:]] == ([0, 1, 2] if final else [0])
+    # row 0 is the start the ladder gave that solve
+    monkeypatch.undo()
+    problem, _ = problem_in(command, path, gamma)
+    u0 = None
+    for j in range(cli._RUNG_DEPTH, cli._RUNG_DEPTH - which, -1):
+        u0, _ = solve(problem.with_gamma(gamma * cli._RUNG_RATIO ** j),
+                      residual_tol=cli._RUNG_TOL, max_sweeps=10**6,
+                      record_every=10**6, u0=u0)
+    at = problem.with_gamma(made[-1])
+    start = at.initial_state() if u0 is None else u0
+    assert float(rows[1][1]) == dual_objective(at, start)
 
 
 @pytest.mark.parametrize("command", ["w1", "ot"])

@@ -38,9 +38,9 @@ from sinkflow.graph import Graph, spanning_tree_flow
 from sinkflow.numerics import kl_divergence
 from sinkflow.oracle import exact_w1
 
-from conftest import (count_block_updates, full_state, graph_edges, half_row,
-                      large_budget_edges, random_connected_graph,
-                      random_marginals, traced_peak)
+from conftest import (count_block_updates, criterion_2_graph, full_state,
+                      graph_edges, half_row, large_budget_edges,
+                      random_connected_graph, random_marginals, traced_peak)
 
 
 def two_node(gamma=0.5, w=1.0):
@@ -561,16 +561,6 @@ def test_engine_matches_block_updates_on_long_segments(gamma):
         np.testing.assert_allclose(row, ref_row, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(half_row(sweep), half_row(ref_sweep),
                                    rtol=1e-10, atol=1e-12)
-
-
-def criterion_2_graph(trial=0):
-    """One of the ten criterion-2 instances, the first by default: graph
-    and marginals."""
-    rng = np.random.default_rng(0x2A)
-    for _ in range(trial + 1):
-        g = random_connected_graph(rng, 20)
-        mu1, mu2 = random_marginals(rng, 20), random_marginals(rng, 20)
-    return g, mu1, mu2
 
 
 def scheduled_problem(g, mu1, mu2):

@@ -91,6 +91,25 @@ def test_single_column_closed_form():
     np.testing.assert_allclose(u1, want, atol=1e-12)
 
 
+@pytest.mark.parametrize("m1,m2", [(1, 1), (4, 5), (7, 3), (50, 60)])
+def test_apply_adjoint_is_the_sum_of_the_two_adjoints(m1, m2):
+    """u1_i + u2_j as one outer sum is the repeat-plus-tile sum bit for
+    bit, and a new array that the caller may write."""
+    rng = np.random.default_rng(m1 * 100 + m2)
+    pb = random_ot_problem(rng, m1, m2, 0.1)
+    for scale in (1.0, 1e-3, 1e3):
+        u = DualState(scale * rng.standard_normal(m1),
+                      scale * rng.standard_normal(m2))
+        kept = (u.u1.copy(), u.u2.copy())
+        out = pb.apply_adjoint(u)
+        want = pb.apply_A1_adjoint(u.u1) + pb.apply_A2_adjoint(u.u2)
+        assert out.shape == (m1 * m2,) and out.flags.writeable
+        np.testing.assert_array_equal(out, want)
+        out += 1.0
+        np.testing.assert_array_equal(u.u1, kept[0])
+        np.testing.assert_array_equal(u.u2, kept[1])
+
+
 def test_plan_at_zero_is_gibbs():
     rng = np.random.default_rng(5)
     pb = small_ot(rng)
