@@ -158,19 +158,43 @@ class BlockProblem:
         other.gamma = float(gamma)
         return other
 
-    def sweeps(self, u0: DualState | None = None) -> Iterator[Sweep]:
-        """The sweeps solve() runs by default: the exact block updates in
-        turn from u0, initial_state() unless given, trace rows through
+    def sweeps(self, u0: DualState | None = None,
+               omega: float = 1.0) -> Iterator[Sweep]:
+        """The sweeps solve() runs by default: the block updates in turn
+        from u0, initial_state() unless given, trace rows through
         primal_from_dual.
+
+        omega overrelaxes block 1: every sweep after the first, which is
+        exact, steps u1 <- u1 + omega (block_update_1(u2) - u1), and
+        block 2 is exact. At omega = 1 that is the exact update. Otherwise
+        F is formed at every full state, and a sweep whose step lowers F
+        is dropped and the exact update runs in its place, so F never
+        decreases; the half states of such a run meet no first-order
+        condition.
 
         Instances with a faster iteration override this.
         """
         u = self.initial_state() if u0 is None else u0
         rows = partial(_formed_stacks, partial(_state_row, self))
+
+        def reach(u1, u2):
+            """The sweep from u2 that sets u1: (half, full, full row)."""
+            full = DualState(u1, self.block_update_2(u1))
+            return DualState(u1, u2), full, _state_row(self, full)
+
+        F = None  # F at the last full state, under omega != 1
         while True:
-            half = DualState(self.block_update_1(u.u2), u.u2)
-            u = DualState(half.u1, self.block_update_2(half.u1))
-            res1, res2, mass = _state_row(self, u)
+            exact = self.block_update_1(u.u2)
+            if F is None:
+                half, u, (res1, res2, mass) = reach(exact, u.u2)
+            else:
+                u2 = u.u2
+                half, u, (res1, res2, mass) = reach(
+                    u.u1 + omega * (exact - u.u1), u2)
+                if _dual_value(self, u, mass) < F:
+                    half, u, (res1, res2, mass) = reach(exact, u2)
+            if omega != 1.0:
+                F = _dual_value(self, u, mass)
             yield res1, (rows, (u.u1, u.u2, res2, mass, half))
 
 

@@ -45,8 +45,9 @@ __all__ = ["main"]
 _SWEEP_CAP = 10 ** 6
 # --epsilon warm-starts its solve at the scheduled gamma from rungs at
 # gamma * _RUNG_RATIO ** j, j = _RUNG_DEPTH, ..., 1, each solved to the
-# residual _RUNG_TOL (see _ladder)
+# residual _RUNG_TOL with block 1 overrelaxed by _RUNG_OMEGA (see _ladder)
 _RUNG_RATIO, _RUNG_DEPTH, _RUNG_TOL = 2.0, 1, 1e-4
+_RUNG_OMEGA = 1.9
 
 
 class _InputError(Exception):
@@ -171,16 +172,18 @@ def _ladder(problem, max_sweeps: int) -> tuple[DualState | None, int]:
 
     The rungs solve the problem at gamma * _RUNG_RATIO ** j for
     j = _RUNG_DEPTH, ..., 1, each from the last rung's duals and to the
-    residual _RUNG_TOL, within what is left of max_sweeps. Each records
-    only its start and final rows, and a NumericOverflowError carries the
-    trace of the rung it stopped.
+    residual _RUNG_TOL, within what is left of max_sweeps, with block 1
+    overrelaxed by _RUNG_OMEGA under the engines' ascent safeguard: no
+    audit reads a rung's rows. Each records only its start and final rows,
+    and a NumericOverflowError carries the trace of the rung it stopped.
     """
     u0, sweeps = None, 0
     for j in range(_RUNG_DEPTH, 0, -1):
         rung = problem.with_gamma(problem.gamma * _RUNG_RATIO ** j)
         u0, trace = solve(rung, max_sweeps=max_sweeps - sweeps,
                           residual_tol=_RUNG_TOL,
-                          record_every=max(1, max_sweeps), u0=u0)
+                          record_every=max(1, max_sweeps), u0=u0,
+                          sweeps=rung.sweeps(u0, omega=_RUNG_OMEGA))
         sweeps += trace.k[-1]
     return u0, sweeps
 
@@ -387,8 +390,9 @@ def _build_parser() -> argparse.ArgumentParser:
         group.add_argument("--epsilon", type=float,
                            help="target accuracy; solves at the scheduled "
                                 "gamma eps / (2 X0 log d) to the residual "
-                                "1e-6, warm-started from a solve at twice "
-                                "that gamma to the residual 1e-4")
+                                "1e-6, warm-started from an overrelaxed "
+                                "solve at twice that gamma to the residual "
+                                "1e-4")
         p.add_argument("--max-sweeps", type=int, default=None)
         p.add_argument("--tol", type=float, default=None,
                        help="stop when the block-1 residual l1 norm reaches "

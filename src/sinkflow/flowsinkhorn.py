@@ -230,9 +230,10 @@ class FlowProblem(BlockProblem):
         u2 *= -0.5
         return u2
 
-    def sweeps(self, u0: DualState | None = None) -> Iterator[Sweep]:
+    def sweeps(self, u0: DualState | None = None,
+               omega: float = 1.0) -> Iterator[Sweep]:
         """Log-stabilised scaling sweeps from u0, initial_state() unless
-        given, for solve().
+        given, for solve(), with block 1 overrelaxed by omega.
 
         Schmitzer's absorption scheme (arXiv:1610.06519) on the vertex
         scaling. An epoch starts with an exact log-domain block_update_1,
@@ -268,10 +269,20 @@ class FlowProblem(BlockProblem):
         sweeps computed past it are dropped, and when its sweep is drawn
         the exact block_update_1 runs in its place, on the u2 of the full
         state reached, and opens a new epoch in the same sweep.
+
+        Under omega != 1 each sweep within an epoch takes the overrelaxed
+        step sigma' = sigma tau^(omega / 2), that is
+        v <- v + omega (block_update_1(u2) - v); the sweep that opens an
+        epoch stays exact. The dual objective at each full state,
+        <b1, v0 + 2 gamma log sigma> + gamma (Z - 2 sum a') since b2 = 0,
+        is formed once per burst over its rows, and the first sweep that
+        lowers it ends the epoch as a sigma out of range does, so the
+        objective never decreases. The half-state row of an overrelaxed
+        sweep meets no first-order condition.
         """
         n = self.graph.n
         burst = min(_BURST_SWEEPS, max(1, blocklp._BLOCK_FLOATS // n))
-        r_abs, r_pos = np.abs(self.r), self.r >= 0.0
+        r_abs, r_neg = np.abs(self.r), self.r < 0.0
         u2 = (self.initial_state() if u0 is None else u0).u2
         while True:
             v0 = self.block_update_1(u2)
@@ -280,10 +291,14 @@ class FlowProblem(BlockProblem):
             kernel = _full_flow(self, v0)
             epoch_rows = partial(_absorbed_rows, self, v0, kernel)
             last = None  # the row of the last sweep yielded
+            F = None  # F at that row, under omega != 1
             good = burst
             while good == burst:
                 rows = np.empty((3, burst, n))
-                good, res1 = _burst(self, kernel, rows, last, r_abs, r_pos)
+                good, res1 = _burst(self, kernel, rows, last, r_abs, r_neg,
+                                    omega)
+                if omega != 1.0:
+                    good, F = _ascending(self, v0, rows, good, F)
                 for i in range(good):
                     if last is not None:
                         before = last
@@ -313,11 +328,12 @@ def _full_flow(problem: FlowProblem, v: np.ndarray) -> np.ndarray:
 
 
 def _burst(problem: FlowProblem, kernel: np.ndarray, rows: np.ndarray,
-           last: tuple | None, r_abs: np.ndarray, r_pos: np.ndarray
-           ) -> tuple[int, list]:
+           last: tuple | None, r_abs: np.ndarray, r_neg: np.ndarray,
+           omega: float) -> tuple[int, list]:
     """Fill the rows (sigma, a, c) of a burst, each a sweep from the row
-    before it; return the number of leading rows whose sigma lies in the
-    scaling range and the block-1 residual ||a - c - b1||_1 of each.
+    before it, sigma' = sigma tau^(omega / 2); return the number of leading
+    rows whose sigma lies in the scaling range and the block-1 residual
+    ||a - c - b1||_1 of each.
 
     last is the row (buffer, index) before the burst, read in place, or
     None when the burst opens an epoch, whose first row is sigma = 1. The
@@ -339,9 +355,12 @@ def _burst(problem: FlowProblem, kernel: np.ndarray, rows: np.ndarray,
                 sigma = sigmas[0]
                 sigma.fill(1.0)
             else:
-                tau = _root(problem.r, a, c, r_abs, r_pos)
-                sigma = np.multiply(sigma, np.sqrt(tau, out=tau),
-                                    out=sigmas[i])
+                tau = _root(problem.r, a, c, r_abs, r_neg)
+                if omega == 1.0:
+                    np.sqrt(tau, out=tau)
+                else:
+                    np.power(tau, 0.5 * omega, out=tau)
+                sigma = np.multiply(sigma, tau, out=sigmas[i])
             if i < end:
                 a, c = _scaled_sums(g, kernel, sigma, a_rows[i], c_rows[i])
         in_range = in_scaling_range(sigmas).tolist()
@@ -350,6 +369,27 @@ def _burst(problem: FlowProblem, kernel: np.ndarray, rows: np.ndarray,
             _scaled_sums(g, kernel, sigma, a_rows[end], c_rows[end])
         res1 = np.abs(a_rows[:good] - c_rows[:good] - problem.b1).sum(axis=1)
     return good, res1.tolist()
+
+
+def _ascending(problem: FlowProblem, v0: np.ndarray, rows: np.ndarray,
+               good: int, before: float | None) -> tuple[int, float | None]:
+    """The number of leading rows of a burst's first good ones along which
+    F does not fall, and F at the last of them.
+
+    F at a row is <b1, v0 + 2 gamma log sigma> + gamma (Z - 2 sum a),
+    formed for the rows at once as solve forms it, with b2 = 0. before is
+    F at the row before the burst, or None when the burst opens its epoch:
+    its first row is the state the exact update reached, and is kept.
+    """
+    gamma = problem.gamma
+    u1 = v0 + 2.0 * gamma * np.log(rows[0, :good])
+    F = u1 @ problem.b1 + gamma * (problem.reference_mass
+                                   - 2.0 * rows[1, :good].sum(axis=1))
+    for i, value in enumerate(F.tolist()):
+        if before is not None and value < before:
+            return i, before
+        before = value
+    return good, before
 
 
 def _scaled_sums(g: Graph, kernel, sigma, a, c):
@@ -368,15 +408,16 @@ def _scaled_sums(g: Graph, kernel, sigma, a, c):
     return a, c
 
 
-def _root(r, a, c, r_abs, r_pos):
+def _root(r, a, c, r_abs, r_neg):
     """Positive root tau of a tau^2 + 2 r tau - c = 0, per vertex, with
-    r_abs = |r| and r_pos = (r >= 0) passed in by a caller that solves for
+    r_abs = |r| and r_neg = (r < 0) passed in by a caller that solves for
     the same r again and again, under the caller's errstate.
 
     At small gamma a pure source or sink has one of a and c below 1e-290 or
     exactly 0, legitimately, so the root divides by neither: with
     s = |r| + disc it is c / s for r >= 0 and s / a for r < 0, where the
-    sum has no cancellation (for r < 0, disc - r is disc + |r| exactly).
+    sum has no cancellation (for r < 0, disc - r is disc + |r| exactly);
+    s / a is written over c / s in place, with no select.
     disc = sqrt(r^2 + a c) is formed without the product a c, which
     underflows at a vertex with r = 0 far from the flow. Where no finite
     positive root exists the result is 0, inf or NaN, which the caller's
@@ -384,7 +425,8 @@ def _root(r, a, c, r_abs, r_pos):
     """
     s = np.hypot(r, np.sqrt(a) * np.sqrt(c))
     s += r_abs
-    return np.where(r_pos, c / s, s / a)
+    tau = c / s
+    return np.divide(s, a, out=tau, where=r_neg)
 
 
 def _burst_rows(states, part) -> np.ndarray:
@@ -455,11 +497,11 @@ def _absorbed_halves(problem: FlowProblem, kernel: np.ndarray,
     # the per-arc pass below holds (rows, p) arrays: free what it does not
     # read first, which counts for a one-row block at p ~ 1e5
     del sigma_next, a, c
-    f = kernel * sigma[:, g.arc_src]
-    f /= sigma[:, g.arc_dst]
+    f = kernel * sigma.take(g.arc_src, axis=-1)
+    f /= sigma.take(g.arc_dst, axis=-1)
     del sigma
-    g_part = f / tau[:, g.arc_dst]
-    f *= tau[:, g.arc_src]
+    g_part = f / tau.take(g.arc_dst, axis=-1)
+    f *= tau.take(g.arc_src, axis=-1)
     f -= g_part
     res2 = np.abs(f, out=f).sum(axis=1)
     return [foc1.tolist(), res2.tolist(), mass.tolist()]

@@ -26,12 +26,13 @@ from .blocklp import (
     BlockProblem,
     DualState,
     Sweep,
+    _dual_value,
     _formed_stacks,
     _l1,
     _state_row,
     primal_from_dual,
 )
-from .numerics import MASS_TOL, in_scaling_range
+from .numerics import MASS_TOL, SCALING_LIMIT, in_scaling_range
 
 __all__ = [
     "OTProblem",
@@ -42,6 +43,9 @@ __all__ = [
 ]
 
 _TINY = np.finfo(float).tiny
+# Kernel entries below this are set to 0: times a scaling in the scaling
+# range, a product of an entry at or above it is never subnormal.
+_KERNEL_FLOOR = _TINY * SCALING_LIMIT
 
 
 class OTProblem(BlockProblem):
@@ -118,14 +122,16 @@ class OTProblem(BlockProblem):
     def block_update_2(self, u1):
         return soft_c_transform_2(self, u1)
 
-    def sweeps(self, u0: DualState | None = None) -> Iterator[Sweep]:
+    def sweeps(self, u0: DualState | None = None,
+               omega: float = 1.0) -> Iterator[Sweep]:
         """Log-stabilised scaling sweeps from u0, initial_state() unless
-        given, for solve().
+        given, for solve(), with block 1 overrelaxed by omega.
 
         Schmitzer's absorption scheme (SIAM J. Sci. Comput. 2019). An epoch
         starts with the exact log-domain block_update_1, the first one on
         u0's u2, absorbs the duals (f, g) reached into
-        K = primal_from_dual(f, g) and sets a = b = 1.
+        K = primal_from_dual(f, g), with its entries below
+        _KERNEL_FLOOR set to 0, and sets a = b = 1.
         Within the epoch the state is u = (f + gamma log a, g + gamma log b),
         and a sweep is a = b1 / (K b), b = b2 / (K^T a): the two block updates
         in scaling form. Both trace rows come from K b, K^T a and the
@@ -140,21 +146,35 @@ class OTProblem(BlockProblem):
         full state reached; for b, the next sweep opens one, and the sweep
         forms its full row as it runs. The rows of K sum to
         b1, so a stays within the range of 1/b unless a marginal entry sits
-        near the float64 limit. Its row of K b is then subnormal or 0, and a
-        is not formed from it: the exact update runs instead.
+        within a factor SCALING_LIMIT or so of the float64 limit. Its row
+        of K b is then subnormal or 0, and a is not formed from it: the
+        exact update runs instead.
+
+        Under omega != 1 each sweep after an epoch's first takes the
+        overrelaxed step a' = a (b1 / (a K b))^omega, that is
+        u1 <- u1 + omega (block_update_1(u2) - u1), and b stays exact. The
+        dual objective is formed at every full state, and a sweep that
+        lowers it is dropped and ends the epoch as an a out of range does,
+        so the objective never decreases. The half-state row of an
+        overrelaxed sweep meets no first-order condition.
         """
         gamma, b1, b2 = self.gamma, self.b1, self.b2
         u2 = (self.initial_state() if u0 is None else u0).u2
         formed_rows = partial(_formed_stacks, partial(_half_row, self))
         kernel = None  # no epoch open
+        F = None  # F at the epoch's last full state, under omega != 1
         while True:
             if kernel is not None:
                 # a subnormal or zero entry of K b leaves b1 / (K b) too few bits
                 if kb.min() < _TINY:
                     kernel = None
                 else:
-                    a = b1 / kb
-                    if not in_scaling_range(a):
+                    if omega == 1.0:
+                        a_next = b1 / kb
+                    else:
+                        with np.errstate(over="ignore"):
+                            a_next = a * (b1 / (a * kb)) ** omega
+                    if not in_scaling_range(a_next):
                         kernel = None
                 if kernel is None:
                     u2 = g + gamma * np.log(b)
@@ -162,23 +182,43 @@ class OTProblem(BlockProblem):
                 f, g = self.block_update_1(u2), u2
                 kernel = primal_from_dual(self, DualState(f, g)).reshape(
                     self.m1, self.m2)
+                np.putmask(kernel, kernel < _KERNEL_FLOOR, 0.0)
                 epoch_rows = partial(_scaled_rows, self, f, g)
-                a, b = np.ones(self.m1), np.ones(self.m2)
+                a_next, b = np.ones(self.m1), np.ones(self.m2)
                 kb = kernel.sum(axis=1)
-            kta = a @ kernel
-            half = a, kb, b, kta
+                F = None
+            kta = a_next @ kernel
+            half = a_next, kb, b, kta
             with np.errstate(divide="ignore", over="ignore"):
                 b_next = b2 / kta
-            if in_scaling_range(b_next):
-                b = b_next
-                kb = kernel @ b
-                yield _l1(a * kb - b1), (epoch_rows, (*half, b, kb))
+            epoch_goes_on = in_scaling_range(b_next)
+            if epoch_goes_on:
+                kb_next = kernel @ b_next
+                res1 = _l1(a_next * kb_next - b1)
+                state = epoch_rows, (*half, b_next, kb_next)
+                if omega != 1.0:
+                    full = DualState(f + gamma * np.log(a_next),
+                                     g + gamma * np.log(b_next))
+                    mass = float(a_next @ kb_next)
             else:
-                u1 = f + gamma * np.log(a)
-                u2 = self.block_update_2(u1)
-                kernel = None
-                res1, res2, mass = _state_row(self, DualState(u1, u2))
-                yield res1, (formed_rows, (u1, u2, res2, mass, half))
+                u1 = f + gamma * np.log(a_next)
+                full = DualState(u1, self.block_update_2(u1))
+                res1, res2, mass = _state_row(self, full)
+                state = formed_rows, (full.u1, full.u2, res2, mass, half)
+            if omega != 1.0:
+                value = _dual_value(self, full, mass)
+                if F is not None and value < F:
+                    # drop the sweep and end the epoch, as when a leaves
+                    # the range: the exact update runs in its place
+                    u2 = g + gamma * np.log(b)
+                    kernel = None
+                    continue
+                F = value
+            if epoch_goes_on:
+                a, b, kb = a_next, b_next, kb_next
+            else:
+                u2, kernel = full.u2, None
+            yield res1, state
 
 
 def _scaled_rows(problem: OTProblem, f: np.ndarray, g: np.ndarray,

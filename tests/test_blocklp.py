@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from sinkflow import blocklp, flowsinkhorn
+from sinkflow import blocklp, cli, flowsinkhorn
 from sinkflow.analysis import verify_ascent
 from sinkflow.blocklp import (
     BlockProblem,
@@ -27,11 +27,12 @@ from sinkflow.blocklp import (
     solve,
 )
 from sinkflow.flowsinkhorn import FlowProblem, matrix_sweeps
-from sinkflow.graph import Graph
+from sinkflow.graph import Graph, spanning_tree_flow
+from sinkflow.oracle import exact_w1
 from sinkflow.sinkhorn import OTProblem
 
-from conftest import (count_block_updates, full_state, half_row,
-                      large_budget_edges, random_flow_problem,
+from conftest import (count_block_updates, criterion_2_graph, full_state,
+                      half_row, large_budget_edges, random_flow_problem,
                       random_marginals, random_ot_problem, sweep_stacks,
                       traced_peak)
 
@@ -749,18 +750,21 @@ def _coarse_start(pb, factor=4.0, sweeps=300):
     ids=["flow-engine", "ot-engine", "block-updates-flow",
          "block-updates-ot"])
 def test_start_at_the_initial_state_is_the_default_start(make):
-    """solve(pb, u0=pb.initial_state()) and sweeps(u0) at the initial state
-    run the iterates of a start without u0, bit for bit: all ten trace
-    columns and the final state, over 600 sweeps with fallbacks."""
+    """solve(pb, u0=pb.initial_state()) and sweeps(u0) at the initial state,
+    and sweeps(u0, omega=1.0), run the iterates of a start without u0, bit
+    for bit: all ten trace columns and the final state, over 600 sweeps
+    with fallbacks."""
     pb, sweeps = make()
     u0 = pb.initial_state()
-    warm = None if sweeps is None else BlockProblem.sweeps(pb, u0)
+    iteration = type(pb).sweeps if sweeps is None else BlockProblem.sweeps
     state, trace = solve(pb, max_sweeps=600, sweeps=sweeps)
-    ref_state, ref = solve(pb, max_sweeps=600, sweeps=warm, u0=u0)
-    assert list(trace.k) == list(ref.k) == list(range(601))
-    assert_same_rows(trace, ref, rtol=0)
-    np.testing.assert_array_equal(state.u1, ref_state.u1)
-    np.testing.assert_array_equal(state.u2, ref_state.u2)
+    for warm in (None if sweeps is None else BlockProblem.sweeps(pb, u0),
+                 iteration(pb, u0, omega=1.0)):
+        ref_state, ref = solve(pb, max_sweeps=600, sweeps=warm, u0=u0)
+        assert list(trace.k) == list(ref.k) == list(range(601))
+        assert_same_rows(trace, ref, rtol=0)
+        np.testing.assert_array_equal(state.u1, ref_state.u1)
+        np.testing.assert_array_equal(state.u2, ref_state.u2)
 
 
 @pytest.mark.parametrize("make", [
@@ -808,6 +812,76 @@ def test_warm_started_traces_pass_the_ascent_audits(make, fallback):
     for i in range(1, len(trace)):
         assert trace.foc1[i] <= 1e-9 * max(1.0, trace.half_mass[i])
         assert trace.foc2[i] <= 1e-9 * max(1.0, trace.primal_mass[i])
+
+
+@pytest.mark.parametrize("make, drops", [
+    (lambda: random_flow_problem(np.random.default_rng(78), 10, 0.05), False),
+    (lambda: random_flow_problem(np.random.default_rng(78), 10, 0.2), True),
+    (lambda: random_ot_problem(np.random.default_rng(80), 6, 7, 0.05), True),
+    (lambda: random_ot_problem(np.random.default_rng(80), 6, 7, 0.2), True)],
+    ids=["flow-0.05", "flow-0.2", "ot-0.05", "ot-0.2"])
+def test_overrelaxed_engines_match_overrelaxed_block_updates(make, drops):
+    """At omega = 1.8 from the same warm start, each engine agrees row by
+    row with BlockProblem.sweeps(u0, omega=1.8) over 200 sweeps: F and the
+    mass to 1e-8 relative, res1_l1 and both seminorms to 1e-8. Where the
+    safeguard drops a sweep (near roundoff, where F stalls), both run the
+    exact update in its place; no scaling leaves its range here, where
+    the engine's exact update and the block updates' step would part. F
+    ascends row by row in both."""
+    pb = make()
+    u0 = _coarse_start(pb)
+    counts = count_block_updates(pb)
+    _, trace = solve(pb, max_sweeps=200, u0=u0,
+                     sweeps=pb.sweeps(u0, omega=1.8))
+    assert (counts["block_update_1"] > 1) == drops
+    _, ref = solve(pb, max_sweeps=200, u0=u0,
+                   sweeps=BlockProblem.sweeps(pb, u0, omega=1.8))
+    np.testing.assert_allclose(trace.F_gamma, ref.F_gamma, rtol=1e-8)
+    np.testing.assert_allclose(trace.primal_mass, ref.primal_mass,
+                               rtol=1e-8)
+    for name in ("res1_l1", "u1_seminorm", "u2_seminorm"):
+        np.testing.assert_allclose(getattr(trace, name), getattr(ref, name),
+                                   rtol=0, atol=1e-8, err_msg=name)
+    assert trace.check_monotone() and ref.check_monotone()
+
+
+def _rung_problem(trial):
+    """Criterion-2 graph trial at twice its scheduled gamma, the gamma of
+    the --epsilon rung."""
+    g, mu1, mu2 = criterion_2_graph(trial)
+    eps = 0.05 * exact_w1(g, mu1, mu2)
+    x0 = float(spanning_tree_flow(g, mu1, mu2).sum())
+    return FlowProblem(g, mu1, mu2,
+                       cli._RUNG_RATIO * schedule_gamma(eps, x0, 2 * g.p))
+
+
+@pytest.mark.parametrize("trial", [7, 8])
+def test_overrelaxed_rung_ascends_where_unguarded_steps_fall(trial):
+    """The --epsilon rung, an overrelaxed solve at twice the scheduled
+    gamma, recorded every sweep, and the block updates' overrelaxed sweeps
+    from the same start: F never decreases row to row, through the sweeps
+    the safeguard dropped. Negative control: the same steps built by hand
+    from the block updates, without the safeguard, lower F on the same
+    graph."""
+    pb = _rung_problem(trial)
+    omega = cli._RUNG_OMEGA
+    counts = count_block_updates(pb)
+    _, trace = solve(pb, residual_tol=cli._RUNG_TOL, max_sweeps=10**5,
+                     sweeps=pb.sweeps(omega=omega))
+    assert trace.res1_l1[-1] <= cli._RUNG_TOL
+    assert counts["block_update_1"] > 1
+    assert trace.check_monotone()
+    _, ref = solve(pb, max_sweeps=100,
+                   sweeps=BlockProblem.sweeps(pb, omega=omega))
+    assert ref.check_monotone()
+    u = pb.initial_state()
+    F = [dual_objective(pb, u)]
+    for k in range(20):
+        exact = pb.block_update_1(u.u2)
+        u1 = exact if k == 0 else u.u1 + omega * (exact - u.u1)
+        u = DualState(u1, pb.block_update_2(u1))
+        F.append(dual_objective(pb, u))
+    assert any(after < before for before, after in zip(F, F[1:]))
 
 
 def test_solve_without_sweeps_returns_its_start():

@@ -97,21 +97,24 @@ def problem_in(command, path, gamma):
     return OTProblem(data["cost"], data["b1"], data["b2"], gamma), cost_and_dual
 
 
-def epsilon_reference(command, path, gamma, cap=None, record_every=1):
+def epsilon_reference(command, path, gamma, cap=None, record_every=1,
+                      omega=None):
     """An --epsilon run at the scheduled gamma, in the library as the
     README states it: rungs at gamma * ratio ** j for j = depth, ..., 1,
-    each from the last rung's state to the rung tolerance and recording
-    its start and final rows, then gamma itself to 1e-6 from the last
-    rung's state, all within the sweep cap. Returns the stdout payload,
-    the final solve's trace and the sweeps the rungs took."""
+    each from the last rung's state to the rung tolerance, with block 1
+    overrelaxed by omega (the rung's, unless given), and recording its
+    start and final rows, then gamma itself to 1e-6 from the last rung's
+    state with exact sweeps, all within the sweep cap. Returns the stdout
+    payload, the final solve's trace and the sweeps the rungs took."""
     cap = cli._SWEEP_CAP if cap is None else cap
+    omega = cli._RUNG_OMEGA if omega is None else omega
     problem, estimate = problem_in(command, path, gamma)
     u0, rung_sweeps = None, 0
     for j in range(cli._RUNG_DEPTH, 0, -1):
         rung = problem.with_gamma(gamma * cli._RUNG_RATIO ** j)
         u0, trace = solve(rung, max_sweeps=cap - rung_sweeps,
                           residual_tol=cli._RUNG_TOL, record_every=cap,
-                          u0=u0)
+                          u0=u0, sweeps=rung.sweeps(u0, omega=omega))
         assert list(trace.k) in ([0], [0, trace.k[-1]])
         rung_sweeps += trace.k[-1]
     state, trace = solve(problem, max_sweeps=cap - rung_sweeps,
@@ -380,6 +383,27 @@ def test_epsilon_ladder_makes_fewer_sweeps_than_the_scheduled_solve(
                 for run, v in ((ladder, v_ladder), (plain, v_plain)))
     assert 2.0 * abs(ladder["w1_dual"] - plain["w1_dual"]) <= bound + 1e-12
     assert bound <= 1e-3 * eps
+
+
+@pytest.mark.parametrize("trial", [0, 1])
+def test_overrelaxed_rung_makes_fewer_sweeps_than_the_exact_rung(
+        capsys, tmp_path, trial):
+    """On two criterion-2 graphs, w1 --epsilon takes fewer sweeps in all
+    than the same ladder run in the library with an exact rung (omega 1),
+    and its stdout is the library's overrelaxed ladder's."""
+    g, mu1, mu2 = criterion_2_graph(trial)
+    eps = 0.05 * exact_w1(g, mu1, mu2)
+    path = tmp_path / "desk.json"
+    path.write_text(json.dumps({"graph": {"n": g.n, "edges": graph_edges(g)},
+                                "b1": mu1.tolist(), "b2": mu2.tolist()}))
+    code, out, err = run_cli(capsys, "w1", str(path), "--epsilon", repr(eps))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    want, _, _ = epsilon_reference("w1", str(path), payload["gamma"])
+    exact, _, _ = epsilon_reference("w1", str(path), payload["gamma"],
+                                    omega=1.0)
+    assert payload == want
+    assert payload["sweeps"] < exact["sweeps"]
 
 
 @pytest.mark.parametrize("command,fixture", [("w1", "path3_file"),
@@ -914,9 +938,9 @@ def test_overflow_mid_ladder_exits_3_with_that_solves_partial_trace(
     engine = problem_type.sweeps
     made = []
 
-    def overflowing(problem, u0=None):
+    def overflowing(problem, u0=None, omega=1.0):
         made.append(problem.gamma)
-        for k, sweep in enumerate(engine(problem, u0), start=1):
+        for k, sweep in enumerate(engine(problem, u0, omega), start=1):
             if len(made) == which + 1 and k == 3:
                 raise NumericOverflowError(f"overflow at sweep {k}")
             yield sweep
@@ -939,9 +963,10 @@ def test_overflow_mid_ladder_exits_3_with_that_solves_partial_trace(
     problem, _ = problem_in(command, path, gamma)
     u0 = None
     for j in range(cli._RUNG_DEPTH, cli._RUNG_DEPTH - which, -1):
-        u0, _ = solve(problem.with_gamma(gamma * cli._RUNG_RATIO ** j),
-                      residual_tol=cli._RUNG_TOL, max_sweeps=10**6,
-                      record_every=10**6, u0=u0)
+        rung = problem.with_gamma(gamma * cli._RUNG_RATIO ** j)
+        u0, _ = solve(rung, residual_tol=cli._RUNG_TOL, max_sweeps=10**6,
+                      record_every=10**6, u0=u0,
+                      sweeps=rung.sweeps(u0, omega=cli._RUNG_OMEGA))
     at = problem.with_gamma(made[-1])
     start = at.initial_state() if u0 is None else u0
     assert float(rows[1][1]) == dual_objective(at, start)

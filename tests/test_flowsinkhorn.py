@@ -642,7 +642,7 @@ def test_engine_overflow_mid_block_keeps_the_rows_before_it(monkeypatch):
 def scaling_root(r, a, c):
     """_root as a burst calls it, under the burst's errstate."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _root(r, a, c, np.abs(r), r >= 0.0)
+        return _root(r, a, c, np.abs(r), r < 0.0)
 
 
 def test_scaling_root_solves_the_quadratic_without_dividing_by_a_tiny_sum():

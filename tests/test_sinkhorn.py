@@ -12,6 +12,7 @@ from sinkflow.analysis import (
 )
 from sinkflow import sinkhorn
 from sinkflow.blocklp import BlockProblem, DualState, dual_objective, marginals, primal_from_dual, solve
+from sinkflow.numerics import SCALING_LIMIT
 from sinkflow.sinkhorn import OTProblem, ot_constants, soft_c_transform_1, soft_c_transform_2
 
 from conftest import count_block_updates, full_state, random_ot_problem
@@ -363,3 +364,27 @@ def test_stabilized_keeps_duals_of_a_near_underflow_row(monkeypatch):
     state, _ = solve(pb, max_sweeps=50)
     np.testing.assert_allclose(state.u1, ref_state.u1, rtol=0, atol=1e-8)
     assert len(rows) == 50
+
+
+def test_epoch_kernel_holds_no_entry_below_the_floor(monkeypatch):
+    """At gamma 1e-3 the plans primal_from_dual forms hold entries below
+    tiny * SCALING_LIMIT, most of them subnormal; the epoch kernels hold
+    none, since such an entry times a scaling in range can be subnormal.
+    The run still matches the block updates."""
+    pb = random_ot_problem(np.random.default_rng(86), 12, 12, 1e-3)
+    floor = np.finfo(float).tiny * SCALING_LIMIT
+    below, kernels = [], []
+
+    def kept(problem, u):
+        plan = primal_from_dual(problem, u)
+        below.append(np.count_nonzero((plan > 0.0) & (plan < floor)))
+        kernels.append(plan)
+        return plan
+
+    monkeypatch.setattr(sinkhorn, "primal_from_dual", kept)
+    solve(pb, max_sweeps=300)
+    assert below[0] > 0
+    for kernel in kernels:
+        assert not np.any((kernel > 0.0) & (kernel < floor))
+    monkeypatch.undo()
+    _assert_runs_agree(pb, 300)
