@@ -792,18 +792,35 @@ def test_warm_started_engines_match_block_updates(make):
     np.testing.assert_allclose(state.u2, ref_state.u2, rtol=0, atol=1e-8)
 
 
-@pytest.mark.parametrize("make, fallback", [
+def _predicted_start(pb):
+    """A warm start for pb as the --epsilon ladder forms it: the secant
+    prediction from a solve at ratio ** 2 gamma and one at ratio gamma
+    warm-started from it."""
+    ratio = cli._RUNG_RATIO
+    prev = _coarse_start(pb, factor=ratio ** 2)
+    last, _ = solve(pb.with_gamma(ratio * pb.gamma), max_sweeps=300, u0=prev)
+    return cli._start(pb, last, prev)
+
+
+_ENGINES_AT_1E3 = [
     (lambda: random_flow_problem(np.random.default_rng(82), 10, 1e-3),
      "block_update_1"),
     (lambda: random_ot_problem(np.random.default_rng(83), 6, 9, 1e-3,
-                               cost_scale=10.0), "block_update_2")],
-    ids=["flow-engine", "ot-engine"])
-def test_warm_started_traces_pass_the_ascent_audits(make, fallback):
+                               cost_scale=10.0), "block_update_2")]
+
+
+@pytest.mark.parametrize("make, fallback, start", [
+    (make, fallback, start) for start in (_coarse_start, _predicted_start)
+    for make, fallback in _ENGINES_AT_1E3],
+    ids=["flow-engine", "ot-engine", "flow-engine-predicted",
+         "ot-engine-predicted"])
+def test_warm_started_traces_pass_the_ascent_audits(make, fallback, start):
     """A run at gamma 1e-3 from a state solved at 4 gamma, as the last rung
-    of a ladder starts: F ascends, verify_ascent holds on every sweep, and
-    both first-order conditions sit at criterion 5's roundoff bounds."""
+    of a ladder starts, or from the --epsilon ladder's secant prediction:
+    F ascends, verify_ascent holds on every sweep, and both first-order
+    conditions sit at criterion 5's roundoff bounds."""
     pb = make()
-    u0 = _coarse_start(pb)
+    u0 = start(pb)
     counts = count_block_updates(pb)
     _, trace = solve(pb, max_sweeps=300, u0=u0)
     assert counts[fallback] >= 1
@@ -847,12 +864,12 @@ def test_overrelaxed_engines_match_overrelaxed_block_updates(make, drops):
 
 def _rung_problem(trial):
     """Criterion-2 graph trial at twice its scheduled gamma, the gamma of
-    the --epsilon rung."""
+    the --epsilon ladder's top rung."""
     g, mu1, mu2 = criterion_2_graph(trial)
     eps = 0.05 * exact_w1(g, mu1, mu2)
     x0 = float(spanning_tree_flow(g, mu1, mu2).sum())
-    return FlowProblem(g, mu1, mu2,
-                       cli._RUNG_RATIO * schedule_gamma(eps, x0, 2 * g.p))
+    return FlowProblem(g, mu1, mu2, cli._RUNG_RATIO ** cli._RUNG_DEPTH
+                       * schedule_gamma(eps, x0, 2 * g.p))
 
 
 @pytest.mark.parametrize("trial", [7, 8])

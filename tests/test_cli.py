@@ -16,7 +16,7 @@ import sinkflow.graph as graph_module
 from conftest import (criterion_2_graph, graph_edges, large_budget_edges,
                       random_marginals, traced_peak)
 from sinkflow import blocklp, cli, flowsinkhorn, sinkhorn
-from sinkflow.blocklp import (BlockProblem, NumericOverflowError,
+from sinkflow.blocklp import (BlockProblem, DualState, NumericOverflowError,
                               cost_and_dual, dual_objective, schedule_gamma,
                               solve)
 from sinkflow.cli import main
@@ -97,26 +97,64 @@ def problem_in(command, path, gamma):
     return OTProblem(data["cost"], data["b1"], data["b2"], gamma), cost_and_dual
 
 
-def epsilon_reference(command, path, gamma, cap=None, record_every=1,
-                      omega=None):
-    """An --epsilon run at the scheduled gamma, in the library as the
-    README states it: rungs at gamma * ratio ** j for j = depth, ..., 1,
-    each from the last rung's state to the rung tolerance, with block 1
-    overrelaxed by omega (the rung's, unless given), and recording its
-    start and final rows, then gamma itself to 1e-6 from the last rung's
-    state with exact sweeps, all within the sweep cap. Returns the stdout
-    payload, the final solve's trace and the sweeps the rungs took."""
-    cap = cli._SWEEP_CAP if cap is None else cap
+def desk_file(tmp_path, trial):
+    """Criterion-2 graph trial as a w1 problem file, and its eps = 0.05 W1,
+    the desk workload's target."""
+    g, mu1, mu2 = criterion_2_graph(trial)
+    path = tmp_path / "desk.json"
+    path.write_text(json.dumps({"graph": {"n": g.n, "edges": graph_edges(g)},
+                                "b1": mu1.tolist(), "b2": mu2.tolist()}))
+    return path, 0.05 * exact_w1(g, mu1, mu2)
+
+
+def reference_ladder(problem, cap, omega=None, rungs=None, predict=True):
+    """The first rungs (all unless given) of an --epsilon ladder on problem,
+    at the scheduled gamma, in the library as the README states it: rung j
+    at gamma * ratio ** j for j = depth, ..., 1, with block 1 overrelaxed
+    by omega (the rung's, unless given), recording its start and final
+    rows, the first from u = 0 to the rung tolerance and the others to the
+    inner tolerance, all within the sweep cap. The first two solves start
+    at u = 0 and at the first rung's state; every later one, from the
+    secant through the last two rung states,
+    u1 = u1_last + (u1_last - u1_prev) / ratio and u2 = block_update_2(u1)
+    at its own gamma, or from the last rung's state as it stands unless
+    predict. Returns the start of the solve after the last rung run (None
+    for u = 0) and the sweeps the rungs took."""
     omega = cli._RUNG_OMEGA if omega is None else omega
-    problem, estimate = problem_in(command, path, gamma)
-    u0, rung_sweeps = None, 0
-    for j in range(cli._RUNG_DEPTH, 0, -1):
-        rung = problem.with_gamma(gamma * cli._RUNG_RATIO ** j)
-        u0, trace = solve(rung, max_sweeps=cap - rung_sweeps,
-                          residual_tol=cli._RUNG_TOL, record_every=cap,
-                          u0=u0, sweeps=rung.sweeps(u0, omega=omega))
+    depth, ratio = cli._RUNG_DEPTH, cli._RUNG_RATIO
+    rungs = depth if rungs is None else rungs
+    states, rung_sweeps = [], 0
+
+    def start(at):
+        if len(states) < 2 or not predict:
+            return states[-1] if states else None
+        u1 = states[-1].u1 + (states[-1].u1 - states[-2].u1) / ratio
+        return DualState(u1, at.block_update_2(u1))
+
+    for j in range(depth, depth - rungs, -1):
+        rung = problem.with_gamma(problem.gamma * ratio ** j)
+        u0 = start(rung)
+        tol = cli._INNER_TOL if states else cli._RUNG_TOL
+        state, trace = solve(rung, max_sweeps=cap - rung_sweeps,
+                             residual_tol=tol, record_every=cap, u0=u0,
+                             sweeps=rung.sweeps(u0, omega=omega))
         assert list(trace.k) in ([0], [0, trace.k[-1]])
+        states.append(state)
         rung_sweeps += trace.k[-1]
+    return start(problem.with_gamma(problem.gamma
+                                    * ratio ** (depth - rungs))), rung_sweeps
+
+
+def epsilon_reference(command, path, gamma, cap=None, record_every=1,
+                      omega=None, predict=True):
+    """An --epsilon run at the scheduled gamma, in the library: the rungs
+    of reference_ladder, then gamma itself to 1e-6 from the start they
+    give, with exact sweeps, within what is left of the sweep cap. Returns
+    the stdout payload, the final solve's trace and the sweeps the rungs
+    took."""
+    cap = cli._SWEEP_CAP if cap is None else cap
+    problem, estimate = problem_in(command, path, gamma)
+    u0, rung_sweeps = reference_ladder(problem, cap, omega, predict=predict)
     state, trace = solve(problem, max_sweeps=cap - rung_sweeps,
                          residual_tol=1e-6, record_every=record_every, u0=u0)
     primal, dual = estimate(problem, state)
@@ -357,11 +395,7 @@ def test_epsilon_ladder_makes_fewer_sweeps_than_the_scheduled_solve(
     the variation seminorm, since the residual sums to 0 and block 2 is
     tight; both runs sit below F*, so they differ by at most the larger
     of their two bounds."""
-    g, mu1, mu2 = criterion_2_graph(trial)
-    eps = 0.05 * exact_w1(g, mu1, mu2)
-    path = tmp_path / "desk.json"
-    path.write_text(json.dumps({"graph": {"n": g.n, "edges": graph_edges(g)},
-                                "b1": mu1.tolist(), "b2": mu2.tolist()}))
+    path, eps = desk_file(tmp_path, trial)
     runs = []
     for budget in (["--epsilon", repr(eps)], None):
         if budget is None:
@@ -391,11 +425,7 @@ def test_overrelaxed_rung_makes_fewer_sweeps_than_the_exact_rung(
     """On two criterion-2 graphs, w1 --epsilon takes fewer sweeps in all
     than the same ladder run in the library with an exact rung (omega 1),
     and its stdout is the library's overrelaxed ladder's."""
-    g, mu1, mu2 = criterion_2_graph(trial)
-    eps = 0.05 * exact_w1(g, mu1, mu2)
-    path = tmp_path / "desk.json"
-    path.write_text(json.dumps({"graph": {"n": g.n, "edges": graph_edges(g)},
-                                "b1": mu1.tolist(), "b2": mu2.tolist()}))
+    path, eps = desk_file(tmp_path, trial)
     code, out, err = run_cli(capsys, "w1", str(path), "--epsilon", repr(eps))
     assert (code, err) == (0, "")
     payload = json.loads(out)
@@ -404,6 +434,67 @@ def test_overrelaxed_rung_makes_fewer_sweeps_than_the_exact_rung(
                                     omega=1.0)
     assert payload == want
     assert payload["sweeps"] < exact["sweeps"]
+
+
+@pytest.mark.parametrize("trial", [0, 1])
+def test_predicted_final_solve_records_fewer_rows_than_plain_warm_starts(
+        capsys, tmp_path, trial):
+    """On two criterion-2 graphs, the w1 --epsilon CSV, the final solve
+    from its predicted start, holds fewer rows than the final solve of the
+    same ladder run in the library with every solve started from the last
+    rung's state as it stands."""
+    path, eps = desk_file(tmp_path, trial)
+    csv_path = tmp_path / "eps.csv"
+    code, out, err = run_cli(capsys, "w1", str(path), "--epsilon", repr(eps),
+                             "--trace", str(csv_path))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    _, plain, _ = epsilon_reference("w1", str(path), payload["gamma"],
+                                    predict=False)
+    rows = len(csv_path.read_text().splitlines()) - 1  # below the header
+    assert rows < len(plain)
+    want, trace, _ = epsilon_reference("w1", str(path), payload["gamma"])
+    assert payload == want and rows == len(trace)
+
+
+@pytest.mark.parametrize("command,fixture", [("w1", "path3_file"),
+                                             ("ot", "ot_file")])
+def test_epsilon_solves_start_from_the_secant_prediction(
+        capsys, monkeypatch, request, command, fixture):
+    """The --epsilon solves, at gamma * ratio ** j for j = depth, ..., 0,
+    start where the README says, bit for bit: the first rung from u = 0
+    (no u0), the second from the first rung's state, and the third rung
+    and the final solve from the secant through the last two rung states,
+    u1 = u1_last + (u1_last - u1_prev) / ratio, with u2 = block_update_2(u1)
+    at that solve's gamma."""
+    path = request.getfixturevalue(fixture)
+    calls = []
+
+    def spied(problem, **kwargs):
+        state, trace = solve(problem, **kwargs)
+        calls.append((problem, kwargs["u0"], state))
+        return state, trace
+
+    monkeypatch.setattr(cli, "solve", spied)
+    code, out, err = run_cli(capsys, command, path, "--epsilon", "0.05")
+    assert (code, err) == (0, "")
+    gamma = json.loads(out)["gamma"]
+    depth, ratio = cli._RUNG_DEPTH, cli._RUNG_RATIO
+    assert depth == 3
+    assert [at.gamma for at, _, _ in calls] == [
+        gamma * ratio ** j for j in range(depth, -1, -1)]
+
+    def bits(state):
+        return state.u1.tobytes(), state.u2.tobytes()
+
+    (_, first, rung1), (_, second, _) = calls[:2]
+    assert first is None
+    assert bits(second) == bits(rung1)
+    for (_, _, prev), (_, _, last), (at, u0, _) in zip(calls, calls[1:],
+                                                       calls[2:]):
+        u1 = last.u1 + (last.u1 - prev.u1) / ratio
+        assert bits(u0) == bits(DualState(u1, at.block_update_2(u1)))
+        assert bits(u0) != bits(last)
 
 
 @pytest.mark.parametrize("command,fixture", [("w1", "path3_file"),
@@ -884,15 +975,17 @@ def test_sweep_cap_short_of_tolerance_warns(capsys, monkeypatch, tmp_path,
     warning line and otherwise runs as given the cap as its budget. Under
     --epsilon the cap bounds the sweeps of all rungs together and the
     warning reads the final solve's residual: with a cap of 3, spent in
-    the first rung, and with one that leaves the final solve 3 sweeps."""
+    the first rung, and with one that leaves the final solve 3 sweeps, or
+    fewer where its predicted start is nearer the tolerance: one fewer
+    than it takes, none on path3, whose final solve takes one sweep."""
     path = path3_file if command == "w1" else ot_file
     caps = [cap]
     if "--epsilon" in budget:
         code, out, _ = run_cli(capsys, command, path, *budget)
         gamma = json.loads(out)["gamma"]
-        _, _, rung_sweeps = epsilon_reference(command, path, gamma)
-        assert rung_sweeps > cap
-        caps.append(rung_sweeps + 3)
+        _, final, rung_sweeps = epsilon_reference(command, path, gamma)
+        assert rung_sweeps > cap and final.k[-1] >= 1
+        caps.append(rung_sweeps + min(3, final.k[-1] - 1))
     for cap in caps:
         monkeypatch.setattr(cli, "_SWEEP_CAP", cap)
         trace = tmp_path / "trace.csv"
@@ -927,25 +1020,32 @@ def test_sweep_cap_short_of_tolerance_warns(capsys, monkeypatch, tmp_path,
 def test_overflow_mid_ladder_exits_3_with_that_solves_partial_trace(
         capsys, monkeypatch, tmp_path, path3_file, ot_file, command, which):
     """A NumericOverflowError at the third sweep of any solve of an
-    --epsilon run, a rung's or the final one's, exits 3 with one stderr
-    line and writes that solve's partial trace: a rung's start row only,
-    since a rung records its start and final rows, or the final solve's
-    rows 0-2."""
+    --epsilon run, a rung's or the final one's, or at its last where it
+    takes fewer (a predicted start can leave a solve one sweep), exits 3
+    with one stderr line and writes that solve's partial trace: a rung's
+    start row only, since a rung records its start and final rows, or the
+    final solve's rows before that sweep."""
     path = path3_file if command == "w1" else ot_file
-    code, out, _ = run_cli(capsys, command, path, "--epsilon", "0.05")
-    gamma = json.loads(out)["gamma"]
     problem_type = FlowProblem if command == "w1" else OTProblem
     engine = problem_type.sweeps
-    made = []
+    made, drawn = [], []  # each solve's gamma and the sweeps drawn from it
+    fail_at = None  # (solve, sweep) that overflows
 
     def overflowing(problem, u0=None, omega=1.0):
         made.append(problem.gamma)
+        drawn.append(0)
         for k, sweep in enumerate(engine(problem, u0, omega), start=1):
-            if len(made) == which + 1 and k == 3:
+            if (len(made) - 1, k) == fail_at:
                 raise NumericOverflowError(f"overflow at sweep {k}")
+            drawn[-1] = k
             yield sweep
 
     monkeypatch.setattr(problem_type, "sweeps", overflowing)
+    code, out, _ = run_cli(capsys, command, path, "--epsilon", "0.05")
+    gamma = json.loads(out)["gamma"]
+    assert len(drawn) == cli._RUNG_DEPTH + 1 and drawn[which] >= 1
+    fail_at = (which, min(3, drawn[which]))
+    del made[:]
     trace = tmp_path / "partial.csv"
     code, out, err = run_cli(capsys, command, path, "--epsilon", "0.05",
                              "--trace", str(trace))
@@ -957,16 +1057,13 @@ def test_overflow_mid_ladder_exits_3_with_that_solves_partial_trace(
     with open(trace) as fh:
         rows = list(csv.reader(fh))
     final = which == cli._RUNG_DEPTH
-    assert [int(row[0]) for row in rows[1:]] == ([0, 1, 2] if final else [0])
-    # row 0 is the start the ladder gave that solve
+    assert [int(row[0]) for row in rows[1:]] == (
+        list(range(fail_at[1])) if final else [0])
+    # row 0 is the start the ladder gave that solve: u = 0, the first
+    # rung's state or the secant prediction
     monkeypatch.undo()
     problem, _ = problem_in(command, path, gamma)
-    u0 = None
-    for j in range(cli._RUNG_DEPTH, cli._RUNG_DEPTH - which, -1):
-        rung = problem.with_gamma(gamma * cli._RUNG_RATIO ** j)
-        u0, _ = solve(rung, residual_tol=cli._RUNG_TOL, max_sweeps=10**6,
-                      record_every=10**6, u0=u0,
-                      sweeps=rung.sweeps(u0, omega=cli._RUNG_OMEGA))
+    u0, _ = reference_ladder(problem, cli._SWEEP_CAP, rungs=which)
     at = problem.with_gamma(made[-1])
     start = at.initial_state() if u0 is None else u0
     assert float(rows[1][1]) == dual_objective(at, start)
