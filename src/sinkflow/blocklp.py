@@ -88,6 +88,16 @@ Sweep = tuple[float, tuple[Callable[[list], Iterable[Stacks]], Any]]
 # (m1 + m2 per row, one row at least), then evaluates them as one block.
 _BLOCK_FLOATS = 4096
 
+# An iterator's F test reads a fall of F by at most this share of |F| as
+# roundoff, not as a fall; see _falls.
+_F_SLACK = 1e-13
+
+# sweeps(memory=m) follows each period of _ANDERSON_PERIOD sweeps with an
+# Anderson candidate (see _Anderson), whose least-squares system is
+# regularized by _ANDERSON_RIDGE times the trace of its Gram matrix.
+_ANDERSON_PERIOD = 8
+_ANDERSON_RIDGE = 1e-10
+
 
 class BlockProblem:
     """Capabilities a two-block instance must provide.
@@ -158,8 +168,8 @@ class BlockProblem:
         other.gamma = float(gamma)
         return other
 
-    def sweeps(self, u0: DualState | None = None,
-               omega: float = 1.0) -> Iterator[Sweep]:
+    def sweeps(self, u0: DualState | None = None, omega: float = 1.0,
+               memory: int = 0) -> Iterator[Sweep]:
         """The sweeps solve() runs by default: the block updates in turn
         from u0, initial_state() unless given, trace rows through
         primal_from_dual.
@@ -168,9 +178,20 @@ class BlockProblem:
         exact, steps u1 <- u1 + omega (block_update_1(u2) - u1), and
         block 2 is exact. At omega = 1 that is the exact update. Otherwise
         F is formed at every full state, and a sweep whose step lowers F
-        is dropped and the exact update runs in its place, so F never
-        decreases; the half states of such a run meet no first-order
-        condition.
+        (by more than roundoff, see _falls) is dropped and the exact
+        update runs in its place, so F never decreases; the half states of
+        such a run meet no first-order condition.
+
+        memory > 0 adds Anderson steps on u1, and forms F as omega != 1
+        does. A period runs from the state the first sweep or a dropped
+        sweep reached, or from the last period's end, for _ANDERSON_PERIOD
+        sweeps; then _Anderson(memory) extrapolates u1 from the last
+        memory + 1 period starts and ends. The candidate, a full state
+        with block 2 exact, is taken only if it is finite and F there does
+        not fall below F at the period's end; it then starts the next
+        period, whose first sweep is exact. A rejected candidate or a
+        dropped sweep clears the history. A candidate is not a sweep: it
+        is not yielded. At memory = 0 no Anderson code runs.
 
         Instances with a faster iteration override this.
         """
@@ -182,20 +203,98 @@ class BlockProblem:
             full = DualState(u1, self.block_update_2(u1))
             return DualState(u1, u2), full, _state_row(self, full)
 
-        F = None  # F at the last full state, under omega != 1
+        guarded = omega != 1.0 or memory > 0
+        history = _Anderson(memory, len(u.u1)) if memory else None
+        F = None  # F at the last full state, when guarded
+        relax = False  # whether the next sweep takes the omega-step
+        start = None  # u1 at the start of the Anderson period, once set
         while True:
             exact = self.block_update_1(u.u2)
-            if F is None:
-                half, u, (res1, res2, mass) = reach(exact, u.u2)
-            else:
-                u2 = u.u2
-                half, u, (res1, res2, mass) = reach(
-                    u.u1 + omega * (exact - u.u1), u2)
-                if _dual_value(self, u, mass) < F:
-                    half, u, (res1, res2, mass) = reach(exact, u2)
-            if omega != 1.0:
+            u2 = u.u2
+            half, u, (res1, res2, mass) = reach(
+                u.u1 + omega * (exact - u.u1) if relax else exact, u2)
+            dropped = relax and _falls(_dual_value(self, u, mass), F)
+            if dropped:
+                half, u, (res1, res2, mass) = reach(exact, u2)
+            if guarded:
                 F = _dual_value(self, u, mass)
             yield res1, (rows, (u.u1, u.u2, res2, mass, half))
+            relax = omega != 1.0
+            if history is None:
+                continue
+            if start is None or dropped:
+                history.clear()
+                start, swept = u.u1, 0
+                continue
+            swept += 1
+            if swept < _ANDERSON_PERIOD:
+                continue
+            candidate = history.step(start, u.u1)
+            start, swept = u.u1, 0
+            if candidate is None:
+                continue
+            full = DualState(candidate, self.block_update_2(candidate))
+            try:
+                value = dual_objective(self, full)
+            except NumericOverflowError:
+                value = math.nan
+            if _falls(value, F):
+                history.clear()
+            else:
+                u, F, start, relax = full, value, candidate, False
+
+
+def _falls(value: float, before: float) -> bool:
+    """Whether F fell from before to value by more than roundoff, a share
+    _F_SLACK of |before|; a NaN value counts as a fall."""
+    return not value >= before - _F_SLACK * abs(before)
+
+
+class _Anderson:
+    """Type-II Anderson extrapolation of a fixed-point map x -> y on one
+    dual block, in the safeguarded use of Zhang, O'Donoghue and Boyd
+    (arXiv:1808.03971): the caller runs the map, tests the candidate and
+    clears the history when it rejects one.
+
+    step(x, y) takes one pair y = map(x) and returns the combination
+    sum_i alpha_i y_i of the last memory + 1 pairs whose weights, summing
+    to 1, minimize ||sum_i alpha_i (y_i - x_i)||^2 plus _ANDERSON_RIDGE
+    times the trace of the residuals' Gram matrix times ||alpha||^2; None
+    while fewer than two pairs are held or when the residuals vanish. The
+    pairs' y and y - x live in preallocated (memory + 1, size) arrays,
+    the oldest overwritten first, and the Gram matrix gains one row a
+    step.
+    """
+
+    def __init__(self, memory: int, size: int):
+        self.ends = np.empty((memory + 1, size))
+        self.residuals = np.empty((memory + 1, size))
+        self.gram = np.empty((memory + 1, memory + 1))
+        self.held = 0  # pairs held, in slots 0 .. held - 1
+        self.slot = 0  # the slot the next pair takes
+
+    def clear(self) -> None:
+        self.held = self.slot = 0
+
+    def step(self, x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+        slot, slots = self.slot, len(self.ends)
+        self.ends[slot] = y
+        residual = np.subtract(y, x, out=self.residuals[slot])
+        self.slot = (slot + 1) % slots
+        held = self.held = min(self.held + 1, slots)
+        dots = self.residuals[:held] @ residual
+        self.gram[slot, :held] = dots
+        self.gram[:held, slot] = dots
+        if held < 2:
+            return None
+        system = self.gram[:held, :held].copy()
+        ridge = _ANDERSON_RIDGE * sum(system.diagonal().tolist())
+        if not 0.0 < ridge < math.inf:
+            return None
+        system.flat[::held + 1] += ridge
+        alpha = np.linalg.solve(system, np.ones(held))
+        alpha /= alpha.sum()
+        return alpha @ self.ends[:held]
 
 
 def _log_primal(problem: BlockProblem, u: DualState) -> np.ndarray:

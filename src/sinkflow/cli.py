@@ -45,11 +45,13 @@ __all__ = ["main"]
 _SWEEP_CAP = 10 ** 6
 # --epsilon warm-starts its solve at the scheduled gamma from rungs at
 # gamma * _RUNG_RATIO ** j, j = _RUNG_DEPTH, ..., 1, with block 1
-# overrelaxed by _RUNG_OMEGA: the top rung, at twice the gamma, solved to
-# the residual _RUNG_TOL, the others to _INNER_TOL (see _ladder)
+# overrelaxed by _RUNG_OMEGA and with Anderson steps of memory
+# _RUNG_MEMORY: the top rung, at twice the gamma, solved to the residual
+# _RUNG_TOL, the others to _INNER_TOL (see _ladder)
 _RUNG_RATIO, _RUNG_DEPTH = 2.0 ** (1 / 3), 3
 _RUNG_TOL, _INNER_TOL = 1e-4, 1e-5
 _RUNG_OMEGA = 1.9
+_RUNG_MEMORY = 3
 
 
 class _InputError(Exception):
@@ -174,8 +176,9 @@ def _ladder(problem, max_sweeps: int) -> tuple[DualState | None, int]:
 
     The rungs solve the problem at gamma * _RUNG_RATIO ** j for
     j = _RUNG_DEPTH, ..., 1, within what is left of max_sweeps, with
-    block 1 overrelaxed by _RUNG_OMEGA under the engines' ascent
-    safeguard: no audit reads a rung's rows. The top rung runs from u = 0
+    block 1 overrelaxed by _RUNG_OMEGA and Anderson steps of memory
+    _RUNG_MEMORY, both under the engines' ascent safeguard: no audit reads
+    a rung's rows. The top rung runs from u = 0
     to the residual _RUNG_TOL, the later ones to _INNER_TOL. Each later
     solve, the final one included, starts where _start puts it: the
     second rung at the first rung's state, every solve after it at the
@@ -192,7 +195,8 @@ def _ladder(problem, max_sweeps: int) -> tuple[DualState | None, int]:
                              residual_tol=_RUNG_TOL if last is None
                              else _INNER_TOL,
                              record_every=max(1, max_sweeps), u0=u0,
-                             sweeps=rung.sweeps(u0, omega=_RUNG_OMEGA))
+                             sweeps=rung.sweeps(u0, omega=_RUNG_OMEGA,
+                                                memory=_RUNG_MEMORY))
         prev, last = last, state
         sweeps += trace.k[-1]
     return _start(problem, last, prev), sweeps
@@ -419,11 +423,12 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="target accuracy; solves at the scheduled "
                                 "gamma eps / (2 X0 log d) to the residual "
                                 "1e-6, warm-started from overrelaxed rungs "
-                                "at 2, 2^(2/3) and 2^(1/3) times that gamma "
-                                "(to the residuals 1e-4, 1e-5 and 1e-5); "
-                                "the last rung and the final solve start "
-                                "from the secant through the two rung "
-                                "states before them")
+                                "with safeguarded Anderson steps at 2, "
+                                "2^(2/3) and 2^(1/3) times that gamma (to "
+                                "the residuals 1e-4, 1e-5 and 1e-5); the "
+                                "last rung and the final solve start from "
+                                "the secant through the two rung states "
+                                "before them")
         p.add_argument("--max-sweeps", type=int, default=None)
         p.add_argument("--tol", type=float, default=None,
                        help="stop when the block-1 residual l1 norm reaches "

@@ -44,7 +44,9 @@ from .blocklp import (
     DualState,
     NumericOverflowError,
     Sweep,
+    _Anderson,
     _exp_in_range,
+    _falls,
     _formed_stacks,
     _row_scalars,
     _state_row,
@@ -230,10 +232,11 @@ class FlowProblem(BlockProblem):
         u2 *= -0.5
         return u2
 
-    def sweeps(self, u0: DualState | None = None,
-               omega: float = 1.0) -> Iterator[Sweep]:
+    def sweeps(self, u0: DualState | None = None, omega: float = 1.0,
+               memory: int = 0) -> Iterator[Sweep]:
         """Log-stabilised scaling sweeps from u0, initial_state() unless
-        given, for solve(), with block 1 overrelaxed by omega.
+        given, for solve(), with block 1 overrelaxed by omega and
+        Anderson steps on log sigma of the given memory.
 
         Schmitzer's absorption scheme (arXiv:1610.06519) on the vertex
         scaling. An epoch starts with an exact log-domain block_update_1,
@@ -276,12 +279,32 @@ class FlowProblem(BlockProblem):
         epoch stays exact. The dual objective at each full state,
         <b1, v0 + 2 gamma log sigma> + gamma (Z - 2 sum a') since b2 = 0,
         is formed once per burst over its rows, and the first sweep that
-        lowers it ends the epoch as a sigma out of range does, so the
-        objective never decreases. The half-state row of an overrelaxed
-        sweep meets no first-order condition.
+        lowers it (by more than roundoff, see blocklp._falls) ends the
+        epoch as a sigma out of range does, so the objective never
+        decreases. The half-state row of an overrelaxed sweep meets no
+        first-order condition.
+
+        memory > 0 adds Anderson steps on log sigma within each epoch, and
+        forms F as omega != 1 does. A period runs from the epoch's opening
+        row, or from the last period's end, for
+        blocklp._ANDERSON_PERIOD sweeps that all passed the F test, and a
+        burst holds at most what is left of it. Then _Anderson(memory)
+        extrapolates log sigma from the last memory + 1 period starts and
+        ends; the candidate is taken only if its sigma is in the scaling
+        range and F there, with block 2 exact (one _scaled_sums), does not
+        fall below F at the period's end. A taken candidate is the row the
+        next burst starts from, it starts the next period, and the sweep
+        after it is exact (omega = 1). A rejected candidate or the end of
+        the epoch clears the history. A candidate is not a sweep: it is
+        not yielded, and no trace row reads it but as the half state's
+        row before the sweep after it. At memory = 0 no Anderson code
+        runs.
         """
         n = self.graph.n
         burst = min(_BURST_SWEEPS, max(1, blocklp._BLOCK_FLOATS // n))
+        period = blocklp._ANDERSON_PERIOD
+        guarded = omega != 1.0 or memory > 0
+        history = _Anderson(memory, n) if memory else None
         r_abs, r_neg = np.abs(self.r), self.r < 0.0
         u2 = (self.initial_state() if u0 is None else u0).u2
         while True:
@@ -290,14 +313,22 @@ class FlowProblem(BlockProblem):
             del u2  # the opening half holds it, until solve drops the half
             kernel = _full_flow(self, v0)
             epoch_rows = partial(_absorbed_rows, self, v0, kernel)
-            last = None  # the row of the last sweep yielded
-            F = None  # F at that row, under omega != 1
-            good = burst
-            while good == burst:
-                rows = np.empty((3, burst, n))
+            last = None  # the row of the last sweep yielded, or a candidate
+            F = None  # F at that row, when guarded
+            if history is not None:
+                history.clear()
+                # the period starts at the opening row, sigma = 1, which
+                # is not a sweep after its start
+                start, swept = np.zeros(n), -1
+            exact = False  # whether the burst's first sweep is exact
+            size = good = burst
+            while good == size:
+                if history is not None:
+                    size = min(burst, period - swept)
+                rows = np.empty((3, size, n))
                 good, res1 = _burst(self, kernel, rows, last, r_abs, r_neg,
-                                    omega)
-                if omega != 1.0:
+                                    omega, exact)
+                if guarded:
                     good, F = _ascending(self, v0, rows, good, F)
                 for i in range(good):
                     if last is not None:
@@ -308,8 +339,26 @@ class FlowProblem(BlockProblem):
                     # epoch's opening half, or the buffer before a burst,
                     # held here too would show in a run's peak memory
                     del before
-            # fall back from the last row yielded; this epoch's arrays go
-            # before block_update_1 runs, for the same reason
+                exact = False
+                if history is None or good < size:
+                    continue
+                swept += size
+                if swept < period:
+                    continue
+                end = np.log(rows[0, size - 1])
+                candidate = history.step(start, end)
+                start, swept = end, 0
+                if candidate is None:
+                    continue
+                taken = _candidate(self, v0, kernel, candidate, F)
+                if taken is None:
+                    history.clear()
+                else:
+                    last, F = taken
+                    start, exact = candidate, True
+            # fall back from the last row yielded, or the candidate taken
+            # after it; this epoch's arrays go before block_update_1 runs,
+            # for the same reason
             rows, i = last
             u2 = self.block_update_2(v0 + 2.0 * self.gamma
                                      * np.log(rows[0, i]))
@@ -329,11 +378,11 @@ def _full_flow(problem: FlowProblem, v: np.ndarray) -> np.ndarray:
 
 def _burst(problem: FlowProblem, kernel: np.ndarray, rows: np.ndarray,
            last: tuple | None, r_abs: np.ndarray, r_neg: np.ndarray,
-           omega: float) -> tuple[int, list]:
+           omega: float, exact: bool) -> tuple[int, list]:
     """Fill the rows (sigma, a, c) of a burst, each a sweep from the row
-    before it, sigma' = sigma tau^(omega / 2); return the number of leading
-    rows whose sigma lies in the scaling range and the block-1 residual
-    ||a - c - b1||_1 of each.
+    before it, sigma' = sigma tau^(omega / 2), with omega = 1 for the first
+    if exact; return the number of leading rows whose sigma lies in the
+    scaling range and the block-1 residual ||a - c - b1||_1 of each.
 
     last is the row (buffer, index) before the burst, read in place, or
     None when the burst opens an epoch, whose first row is sigma = 1. The
@@ -356,7 +405,7 @@ def _burst(problem: FlowProblem, kernel: np.ndarray, rows: np.ndarray,
                 sigma.fill(1.0)
             else:
                 tau = _root(problem.r, a, c, r_abs, r_neg)
-                if omega == 1.0:
+                if omega == 1.0 or (exact and i == 0):
                     np.sqrt(tau, out=tau)
                 else:
                     np.power(tau, 0.5 * omega, out=tau)
@@ -381,15 +430,41 @@ def _ascending(problem: FlowProblem, v0: np.ndarray, rows: np.ndarray,
     F at the row before the burst, or None when the burst opens its epoch:
     its first row is the state the exact update reached, and is kept.
     """
-    gamma = problem.gamma
-    u1 = v0 + 2.0 * gamma * np.log(rows[0, :good])
-    F = u1 @ problem.b1 + gamma * (problem.reference_mass
-                                   - 2.0 * rows[1, :good].sum(axis=1))
-    for i, value in enumerate(F.tolist()):
-        if before is not None and value < before:
+    for i, value in enumerate(_objective(problem, v0, np.log(rows[0, :good]),
+                                         rows[1, :good]).tolist()):
+        if before is not None and _falls(value, before):
             return i, before
         before = value
     return good, before
+
+
+def _objective(problem: FlowProblem, v0: np.ndarray, log_sigma: np.ndarray,
+               a: np.ndarray) -> np.ndarray:
+    """F at the full states of scalings log_sigma, rows or one vector,
+    with sums a: <b1, v0 + 2 gamma log sigma> + gamma (Z - 2 sum a)."""
+    gamma = problem.gamma
+    u1 = v0 + 2.0 * gamma * log_sigma
+    return u1 @ problem.b1 + gamma * (problem.reference_mass
+                                      - 2.0 * a.sum(axis=-1))
+
+
+def _candidate(problem: FlowProblem, v0: np.ndarray, kernel: np.ndarray,
+               log_sigma: np.ndarray, before: float
+               ) -> tuple[tuple, float] | None:
+    """An Anderson candidate log sigma as a one-row burst buffer (sigma,
+    a, c), as the row (buffer, 0), and F there; None unless sigma lies in
+    the scaling range and F does not fall below before."""
+    with np.errstate(over="ignore"):
+        sigma = np.exp(log_sigma)
+    if not in_scaling_range(sigma):
+        return None
+    row = np.empty((3, 1, problem.graph.n))
+    row[0, 0] = sigma
+    _scaled_sums(problem.graph, kernel, sigma, row[1, 0], row[2, 0])
+    value = float(_objective(problem, v0, np.log(sigma), row[1, 0]))
+    if _falls(value, before):
+        return None
+    return (row, 0), value
 
 
 def _scaled_sums(g: Graph, kernel, sigma, a, c):

@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from sinkflow import blocklp, cli, flowsinkhorn
+from sinkflow import blocklp, cli, flowsinkhorn, sinkhorn
 from sinkflow.analysis import verify_ascent
 from sinkflow.blocklp import (
     BlockProblem,
@@ -831,22 +831,31 @@ def test_warm_started_traces_pass_the_ascent_audits(make, fallback, start):
         assert trace.foc2[i] <= 1e-9 * max(1.0, trace.primal_mass[i])
 
 
-@pytest.mark.parametrize("make, drops", [
-    (lambda: random_flow_problem(np.random.default_rng(78), 10, 0.05), False),
-    (lambda: random_flow_problem(np.random.default_rng(78), 10, 0.2), True),
-    (lambda: random_ot_problem(np.random.default_rng(80), 6, 7, 0.05), True),
-    (lambda: random_ot_problem(np.random.default_rng(80), 6, 7, 0.2), True)],
-    ids=["flow-0.05", "flow-0.2", "ot-0.05", "ot-0.2"])
-def test_overrelaxed_engines_match_overrelaxed_block_updates(make, drops):
-    """At omega = 1.8 from the same warm start, each engine agrees row by
-    row with BlockProblem.sweeps(u0, omega=1.8) over 200 sweeps: F and the
-    mass to 1e-8 relative, res1_l1 and both seminorms to 1e-8. Where the
-    safeguard drops a sweep (near roundoff, where F stalls), both run the
-    exact update in its place; no scaling leaves its range here, where
-    the engine's exact update and the block updates' step would part. F
-    ascends row by row in both."""
+@pytest.mark.parametrize("make, start, drops", [
+    (lambda: random_flow_problem(np.random.default_rng(78), 10, 0.05),
+     _coarse_start, False),
+    (lambda: random_flow_problem(np.random.default_rng(78), 10, 0.2),
+     _coarse_start, False),
+    (lambda: random_ot_problem(np.random.default_rng(80), 6, 7, 0.05),
+     _coarse_start, False),
+    (lambda: random_ot_problem(np.random.default_rng(80), 6, 7, 0.2),
+     _coarse_start, False),
+    (lambda: random_flow_problem(np.random.default_rng(79), 10, 0.05),
+     lambda pb: pb.initial_state(), True)],
+    ids=["flow-0.05", "flow-0.2", "ot-0.05", "ot-0.2", "flow-0.05-cold"])
+def test_overrelaxed_engines_match_overrelaxed_block_updates(make, start,
+                                                            drops):
+    """At omega = 1.8 from the same start, a warm one or u = 0, each
+    engine agrees row by row with BlockProblem.sweeps(u0, omega=1.8) over
+    200 sweeps: F and the mass to 1e-8 relative, res1_l1 and both
+    seminorms to 1e-8. Where the safeguard drops a sweep, both run the
+    exact update in its place: from u = 0 an early omega-step lowers F by
+    more than F itself; the warm starts run to roundoff, which the
+    safeguard does not read as a fall. No scaling leaves its range here,
+    where the engine's exact update and the block updates' step would
+    part. F ascends row by row in both."""
     pb = make()
-    u0 = _coarse_start(pb)
+    u0 = start(pb)
     counts = count_block_updates(pb)
     _, trace = solve(pb, max_sweeps=200, u0=u0,
                      sweeps=pb.sweeps(u0, omega=1.8))
@@ -899,6 +908,211 @@ def test_overrelaxed_rung_ascends_where_unguarded_steps_fall(trial):
         u = DualState(u1, pb.block_update_2(u1))
         F.append(dual_objective(pb, u))
     assert any(after < before for before, after in zip(F, F[1:]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_flow_problem(np.random.default_rng(78), 10, 0.2),
+    lambda: random_ot_problem(np.random.default_rng(80), 6, 7, 0.05)],
+    ids=["flow-0.2", "ot-0.05"])
+def test_safeguard_reads_roundoff_as_no_fall(monkeypatch, make):
+    """At omega = 1.8 over 200 sweeps from a warm start, which run F to
+    its roundoff, the engine opens one epoch and the block updates drop
+    no sweep: the F test reads a fall within blocklp._F_SLACK |F| as
+    roundoff. Negative control: with no slack both read roundoff as a
+    fall, and the engine opens an epoch for each sweep it drops."""
+    runs = []
+    for slack in (blocklp._F_SLACK, 0.0):
+        monkeypatch.setattr(blocklp, "_F_SLACK", slack)
+        for engine in (True, False):
+            pb = make()
+            u0 = _coarse_start(pb)
+            counts = count_block_updates(pb)
+            iteration = type(pb).sweeps if engine else BlockProblem.sweeps
+            _, trace = solve(pb, max_sweeps=200, u0=u0,
+                             sweeps=iteration(pb, u0, omega=1.8))
+            assert trace.res1_l1[-1] <= 1e-10
+            assert trace.check_monotone()
+            # the engine's epochs; the block updates' drops, each of which
+            # runs block 2 once more
+            runs.append(counts["block_update_1"] if engine
+                        else counts["block_update_2"] - 200)
+    assert runs[:2] == [1, 0]
+    assert runs[2] > 10 and runs[3] > 10
+
+
+class _Affine:
+    """The map x -> M x + c of a random contraction M on R^4."""
+
+    def __init__(self, seed):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        self.M = q @ np.diag([0.9, 0.5, -0.7, 0.2]) @ q.T
+        self.c = rng.standard_normal(4)
+        self.fixed = np.linalg.solve(np.eye(4) - self.M, self.c)
+
+    def __call__(self, x):
+        return self.M @ x + self.c
+
+
+def test_anderson_candidate_is_the_least_squares_combination():
+    """Over more steps than it holds, _Anderson's candidate is the
+    combination sum_i alpha_i y_i of the last memory + 1 pairs (x, y)
+    formed from scratch: alpha proportional to (R R^T + ridge I)^-1 1,
+    with R the rows y_i - x_i and the ridge _ANDERSON_RIDGE trace(R R^T),
+    summing to 1. Without the ridge those weights minimize
+    ||sum_i alpha_i (y_i - x_i)||: on an affine map of R^4, iterating
+    from each candidate with memory 4 reaches the fixed point in a few
+    steps, where plain iteration contracts by 0.9 a step. After clear()
+    a step holds one pair and gives no candidate."""
+    rng = np.random.default_rng(86)
+    f = _Affine(87)
+    history = blocklp._Anderson(3, 4)
+    pairs = []
+    for step in range(9):
+        x = rng.standard_normal(4)
+        pairs.append((x, f(x)))
+        candidate = history.step(*pairs[-1])
+        if step == 0:
+            assert candidate is None
+            continue
+        xs, ys = map(np.array, zip(*pairs[-4:]))
+        gram = (ys - xs) @ (ys - xs).T
+        gram += blocklp._ANDERSON_RIDGE * np.trace(gram) * np.eye(len(xs))
+        alpha = np.linalg.solve(gram, np.ones(len(xs)))
+        np.testing.assert_allclose(candidate, alpha @ ys / alpha.sum(),
+                                   rtol=1e-12, atol=0)
+    history = blocklp._Anderson(4, 4)
+    x = np.zeros(4)
+    for _ in range(10):
+        candidate = history.step(x, f(x))
+        x = f(x) if candidate is None else candidate
+    np.testing.assert_allclose(x, f.fixed, rtol=0, atol=1e-12)
+    history.clear()
+    assert history.step(x, f(x)) is None
+
+
+_ANDERSON_ITERATORS = [
+    (lambda: random_flow_problem(np.random.default_rng(88), 12, 0.02),
+     "sweeps"),
+    (lambda: random_ot_problem(np.random.default_rng(89), 8, 9, 0.01),
+     "sweeps"),
+    (lambda: random_flow_problem(np.random.default_rng(88), 12, 0.02),
+     "reference"),
+    (lambda: random_ot_problem(np.random.default_rng(89), 8, 9, 0.01),
+     "reference")]
+_ANDERSON_IDS = ["flow-engine", "ot-engine", "block-updates-flow",
+                 "block-updates-ot"]
+
+
+def _iteration(pb, which):
+    return type(pb).sweeps if which == "sweeps" else BlockProblem.sweeps
+
+
+@pytest.mark.parametrize("make, which", _ANDERSON_ITERATORS,
+                         ids=_ANDERSON_IDS)
+def test_memory_zero_runs_no_anderson_code(monkeypatch, make, which):
+    """sweeps(u0, omega, memory=0) makes no _Anderson and runs the
+    iterates of sweeps(u0, omega) bit for bit, at omega = 1.8 and 1: all
+    ten trace columns over 300 sweeps from a warm start."""
+    def unused(*args):
+        raise AssertionError("memory = 0 runs no Anderson code")
+
+    for module in (blocklp, flowsinkhorn, sinkhorn):
+        monkeypatch.setattr(module, "_Anderson", unused)
+    pb = make()
+    u0 = _coarse_start(pb)
+    iteration = _iteration(pb, which)
+    for omega in (1.8, 1.0):
+        _, trace = solve(pb, max_sweeps=300, u0=u0,
+                         sweeps=iteration(pb, u0, omega))
+        _, ref = solve(pb, max_sweeps=300, u0=u0,
+                       sweeps=iteration(pb, u0, omega=omega, memory=0))
+        assert_same_rows(trace, ref, rtol=0)
+
+
+@pytest.mark.parametrize("make, which", _ANDERSON_ITERATORS,
+                         ids=_ANDERSON_IDS)
+def test_anderson_steps_ascend_in_fewer_sweeps(monkeypatch, make, which):
+    """With memory 5 at omega = 1.8, recorded every sweep, each iterator
+    forms Anderson candidates, F never falls row to row, and the residual
+    1e-9 takes fewer sweeps than at memory 0; at omega = 1 with memory 5
+    the same holds against the exact sweeps."""
+    taken = []
+    step = blocklp._Anderson.step
+
+    def spied(self, x, y):
+        candidate = step(self, x, y)
+        taken.append(candidate is not None)
+        return candidate
+
+    monkeypatch.setattr(blocklp._Anderson, "step", spied)
+    pb = make()
+    u0 = _coarse_start(pb, sweeps=20)
+    iteration = _iteration(pb, which)
+    for omega in (1.8, 1.0):
+        runs = []
+        for memory in (5, 0):
+            del taken[:]
+            _, trace = solve(pb, residual_tol=1e-9, max_sweeps=10**5, u0=u0,
+                             sweeps=iteration(pb, u0, omega, memory))
+            assert trace.res1_l1[-1] <= 1e-9
+            assert trace.check_monotone()
+            assert any(taken) == (memory > 0)
+            runs.append(trace.k[-1])
+        assert runs[0] < runs[1]
+
+
+@pytest.mark.parametrize("module, make, tol", [
+    (flowsinkhorn, lambda: _rung_problem(1), cli._RUNG_TOL),
+    (flowsinkhorn, lambda: _rung_problem(9), cli._RUNG_TOL),
+    (sinkhorn, lambda: random_ot_problem(np.random.default_rng(89), 8, 9,
+                                         3e-3, cost_scale=10.0), 1e-9)],
+    ids=["flow-trial-1", "flow-trial-9", "ot"])
+def test_anderson_rung_ascends_where_untested_candidates_fall(
+        monkeypatch, module, make, tol):
+    """The --epsilon top rung, overrelaxed with Anderson steps at twice
+    the scheduled gamma on a criterion-2 graph, and the same steps on a
+    small-gamma plan, recorded every sweep: F never falls row to row, the
+    engine takes some candidates and rejects others, and the sweep after
+    each taken candidate is exact, so its half state meets the block-1
+    first-order condition that the omega-sweeps' half states miss.
+    Negative control: the same candidates taken without the F test lower
+    F from row to row."""
+    pb = make()
+    candidate = module._candidate
+    drawn, taken, rejected = [0], [], []  # sweeps drawn; candidates
+
+    def counted(*args):
+        state = candidate(*args)
+        (rejected if state is None else taken).append(drawn[0])
+        return state
+
+    def untested(*args):
+        return candidate(*args[:-1], -math.inf)
+
+    def draws(sweeps):
+        for sweep in sweeps:
+            drawn[0] += 1
+            yield sweep
+
+    runs = []
+    for replaced in (counted, untested):
+        monkeypatch.setattr(module, "_candidate", replaced)
+        _, trace = solve(pb, residual_tol=tol, max_sweeps=10**5,
+                         sweeps=draws(pb.sweeps(omega=cli._RUNG_OMEGA,
+                                                memory=cli._RUNG_MEMORY)))
+        assert trace.res1_l1[-1] <= tol
+        runs.append(trace)
+    trace, unguarded = runs
+    assert taken and rejected
+    assert trace.check_monotone()
+    assert not unguarded.check_monotone()
+    exact = {k + 1 for k in taken} & set(range(1, len(trace)))
+    assert exact
+    bound = [1e-9 * max(1.0, m) for m in trace.half_mass]
+    assert all(trace.foc1[k] <= bound[k] for k in exact)
+    assert any(trace.foc1[k] > bound[k] for k in range(1, len(trace))
+               if k not in exact)
 
 
 def test_solve_without_sweeps_returns_its_start():

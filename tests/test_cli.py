@@ -52,6 +52,21 @@ def path3_file(tmp_path):
 
 
 @pytest.fixture
+def path4_file(tmp_path):
+    """A path on four vertices whose --epsilon 0.05 ladder runs every
+    solve, the final one included, for more than three sweeps: from
+    Anderson-accelerated rungs, path3's last rung and final solve start
+    within their tolerances."""
+    path = tmp_path / "path4.json"
+    path.write_text(json.dumps({
+        "graph": {"n": 4, "edges": [[0, 1, 1.0], [1, 2, 1.5], [2, 3, 0.5]]},
+        "b1": [0.4, 0.1, 0.2, 0.3],
+        "b2": [0.1, 0.3, 0.2, 0.4],
+    }))
+    return str(path)
+
+
+@pytest.fixture
 def ot_file(tmp_path):
     rng = np.random.default_rng(91)
     cost = rng.uniform(0.0, 1.0, size=(3, 3))
@@ -107,13 +122,15 @@ def desk_file(tmp_path, trial):
     return path, 0.05 * exact_w1(g, mu1, mu2)
 
 
-def reference_ladder(problem, cap, omega=None, rungs=None, predict=True):
+def reference_ladder(problem, cap, omega=None, rungs=None, predict=True,
+                     memory=None):
     """The first rungs (all unless given) of an --epsilon ladder on problem,
     at the scheduled gamma, in the library as the README states it: rung j
     at gamma * ratio ** j for j = depth, ..., 1, with block 1 overrelaxed
-    by omega (the rung's, unless given), recording its start and final
-    rows, the first from u = 0 to the rung tolerance and the others to the
-    inner tolerance, all within the sweep cap. The first two solves start
+    by omega and Anderson steps of the given memory (the rung's, unless
+    given), recording its start and final rows, the first from u = 0 to
+    the rung tolerance and the others to the inner tolerance, all within
+    the sweep cap. The first two solves start
     at u = 0 and at the first rung's state; every later one, from the
     secant through the last two rung states,
     u1 = u1_last + (u1_last - u1_prev) / ratio and u2 = block_update_2(u1)
@@ -121,6 +138,7 @@ def reference_ladder(problem, cap, omega=None, rungs=None, predict=True):
     predict. Returns the start of the solve after the last rung run (None
     for u = 0) and the sweeps the rungs took."""
     omega = cli._RUNG_OMEGA if omega is None else omega
+    memory = cli._RUNG_MEMORY if memory is None else memory
     depth, ratio = cli._RUNG_DEPTH, cli._RUNG_RATIO
     rungs = depth if rungs is None else rungs
     states, rung_sweeps = [], 0
@@ -137,7 +155,8 @@ def reference_ladder(problem, cap, omega=None, rungs=None, predict=True):
         tol = cli._INNER_TOL if states else cli._RUNG_TOL
         state, trace = solve(rung, max_sweeps=cap - rung_sweeps,
                              residual_tol=tol, record_every=cap, u0=u0,
-                             sweeps=rung.sweeps(u0, omega=omega))
+                             sweeps=rung.sweeps(u0, omega=omega,
+                                                memory=memory))
         assert list(trace.k) in ([0], [0, trace.k[-1]])
         states.append(state)
         rung_sweeps += trace.k[-1]
@@ -146,7 +165,7 @@ def reference_ladder(problem, cap, omega=None, rungs=None, predict=True):
 
 
 def epsilon_reference(command, path, gamma, cap=None, record_every=1,
-                      omega=None, predict=True):
+                      omega=None, predict=True, memory=None):
     """An --epsilon run at the scheduled gamma, in the library: the rungs
     of reference_ladder, then gamma itself to 1e-6 from the start they
     give, with exact sweeps, within what is left of the sweep cap. Returns
@@ -154,7 +173,8 @@ def epsilon_reference(command, path, gamma, cap=None, record_every=1,
     took."""
     cap = cli._SWEEP_CAP if cap is None else cap
     problem, estimate = problem_in(command, path, gamma)
-    u0, rung_sweeps = reference_ladder(problem, cap, omega, predict=predict)
+    u0, rung_sweeps = reference_ladder(problem, cap, omega, predict=predict,
+                                       memory=memory)
     state, trace = solve(problem, max_sweeps=cap - rung_sweeps,
                          residual_tol=1e-6, record_every=record_every, u0=u0)
     primal, dual = estimate(problem, state)
@@ -457,6 +477,23 @@ def test_predicted_final_solve_records_fewer_rows_than_plain_warm_starts(
     assert payload == want and rows == len(trace)
 
 
+@pytest.mark.parametrize("trial", [1, 8])
+def test_anderson_rungs_make_at_most_0_7_of_the_sweeps_without_them(
+        capsys, tmp_path, trial):
+    """On two criterion-2 graphs, w1 --epsilon makes at most 0.7 times the
+    sweeps of the same ladder run in the library without Anderson steps
+    (memory 0), and its stdout is the library's ladder's with them."""
+    path, eps = desk_file(tmp_path, trial)
+    code, out, err = run_cli(capsys, "w1", str(path), "--epsilon", repr(eps))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    want, _, _ = epsilon_reference("w1", str(path), payload["gamma"])
+    plain, _, _ = epsilon_reference("w1", str(path), payload["gamma"],
+                                    memory=0)
+    assert payload == want
+    assert payload["sweeps"] <= 0.7 * plain["sweeps"]
+
+
 @pytest.mark.parametrize("command,fixture", [("w1", "path3_file"),
                                              ("ot", "ot_file")])
 def test_epsilon_solves_start_from_the_secant_prediction(
@@ -518,7 +555,7 @@ def test_epsilon_setup_skips_the_a_priori_constants(capsys, monkeypatch,
     assert run_cli(capsys, command, path, "--epsilon", "0.1") == (0, want, "")
 
 
-@pytest.mark.parametrize("command,fixture", [("w1", "path3_file"),
+@pytest.mark.parametrize("command,fixture", [("w1", "path4_file"),
                                              ("ot", "ot_file")])
 def test_untraced_run_keeps_two_rows_and_prints_the_traced_stdout(
         capsys, monkeypatch, request, tmp_path, command, fixture):
@@ -969,16 +1006,18 @@ def test_exact_nonfinite_cost_is_input_error(capsys, monkeypatch, tmp_path,
     (["--epsilon", "0.05"], 3, 1e-6),
 ], ids=["default-tol", "tol-flag", "tol-only", "epsilon-fallback"])
 def test_sweep_cap_short_of_tolerance_warns(capsys, monkeypatch, tmp_path,
-                                            path3_file, ot_file, command,
-                                            budget, cap, tol):
+                                            path3_file, path4_file, ot_file,
+                                            command, budget, cap, tol):
     """A run that stops at its cap short of its tolerance prints one
     warning line and otherwise runs as given the cap as its budget. Under
     --epsilon the cap bounds the sweeps of all rungs together and the
     warning reads the final solve's residual: with a cap of 3, spent in
     the first rung, and with one that leaves the final solve 3 sweeps, or
     fewer where its predicted start is nearer the tolerance: one fewer
-    than it takes, none on path3, whose final solve takes one sweep."""
-    path = path3_file if command == "w1" else ot_file
+    than it takes. The w1 ladder runs on path4, whose final solve takes
+    more than three sweeps."""
+    w1_file = path4_file if "--epsilon" in budget else path3_file
+    path = w1_file if command == "w1" else ot_file
     caps = [cap]
     if "--epsilon" in budget:
         code, out, _ = run_cli(capsys, command, path, *budget)
@@ -1018,23 +1057,25 @@ def test_sweep_cap_short_of_tolerance_warns(capsys, monkeypatch, tmp_path,
 @pytest.mark.parametrize("command", ["w1", "ot"])
 @pytest.mark.parametrize("which", range(cli._RUNG_DEPTH + 1))
 def test_overflow_mid_ladder_exits_3_with_that_solves_partial_trace(
-        capsys, monkeypatch, tmp_path, path3_file, ot_file, command, which):
+        capsys, monkeypatch, tmp_path, path4_file, ot_file, command, which):
     """A NumericOverflowError at the third sweep of any solve of an
     --epsilon run, a rung's or the final one's, or at its last where it
     takes fewer (a predicted start can leave a solve one sweep), exits 3
     with one stderr line and writes that solve's partial trace: a rung's
     start row only, since a rung records its start and final rows, or the
-    final solve's rows before that sweep."""
-    path = path3_file if command == "w1" else ot_file
+    final solve's rows before that sweep. The w1 ladder runs on path4,
+    where every solve draws a sweep."""
+    path = path4_file if command == "w1" else ot_file
     problem_type = FlowProblem if command == "w1" else OTProblem
     engine = problem_type.sweeps
     made, drawn = [], []  # each solve's gamma and the sweeps drawn from it
     fail_at = None  # (solve, sweep) that overflows
 
-    def overflowing(problem, u0=None, omega=1.0):
+    def overflowing(problem, u0=None, omega=1.0, memory=0):
         made.append(problem.gamma)
         drawn.append(0)
-        for k, sweep in enumerate(engine(problem, u0, omega), start=1):
+        for k, sweep in enumerate(engine(problem, u0, omega, memory),
+                                  start=1):
             if (len(made) - 1, k) == fail_at:
                 raise NumericOverflowError(f"overflow at sweep {k}")
             drawn[-1] = k
