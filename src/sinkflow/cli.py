@@ -43,13 +43,11 @@ from .sinkhorn import OTProblem
 __all__ = ["main"]
 
 _SWEEP_CAP = 10 ** 6
-# --epsilon warm-starts its solve at the scheduled gamma from rungs at
-# gamma * _RUNG_RATIO ** j, j = _RUNG_DEPTH, ..., 1, with block 1
-# overrelaxed by _RUNG_OMEGA and with Anderson steps of memory
-# _RUNG_MEMORY: the top rung, at twice the gamma, solved to the residual
-# _RUNG_TOL, the others to _INNER_TOL (see _ladder)
-_RUNG_RATIO, _RUNG_DEPTH = 2.0 ** (1 / 3), 3
-_RUNG_TOL, _INNER_TOL = 1e-4, 1e-5
+# --epsilon warm-starts its solve at the scheduled gamma from one rung at
+# twice that gamma, solved from u = 0 to the residual _RUNG_TOL with
+# block 1 overrelaxed by _RUNG_OMEGA; both solves take Anderson steps of
+# memory _RUNG_MEMORY (see _ladder)
+_RUNG_TOL = 1e-4
 _RUNG_OMEGA = 1.9
 _RUNG_MEMORY = 3
 
@@ -171,53 +169,21 @@ def _warn_at_cap(sweeps: int, res1: float, max_sweeps: int,
               file=sys.stderr)
 
 
-def _ladder(problem, max_sweeps: int) -> tuple[DualState | None, int]:
-    """The warm start of an --epsilon run and the sweeps it took.
-
-    The rungs solve the problem at gamma * _RUNG_RATIO ** j for
-    j = _RUNG_DEPTH, ..., 1, within what is left of max_sweeps, with
-    block 1 overrelaxed by _RUNG_OMEGA and Anderson steps of memory
-    _RUNG_MEMORY, both under the engines' ascent safeguard: no audit reads
-    a rung's rows. The top rung runs from u = 0
-    to the residual _RUNG_TOL, the later ones to _INNER_TOL. Each later
-    solve, the final one included, starts where _start puts it: the
-    second rung at the first rung's state, every solve after it at the
-    secant prediction through the last two rung states. Each rung records
-    only its start and final rows, and a NumericOverflowError carries the
-    trace of the rung it stopped.
+def _ladder(problem, max_sweeps: int) -> tuple[DualState, int]:
+    """The warm start of an --epsilon run and the sweeps it took: the
+    state of the rung, problem at twice its gamma, solved from u = 0 to
+    the residual _RUNG_TOL within max_sweeps, with block 1 overrelaxed by
+    _RUNG_OMEGA and Anderson steps of memory _RUNG_MEMORY, both under the
+    engines' ascent safeguard: no audit reads the rung's rows. The rung
+    records only its start and final rows, and a NumericOverflowError
+    carries its trace.
     """
-    last = prev = None  # the last two rung states
-    sweeps = 0
-    for j in range(_RUNG_DEPTH, 0, -1):
-        rung = problem.with_gamma(problem.gamma * _RUNG_RATIO ** j)
-        u0 = _start(rung, last, prev)
-        state, trace = solve(rung, max_sweeps=max_sweeps - sweeps,
-                             residual_tol=_RUNG_TOL if last is None
-                             else _INNER_TOL,
-                             record_every=max(1, max_sweeps), u0=u0,
-                             sweeps=rung.sweeps(u0, omega=_RUNG_OMEGA,
-                                                memory=_RUNG_MEMORY))
-        prev, last = last, state
-        sweeps += trace.k[-1]
-    return _start(problem, last, prev), sweeps
-
-
-def _start(problem, last: DualState | None, prev: DualState | None
-           ) -> DualState | None:
-    """The start of a ladder solve of problem after the rung states last
-    and prev, each None until a rung has run: u = 0 (None) before any
-    rung, the last rung's state after one, and after two the secant
-    prediction u1 = u1_last + (u1_last - u1_prev) / _RUNG_RATIO with
-    u2 = problem.block_update_2(u1), a full state. The secant extrapolates
-    the two states linearly in gamma, since consecutive gaps of the
-    geometric ladder shrink by _RUNG_RATIO; the dual optimum moves
-    smoothly with gamma, so it lands nearer the next optimum than the last
-    state does.
-    """
-    if prev is None:
-        return last
-    u1 = last.u1 + (last.u1 - prev.u1) / _RUNG_RATIO
-    return DualState(u1, problem.block_update_2(u1))
+    rung = problem.with_gamma(2 * problem.gamma)
+    state, trace = solve(rung, max_sweeps=max_sweeps, residual_tol=_RUNG_TOL,
+                         record_every=max(1, max_sweeps),
+                         sweeps=rung.sweeps(omega=_RUNG_OMEGA,
+                                            memory=_RUNG_MEMORY))
+    return state, trace.k[-1]
 
 
 def _flow_setup(data: dict, args) -> FlowProblem:
@@ -280,9 +246,12 @@ def _run(args, setup, estimate) -> int:
         u0, rung_sweeps = None, 0
         if args.epsilon is not None:
             u0, rung_sweeps = _ladder(problem, max_sweeps)
+        # the --epsilon final solve runs at omega = 1, so every sweep it
+        # yields is exact
         state, trace = solve(problem, max_sweeps=max_sweeps - rung_sweeps,
                              residual_tol=tol, record_every=record_every,
-                             u0=u0)
+                             u0=u0, sweeps=None if args.epsilon is None else
+                             problem.sweeps(u0, memory=_RUNG_MEMORY))
     except NumericOverflowError as err:
         _write_trace(err.trace, args.trace)
         where = f"; partial trace at {args.trace}" if args.trace else ""
@@ -422,13 +391,9 @@ def _build_parser() -> argparse.ArgumentParser:
         group.add_argument("--epsilon", type=float,
                            help="target accuracy; solves at the scheduled "
                                 "gamma eps / (2 X0 log d) to the residual "
-                                "1e-6, warm-started from overrelaxed rungs "
-                                "with safeguarded Anderson steps at 2, "
-                                "2^(2/3) and 2^(1/3) times that gamma (to "
-                                "the residuals 1e-4, 1e-5 and 1e-5); the "
-                                "last rung and the final solve start from "
-                                "the secant through the two rung states "
-                                "before them")
+                                "1e-6, warm-started from one rung at twice "
+                                "that gamma, both with safeguarded Anderson "
+                                "steps")
         p.add_argument("--max-sweeps", type=int, default=None)
         p.add_argument("--tol", type=float, default=None,
                        help="stop when the block-1 residual l1 norm reaches "

@@ -739,9 +739,9 @@ def _block_updates_ot():
     return pb, BlockProblem.sweeps(pb)
 
 
-def _coarse_start(pb, factor=4.0, sweeps=300):
-    """A warm start for pb: the state of a solve of pb at factor * gamma."""
-    state, _ = solve(pb.with_gamma(factor * pb.gamma), max_sweeps=sweeps)
+def _coarse_start(pb, sweeps=300):
+    """A warm start for pb: the state of a solve of pb at 4 * gamma."""
+    state, _ = solve(pb.with_gamma(4.0 * pb.gamma), max_sweeps=sweeps)
     return state
 
 
@@ -792,35 +792,19 @@ def test_warm_started_engines_match_block_updates(make):
     np.testing.assert_allclose(state.u2, ref_state.u2, rtol=0, atol=1e-8)
 
 
-def _predicted_start(pb):
-    """A warm start for pb as the --epsilon ladder forms it: the secant
-    prediction from a solve at ratio ** 2 gamma and one at ratio gamma
-    warm-started from it."""
-    ratio = cli._RUNG_RATIO
-    prev = _coarse_start(pb, factor=ratio ** 2)
-    last, _ = solve(pb.with_gamma(ratio * pb.gamma), max_sweeps=300, u0=prev)
-    return cli._start(pb, last, prev)
-
-
-_ENGINES_AT_1E3 = [
+@pytest.mark.parametrize("make, fallback", [
     (lambda: random_flow_problem(np.random.default_rng(82), 10, 1e-3),
      "block_update_1"),
     (lambda: random_ot_problem(np.random.default_rng(83), 6, 9, 1e-3,
-                               cost_scale=10.0), "block_update_2")]
-
-
-@pytest.mark.parametrize("make, fallback, start", [
-    (make, fallback, start) for start in (_coarse_start, _predicted_start)
-    for make, fallback in _ENGINES_AT_1E3],
-    ids=["flow-engine", "ot-engine", "flow-engine-predicted",
-         "ot-engine-predicted"])
-def test_warm_started_traces_pass_the_ascent_audits(make, fallback, start):
-    """A run at gamma 1e-3 from a state solved at 4 gamma, as the last rung
-    of a ladder starts, or from the --epsilon ladder's secant prediction:
-    F ascends, verify_ascent holds on every sweep, and both first-order
-    conditions sit at criterion 5's roundoff bounds."""
+                               cost_scale=10.0), "block_update_2")],
+    ids=["flow-engine", "ot-engine"])
+def test_warm_started_traces_pass_the_ascent_audits(make, fallback):
+    """A run at gamma 1e-3 from a state solved at 4 gamma, as a solve
+    after a rung starts: F ascends, verify_ascent holds on every sweep,
+    and both first-order conditions sit at criterion 5's roundoff
+    bounds."""
     pb = make()
-    u0 = start(pb)
+    u0 = _coarse_start(pb)
     counts = count_block_updates(pb)
     _, trace = solve(pb, max_sweeps=300, u0=u0)
     assert counts[fallback] >= 1
@@ -873,12 +857,11 @@ def test_overrelaxed_engines_match_overrelaxed_block_updates(make, start,
 
 def _rung_problem(trial):
     """Criterion-2 graph trial at twice its scheduled gamma, the gamma of
-    the --epsilon ladder's top rung."""
+    the --epsilon rung."""
     g, mu1, mu2 = criterion_2_graph(trial)
     eps = 0.05 * exact_w1(g, mu1, mu2)
     x0 = float(spanning_tree_flow(g, mu1, mu2).sum())
-    return FlowProblem(g, mu1, mu2, cli._RUNG_RATIO ** cli._RUNG_DEPTH
-                       * schedule_gamma(eps, x0, 2 * g.p))
+    return FlowProblem(g, mu1, mu2, 2 * schedule_gamma(eps, x0, 2 * g.p))
 
 
 @pytest.mark.parametrize("trial", [7, 8])
@@ -1070,7 +1053,7 @@ def test_anderson_steps_ascend_in_fewer_sweeps(monkeypatch, make, which):
     ids=["flow-trial-1", "flow-trial-9", "ot"])
 def test_anderson_rung_ascends_where_untested_candidates_fall(
         monkeypatch, module, make, tol):
-    """The --epsilon top rung, overrelaxed with Anderson steps at twice
+    """The --epsilon rung, overrelaxed with Anderson steps at twice
     the scheduled gamma on a criterion-2 graph, and the same steps on a
     small-gamma plan, recorded every sweep: F never falls row to row, the
     engine takes some candidates and rejects others, and the sweep after

@@ -14,7 +14,7 @@ import pytest
 
 import sinkflow.graph as graph_module
 from conftest import (criterion_2_graph, graph_edges, large_budget_edges,
-                      random_marginals, traced_peak)
+                      random_marginals, random_ot_problem, traced_peak)
 from sinkflow import blocklp, cli, flowsinkhorn, sinkhorn
 from sinkflow.blocklp import (BlockProblem, DualState, NumericOverflowError,
                               cost_and_dual, dual_objective, schedule_gamma,
@@ -23,7 +23,8 @@ from sinkflow.cli import main
 from sinkflow.flowsinkhorn import FlowProblem, matrix_sweeps, w1_estimate
 from sinkflow.graph import Graph
 from sinkflow.numerics import variation_seminorm
-from sinkflow.oracle import exact_w1
+from sinkflow.analysis import verify_ascent
+from sinkflow.oracle import exact_ot, exact_w1
 from sinkflow.sinkhorn import OTProblem
 
 
@@ -53,10 +54,8 @@ def path3_file(tmp_path):
 
 @pytest.fixture
 def path4_file(tmp_path):
-    """A path on four vertices whose --epsilon 0.05 ladder runs every
-    solve, the final one included, for more than three sweeps: from
-    Anderson-accelerated rungs, path3's last rung and final solve start
-    within their tolerances."""
+    """A path on four vertices whose --epsilon 0.05 run draws more than
+    three sweeps in the rung and in the final solve (31 and 27)."""
     path = tmp_path / "path4.json"
     path.write_text(json.dumps({
         "graph": {"n": 4, "edges": [[0, 1, 1.0], [1, 2, 1.5], [2, 3, 0.5]]},
@@ -122,61 +121,37 @@ def desk_file(tmp_path, trial):
     return path, 0.05 * exact_w1(g, mu1, mu2)
 
 
-def reference_ladder(problem, cap, omega=None, rungs=None, predict=True,
-                     memory=None):
-    """The first rungs (all unless given) of an --epsilon ladder on problem,
-    at the scheduled gamma, in the library as the README states it: rung j
-    at gamma * ratio ** j for j = depth, ..., 1, with block 1 overrelaxed
-    by omega and Anderson steps of the given memory (the rung's, unless
-    given), recording its start and final rows, the first from u = 0 to
-    the rung tolerance and the others to the inner tolerance, all within
-    the sweep cap. The first two solves start
-    at u = 0 and at the first rung's state; every later one, from the
-    secant through the last two rung states,
-    u1 = u1_last + (u1_last - u1_prev) / ratio and u2 = block_update_2(u1)
-    at its own gamma, or from the last rung's state as it stands unless
-    predict. Returns the start of the solve after the last rung run (None
-    for u = 0) and the sweeps the rungs took."""
+def reference_rung(problem, cap, omega=None, memory=None):
+    """The --epsilon rung of problem, at the scheduled gamma, in the library
+    as the README states it: problem at twice its gamma, solved from u = 0
+    to the rung tolerance within the sweep cap with block 1 overrelaxed by
+    omega and Anderson steps of the given memory (the rung's, unless
+    given), recording its start and final rows. Returns the rung's state
+    and its sweeps."""
     omega = cli._RUNG_OMEGA if omega is None else omega
     memory = cli._RUNG_MEMORY if memory is None else memory
-    depth, ratio = cli._RUNG_DEPTH, cli._RUNG_RATIO
-    rungs = depth if rungs is None else rungs
-    states, rung_sweeps = [], 0
-
-    def start(at):
-        if len(states) < 2 or not predict:
-            return states[-1] if states else None
-        u1 = states[-1].u1 + (states[-1].u1 - states[-2].u1) / ratio
-        return DualState(u1, at.block_update_2(u1))
-
-    for j in range(depth, depth - rungs, -1):
-        rung = problem.with_gamma(problem.gamma * ratio ** j)
-        u0 = start(rung)
-        tol = cli._INNER_TOL if states else cli._RUNG_TOL
-        state, trace = solve(rung, max_sweeps=cap - rung_sweeps,
-                             residual_tol=tol, record_every=cap, u0=u0,
-                             sweeps=rung.sweeps(u0, omega=omega,
-                                                memory=memory))
-        assert list(trace.k) in ([0], [0, trace.k[-1]])
-        states.append(state)
-        rung_sweeps += trace.k[-1]
-    return start(problem.with_gamma(problem.gamma
-                                    * ratio ** (depth - rungs))), rung_sweeps
+    rung = problem.with_gamma(2 * problem.gamma)
+    state, trace = solve(rung, max_sweeps=cap, residual_tol=cli._RUNG_TOL,
+                         record_every=max(1, cap),
+                         sweeps=rung.sweeps(omega=omega, memory=memory))
+    assert list(trace.k) in ([0], [0, trace.k[-1]])
+    return state, trace.k[-1]
 
 
 def epsilon_reference(command, path, gamma, cap=None, record_every=1,
-                      omega=None, predict=True, memory=None):
-    """An --epsilon run at the scheduled gamma, in the library: the rungs
-    of reference_ladder, then gamma itself to 1e-6 from the start they
-    give, with exact sweeps, within what is left of the sweep cap. Returns
-    the stdout payload, the final solve's trace and the sweeps the rungs
-    took."""
+                      omega=None, memory=None):
+    """An --epsilon run at the scheduled gamma, in the library: the rung of
+    reference_rung, then gamma itself to 1e-6 from the rung's state, with
+    exact sweeps and Anderson steps of the same memory, within what is
+    left of the sweep cap. Returns the stdout payload, the final solve's
+    trace and the sweeps the rung took."""
     cap = cli._SWEEP_CAP if cap is None else cap
+    memory = cli._RUNG_MEMORY if memory is None else memory
     problem, estimate = problem_in(command, path, gamma)
-    u0, rung_sweeps = reference_ladder(problem, cap, omega, predict=predict,
-                                       memory=memory)
+    u0, rung_sweeps = reference_rung(problem, cap, omega, memory)
     state, trace = solve(problem, max_sweeps=cap - rung_sweeps,
-                         residual_tol=1e-6, record_every=record_every, u0=u0)
+                         residual_tol=1e-6, record_every=record_every, u0=u0,
+                         sweeps=problem.sweeps(u0, memory=memory))
     primal, dual = estimate(problem, state)
     payload = {f"{command}_dual": dual, f"{command}_primal": primal,
                "gamma": gamma, "sweeps": rung_sweeps + trace.k[-1],
@@ -348,19 +323,23 @@ def test_ot_identity_cost_epsilon_mode(capsys, identity_file):
     assert payload["ot_primal"] >= -1e-12
 
 
-@pytest.mark.parametrize("command,fixture,eps", [
-    ("w1", "path3_file", 0.05),
-    ("w1", "flow_file", 0.1),
-    ("ot", "ot_file", 0.1),
-    ("ot", "identity_file", 0.25),
-], ids=["w1-path3", "w1-two-node", "ot", "ot-identity-cost"])
+@pytest.mark.parametrize("command,fixture,eps,bound", [
+    ("w1", "path3_file", 0.05, None),
+    ("w1", "flow_file", 0.1, None),
+    ("ot", "ot_file", 0.1, None),
+    # the a-priori count at eps 0.25 is 154,030 sweeps
+    ("ot", "identity_file", 0.25, 10),
+    ("ot", "identity_file", 0.5, 100),
+], ids=["w1-path3", "w1-two-node", "ot", "ot-identity-cost",
+        "ot-identity-cost-0.5"])
 def test_epsilon_runs_as_scheduled_gamma_to_tol_1e6(capsys, request,
                                                     tmp_path, command,
-                                                    fixture, eps):
+                                                    fixture, eps, bound):
     """--epsilon E solves at the scheduled G to --tol 1e-6, warm-started
-    from the rung ladder: stdout and the CSV equal the library's ladder run
-    bit for bit, the CSV holds the final solve from its warm start, and
-    the answer lands within E of the exact value."""
+    from the rung: stdout and the CSV equal the library's run bit for bit,
+    the CSV holds the final solve from its warm start, the answer lands
+    within E of the exact value, and the identity-cost plan takes at most
+    the given sweeps in all."""
     path = request.getfixturevalue(fixture)
     eps_csv, ref_csv = tmp_path / "eps.csv", tmp_path / "ref.csv"
     code, out, err = run_cli(capsys, command, path, "--epsilon", repr(eps),
@@ -374,9 +353,8 @@ def test_epsilon_runs_as_scheduled_gamma_to_tol_1e6(capsys, request,
     assert eps_csv.read_text() == ref_csv.read_text()
     assert list(trace.k) == list(range(payload["sweeps"] - rung_sweeps + 1))
     assert payload["res1_l1"] <= 1e-6
-    if fixture == "identity_file":
-        # the a-priori count here is 154,030 sweeps
-        assert payload["sweeps"] <= 10
+    if bound is not None:
+        assert payload["sweeps"] <= bound
     code, exact_out, _ = run_cli(capsys, "exact", path)
     assert code == 0
     exact = json.loads(exact_out)[f"{command}_exact"]
@@ -385,7 +363,7 @@ def test_epsilon_runs_as_scheduled_gamma_to_tol_1e6(capsys, request,
 
 def test_w1_epsilon_forms_one_tree_flow(capsys, monkeypatch, path3_file):
     """Set-up's tree flow schedules gamma and gives the problem its
-    reference; the rungs form none. The printed gamma is
+    reference; the rung forms none. The printed gamma is
     schedule_gamma(eps, ||tree flow||_1, 2p) bit for bit."""
     calls = []
     tree_flow = graph_module.spanning_tree_flow
@@ -443,8 +421,8 @@ def test_epsilon_ladder_makes_fewer_sweeps_than_the_scheduled_solve(
 def test_overrelaxed_rung_makes_fewer_sweeps_than_the_exact_rung(
         capsys, tmp_path, trial):
     """On two criterion-2 graphs, w1 --epsilon takes fewer sweeps in all
-    than the same ladder run in the library with an exact rung (omega 1),
-    and its stdout is the library's overrelaxed ladder's."""
+    than the same run in the library with an exact rung (omega 1), and
+    its stdout is the library's run with the overrelaxed rung."""
     path, eps = desk_file(tmp_path, trial)
     code, out, err = run_cli(capsys, "w1", str(path), "--epsilon", repr(eps))
     assert (code, err) == (0, "")
@@ -456,33 +434,13 @@ def test_overrelaxed_rung_makes_fewer_sweeps_than_the_exact_rung(
     assert payload["sweeps"] < exact["sweeps"]
 
 
-@pytest.mark.parametrize("trial", [0, 1])
-def test_predicted_final_solve_records_fewer_rows_than_plain_warm_starts(
-        capsys, tmp_path, trial):
-    """On two criterion-2 graphs, the w1 --epsilon CSV, the final solve
-    from its predicted start, holds fewer rows than the final solve of the
-    same ladder run in the library with every solve started from the last
-    rung's state as it stands."""
-    path, eps = desk_file(tmp_path, trial)
-    csv_path = tmp_path / "eps.csv"
-    code, out, err = run_cli(capsys, "w1", str(path), "--epsilon", repr(eps),
-                             "--trace", str(csv_path))
-    assert (code, err) == (0, "")
-    payload = json.loads(out)
-    _, plain, _ = epsilon_reference("w1", str(path), payload["gamma"],
-                                    predict=False)
-    rows = len(csv_path.read_text().splitlines()) - 1  # below the header
-    assert rows < len(plain)
-    want, trace, _ = epsilon_reference("w1", str(path), payload["gamma"])
-    assert payload == want and rows == len(trace)
-
-
 @pytest.mark.parametrize("trial", [1, 8])
 def test_anderson_rungs_make_at_most_0_7_of_the_sweeps_without_them(
         capsys, tmp_path, trial):
     """On two criterion-2 graphs, w1 --epsilon makes at most 0.7 times the
-    sweeps of the same ladder run in the library without Anderson steps
-    (memory 0), and its stdout is the library's ladder's with them."""
+    sweeps of the same run in the library without Anderson steps in
+    either solve (memory 0), and its stdout is the library's run with
+    them."""
     path, eps = desk_file(tmp_path, trial)
     code, out, err = run_cli(capsys, "w1", str(path), "--epsilon", repr(eps))
     assert (code, err) == (0, "")
@@ -494,44 +452,86 @@ def test_anderson_rungs_make_at_most_0_7_of_the_sweeps_without_them(
     assert payload["sweeps"] <= 0.7 * plain["sweeps"]
 
 
-@pytest.mark.parametrize("command,fixture", [("w1", "path3_file"),
-                                             ("ot", "ot_file")])
-def test_epsilon_solves_start_from_the_secant_prediction(
-        capsys, monkeypatch, request, command, fixture):
-    """The --epsilon solves, at gamma * ratio ** j for j = depth, ..., 0,
-    start where the README says, bit for bit: the first rung from u = 0
-    (no u0), the second from the first rung's state, and the third rung
-    and the final solve from the secant through the last two rung states,
-    u1 = u1_last + (u1_last - u1_prev) / ratio, with u2 = block_update_2(u1)
-    at that solve's gamma."""
-    path = request.getfixturevalue(fixture)
-    calls = []
+def plan_file(tmp_path):
+    """An 8x9 transport plan as an ot problem file, and its eps = 0.05 OT,
+    the desk workload's share."""
+    pb = random_ot_problem(np.random.default_rng(89), 8, 9, 1.0,
+                           cost_scale=10.0)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"cost": pb.cost_matrix.tolist(),
+                                "b1": pb.b1.tolist(), "b2": pb.b2.tolist()}))
+    return path, 0.05 * exact_ot(pb.cost_matrix, pb.b1, pb.b2)[0]
 
-    def spied(problem, **kwargs):
-        state, trace = solve(problem, **kwargs)
-        calls.append((problem, kwargs["u0"], state))
+
+@pytest.mark.parametrize("command,trial", [("w1", 1), ("w1", 8),
+                                           ("ot", None)],
+                         ids=["w1-trial-1", "w1-trial-8", "ot-8x9"])
+def test_anderson_final_solve_passes_every_audit(capsys, monkeypatch,
+                                                 tmp_path, command, trial):
+    """The traced --epsilon final solve, exact sweeps with Anderson steps,
+    on two criterion-2 graphs and an 8x9 plan: the CSV and stdout equal the
+    library run's, the answer lands within eps of the exact value, F
+    ascends, verify_ascent holds, every row meets criterion 5's 1e-9
+    first-order bounds and at least one candidate is taken. Count guard:
+    the final solve makes fewer sweeps than the same solve without
+    Anderson steps (memory 0) from the rung's state. Negative control: a
+    CLI whose final solve runs without them fails the guard."""
+    if command == "w1":
+        path, eps = desk_file(tmp_path, trial)
+        module, problem_type = flowsinkhorn, FlowProblem
+    else:
+        path, eps = plan_file(tmp_path)
+        module, problem_type = sinkhorn, OTProblem
+    traces, taken = [], []
+    solved, candidate = cli.solve, module._candidate
+    engine = problem_type.sweeps
+
+    def kept(*args, **kwargs):
+        state, trace = solved(*args, **kwargs)
+        traces.append(trace)
         return state, trace
 
-    monkeypatch.setattr(cli, "solve", spied)
-    code, out, err = run_cli(capsys, command, path, "--epsilon", "0.05")
+    def counted(problem, *args):
+        state = candidate(problem, *args)
+        taken.append((problem.gamma, state is not None))
+        return state
+
+    monkeypatch.setattr(cli, "solve", kept)
+    monkeypatch.setattr(module, "_candidate", counted)
+    csv_path = tmp_path / "eps.csv"
+    code, out, err = run_cli(capsys, command, str(path), "--epsilon",
+                             repr(eps), "--trace", str(csv_path))
     assert (code, err) == (0, "")
-    gamma = json.loads(out)["gamma"]
-    depth, ratio = cli._RUNG_DEPTH, cli._RUNG_RATIO
-    assert depth == 3
-    assert [at.gamma for at, _, _ in calls] == [
-        gamma * ratio ** j for j in range(depth, -1, -1)]
+    payload = json.loads(out)
+    gamma = payload["gamma"]
+    want, ref, rung_sweeps = epsilon_reference(command, str(path), gamma)
+    assert payload == want
+    ref.to_csv(tmp_path / "ref.csv")
+    assert csv_path.read_text() == (tmp_path / "ref.csv").read_text()
+    code, exact_out, _ = run_cli(capsys, "exact", str(path))
+    assert abs(payload[f"{command}_dual"]
+               - json.loads(exact_out)[f"{command}_exact"]) <= eps
+    final = traces[-1]
+    assert final.check_monotone() and verify_ascent(final)
+    for i in range(1, len(final)):
+        assert final.foc1[i] <= 1e-9 * max(1.0, final.half_mass[i])
+        assert final.foc2[i] <= 1e-9 * max(1.0, final.primal_mass[i])
+    assert (gamma, True) in taken
 
-    def bits(state):
-        return state.u1.tobytes(), state.u2.tobytes()
+    problem, _ = problem_in(command, str(path), gamma)
+    u0, _ = reference_rung(problem, cli._SWEEP_CAP)
+    _, plain = solve(problem, residual_tol=1e-6, max_sweeps=cli._SWEEP_CAP,
+                     record_every=cli._SWEEP_CAP, u0=u0)
+    assert final.k[-1] < plain.k[-1]
 
-    (_, first, rung1), (_, second, _) = calls[:2]
-    assert first is None
-    assert bits(second) == bits(rung1)
-    for (_, _, prev), (_, _, last), (at, u0, _) in zip(calls, calls[1:],
-                                                       calls[2:]):
-        u1 = last.u1 + (last.u1 - prev.u1) / ratio
-        assert bits(u0) == bits(DualState(u1, at.block_update_2(u1)))
-        assert bits(u0) != bits(last)
+    def no_final_anderson(problem, u0=None, omega=1.0, memory=0):
+        return engine(problem, u0, omega, memory if omega != 1.0 else 0)
+
+    monkeypatch.setattr(problem_type, "sweeps", no_final_anderson)
+    code, out, _ = run_cli(capsys, command, str(path), "--epsilon",
+                           repr(eps))
+    assert code == 0
+    assert not json.loads(out)["sweeps"] - rung_sweeps < plain.k[-1]
 
 
 @pytest.mark.parametrize("command,fixture", [("w1", "path3_file"),
@@ -561,7 +561,7 @@ def test_untraced_run_keeps_two_rows_and_prints_the_traced_stdout(
         capsys, monkeypatch, request, tmp_path, command, fixture):
     """Without --trace a run records only the start and final rows and
     prints what the traced run prints, with sweeps a JSON integer. Under
-    --epsilon every rung records only those two rows either way, and the
+    --epsilon the rung records only those two rows either way, and the
     final solve records every sweep of a traced run. The flow engine
     evaluates the state of every recorded sweep, and so only the final
     sweep's of each untraced solve."""
@@ -594,21 +594,18 @@ def test_untraced_run_keeps_two_rows_and_prints_the_traced_stdout(
     traced_stacks = stacks[:]
     del stacks[:]
     assert run_cli(capsys, command, path, "--epsilon", "0.05") == traced
-    solves = cli._RUNG_DEPTH + 1
-    assert len(traces) == 2 * solves
-    rungs = [trace.k[-1] for trace in traces[:solves - 1]]
-    assert [list(t.k) for t in traces[:solves - 1]] == [
-        [0, k] if k else [0] for k in rungs]
-    assert [list(t.k) for t in traces[solves:-1]] == [
-        list(t.k) for t in traces[:solves - 1]]
-    final = sweeps - sum(rungs)
+    rung_trace, final_trace, untraced_rung, untraced_final = traces
+    rung = rung_trace.k[-1]
+    assert list(rung_trace.k) == list(untraced_rung.k) == (
+        [0, rung] if rung else [0])
+    final = sweeps - rung
     assert final > 0
-    assert list(traces[solves - 1].k) == list(range(final + 1))
-    assert list(traces[-1].k) == [0, final]
+    assert list(final_trace.k) == list(range(final + 1))
+    assert list(untraced_final.k) == [0, final]
     if command == "w1":
-        ran = [k for k in rungs if k] + [final]
-        assert sum(n for n, _ in traced_stacks) == final + len(ran) - 1
-        assert [n for n, _ in stacks] == [1] * len(ran)
+        ran = 2 if rung else 1
+        assert sum(n for n, _ in traced_stacks) == final + ran - 1
+        assert [n for n, _ in stacks] == [1] * ran
         # the final solve's one state is its last sweep's: the CSV's last
         # res2_l1
         last = csv_path.read_text().splitlines()[-1].split(",")
@@ -1010,12 +1007,11 @@ def test_sweep_cap_short_of_tolerance_warns(capsys, monkeypatch, tmp_path,
                                             command, budget, cap, tol):
     """A run that stops at its cap short of its tolerance prints one
     warning line and otherwise runs as given the cap as its budget. Under
-    --epsilon the cap bounds the sweeps of all rungs together and the
-    warning reads the final solve's residual: with a cap of 3, spent in
-    the first rung, and with one that leaves the final solve 3 sweeps, or
-    fewer where its predicted start is nearer the tolerance: one fewer
-    than it takes. The w1 ladder runs on path4, whose final solve takes
-    more than three sweeps."""
+    --epsilon the cap bounds the sweeps of the rung and the final solve
+    together and the warning reads the final solve's residual: with a cap
+    of 3, spent in the rung, and with one that leaves the final solve 3
+    sweeps, or one fewer than it takes where it takes fewer. The w1 run
+    is on path4, whose final solve takes more than one sweep."""
     w1_file = path4_file if "--epsilon" in budget else path3_file
     path = w1_file if command == "w1" else ot_file
     caps = [cap]
@@ -1055,16 +1051,15 @@ def test_sweep_cap_short_of_tolerance_warns(capsys, monkeypatch, tmp_path,
 
 
 @pytest.mark.parametrize("command", ["w1", "ot"])
-@pytest.mark.parametrize("which", range(cli._RUNG_DEPTH + 1))
+@pytest.mark.parametrize("which", range(2))
 def test_overflow_mid_ladder_exits_3_with_that_solves_partial_trace(
         capsys, monkeypatch, tmp_path, path4_file, ot_file, command, which):
-    """A NumericOverflowError at the third sweep of any solve of an
-    --epsilon run, a rung's or the final one's, or at its last where it
-    takes fewer (a predicted start can leave a solve one sweep), exits 3
-    with one stderr line and writes that solve's partial trace: a rung's
-    start row only, since a rung records its start and final rows, or the
-    final solve's rows before that sweep. The w1 ladder runs on path4,
-    where every solve draws a sweep."""
+    """A NumericOverflowError at the third sweep of either solve of an
+    --epsilon run, the rung (which = 0) or the final solve (1), or at its
+    last where it takes fewer, exits 3 with one stderr line and writes
+    that solve's partial trace: the rung's start row only, since the rung
+    records its start and final rows, or the final solve's rows before
+    that sweep. The w1 run is on path4, where both solves draw a sweep."""
     path = path4_file if command == "w1" else ot_file
     problem_type = FlowProblem if command == "w1" else OTProblem
     engine = problem_type.sweeps
@@ -1084,7 +1079,7 @@ def test_overflow_mid_ladder_exits_3_with_that_solves_partial_trace(
     monkeypatch.setattr(problem_type, "sweeps", overflowing)
     code, out, _ = run_cli(capsys, command, path, "--epsilon", "0.05")
     gamma = json.loads(out)["gamma"]
-    assert len(drawn) == cli._RUNG_DEPTH + 1 and drawn[which] >= 1
+    assert len(drawn) == 2 and drawn[which] >= 1
     fail_at = (which, min(3, drawn[which]))
     del made[:]
     trace = tmp_path / "partial.csv"
@@ -1093,20 +1088,17 @@ def test_overflow_mid_ladder_exits_3_with_that_solves_partial_trace(
     assert (code, out) == (3, "")
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numeric failure")
-    assert made == [gamma * cli._RUNG_RATIO ** j for j in
-                    range(cli._RUNG_DEPTH, cli._RUNG_DEPTH - which - 1, -1)]
+    assert made == [2 * gamma, gamma][:which + 1]
     with open(trace) as fh:
         rows = list(csv.reader(fh))
-    final = which == cli._RUNG_DEPTH
     assert [int(row[0]) for row in rows[1:]] == (
-        list(range(fail_at[1])) if final else [0])
-    # row 0 is the start the ladder gave that solve: u = 0, the first
-    # rung's state or the secant prediction
+        list(range(fail_at[1])) if which else [0])
+    # row 0 is the start of that solve: u = 0, or the rung's state
     monkeypatch.undo()
     problem, _ = problem_in(command, path, gamma)
-    u0, _ = reference_ladder(problem, cli._SWEEP_CAP, rungs=which)
     at = problem.with_gamma(made[-1])
-    start = at.initial_state() if u0 is None else u0
+    start = (reference_rung(problem, cli._SWEEP_CAP)[0] if which
+             else at.initial_state())
     assert float(rows[1][1]) == dual_objective(at, start)
 
 
