@@ -1051,15 +1051,17 @@ def test_sweep_cap_short_of_tolerance_warns(capsys, monkeypatch, tmp_path,
 
 
 @pytest.mark.parametrize("command", ["w1", "ot"])
-@pytest.mark.parametrize("which", range(2))
+@pytest.mark.parametrize("which", range(4))
 def test_overflow_mid_ladder_exits_3_with_that_solves_partial_trace(
         capsys, monkeypatch, tmp_path, path4_file, ot_file, command, which):
-    """A NumericOverflowError at the third sweep of either solve of an
-    --epsilon run, the rung (which = 0) or the final solve (1), or at its
-    last where it takes fewer, exits 3 with one stderr line and writes
-    that solve's partial trace: the rung's start row only, since the rung
-    records its start and final rows, or the final solve's rows before
-    that sweep. The w1 run is on path4, where both solves draw a sweep."""
+    """A NumericOverflowError in either solve of an --epsilon run, the rung
+    (which = 0, 2) or the final solve (1, 3), at its third sweep (which =
+    0, 1), or at its last where it takes fewer, or at its first (2, 3),
+    exits 3 with one stderr line and writes that solve's partial trace:
+    the rung's start row only, since the rung records its start and final
+    rows, or the final solve's rows before that sweep. The w1 run is on
+    path4, where both solves draw a sweep."""
+    solve, nth = which % 2, (3, 1)[which // 2]
     path = path4_file if command == "w1" else ot_file
     problem_type = FlowProblem if command == "w1" else OTProblem
     engine = problem_type.sweeps
@@ -1079,8 +1081,8 @@ def test_overflow_mid_ladder_exits_3_with_that_solves_partial_trace(
     monkeypatch.setattr(problem_type, "sweeps", overflowing)
     code, out, _ = run_cli(capsys, command, path, "--epsilon", "0.05")
     gamma = json.loads(out)["gamma"]
-    assert len(drawn) == 2 and drawn[which] >= 1
-    fail_at = (which, min(3, drawn[which]))
+    assert len(drawn) == 2 and drawn[solve] >= 1
+    fail_at = (solve, min(nth, drawn[solve]))
     del made[:]
     trace = tmp_path / "partial.csv"
     code, out, err = run_cli(capsys, command, path, "--epsilon", "0.05",
@@ -1088,16 +1090,16 @@ def test_overflow_mid_ladder_exits_3_with_that_solves_partial_trace(
     assert (code, out) == (3, "")
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numeric failure")
-    assert made == [2 * gamma, gamma][:which + 1]
+    assert made == [2 * gamma, gamma][:solve + 1]
     with open(trace) as fh:
         rows = list(csv.reader(fh))
     assert [int(row[0]) for row in rows[1:]] == (
-        list(range(fail_at[1])) if which else [0])
+        list(range(fail_at[1])) if solve else [0])
     # row 0 is the start of that solve: u = 0, or the rung's state
     monkeypatch.undo()
     problem, _ = problem_in(command, path, gamma)
     at = problem.with_gamma(made[-1])
-    start = (reference_rung(problem, cli._SWEEP_CAP)[0] if which
+    start = (reference_rung(problem, cli._SWEEP_CAP)[0] if solve
              else at.initial_state())
     assert float(rows[1][1]) == dual_objective(at, start)
 
