@@ -14,8 +14,6 @@ from .blocklp import (
     NumericOverflowError,
     dual_objective,
     marginals,
-    operator_norm_1to1,
-    plan_schedule,
     primal_from_dual,
     schedule_gamma,
     solve,
@@ -25,14 +23,10 @@ from .flowsinkhorn import (
     FlowProblem,
     divergence,
     flow_constants,
-    matrix_sweeps,
-    project_C1,
-    project_C2,
-    vertex_dual_from_flow,
     w1_estimate,
 )
 from .graph import Graph, hop_diameter, spanning_tree_flow
-from .numerics import kl_divergence, phi_root, variation_seminorm
+from .numerics import kl_divergence, variation_seminorm
 from .oracle import (
     InfeasibleFlowError,
     MinCostFlowInstance,

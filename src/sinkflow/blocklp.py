@@ -33,14 +33,11 @@ __all__ = [
     "ConvergenceTrace",
     "NumericOverflowError",
     "primal_from_dual",
-    "primal_marginals",
     "marginals",
     "dual_objective",
     "cost_and_dual",
     "solve",
     "schedule_gamma",
-    "plan_schedule",
-    "operator_norm_1to1",
 ]
 
 # exp() overflows near 709.78; stay a little below.
@@ -111,13 +108,12 @@ class BlockProblem:
       log_reference: array (d,)  log(z), z > 0; a float for a constant z
       reference_mass: float      Z = sum(z), summed once per instance
       gamma: float               regularization strength
+      op_norm_1to1: float        max column l1 norm of (A1; A2), which
+                                 solve records as the trace's a_norm
       label: str                 short instance tag for reports
 
     and implement the linear maps plus exact block maximizers below.
-    Subclasses with a closed-form operator norm may set `op_norm_1to1`.
     """
-
-    op_norm_1to1: float | None = None
 
     def apply_A1(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -146,15 +142,6 @@ class BlockProblem:
     def block_update_2(self, u1: np.ndarray) -> np.ndarray:
         """Exact maximizer of F over u2 with u1 held fixed."""
         raise NotImplementedError
-
-    # Both shipped instances use the block-quotient seminorm in its
-    # variation form (half the oscillation). solve passes a stack of duals,
-    # one per row, and reads one value per row.
-    def seminorm_V1(self, u1: np.ndarray) -> float | np.ndarray:
-        return variation_seminorm(u1)
-
-    def seminorm_V2(self, u2: np.ndarray) -> float | np.ndarray:
-        return variation_seminorm(u2)
 
     def initial_state(self) -> DualState:
         m1, m2 = self.dims_dual
@@ -326,14 +313,11 @@ def _exp_in_range(log_x: np.ndarray, entry: str) -> np.ndarray:
     return np.exp(log_x, out=log_x)
 
 
-def primal_marginals(problem: BlockProblem, x: np.ndarray) -> Marginals:
-    """(A1 x, A2 x, ||x||_1) of a nonnegative primal x."""
-    return problem.apply_A1(x), problem.apply_A2(x), float(x.sum())
-
-
 def marginals(problem: BlockProblem, u: DualState) -> Marginals:
-    """Block marginals of x(u); x(u) itself is dropped on return."""
-    return primal_marginals(problem, primal_from_dual(problem, u))
+    """Block marginals (A1 x, A2 x, ||x||_1) of x(u); x(u) itself is
+    dropped on return."""
+    x = primal_from_dual(problem, u)
+    return problem.apply_A1(x), problem.apply_A2(x), float(x.sum())
 
 
 def _dual_value(problem: BlockProblem, u: DualState, mass: float) -> float:
@@ -511,8 +495,8 @@ def _extend_trace(problem: BlockProblem, trace: ConvergenceTrace,
     F = (u1 @ problem.b1 + u2 @ problem.b2 + problem.gamma
          * (problem.reference_mass - np.array(mass)))
     trace.extend(k, F.tolist(), res1, res2, mass,
-                 problem.seminorm_V1(u1).tolist(),
-                 problem.seminorm_V2(u2).tolist(), half_mass, foc1, foc2)
+                 variation_seminorm(u1).tolist(),
+                 variation_seminorm(u2).tolist(), half_mass, foc1, foc2)
     return DualState(u1[-1], u2[-1])
 
 
@@ -577,7 +561,7 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
         return ((residual_tol is not None and res1 <= residual_tol)
                 or (max_sweeps is not None and k >= max_sweeps))
 
-    trace = ConvergenceTrace(problem.gamma, operator_norm_1to1(problem))
+    trace = ConvergenceTrace(problem.gamma, float(problem.op_norm_1to1))
     if sweeps is None:
         sweeps = problem.sweeps(u0)
     block_rows = -(-_BLOCK_FLOATS // sum(problem.dims_dual))  # ceiling
@@ -623,7 +607,7 @@ def _start_row(problem: BlockProblem, trace: ConvergenceTrace,
     u = problem.initial_state() if u0 is None else u0
     res1, res2, mass = _state_row(problem, u)
     trace.append(0, _dual_value(problem, u, mass), res1, res2, mass,
-                 problem.seminorm_V1(u.u1), problem.seminorm_V2(u.u2))
+                 variation_seminorm(u.u1), variation_seminorm(u.u2))
     return res1
 
 
@@ -635,39 +619,3 @@ def schedule_gamma(eps: float, X0: float, d: int) -> float:
         raise ValueError(f"schedule needs primal dimension >= 3, got {d}")
     return eps / (2.0 * X0 * math.log(d))
 
-
-def plan_schedule(eps: float, X0: float, X: float, U: float,
-                  A_norm: float, d: int) -> tuple[float, int]:
-    """Accuracy-driven (gamma, sweep count) pair.
-
-    gamma = eps / (2 X0 log d) and
-    k = ceil(64 X U^2 A_norm^2 max(X0, X) log d / eps^2),
-    which together bring the unregularized dual optimum within eps.
-    """
-    for name, val in (("eps", eps), ("X0", X0), ("X", X), ("U", U),
-                      ("A_norm", A_norm)):
-        if val <= 0:
-            raise ValueError(f"{name} must be positive, got {val}")
-    gamma = schedule_gamma(eps, X0, d)
-    k = math.ceil(64.0 * X * U * U * A_norm * A_norm * max(X0, X)
-                  * math.log(d) / (eps * eps))
-    return gamma, int(k)
-
-
-def operator_norm_1to1(problem: BlockProblem) -> float:
-    """Max column l1 norm of the stacked operator (A1; A2).
-
-    Uses the instance's closed form when it has one. Otherwise it probes
-    with coordinate vectors, which is exact but quadratic in the primal
-    dimension, so only small instances should go without a closed form.
-    """
-    if problem.op_norm_1to1 is not None:
-        return float(problem.op_norm_1to1)
-    best = 0.0
-    e = np.zeros(problem.dim_primal)
-    for j in range(problem.dim_primal):
-        e[j] = 1.0
-        col = _l1(problem.apply_A1(e)) + _l1(problem.apply_A2(e))
-        best = max(best, col)
-        e[j] = 0.0
-    return best

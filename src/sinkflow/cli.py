@@ -59,14 +59,36 @@ class _InputError(Exception):
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            text = fh.read()
+        data = json.loads(text)
     except OSError as err:
         raise _InputError(f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise _InputError(f"{path} is not valid JSON: {err}") from err
     if not isinstance(data, dict):
         raise _InputError(f"{path}: expected a JSON object at the top level")
+    # JSON true and false each hold a "u" or an "l", which no number and no
+    # key of a problem file does, so a file without either skips the scan
+    if "u" in text or "l" in text:
+        _refuse_booleans(data)
     return data
+
+
+def _refuse_booleans(data: dict) -> None:
+    """Refuse a JSON true or false, which numpy reads as 1.0 or 0.0, in the
+    edges, the marginals or the cost; gamma and graph.n have their own."""
+    graph = data.get("graph")
+    edges = graph.get("edges") if isinstance(graph, dict) else None
+    for name, value in (("graph.edges", edges), ("b1", data.get("b1")),
+                        ("b2", data.get("b2")), ("cost", data.get("cost"))):
+        stack = [value]
+        while stack:
+            item = stack.pop()
+            if item is True or item is False:
+                raise _InputError(
+                    f"bad '{name}': a JSON true or false is not a number")
+            if type(item) is list:
+                stack.extend(item)
 
 
 def _json_gamma(data: dict, args) -> float:

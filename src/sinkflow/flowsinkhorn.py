@@ -19,15 +19,11 @@ slices of those buffers. The exact log-domain block updates
 block_update_1 and block_update_2 are its fallback, so it is as safe as
 they are, down to gamma ~ 1e-4 at desk scale.
 
-matrix_sweeps is the reference the engine is held to: explicit flow pairs
-and their KL projections project_C1 and project_C2, the most readable
-form, whose half-state row comes from the projected pair (f, g). A flow,
-here as in graph, is a float array with one value per arc, aligned with
-the Graph's arc arrays. Both produce the same iterates up to roundoff;
-tests hold them to that, and to the exact block updates in turn
-(BlockProblem.sweeps). Since the lifted objective counts the transport cost
-on both copies f and g, optimal values sit at twice the Wasserstein-1
-distance, and w1_estimate reports on the transport scale by halving.
+A flow, here as in graph, is a float array with one value per arc,
+aligned with the Graph's arc arrays. Since the lifted objective counts the
+transport cost on both copies f and g, optimal values sit at twice the
+Wasserstein-1 distance, and w1_estimate reports on the transport scale by
+halving.
 """
 
 from __future__ import annotations
@@ -42,29 +38,22 @@ from . import blocklp
 from .blocklp import (
     BlockProblem,
     DualState,
-    NumericOverflowError,
     Sweep,
     _Anderson,
     _exp_in_range,
     _falls,
-    _formed_stacks,
-    _row_scalars,
     _state_row,
     cost_and_dual,
 )
 from .graph import Graph, hop_diameter, spanning_tree_flow
-from .numerics import in_scaling_range, kl_divergence, measure_pair, phi_root
+from .numerics import in_scaling_range, kl_divergence, measure_pair
 
 __all__ = [
     "FlowProblem",
     "divergence",
-    "project_C1",
-    "project_C2",
-    "matrix_sweeps",
     "w1_estimate",
     "flow_constants",
     "FlowConstants",
-    "vertex_dual_from_flow",
 ]
 
 # The flow engine's longest burst, in sweeps. A burst's buffer holds 3 n
@@ -594,84 +583,6 @@ def _gamma_arsinh(gamma: float, r: np.ndarray, exponent_sum: np.ndarray) -> np.n
     limit = blocklp._EXP_LIMIT
     return gamma * np.sign(r) * (np.arcsinh(np.exp(np.minimum(m, limit)))
                                  + np.maximum(m - limit, 0.0))
-
-
-def project_C1(problem: FlowProblem, h: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """KL projection of the pair (h, h) onto the marginal-coupling block.
-
-    Solves one quadratic per vertex: s = phi_root(t, u) with
-    t = (mu1 - mu2) / (h 1) and u = (h^T 1) / (h 1), then rescales
-    f = diag(s) h and g = h diag(s)^{-1}. The pair satisfies
-    -f 1 + g^T 1 = mu1 - mu2 up to roundoff.
-    """
-    g = problem.graph
-    row = _vertex_sums(g.n, g.arc_src, h)
-    col = _vertex_sums(g.n, g.arc_dst, h)
-    if np.any(row <= 0.0) or not np.all(np.isfinite(row)):
-        k = int(np.argmin(row))
-        raise NumericOverflowError(
-            f"degenerate vertex {k}: its outgoing arc mass is {row[k]!r}"
-        )
-    s = phi_root((problem.mu1 - problem.mu2) / row, col / row)
-    f = s[g.arc_src] * h
-    g_vals = h / s[g.arc_dst]
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g_vals))):
-        raise NumericOverflowError("marginal projection left the float range")
-    return f, g_vals
-
-
-def project_C2(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """KL projection of (f, g) onto f = g: the entrywise geometric mean."""
-    return np.sqrt(f * g)
-
-
-def matrix_sweeps(problem: FlowProblem) -> Iterator[Sweep]:
-    """Matrix-path sweeps for solve() from z^C = _full_flow at u = 0.
-
-    Each sweep projects onto block 1, then onto block 2; the half state is
-    the pair (f, g) after project_C1, before the geometric mean.
-    """
-    f = _full_flow(problem, problem.initial_state().u1)
-    rows = partial(_formed_stacks, partial(_pair_row, problem))
-    while True:
-        f1, g1 = project_C1(problem, f)
-        f = project_C2(f1, g1)
-        v = vertex_dual_from_flow(problem, f)
-        u2 = problem.block_update_2(v)
-        res1, res2, mass = _state_row(problem, DualState(v, u2))
-        yield res1, (rows, (v, u2, res2, mass, (f1, g1)))
-
-
-def _pair_row(problem: FlowProblem, pair: tuple):
-    """The trace row at x = (f, g) for a pair, without stacking x."""
-    f, g = pair
-    gr = problem.graph
-    a1x = (_vertex_sums(gr.n, gr.arc_src, f)
-           - _vertex_sums(gr.n, gr.arc_dst, g))
-    return _row_scalars(problem, (a1x, f - g, float(f.sum()) + float(g.sum())))
-
-
-def vertex_dual_from_flow(problem: FlowProblem, f: np.ndarray) -> np.ndarray:
-    """Recover the vertex dual of a positive matrix-path iterate.
-
-    Integrates the per-arc log ratios log f - log z^C along the Graph's
-    BFS tree from v_0 = 0, in visit order, so each tree arc's source is set
-    before its head. The dual objective is invariant under the constant
-    shift this pins down.
-    """
-    g = problem.graph
-    if np.any(f <= 0):
-        raise ValueError("dual recovery needs a strictly positive flow")
-    # v_src - v_dst = 2 gamma log f + 2 w_eff on every arc
-    diff = 2.0 * problem.gamma * np.log(f) + 2.0 * problem.w_eff
-    order = g.bfs_order[1:]
-    arcs = g.bfs_tree_arc[order]
-    v = [0.0] * g.n
-    for x, a, d in zip(order.tolist(), g.arc_src[arcs].tolist(),
-                       diff[arcs].tolist()):
-        v[x] = v[a] - d
-    return np.array(v)
 
 
 def w1_estimate(problem: FlowProblem, state: DualState) -> tuple[float, float]:

@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "phi_root",
     "kl_divergence",
     "variation_seminorm",
     "SCALING_LIMIT",
@@ -27,33 +26,6 @@ MASS_TOL = 1e-12
 # A stabilised engine's scaling leaving [1/SCALING_LIMIT, SCALING_LIMIT]
 # ends its epoch; see OTProblem.sweeps and FlowProblem.sweeps.
 SCALING_LIMIT = 1e10
-
-
-def phi_root(t, u):
-    """Nonnegative root s of the quadratic s**2 + t*s - u = 0.
-
-    For t >= 0 the textbook root (sqrt(t**2 + 4u) - t) / 2 cancels
-    catastrophically when t dominates u, so the conjugate form
-    2u / (sqrt(t**2 + 4u) + t) is used there; for t < 0 the direct form
-    adds two positive terms and is already stable.
-
-    Accepts scalars or arrays (broadcast together); u must be >= 0.
-    """
-    t_arr, u_arr = np.broadcast_arrays(
-        np.asarray(t, dtype=float), np.asarray(u, dtype=float)
-    )
-    if np.any(u_arr < 0.0):
-        raise ValueError("u must be nonnegative")
-    disc = np.sqrt(t_arr * t_arr + 4.0 * u_arr)
-    denom = disc + t_arr
-    conj = np.divide(
-        2.0 * u_arr, denom, out=np.zeros_like(denom), where=denom > 0.0
-    )
-    direct = 0.5 * (disc - t_arr)
-    out = np.where(t_arr >= 0.0, conj, direct)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def kl_divergence(x, z) -> float:

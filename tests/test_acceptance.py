@@ -24,7 +24,6 @@ from sinkflow.blocklp import (
     BlockProblem,
     DualState,
     dual_objective,
-    plan_schedule,
     primal_from_dual,
     schedule_gamma,
     solve,
@@ -32,13 +31,9 @@ from sinkflow.blocklp import (
 from sinkflow.flowsinkhorn import (
     FlowProblem,
     flow_constants,
-    matrix_sweeps,
-    project_C1,
-    project_C2,
-    vertex_dual_from_flow,
 )
 from sinkflow.graph import Graph, spanning_tree_flow
-from sinkflow.numerics import kl_divergence, phi_root, variation_seminorm
+from sinkflow.numerics import kl_divergence, variation_seminorm
 from sinkflow.oracle import exact_ot, exact_w1
 from sinkflow.sinkhorn import OTProblem, ot_constants
 
@@ -52,6 +47,14 @@ from conftest import (
     random_flow_problem,
     random_marginals,
     random_ot_problem,
+)
+from reference import (
+    matrix_sweeps,
+    phi_root,
+    plan_schedule,
+    project_C1,
+    project_C2,
+    vertex_dual_from_flow,
 )
 
 # every trace produced in this module, for the sweep-invariant audit

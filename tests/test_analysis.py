@@ -15,7 +15,7 @@ from sinkflow.analysis import (
     verify_gap_residual,
     verify_rate,
 )
-from sinkflow.blocklp import (ConvergenceTrace, dual_objective, plan_schedule,
+from sinkflow.blocklp import (ConvergenceTrace, dual_objective,
                               schedule_gamma, solve)
 from sinkflow.flowsinkhorn import FlowProblem
 from sinkflow.graph import Graph
@@ -23,6 +23,7 @@ from sinkflow.oracle import exact_ot
 from sinkflow.sinkhorn import OTProblem, ot_constants
 
 from conftest import random_ot_problem
+from reference import plan_schedule
 
 
 def ot_run(gamma=0.2, sweeps=400, seed=71):

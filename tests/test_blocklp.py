@@ -20,13 +20,11 @@ from sinkflow.blocklp import (
     cost_and_dual,
     dual_objective,
     marginals,
-    operator_norm_1to1,
-    plan_schedule,
     primal_from_dual,
     schedule_gamma,
     solve,
 )
-from sinkflow.flowsinkhorn import FlowProblem, matrix_sweeps
+from sinkflow.flowsinkhorn import FlowProblem
 from sinkflow.graph import Graph, spanning_tree_flow
 from sinkflow.oracle import exact_w1
 from sinkflow.sinkhorn import OTProblem
@@ -35,6 +33,7 @@ from conftest import (count_block_updates, criterion_2_graph, full_state,
                       half_row, large_budget_edges, random_flow_problem,
                       random_marginals, random_ot_problem, sweep_stacks,
                       traced_peak)
+from reference import matrix_sweeps, operator_norm_1to1, plan_schedule
 
 
 class ToyProblem(BlockProblem):
@@ -54,6 +53,7 @@ class ToyProblem(BlockProblem):
         self.reference_mass = 2.0
         self.log_reference = np.zeros(2)
         self.gamma = gamma
+        self.op_norm_1to1 = 2.0
         self.label = "toy"
 
     def apply_A1(self, x):
@@ -710,28 +710,18 @@ def test_plan_schedule_positivity_checks():
 # ---------------------------------------------------------- operator norm
 
 
-def test_operator_norm_probe_toy():
-    assert operator_norm_1to1(ToyProblem()) == 2.0  # no closed form: probed
-
-
-def test_operator_norm_prefers_closed_form():
-    pb = ToyProblem()
-    pb.op_norm_1to1 = 7.0
-    assert operator_norm_1to1(pb) == 7.0
-
-
 def test_operator_norm_closed_forms_match_the_probe():
-    """The shipped instances' op_norm_1to1 = 2.0 against coordinate probing."""
+    """The toy's and the shipped instances' op_norm_1to1 = 2.0 against
+    coordinate probing, and solve records it as the trace's a_norm."""
     rng = np.random.default_rng(14)
     flow = FlowProblem(Graph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5),
                                  (0, 3, 1.5)]),
                        [0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4], 0.5)
     ot = OTProblem(rng.random((3, 4)), [0.2, 0.3, 0.5],
                    [0.25, 0.25, 0.25, 0.25], 0.5)
-    for pb in (flow, ot):
-        assert operator_norm_1to1(pb) == 2.0
-        pb.op_norm_1to1 = None
-        assert operator_norm_1to1(pb) == 2.0
+    for pb in (ToyProblem(), flow, ot):
+        assert operator_norm_1to1(pb) == pb.op_norm_1to1 == 2.0
+        assert solve(pb, max_sweeps=1)[1].a_norm == 2.0
 
 
 def _block_updates_ot():

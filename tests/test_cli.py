@@ -15,12 +15,13 @@ import pytest
 import sinkflow.graph as graph_module
 from conftest import (criterion_2_graph, graph_edges, large_budget_edges,
                       random_marginals, random_ot_problem, traced_peak)
+from reference import matrix_sweeps
 from sinkflow import blocklp, cli, flowsinkhorn, sinkhorn
 from sinkflow.blocklp import (BlockProblem, DualState, NumericOverflowError,
                               cost_and_dual, dual_objective, schedule_gamma,
                               solve)
 from sinkflow.cli import main
-from sinkflow.flowsinkhorn import FlowProblem, matrix_sweeps, w1_estimate
+from sinkflow.flowsinkhorn import FlowProblem, w1_estimate
 from sinkflow.graph import Graph
 from sinkflow.numerics import variation_seminorm
 from sinkflow.analysis import verify_ascent
@@ -549,8 +550,7 @@ def test_epsilon_setup_skips_the_a_priori_constants(capsys, monkeypatch,
     for module, name in ((flowsinkhorn, "flow_constants"),
                          (flowsinkhorn, "hop_diameter"),
                          (graph_module, "hop_diameter"),
-                         (sinkhorn, "ot_constants"),
-                         (blocklp, "plan_schedule")):
+                         (sinkhorn, "ot_constants")):
         monkeypatch.setattr(module, name, unused)
     assert run_cli(capsys, command, path, "--epsilon", "0.1") == (0, want, "")
 
@@ -875,6 +875,12 @@ _PATH3 = {"graph": {"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.5]]},
 _OT_2X2 = {"cost": [[0.0, 1.0], [1.0, 0.0]], "b2": [0.5, 0.5], "gamma": 0.1}
 
 
+def _valid_input(kind: str) -> dict:
+    """A valid input of the kind, "flow" or "ot"."""
+    return ({**_PATH3, "b1": [1.0, 0.0, 0.0]} if kind == "flow"
+            else {**_OT_2X2, "b1": [0.5, 0.5]})
+
+
 # argv by test id; the second word is the kind of file the call reads
 _INPUT_ARGVS = {
     "w1-budget": ["w1", "flow", "--max-sweeps", "5"],
@@ -959,6 +965,25 @@ _ONE_LINE_ERRORS = [
     ("ot", "ragged-cost-and-missing-b1", {"cost": _RAGGED_COST, "b1": None},
      "bad transport problem: 'b1'"),
 ]
+# A JSON true or false in a number field is refused at load, before set-up
+# reads any field. Each change but the OT marginals' would read as a valid
+# input, with true as 1.0 and false as 0.0.
+_ONE_LINE_ERRORS += [
+    (kind, f"json-boolean-{case}", changes,
+     f"bad '{field}': a JSON true or false is not a number")
+    for kind, case, changes, field in [
+        ("flow", "edge-weight",
+         {"graph": {"n": 3, "edges": [[0, 1, True], [1, 2, 1.5]]}},
+         "graph.edges"),
+        ("flow", "edge-endpoint",
+         {"graph": {"n": 3, "edges": [[0, True, 1.0], [1, 2, 1.5]]}},
+         "graph.edges"),
+        ("flow", "b1", {"b1": [True, False, 0.0]}, "b1"),
+        ("flow", "b2", {"b2": [0.0, False, True]}, "b2"),
+        ("ot", "cost", {"cost": [[0.0, True], [1.0, False]]}, "cost"),
+        ("ot", "b1", {"b1": [True, 0.5]}, "b1"),
+        ("ot", "b2", {"b2": [0.5, False]}, "b2"),
+    ]]
 
 
 @pytest.mark.parametrize("argv, changes, message", [
@@ -968,11 +993,10 @@ _ONE_LINE_ERRORS = [
 ])
 def test_input_errors_give_one_line_in_set_up_order(
         capsys, monkeypatch, tmp_path, argv, changes, message):
-    """Malformed edges, marginals and costs exit 2 with one exact line,
-    which does not depend on when set-up converts each JSON list."""
-    valid = ({**_PATH3, "b1": [1.0, 0.0, 0.0]} if argv[1] == "flow"
-             else {**_OT_2X2, "b1": [0.5, 0.5]})
-    payload = {**valid, **changes}
+    """Malformed edges, marginals and costs, JSON booleans in them
+    included, exit 2 with one exact line, which does not depend on when
+    set-up converts each JSON list."""
+    payload = {**_valid_input(argv[1]), **changes}
     for key in [key for key, value in changes.items() if value is None]:
         del payload[key]
     with pytest.raises(ValueError) as ragged:
@@ -993,6 +1017,24 @@ def test_exact_nonfinite_cost_is_input_error(capsys, monkeypatch, tmp_path,
     text = json.dumps({**_OT_2X2, "b1": [0.5, 0.5]})
     assert_bad_input(capsys, monkeypatch, tmp_path, _INPUT_ARGVS["exact-ot"],
                      text.replace("[[0.0, 1.0]", f"[[0.0, {value}]"))
+
+
+@pytest.mark.parametrize("argv", _INPUT_ARGVS.values(), ids=_INPUT_ARGVS)
+def test_string_true_is_no_json_boolean(capsys, monkeypatch, tmp_path, argv):
+    """Negative control: a valid file with an extra string field holding
+    "true" is scanned, since its text holds a "u", and prints what the file
+    without that field prints, which is not scanned."""
+    scanned, refuse = [], cli._refuse_booleans
+    monkeypatch.setattr(cli, "_refuse_booleans",
+                        lambda data: scanned.append(data) or refuse(data))
+    runs = []
+    for extra in ({}, {"note": "true"}):
+        path = tmp_path / f"input{len(runs)}.json"
+        path.write_text(json.dumps({**_valid_input(argv[1]), **extra}))
+        runs.append(run_cli(capsys, argv[0], str(path), *argv[2:]))
+    assert runs[0][0] == 0 and runs[0][1]
+    assert runs[1] == runs[0]
+    assert len(scanned) == 1
 
 
 @pytest.mark.parametrize("command", ["w1", "ot"])

@@ -29,9 +29,6 @@ from sinkflow.flowsinkhorn import (
     _vertex_sums,
     divergence,
     flow_constants,
-    project_C1,
-    project_C2,
-    vertex_dual_from_flow,
     w1_estimate,
 )
 from sinkflow.graph import Graph, spanning_tree_flow
@@ -41,6 +38,7 @@ from sinkflow.oracle import exact_w1
 from conftest import (count_block_updates, criterion_2_graph, full_state,
                       graph_edges, half_row, large_budget_edges,
                       random_connected_graph, random_marginals, traced_peak)
+from reference import project_C1, project_C2, vertex_dual_from_flow
 
 
 def two_node(gamma=0.5, w=1.0):

@@ -9,9 +9,9 @@ from sinkflow.numerics import (
     SCALING_LIMIT,
     in_scaling_range,
     kl_divergence,
-    phi_root,
     variation_seminorm,
 )
+from reference import phi_root
 
 mp.mp.dps = 50
 
