@@ -710,16 +710,24 @@ def test_plan_schedule_positivity_checks():
 # ---------------------------------------------------------- operator norm
 
 
+def test_operator_norm_probe_toy():
+    """The toy's op_norm_1to1 = 2.0 against coordinate probing, and solve
+    records it as the trace's a_norm."""
+    pb = ToyProblem()
+    assert operator_norm_1to1(pb) == pb.op_norm_1to1 == 2.0
+    assert solve(pb, max_sweeps=1)[1].a_norm == 2.0
+
+
 def test_operator_norm_closed_forms_match_the_probe():
-    """The toy's and the shipped instances' op_norm_1to1 = 2.0 against
-    coordinate probing, and solve records it as the trace's a_norm."""
+    """The shipped instances' op_norm_1to1 = 2.0 against coordinate
+    probing, and solve records it as the trace's a_norm."""
     rng = np.random.default_rng(14)
     flow = FlowProblem(Graph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5),
                                  (0, 3, 1.5)]),
                        [0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4], 0.5)
     ot = OTProblem(rng.random((3, 4)), [0.2, 0.3, 0.5],
                    [0.25, 0.25, 0.25, 0.25], 0.5)
-    for pb in (ToyProblem(), flow, ot):
+    for pb in (flow, ot):
         assert operator_norm_1to1(pb) == pb.op_norm_1to1 == 2.0
         assert solve(pb, max_sweeps=1)[1].a_norm == 2.0
 
