@@ -85,12 +85,12 @@ Sweep = tuple[float, tuple[Callable[[list], Iterable[Stacks]], Any]]
 # (m1 + m2 per row, one row at least), then evaluates them as one block.
 _BLOCK_FLOATS = 4096
 
-# An iterator's F test reads a fall of F by at most this share of |F| as
-# roundoff, not as a fall; see _falls.
+# The F test reads a fall of F by at most this share of |F| as roundoff,
+# not as a fall; see _Safeguard.
 _F_SLACK = 1e-13
 
 # sweeps(memory=m) follows each period of _ANDERSON_PERIOD sweeps with an
-# Anderson candidate (see _Anderson), whose least-squares system is
+# Anderson candidate (see _Safeguard), whose least-squares system is
 # regularized by _ANDERSON_RIDGE times the trace of its Gram matrix.
 _ANDERSON_PERIOD = 8
 _ANDERSON_RIDGE = 1e-10
@@ -161,24 +161,10 @@ class BlockProblem:
         from u0, initial_state() unless given, trace rows through
         primal_from_dual.
 
-        omega overrelaxes block 1: every sweep after the first, which is
-        exact, steps u1 <- u1 + omega (block_update_1(u2) - u1), and
-        block 2 is exact. At omega = 1 that is the exact update. Otherwise
-        F is formed at every full state, and a sweep whose step lowers F
-        (by more than roundoff, see _falls) is dropped and the exact
-        update runs in its place, so F never decreases; the half states of
-        such a run meet no first-order condition.
-
-        memory > 0 adds Anderson steps on u1, and forms F as omega != 1
-        does. A period runs from the state the first sweep or a dropped
-        sweep reached, or from the last period's end, for _ANDERSON_PERIOD
-        sweeps; then _Anderson(memory) extrapolates u1 from the last
-        memory + 1 period starts and ends. The candidate, a full state
-        with block 2 exact, is taken only if it is finite and F there does
-        not fall below F at the period's end; it then starts the next
-        period, whose first sweep is exact. A rejected candidate or a
-        dropped sweep clears the history. A candidate is not a sweep: it
-        is not yielded. At memory = 0 no Anderson code runs.
+        omega overrelaxes block 1, u1 <- u1 + omega (block_update_1(u2)
+        - u1), and memory > 0 adds Anderson steps on u1, both under
+        _Safeguard, for which the first sweep and each dropped one open an
+        epoch; block 2 is exact.
 
         Instances with a faster iteration override this.
         """
@@ -190,34 +176,26 @@ class BlockProblem:
             full = DualState(u1, self.block_update_2(u1))
             return DualState(u1, u2), full, _state_row(self, full)
 
-        guarded = omega != 1.0 or memory > 0
-        history = _Anderson(memory, len(u.u1)) if memory else None
-        F = None  # F at the last full state, when guarded
-        relax = False  # whether the next sweep takes the omega-step
-        start = None  # u1 at the start of the Anderson period, once set
+        guard = _Safeguard(omega, memory, len(u.u1))
+        opens = True  # the first sweep opens an epoch, as a dropped one does
         while True:
             exact = self.block_update_1(u.u2)
             u2 = u.u2
-            half, u, (res1, res2, mass) = reach(
-                u.u1 + omega * (exact - u.u1) if relax else exact, u2)
-            dropped = relax and _falls(_dual_value(self, u, mass), F)
-            if dropped:
+            if not opens:
+                half, u, (res1, res2, mass) = reach(
+                    u.u1 + omega * (exact - u.u1) if guard.relaxes()
+                    else exact, u2)
+                opens = (guard.guarded
+                         and not guard.keeps(_dual_value(self, u, mass)))
+            if opens:
                 half, u, (res1, res2, mass) = reach(exact, u2)
-            if guarded:
-                F = _dual_value(self, u, mass)
+                guard.open(u.u1)
+                guard.keeps(_dual_value(self, u, mass))
+                opens = False
             yield res1, (rows, (u.u1, u.u2, res2, mass, half))
-            relax = omega != 1.0
-            if history is None:
+            if not guard.due(1):
                 continue
-            if start is None or dropped:
-                history.clear()
-                start, swept = u.u1, 0
-                continue
-            swept += 1
-            if swept < _ANDERSON_PERIOD:
-                continue
-            candidate = history.step(start, u.u1)
-            start, swept = u.u1, 0
+            candidate = guard.candidate(u.u1)
             if candidate is None:
                 continue
             full = DualState(candidate, self.block_update_2(candidate))
@@ -225,16 +203,91 @@ class BlockProblem:
                 value = dual_objective(self, full)
             except NumericOverflowError:
                 value = math.nan
-            if _falls(value, F):
-                history.clear()
-            else:
-                u, F, start, relax = full, value, candidate, False
+            if guard.settle(candidate, value):
+                u = full
 
 
-def _falls(value: float, before: float) -> bool:
-    """Whether F fell from before to value by more than roundoff, a share
-    _F_SLACK of |before|; a NaN value counts as a fall."""
-    return not value >= before - _F_SLACK * abs(before)
+class _Safeguard:
+    """The ascent policy of the three sweeps(u0, omega, memory) iterators:
+    a state is kept only if the smoothed dual F does not fall there.
+
+    F is formed (guarded) when omega != 1 or memory > 0. An iterator
+    calls open(start) as an epoch opens with an exact sweep: F is dropped,
+    so the state that sweep reaches is kept. keeps(value) tests each later
+    state and records its F if kept: F may fall from the last kept state's
+    by at most _F_SLACK of its size, roundoff, and a NaN counts as a fall.
+    A state that falls is dropped and the exact update runs in its place,
+    opening an epoch, so F never decreases. relaxes() says whether a sweep
+    after an epoch's first takes the omega-step, whose half state meets no
+    first-order condition: at omega != 1, all but the sweep after a taken
+    candidate do.
+
+    memory > 0 adds Anderson steps on the block-1 dual, or within an epoch
+    on the log of its scaling (Zhang, O'Donoghue and Boyd,
+    arXiv:1808.03971). A period starts at the start an epoch opens with,
+    the state its first sweep reaches, or at the last period's end, and
+    ends _ANDERSON_PERIOD kept sweeps later (due counts them, and left
+    bounds a burst by what remains). candidate(end) then extrapolates with
+    _Anderson(memory) from the last memory + 1 period starts and ends, and
+    starts the next period at end. The iterator evaluates the candidate as
+    a full state with block 2 exact, F there NaN where a scaling leaves
+    its range, and settle(candidate, value) takes it only if keeps(value)
+    does: the candidate then starts the next period. A rejected candidate
+    or an opening epoch clears the history. A candidate is not a sweep: it
+    is not yielded. At memory = 0 no Anderson code runs.
+    """
+
+    def __init__(self, omega: float, memory: int, size: int):
+        self.omega = omega
+        self.guarded = omega != 1.0 or memory > 0
+        self.history = _Anderson(memory, size) if memory else None
+        self.F = None  # F at the last kept state, None as an epoch opens
+        self.exact = False  # whether the next sweep is exact
+        self.start, self.swept = None, 0  # the period's start; sweeps since
+
+    def open(self, start: np.ndarray) -> None:
+        """An epoch opens: its first sweep reaches start, or reached it."""
+        self.F, self.exact = None, False
+        if self.history is not None:
+            self.history.clear()
+            self.start, self.swept = start, -1
+
+    def relaxes(self) -> bool:
+        """Whether the next sweep takes the omega-step."""
+        exact, self.exact = self.exact, False
+        return self.omega != 1.0 and not exact
+
+    def keeps(self, value: float) -> bool:
+        F = self.F
+        if F is not None and not value >= F - _F_SLACK * abs(F):
+            return False
+        self.F = value
+        return True
+
+    def left(self, most: int) -> int:
+        """At most most, the kept sweeps left in the period."""
+        if self.history is None:
+            return most
+        return min(most, _ANDERSON_PERIOD - self.swept)
+
+    def due(self, swept: int) -> bool:
+        """Count swept more kept sweeps; whether the period has ended."""
+        if self.history is None:
+            return False
+        self.swept += swept
+        return self.swept >= _ANDERSON_PERIOD
+
+    def candidate(self, end: np.ndarray) -> np.ndarray | None:
+        candidate = self.history.step(self.start, end)
+        self.start, self.swept = end, 0
+        return candidate
+
+    def settle(self, candidate: np.ndarray, value: float) -> bool:
+        if not self.keeps(value):
+            self.history.clear()
+            return False
+        self.start, self.exact = candidate, True
+        return True
 
 
 class _Anderson:

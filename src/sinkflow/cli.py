@@ -218,7 +218,9 @@ def _flow_setup(data: dict, args) -> FlowProblem:
         # checked as FlowProblem and spanning_tree_flow check them
         b1, b2 = measure_pair(data.pop("b1"), data.pop("b2"), graph.n, graph.n)
     tree_mass = None
-    if gamma is None:
+    # a graph of one vertex has no arcs to schedule over; FlowProblem
+    # refuses it below, as under --gamma
+    if gamma is None and graph.n >= 2:
         tree_mass = float(spanning_tree_flow(graph, b1, b2).sum())
         with _bad_input("--epsilon"):
             gamma = schedule_gamma(args.epsilon,

@@ -39,9 +39,8 @@ from .blocklp import (
     BlockProblem,
     DualState,
     Sweep,
-    _Anderson,
     _exp_in_range,
-    _falls,
+    _Safeguard,
     _state_row,
     cost_and_dual,
 )
@@ -265,35 +264,19 @@ class FlowProblem(BlockProblem):
         Under omega != 1 each sweep within an epoch takes the overrelaxed
         step sigma' = sigma tau^(omega / 2), that is
         v <- v + omega (block_update_1(u2) - v); the sweep that opens an
-        epoch stays exact. The dual objective at each full state,
-        <b1, v0 + 2 gamma log sigma> + gamma (Z - 2 sum a') since b2 = 0,
-        is formed once per burst over its rows, and the first sweep that
-        lowers it (by more than roundoff, see blocklp._falls) ends the
-        epoch as a sigma out of range does, so the objective never
-        decreases. The half-state row of an overrelaxed sweep meets no
-        first-order condition.
-
-        memory > 0 adds Anderson steps on log sigma within each epoch, and
-        forms F as omega != 1 does. A period runs from the epoch's opening
-        row, or from the last period's end, for
-        blocklp._ANDERSON_PERIOD sweeps that all passed the F test, and a
-        burst holds at most what is left of it. Then _Anderson(memory)
-        extrapolates log sigma from the last memory + 1 period starts and
-        ends; the candidate is taken only if its sigma is in the scaling
-        range and F there, with block 2 exact (one _scaled_sums), does not
-        fall below F at the period's end. A taken candidate is the row the
-        next burst starts from, it starts the next period, and the sweep
-        after it is exact (omega = 1). A rejected candidate or the end of
-        the epoch clears the history. A candidate is not a sweep: it is
-        not yielded, and no trace row reads it but as the half state's
-        row before the sweep after it. At memory = 0 no Anderson code
-        runs.
+        epoch stays exact. The ascent policy is blocklp._Safeguard's: F at
+        each full state, <b1, v0 + 2 gamma log sigma> + gamma (Z - 2 sum a')
+        since b2 = 0, is formed once per burst over its rows, and the first
+        row it drops ends the epoch as a sigma out of range does. Anderson
+        steps act on log sigma, which is 0 at the opening row; a burst holds
+        at most what is left of the period, and a taken candidate, one
+        _scaled_sums, is the row the next burst starts from. No trace row
+        reads a candidate but as the half state's row before the sweep
+        after it.
         """
         n = self.graph.n
         burst = min(_BURST_SWEEPS, max(1, blocklp._BLOCK_FLOATS // n))
-        period = blocklp._ANDERSON_PERIOD
-        guarded = omega != 1.0 or memory > 0
-        history = _Anderson(memory, n) if memory else None
+        guard = _Safeguard(omega, memory, n)
         r_abs, r_neg = np.abs(self.r), self.r < 0.0
         u2 = (self.initial_state() if u0 is None else u0).u2
         while True:
@@ -303,22 +286,15 @@ class FlowProblem(BlockProblem):
             kernel = _full_flow(self, v0)
             epoch_rows = partial(_absorbed_rows, self, v0, kernel)
             last = None  # the row of the last sweep yielded, or a candidate
-            F = None  # F at that row, when guarded
-            if history is not None:
-                history.clear()
-                # the period starts at the opening row, sigma = 1, which
-                # is not a sweep after its start
-                start, swept = np.zeros(n), -1
-            exact = False  # whether the burst's first sweep is exact
+            guard.open(np.zeros(n))
             size = good = burst
             while good == size:
-                if history is not None:
-                    size = min(burst, period - swept)
+                size = guard.left(burst)
                 rows = np.empty((3, size, n))
                 good, res1 = _burst(self, kernel, rows, last, r_abs, r_neg,
-                                    omega, exact)
-                if guarded:
-                    good, F = _ascending(self, v0, rows, good, F)
+                                    omega, not guard.relaxes())
+                if guard.guarded:
+                    good = _ascending(self, v0, rows, good, guard)
                 for i in range(good):
                     if last is not None:
                         before = last
@@ -328,23 +304,14 @@ class FlowProblem(BlockProblem):
                     # epoch's opening half, or the buffer before a burst,
                     # held here too would show in a run's peak memory
                     del before
-                exact = False
-                if history is None or good < size:
+                if good < size or not guard.due(size):
                     continue
-                swept += size
-                if swept < period:
-                    continue
-                end = np.log(rows[0, size - 1])
-                candidate = history.step(start, end)
-                start, swept = end, 0
+                candidate = guard.candidate(np.log(rows[0, size - 1]))
                 if candidate is None:
                     continue
-                taken = _candidate(self, v0, kernel, candidate, F)
-                if taken is None:
-                    history.clear()
-                else:
-                    last, F = taken
-                    start, exact = candidate, True
+                row, value = _candidate(self, v0, kernel, candidate)
+                if guard.settle(candidate, value):
+                    last = row, 0
             # fall back from the last row yielded, or the candidate taken
             # after it; this epoch's arrays go before block_update_1 runs,
             # for the same reason
@@ -410,21 +377,18 @@ def _burst(problem: FlowProblem, kernel: np.ndarray, rows: np.ndarray,
 
 
 def _ascending(problem: FlowProblem, v0: np.ndarray, rows: np.ndarray,
-               good: int, before: float | None) -> tuple[int, float | None]:
-    """The number of leading rows of a burst's first good ones along which
-    F does not fall, and F at the last of them.
+               good: int, guard: _Safeguard) -> int:
+    """The number of leading rows of a burst's first good ones whose
+    states guard keeps.
 
     F at a row is <b1, v0 + 2 gamma log sigma> + gamma (Z - 2 sum a),
-    formed for the rows at once as solve forms it, with b2 = 0. before is
-    F at the row before the burst, or None when the burst opens its epoch:
-    its first row is the state the exact update reached, and is kept.
+    formed for the rows at once as solve forms it, with b2 = 0.
     """
     for i, value in enumerate(_objective(problem, v0, np.log(rows[0, :good]),
                                          rows[1, :good]).tolist()):
-        if before is not None and _falls(value, before):
-            return i, before
-        before = value
-    return good, before
+        if not guard.keeps(value):
+            return i
+    return good
 
 
 def _objective(problem: FlowProblem, v0: np.ndarray, log_sigma: np.ndarray,
@@ -438,22 +402,18 @@ def _objective(problem: FlowProblem, v0: np.ndarray, log_sigma: np.ndarray,
 
 
 def _candidate(problem: FlowProblem, v0: np.ndarray, kernel: np.ndarray,
-               log_sigma: np.ndarray, before: float
-               ) -> tuple[tuple, float] | None:
+               log_sigma: np.ndarray) -> tuple[np.ndarray | None, float]:
     """An Anderson candidate log sigma as a one-row burst buffer (sigma,
-    a, c), as the row (buffer, 0), and F there; None unless sigma lies in
-    the scaling range and F does not fall below before."""
+    a, c), and F there; (None, NaN) unless sigma lies in the scaling
+    range."""
     with np.errstate(over="ignore"):
         sigma = np.exp(log_sigma)
     if not in_scaling_range(sigma):
-        return None
+        return None, math.nan
     row = np.empty((3, 1, problem.graph.n))
     row[0, 0] = sigma
     _scaled_sums(problem.graph, kernel, sigma, row[1, 0], row[2, 0])
-    value = float(_objective(problem, v0, np.log(sigma), row[1, 0]))
-    if _falls(value, before):
-        return None
-    return (row, 0), value
+    return row, float(_objective(problem, v0, np.log(sigma), row[1, 0]))
 
 
 def _scaled_sums(g: Graph, kernel, sigma, a, c):

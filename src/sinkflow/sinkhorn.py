@@ -22,16 +22,14 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from . import blocklp
 from .blocklp import (
     BlockProblem,
     DualState,
     Sweep,
-    _Anderson,
     _dual_value,
-    _falls,
     _formed_stacks,
     _l1,
+    _Safeguard,
     _state_row,
     primal_from_dual,
 )
@@ -157,44 +155,28 @@ class OTProblem(BlockProblem):
         Under omega != 1 each sweep after an epoch's first takes the
         overrelaxed step a' = a (b1 / (a K b))^omega, that is
         u1 <- u1 + omega (block_update_1(u2) - u1), and b stays exact. The
-        dual objective is formed at every full state, and a sweep that
-        lowers it (by more than roundoff, see blocklp._falls) is dropped
-        and ends the epoch as an a out of range does, so the objective
-        never decreases. The half-state row of an overrelaxed sweep meets
-        no first-order condition.
-
-        memory > 0 adds Anderson steps on log a within each epoch, and
-        forms F as omega != 1 does. A period runs from the full state of
-        the epoch's first sweep, or from the last period's end, for
-        blocklp._ANDERSON_PERIOD sweeps; then _Anderson(memory)
-        extrapolates log a from the last memory + 1 period starts and
-        ends. The candidate is taken only if its a, and the exact b it
-        gives, lie in the scaling range and F there (one matrix-vector
-        pair) does not fall below F at the period's end. A taken candidate
-        is the state the next sweep starts from, it starts the next
-        period, and that sweep is exact (omega = 1). A rejected candidate
-        or the end of the epoch clears the history. A candidate is not a
-        sweep: it is not yielded. At memory = 0 no Anderson code runs.
+        ascent policy is blocklp._Safeguard's: a sweep whose full state it
+        drops ends the epoch as an a out of range does. Anderson steps act
+        on log a, which is 0 after the epoch's first sweep; a taken
+        candidate, with the exact b it gives (one matrix-vector pair), is
+        the state the next sweep starts from.
         """
         gamma, b1, b2 = self.gamma, self.b1, self.b2
         u2 = (self.initial_state() if u0 is None else u0).u2
         formed_rows = partial(_formed_stacks, partial(_half_row, self))
-        guarded = omega != 1.0 or memory > 0
-        history = _Anderson(memory, self.m1) if memory else None
+        guard = _Safeguard(omega, memory, self.m1)
         kernel = None  # no epoch open
-        F = None  # F at the epoch's last full state, when guarded
-        exact = False  # whether the next sweep is exact after a candidate
         while True:
             if kernel is not None:
                 # a subnormal or zero entry of K b leaves b1 / (K b) too few bits
                 if kb.min() < _TINY:
                     kernel = None
                 else:
-                    if omega == 1.0 or exact:
-                        a_next = b1 / kb
-                    else:
+                    if guard.relaxes():
                         with np.errstate(over="ignore"):
                             a_next = a * (b1 / (a * kb)) ** omega
+                    else:
+                        a_next = b1 / kb
                     if not in_scaling_range(a_next):
                         kernel = None
                 if kernel is None:
@@ -207,11 +189,7 @@ class OTProblem(BlockProblem):
                 epoch_rows = partial(_scaled_rows, self, f, g)
                 a_next, b = np.ones(self.m1), np.ones(self.m2)
                 kb = kernel.sum(axis=1)
-                F = None
-                if history is not None:
-                    history.clear()
-                    swept = -1  # the first sweep sets the period's start
-            exact = False
+                guard.open(np.zeros(self.m1))
             kta = a_next @ kernel
             half = a_next, kb, b, kta
             with np.errstate(divide="ignore", over="ignore"):
@@ -221,7 +199,7 @@ class OTProblem(BlockProblem):
                 kb_next = kernel @ b_next
                 res1 = _l1(a_next * kb_next - b1)
                 state = epoch_rows, (*half, b_next, kb_next)
-                if guarded:
+                if guard.guarded:
                     full = DualState(f + gamma * np.log(a_next),
                                      g + gamma * np.log(b_next))
                     mass = float(a_next @ kb_next)
@@ -230,60 +208,45 @@ class OTProblem(BlockProblem):
                 full = DualState(u1, self.block_update_2(u1))
                 res1, res2, mass = _state_row(self, full)
                 state = formed_rows, (full.u1, full.u2, res2, mass, half)
-            if guarded:
-                value = _dual_value(self, full, mass)
-                if F is not None and _falls(value, F):
-                    # drop the sweep and end the epoch, as when a leaves
-                    # the range: the exact update runs in its place
-                    u2 = g + gamma * np.log(b)
-                    kernel = None
-                    continue
-                F = value
+            if guard.guarded and not guard.keeps(
+                    _dual_value(self, full, mass)):
+                # drop the sweep and end the epoch, as when a leaves the
+                # range: the exact update runs in its place
+                u2 = g + gamma * np.log(b)
+                kernel = None
+                continue
             if epoch_goes_on:
                 a, b, kb = a_next, b_next, kb_next
             else:
                 u2, kernel = full.u2, None
             yield res1, state
-            if history is None or kernel is None:
+            if kernel is None or not guard.due(1):
                 continue
-            swept += 1
-            if swept == 0:
-                start = np.log(a)
-            if swept < blocklp._ANDERSON_PERIOD:
-                continue
-            end = np.log(a)
-            candidate = history.step(start, end)
-            start, swept = end, 0
+            candidate = guard.candidate(np.log(a))
             if candidate is None:
                 continue
-            taken = _candidate(self, f, g, kernel, candidate, F)
-            if taken is None:
-                history.clear()
-            else:
-                (a, b, kb), F = taken
-                start, exact = candidate, True
+            taken, value = _candidate(self, f, g, kernel, candidate)
+            if guard.settle(candidate, value):
+                a, b, kb = taken
 
 
 def _candidate(problem: OTProblem, f: np.ndarray, g: np.ndarray,
-               kernel: np.ndarray, log_a: np.ndarray, before: float
-               ) -> tuple[tuple, float] | None:
+               kernel: np.ndarray, log_a: np.ndarray
+               ) -> tuple[tuple | None, float]:
     """An Anderson candidate log a as the epoch state (a, b, K b), with
-    b = b2 / (K^T a) exact, and F there; None unless a and b lie in the
-    scaling range and F does not fall below before."""
+    b = b2 / (K^T a) exact, and F there; (None, NaN) unless a and b lie in
+    the scaling range."""
     with np.errstate(divide="ignore", over="ignore"):
         a = np.exp(log_a)
         if not in_scaling_range(a):
-            return None
+            return None, math.nan
         b = problem.b2 / (a @ kernel)
     if not in_scaling_range(b):
-        return None
+        return None, math.nan
     kb = kernel @ b
     full = DualState(f + problem.gamma * np.log(a),
                      g + problem.gamma * np.log(b))
-    value = _dual_value(problem, full, float(a @ kb))
-    if _falls(value, before):
-        return None
-    return (a, b, kb), value
+    return (a, b, kb), _dual_value(problem, full, float(a @ kb))
 
 
 def _scaled_rows(problem: OTProblem, f: np.ndarray, g: np.ndarray,

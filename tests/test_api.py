@@ -82,9 +82,11 @@ def _defined_names(tree) -> set:
 
 def test_import_structure():
     """Sinkflow modules import each other at the top of the module only,
-    graph, which the solvers build on, imports only numerics, and no module
+    graph, which the solvers build on, imports only numerics, no module
     defines a name of the test references in tests/reference.py, which
-    live outside the package because no run path calls them."""
+    live outside the package because no run path calls them, and the
+    engines neither bind nor read the parts of the ascent policy that
+    blocklp._Safeguard holds."""
     paths = sorted((ROOT / "src" / "sinkflow").glob("*.py"))
     assert [p.stem for p in paths] == sorted(["__init__", *MODULES])
     references = _defined_names(
@@ -105,6 +107,15 @@ def test_import_structure():
             assert used <= {"numerics"}, used
     assert inside == []
     assert moved == []
+    policy = {"_Anderson", "_falls", "_F_SLACK", "_ANDERSON_PERIOD"}
+    for name in ("flowsinkhorn", "sinkhorn"):
+        module = importlib.import_module(f"sinkflow.{name}")
+        tree = ast.parse(Path(module.__file__).read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)}
+        assert policy & (set(vars(module)) | read) == set(), name
 
 
 def test_benchmark_span_targets_resolve():

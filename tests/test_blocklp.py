@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from sinkflow import blocklp, cli, flowsinkhorn, sinkhorn
+from sinkflow import blocklp, cli, flowsinkhorn
 from sinkflow.analysis import verify_ascent
 from sinkflow.blocklp import (
     BlockProblem,
@@ -813,37 +813,59 @@ def test_warm_started_traces_pass_the_ascent_audits(make, fallback):
         assert trace.foc2[i] <= 1e-9 * max(1.0, trace.primal_mass[i])
 
 
-@pytest.mark.parametrize("make, start, drops", [
-    (lambda: random_flow_problem(np.random.default_rng(78), 10, 0.05),
-     _coarse_start, False),
-    (lambda: random_flow_problem(np.random.default_rng(78), 10, 0.2),
-     _coarse_start, False),
-    (lambda: random_ot_problem(np.random.default_rng(80), 6, 7, 0.05),
-     _coarse_start, False),
-    (lambda: random_ot_problem(np.random.default_rng(80), 6, 7, 0.2),
-     _coarse_start, False),
-    (lambda: random_flow_problem(np.random.default_rng(79), 10, 0.05),
-     lambda pb: pb.initial_state(), True)],
-    ids=["flow-0.05", "flow-0.2", "ot-0.05", "ot-0.2", "flow-0.05-cold"])
-def test_overrelaxed_engines_match_overrelaxed_block_updates(make, start,
-                                                            drops):
+_OVERRELAXED_CASES = [
+    ("flow-0.05", lambda: random_flow_problem(np.random.default_rng(78), 10,
+                                              0.05), _coarse_start, False),
+    ("flow-0.2", lambda: random_flow_problem(np.random.default_rng(78), 10,
+                                             0.2), _coarse_start, False),
+    ("ot-0.05", lambda: random_ot_problem(np.random.default_rng(80), 6, 7,
+                                          0.05), _coarse_start, False),
+    ("ot-0.2", lambda: random_ot_problem(np.random.default_rng(80), 6, 7,
+                                         0.2), _coarse_start, False),
+    ("flow-0.05-cold", lambda: random_flow_problem(np.random.default_rng(79),
+                                                   10, 0.05),
+     lambda pb: pb.initial_state(), True)]
+
+
+@pytest.mark.parametrize("make, start, drops, memory", [
+    pytest.param(make, start, drops, memory,
+                 id=name + ("-memory-3" if memory else ""))
+    for memory in (0, 3) for name, make, start, drops in _OVERRELAXED_CASES])
+def test_overrelaxed_engines_match_overrelaxed_block_updates(
+        monkeypatch, make, start, drops, memory):
     """At omega = 1.8 from the same start, a warm one or u = 0, each
     engine agrees row by row with BlockProblem.sweeps(u0, omega=1.8) over
-    200 sweeps: F and the mass to 1e-8 relative, res1_l1 and both
-    seminorms to 1e-8. Where the safeguard drops a sweep, both run the
+    200 sweeps, with no Anderson steps and with those of memory 3, of
+    which both take some: F and the mass to 1e-8 relative, res1_l1 and
+    both seminorms to 1e-8. Where the safeguard drops a sweep, both run the
     exact update in its place: from u = 0 an early omega-step lowers F by
     more than F itself; the warm starts run to roundoff, which the
     safeguard does not read as a fall. No scaling leaves its range here,
-    where the engine's exact update and the block updates' step would
-    part. F ascends row by row in both."""
+    where the engine's exact update, which clears the Anderson history,
+    and the block updates' step would part. F ascends row by row in
+    both."""
+    settle, taken = blocklp._Safeguard.settle, []
+
+    def counted(guard, candidate, value):
+        kept = settle(guard, candidate, value)
+        taken.append(kept)
+        return kept
+
+    monkeypatch.setattr(blocklp._Safeguard, "settle", counted)
     pb = make()
     u0 = start(pb)
     counts = count_block_updates(pb)
     _, trace = solve(pb, max_sweeps=200, u0=u0,
-                     sweeps=pb.sweeps(u0, omega=1.8))
+                     sweeps=pb.sweeps(u0, omega=1.8, memory=memory))
     assert (counts["block_update_1"] > 1) == drops
+    engine_taken = sum(taken)
     _, ref = solve(pb, max_sweeps=200, u0=u0,
-                   sweeps=BlockProblem.sweeps(pb, u0, omega=1.8))
+                   sweeps=BlockProblem.sweeps(pb, u0, omega=1.8,
+                                              memory=memory))
+    if memory:
+        assert engine_taken and sum(taken) > engine_taken
+    else:
+        assert not taken
     np.testing.assert_allclose(trace.F_gamma, ref.F_gamma, rtol=1e-8)
     np.testing.assert_allclose(trace.primal_mass, ref.primal_mass,
                                rtol=1e-8)
@@ -998,8 +1020,7 @@ def test_memory_zero_runs_no_anderson_code(monkeypatch, make, which):
     def unused(*args):
         raise AssertionError("memory = 0 runs no Anderson code")
 
-    for module in (blocklp, flowsinkhorn, sinkhorn):
-        monkeypatch.setattr(module, "_Anderson", unused)
+    monkeypatch.setattr(blocklp, "_Anderson", unused)
     pb = make()
     u0 = _coarse_start(pb)
     iteration = _iteration(pb, which)
@@ -1043,33 +1064,35 @@ def test_anderson_steps_ascend_in_fewer_sweeps(monkeypatch, make, which):
         assert runs[0] < runs[1]
 
 
-@pytest.mark.parametrize("module, make, tol", [
-    (flowsinkhorn, lambda: _rung_problem(1), cli._RUNG_TOL),
-    (flowsinkhorn, lambda: _rung_problem(9), cli._RUNG_TOL),
-    (sinkhorn, lambda: random_ot_problem(np.random.default_rng(89), 8, 9,
-                                         3e-3, cost_scale=10.0), 1e-9)],
+@pytest.mark.parametrize("make, tol", [
+    (lambda: _rung_problem(1), cli._RUNG_TOL),
+    (lambda: _rung_problem(9), cli._RUNG_TOL),
+    (lambda: random_ot_problem(np.random.default_rng(89), 8, 9, 3e-3,
+                               cost_scale=10.0), 1e-9)],
     ids=["flow-trial-1", "flow-trial-9", "ot"])
 def test_anderson_rung_ascends_where_untested_candidates_fall(
-        monkeypatch, module, make, tol):
+        monkeypatch, make, tol):
     """The --epsilon rung, overrelaxed with Anderson steps at twice
     the scheduled gamma on a criterion-2 graph, and the same steps on a
     small-gamma plan, recorded every sweep: F never falls row to row, the
     engine takes some candidates and rejects others, and the sweep after
     each taken candidate is exact, so its half state meets the block-1
     first-order condition that the omega-sweeps' half states miss.
-    Negative control: the same candidates taken without the F test lower
+    Negative control: the same candidates taken without the F test of
+    _Safeguard.settle, which still refuses a scaling out of range, lower
     F from row to row."""
     pb = make()
-    candidate = module._candidate
+    settle = blocklp._Safeguard.settle
     drawn, taken, rejected = [0], [], []  # sweeps drawn; candidates
 
-    def counted(*args):
-        state = candidate(*args)
-        (rejected if state is None else taken).append(drawn[0])
-        return state
+    def counted(guard, candidate, value):
+        kept = settle(guard, candidate, value)
+        (taken if kept else rejected).append(drawn[0])
+        return kept
 
-    def untested(*args):
-        return candidate(*args[:-1], -math.inf)
+    def untested(guard, candidate, value):
+        guard.F = -math.inf  # any F passes; NaN, out of range, does not
+        return settle(guard, candidate, value)
 
     def draws(sweeps):
         for sweep in sweeps:
@@ -1078,7 +1101,7 @@ def test_anderson_rung_ascends_where_untested_candidates_fall(
 
     runs = []
     for replaced in (counted, untested):
-        monkeypatch.setattr(module, "_candidate", replaced)
+        monkeypatch.setattr(blocklp._Safeguard, "settle", replaced)
         _, trace = solve(pb, residual_tol=tol, max_sweeps=10**5,
                          sweeps=draws(pb.sweeps(omega=cli._RUNG_OMEGA,
                                                 memory=cli._RUNG_MEMORY)))

@@ -479,12 +479,12 @@ def test_anderson_final_solve_passes_every_audit(capsys, monkeypatch,
     CLI whose final solve runs without them fails the guard."""
     if command == "w1":
         path, eps = desk_file(tmp_path, trial)
-        module, problem_type = flowsinkhorn, FlowProblem
+        problem_type = FlowProblem
     else:
         path, eps = plan_file(tmp_path)
-        module, problem_type = sinkhorn, OTProblem
+        problem_type = OTProblem
     traces, taken = [], []
-    solved, candidate = cli.solve, module._candidate
+    solved, settle = cli.solve, blocklp._Safeguard.settle
     engine = problem_type.sweeps
 
     def kept(*args, **kwargs):
@@ -492,13 +492,14 @@ def test_anderson_final_solve_passes_every_audit(capsys, monkeypatch,
         traces.append(trace)
         return state, trace
 
-    def counted(problem, *args):
-        state = candidate(problem, *args)
-        taken.append((problem.gamma, state is not None))
-        return state
+    def counted(guard, candidate, value):
+        kept = settle(guard, candidate, value)
+        # the solves done before this one: 0 in the rung, 1 in the final
+        taken.append((len(traces), kept))
+        return kept
 
     monkeypatch.setattr(cli, "solve", kept)
-    monkeypatch.setattr(module, "_candidate", counted)
+    monkeypatch.setattr(blocklp._Safeguard, "settle", counted)
     csv_path = tmp_path / "eps.csv"
     code, out, err = run_cli(capsys, command, str(path), "--epsilon",
                              repr(eps), "--trace", str(csv_path))
@@ -517,7 +518,7 @@ def test_anderson_final_solve_passes_every_audit(capsys, monkeypatch,
     for i in range(1, len(final)):
         assert final.foc1[i] <= 1e-9 * max(1.0, final.half_mass[i])
         assert final.foc2[i] <= 1e-9 * max(1.0, final.primal_mass[i])
-    assert (gamma, True) in taken
+    assert (1, True) in taken
 
     problem, _ = problem_in(command, str(path), gamma)
     u0, _ = reference_rung(problem, cli._SWEEP_CAP)
@@ -929,8 +930,9 @@ def test_negative_marginal_is_input_error(capsys, monkeypatch, tmp_path,
 
 _FLOW_EDGES = _PATH3["graph"]["edges"]
 _RAGGED_COST = [[0.0, 1.0], [1.0]]
-# (kind, id, changes to a valid input of that kind, error line). A file
-# with two faults reports the one set-up reads first.
+# (kind, id, changes to a valid input of that kind, error line), with kind
+# flow or ot, or a subcommand that alone takes the case on its input kind.
+# A file with two faults reports the one set-up reads first.
 _ONE_LINE_ERRORS = [
     ("flow", "edge-pair", {"graph": {"n": 3, "edges": [[0, 1], [1, 2]]}},
      "bad graph description: edges must be (i, j, w) triples, "
@@ -950,6 +952,10 @@ _ONE_LINE_ERRORS = [
     ("flow", "bool-n", {"graph": {"n": True, "edges": []}, "b1": [1.0],
                         "b2": [1.0]},
      "bad graph description: vertex count must be an integer >= 1, got True"),
+    # w1 --epsilon, too, refuses the graph, not the schedule it would give
+    ("w1", "one-vertex", {"graph": {"n": 1, "edges": []}, "b1": [1.0],
+                            "b2": [1.0]},
+     "bad flow problem: flow problems need at least two vertices"),
     ("flow", "edge-pair-and-string-b1",
      {"graph": {"n": 3, "edges": [[0, 1]]}, "b1": [1.0, "a", 0.0]},
      "bad graph description: edges must be (i, j, w) triples, "
@@ -989,7 +995,8 @@ _ONE_LINE_ERRORS += [
 @pytest.mark.parametrize("argv, changes, message", [
     pytest.param(argv, changes, message, id=f"{name}-{case}")
     for name, argv in _INPUT_ARGVS.items()
-    for kind, case, changes, message in _ONE_LINE_ERRORS if argv[1] == kind
+    for kind, case, changes, message in _ONE_LINE_ERRORS
+    if kind in (argv[0], argv[1])
 ])
 def test_input_errors_give_one_line_in_set_up_order(
         capsys, monkeypatch, tmp_path, argv, changes, message):
