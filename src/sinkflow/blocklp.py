@@ -108,6 +108,9 @@ class BlockProblem:
       log_reference: array (d,)  log(z), z > 0; a float for a constant z
       reference_mass: float      Z = sum(z), summed once per instance
       gamma: float               regularization strength
+      X0: float                  the l1 mass schedule_gamma(eps, X0,
+                                 dim_primal) reads: the tree flow's for a
+                                 flow, 1 for the plan b1 (x) b2
       op_norm_1to1: float        max column l1 norm of (A1; A2), which
                                  solve records as the trace's a_norm
       label: str                 short instance tag for reports
@@ -665,10 +668,17 @@ def _start_row(problem: BlockProblem, trace: ConvergenceTrace,
 
 
 def schedule_gamma(eps: float, X0: float, d: int) -> float:
-    """Regularization level eps / (2 * X0 * log d) used by the schedule."""
+    """Regularization level eps / (2 * X0 * log d) used by the schedule,
+    refused unless it is a positive finite float: with_gamma checks none."""
     if not (0 < eps < math.inf and 0 < X0 < math.inf):
         raise ValueError("eps and X0 must be positive and finite")
     if d < 3:
-        raise ValueError(f"schedule needs primal dimension >= 3, got {d}")
-    return eps / (2.0 * X0 * math.log(d))
+        raise ValueError(
+            f"the schedule needs at least 3 primal entries, got {d}")
+    gamma = eps / (2.0 * X0 * math.log(d))
+    if not 0 < gamma < math.inf:
+        raise ValueError(
+            f"eps {eps!r} schedules gamma {gamma!r}, which is not positive "
+            "and finite")
+    return gamma
 

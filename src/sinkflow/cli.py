@@ -35,8 +35,7 @@ from .blocklp import (
     solve,
 )
 from .flowsinkhorn import FlowProblem, w1_estimate
-from .graph import Graph, _graph_input, spanning_tree_flow
-from .numerics import measure_pair
+from .graph import Graph, _graph_input
 from .oracle import exact_ot, exact_w1
 from .sinkhorn import OTProblem
 
@@ -91,7 +90,12 @@ def _refuse_booleans(data: dict) -> None:
                 stack.extend(item)
 
 
-def _json_gamma(data: dict, args) -> float:
+def _gamma(data: dict, args) -> float:
+    """The gamma set-up builds the problem at: 1.0 under --epsilon, which
+    _scheduled replaces, or else --gamma or the file's 'gamma'. verify
+    takes no --epsilon, so its args may lack one."""
+    if getattr(args, "epsilon", None) is not None:
+        return 1.0
     if args.gamma is not None:
         source, gamma = "--gamma", args.gamma
     elif "gamma" in data:
@@ -123,16 +127,6 @@ def _build_graph(data: dict) -> Graph:
     with _bad_input("graph description"):
         spec = data["graph"]
         return Graph(*_graph_input(spec["n"], spec.pop("edges")))
-
-
-def _build_flow(graph: Graph, data: dict, gamma: float) -> FlowProblem:
-    with _bad_input("flow problem"):
-        return FlowProblem(graph, data["b1"], data["b2"], gamma)
-
-
-def _build_ot(cost, data: dict, gamma: float) -> OTProblem:
-    with _bad_input("transport problem"):
-        return OTProblem(cost, data["b1"], data["b2"], gamma)
 
 
 def _emit(payload: dict) -> None:
@@ -208,49 +202,38 @@ def _ladder(problem, max_sweeps: int) -> tuple[DualState, int]:
     return state, trace.k[-1]
 
 
+def _scheduled(problem, args):
+    """The problem, under --epsilon moved to the gamma that the schedule
+    gives from its X0 and primal dimension."""
+    if getattr(args, "epsilon", None) is None:
+        return problem
+    with _bad_input("--epsilon"):
+        return problem.with_gamma(schedule_gamma(
+            args.epsilon, problem.X0, problem.dim_primal))
+
+
 def _flow_setup(data: dict, args) -> FlowProblem:
-    """The w1 problem, under --epsilon at the scheduled gamma."""
+    """The problem of a flow file, for w1 and verify."""
     if "graph" not in data:
         raise _InputError("w1 expects a flow problem (with a 'graph' field)")
     graph = _build_graph(data)
-    gamma = None if args.epsilon is not None else _json_gamma(data, args)
+    gamma = _gamma(data, args)
     with _bad_input("flow problem"):
-        # checked as FlowProblem and spanning_tree_flow check them
-        b1, b2 = measure_pair(data.pop("b1"), data.pop("b2"), graph.n, graph.n)
-    tree_mass = None
-    # a graph of one vertex has no arcs to schedule over; FlowProblem
-    # refuses it below, as under --gamma
-    if gamma is None and graph.n >= 2:
-        tree_mass = float(spanning_tree_flow(graph, b1, b2).sum())
-        with _bad_input("--epsilon"):
-            gamma = schedule_gamma(args.epsilon,
-                                   tree_mass if tree_mass > 0 else 1.0,
-                                   2 * graph.p)
-    with _bad_input("flow problem"):
-        return FlowProblem(graph, b1, b2, gamma, tree_mass=tree_mass)
+        problem = FlowProblem(graph, data.pop("b1"), data.pop("b2"), gamma)
+    return _scheduled(problem, args)
 
 
 def _ot_setup(data: dict, args) -> OTProblem:
-    """The ot problem, under --epsilon at the scheduled gamma."""
+    """The problem of a transport file, for ot and verify."""
     if "cost" not in data:
         raise _InputError("ot expects a transport problem (with a 'cost' field)")
-    if args.epsilon is None:
-        gamma = _json_gamma(data, args)
-        with _bad_input("transport problem"):
-            # the marginals are looked up before the cost is converted
-            b1, b2 = data["b1"], data["b2"]
-            cost = np.asarray(data.pop("cost"), dtype=float)
-            return OTProblem(cost, b1, b2, gamma)
+    gamma = _gamma(data, args)
     with _bad_input("transport problem"):
+        # the marginals are looked up before the cost is converted
+        b1, b2 = data["b1"], data["b2"]
         cost = np.asarray(data.pop("cost"), dtype=float)
-    if cost.size < 3:
-        raise _InputError(
-            "epsilon scheduling needs a plan with at least 3 entries; "
-            "pass --gamma for tiny instances"
-        )
-    with _bad_input("--epsilon"):
-        gamma = schedule_gamma(args.epsilon, 1.0, cost.size)
-    return _build_ot(cost, data, gamma)
+        problem = OTProblem(cost, b1, b2, gamma)
+    return _scheduled(problem, args)
 
 
 def _run(args, setup, estimate) -> int:
@@ -346,11 +329,10 @@ def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     if args.input:
         data = _load_json(args.input)
-        gamma = _json_gamma(data, args)
         if "graph" in data:
-            instances = [_build_flow(_build_graph(data), data, gamma)]
+            instances = [_flow_setup(data, args)]
         elif "cost" in data:
-            instances = [_build_ot(data["cost"], data, gamma)]
+            instances = [_ot_setup(data, args)]
         else:
             raise _InputError("input has neither a 'graph' nor a 'cost' field")
     elif args.gamma is not None:

@@ -97,19 +97,17 @@ class FlowProblem(BlockProblem):
       mu1, mu2: finite nonnegative vertex marginals with equal total mass.
       gamma: regularization strength, positive and finite.
 
-    The reference z is the number alpha = ||tree flow||_1 / (2p) on every
-    entry of x, or 1 / (2p) when the marginals coincide and the tree flow
-    is empty; log_reference is the float log(alpha). A caller that has
-    already formed spanning_tree_flow(graph, mu1, mu2) passes its l1 mass
-    as tree_mass, and the tree flow is not formed again.
+    X0 is the l1 mass of spanning_tree_flow(graph, mu1, mu2), or 1.0 when
+    the marginals coincide and the tree flow is empty; the reference z is
+    the number alpha = X0 / (2p) on every entry of x, and log_reference is
+    the float log(alpha).
 
     The primal layout is x = (f, g), each of length p. Block 1 couples the
     divergence of f to the marginals via g (right-hand side mu2 - mu1 on
     vertices); block 2 is f - g = 0 on arcs.
     """
 
-    def __init__(self, graph: Graph, mu1, mu2, gamma: float, *,
-                 tree_mass: float | None = None):
+    def __init__(self, graph: Graph, mu1, mu2, gamma: float):
         if graph.n < 2:
             raise ValueError("flow problems need at least two vertices")
         mu1, mu2 = measure_pair(mu1, mu2, graph.n, graph.n)
@@ -117,9 +115,9 @@ class FlowProblem(BlockProblem):
             raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
 
         p = graph.p
-        if tree_mass is None:
-            tree_mass = float(spanning_tree_flow(graph, mu1, mu2).sum())
-        alpha = tree_mass / (2.0 * p) if tree_mass > 0 else 1.0 / (2.0 * p)
+        tree_mass = float(spanning_tree_flow(graph, mu1, mu2).sum())
+        self.X0 = tree_mass if tree_mass > 0 else 1.0
+        alpha = self.X0 / (2.0 * p)
 
         self.graph = graph
         self.mu1 = mu1

@@ -74,16 +74,18 @@ class Graph:
 
     def _build_arcs(self, i, j, w):
         # Directed view: both orientations of each edge, sorted by
-        # (src, dst). Arc k < m of the unsorted list is edge k forward and
-        # arc k + m the same edge backward, so the reverse of the arc sorted
-        # to position e sits where arc (order[e] + m) % p was sorted to.
-        # The (src, dst) pairs are distinct, so the input's edge order and
+        # (src, dst) as the one intp key src * n + dst, which cannot
+        # overflow: n <= m + 1 for a graph whose m edges fit in memory.
+        # Arc k < m of the unsorted list is edge k forward and arc k + m
+        # the same edge backward, so the reverse of the arc sorted to
+        # position e sits where arc (order[e] + m) % p was sorted to. The
+        # (src, dst) pairs are distinct, so the input's edge order and
         # orientations do not show in the result.
         m = len(w)
         self.p = 2 * m
         src = np.concatenate([i, j])
         dst = np.concatenate([j, i])
-        order = np.lexsort((dst, src))
+        order = np.argsort(src * self.n + dst, kind="stable")
         rank = np.empty(self.p, dtype=np.intp)
         rank[order] = np.arange(self.p)
         self.arc_src = src[order]

@@ -58,7 +58,8 @@ class OTProblem(BlockProblem):
       b2: length-m2 marginal, same requirements.
       gamma: regularization strength, positive and finite.
 
-    The reference z = b1 (x) b2 is kept only as its log and its mass.
+    The reference z = b1 (x) b2 is kept only as its log and its mass; it
+    is a plan, so its l1 mass X0 is 1.0.
     """
 
     def __init__(self, cost, b1, b2, gamma: float):
@@ -85,6 +86,7 @@ class OTProblem(BlockProblem):
         self.b1 = b1
         self.b2 = b2
         self.gamma = float(gamma)
+        self.X0 = 1.0
         self.log_b1 = np.log(b1)
         self.log_b2 = np.log(b2)
 

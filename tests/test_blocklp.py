@@ -694,6 +694,31 @@ def test_schedule_gamma_rejects_bad_input():
         schedule_gamma(1.0, 1.0, 2)
 
 
+@pytest.mark.parametrize("eps,X0", [(5e-324, 1.0), (1e-300, 1e100),
+                                    (1e300, 1e-300)])
+def test_schedule_gamma_refuses_a_gamma_out_of_range(eps, X0):
+    """with_gamma checks no gamma, so the schedule refuses one that
+    underflows to 0 or overflows to inf."""
+    with pytest.raises(ValueError, match="schedules gamma"):
+        schedule_gamma(eps, X0, 21)
+
+
+def test_problems_own_the_mass_the_schedule_reads():
+    """FlowProblem.X0 is the tree flow's l1 mass, or 1.0 when the
+    marginals coincide, and sets alpha = X0 / (2p) bit for bit; the plan
+    b1 (x) b2 of an OTProblem has mass 1."""
+    rng = np.random.default_rng(0x0A)
+    pb = random_flow_problem(rng, 9, 0.5)
+    assert pb.X0 == float(spanning_tree_flow(pb.graph, pb.mu1, pb.mu2).sum())
+    assert pb.X0 != 1.0
+    mu = random_marginals(rng, pb.graph.n)
+    same = FlowProblem(pb.graph, mu, mu, 0.5)
+    for problem in (pb, same):
+        assert problem.alpha == problem.X0 / (2 * problem.graph.p)
+    assert same.X0 == 1.0
+    assert random_ot_problem(rng, 3, 4, 0.5).X0 == 1.0
+
+
 def test_plan_schedule_example_d21():
     gamma, k = plan_schedule(1.0, 1.0, 1.0, 1.0, 1.0, 21)
     assert gamma == pytest.approx(1.0 / (2.0 * math.log(21)))

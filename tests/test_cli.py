@@ -363,9 +363,10 @@ def test_epsilon_runs_as_scheduled_gamma_to_tol_1e6(capsys, request,
 
 
 def test_w1_epsilon_forms_one_tree_flow(capsys, monkeypatch, path3_file):
-    """Set-up's tree flow schedules gamma and gives the problem its
-    reference; the rung forms none. The printed gamma is
-    schedule_gamma(eps, ||tree flow||_1, 2p) bit for bit."""
+    """The problem's one tree flow gives it its reference and the X0 that
+    schedules gamma; neither the schedule nor the rung forms another. The
+    printed gamma is schedule_gamma(eps, ||tree flow||_1, 2p) bit for
+    bit."""
     calls = []
     tree_flow = graph_module.spanning_tree_flow
 
@@ -373,7 +374,7 @@ def test_w1_epsilon_forms_one_tree_flow(capsys, monkeypatch, path3_file):
         calls.append(args)
         return tree_flow(*args)
 
-    for module in (cli, flowsinkhorn, graph_module):
+    for module in (flowsinkhorn, graph_module):
         monkeypatch.setattr(module, "spanning_tree_flow", counted)
     code, out, err = run_cli(capsys, "w1", path3_file, "--epsilon", "0.05")
     assert (code, err) == (0, "")
@@ -931,8 +932,9 @@ def test_negative_marginal_is_input_error(capsys, monkeypatch, tmp_path,
 _FLOW_EDGES = _PATH3["graph"]["edges"]
 _RAGGED_COST = [[0.0, 1.0], [1.0]]
 # (kind, id, changes to a valid input of that kind, error line), with kind
-# flow or ot, or a subcommand that alone takes the case on its input kind.
-# A file with two faults reports the one set-up reads first.
+# flow or ot, or a subcommand or an _INPUT_ARGVS id that alone takes the
+# case on its input kind, or a whole argv as a tuple. A file with two
+# faults reports the one set-up reads first.
 _ONE_LINE_ERRORS = [
     ("flow", "edge-pair", {"graph": {"n": 3, "edges": [[0, 1], [1, 2]]}},
      "bad graph description: edges must be (i, j, w) triples, "
@@ -952,10 +954,19 @@ _ONE_LINE_ERRORS = [
     ("flow", "bool-n", {"graph": {"n": True, "edges": []}, "b1": [1.0],
                         "b2": [1.0]},
      "bad graph description: vertex count must be an integer >= 1, got True"),
-    # w1 --epsilon, too, refuses the graph, not the schedule it would give
+    # w1 --epsilon, too, refuses the graph, not the schedule it would give,
+    # and either flag refuses it before its marginals
     ("w1", "one-vertex", {"graph": {"n": 1, "edges": []}, "b1": [1.0],
                             "b2": [1.0]},
      "bad flow problem: flow problems need at least two vertices"),
+    ("w1", "one-vertex-and-unbalanced-b1",
+     {"graph": {"n": 1, "edges": []}, "b1": [0.5], "b2": [1.0]},
+     "bad flow problem: flow problems need at least two vertices"),
+    # verify FILE, too, reads the graph before it looks for a gamma
+    ("flow", "edge-pair-and-missing-gamma",
+     {"graph": {"n": 3, "edges": [[0, 1], [1, 2]]}, "gamma": None},
+     "bad graph description: edges must be (i, j, w) triples, "
+     "got shape (2, 2)"),
     ("flow", "edge-pair-and-string-b1",
      {"graph": {"n": 3, "edges": [[0, 1]]}, "b1": [1.0, "a", 0.0]},
      "bad graph description: edges must be (i, j, w) triples, "
@@ -966,10 +977,18 @@ _ONE_LINE_ERRORS = [
      "bad transport problem: {ragged}"),
     ("ot", "string-b1", {"b1": [0.5, "a"]},
      "bad transport problem: could not convert string to float: 'a'"),
-    # --gamma looks the marginals up before it converts the cost, and
-    # --epsilon converts the cost first to schedule gamma
+    # set-up looks the marginals up before it converts the cost
     ("ot", "ragged-cost-and-missing-b1", {"cost": _RAGGED_COST, "b1": None},
      "bad transport problem: 'b1'"),
+    ("ot-epsilon", "one-by-two-plan", {"cost": [[0.0, 1.0]], "b1": [1.0]},
+     "bad --epsilon: the schedule needs at least 3 primal entries, got 2"),
+    # a whole argv takes the case alone: the schedule underflows
+    (("w1", "flow", "--epsilon", "5e-324"), "epsilon-underflow", {},
+     "bad --epsilon: eps 5e-324 schedules gamma 0.0, which is not positive "
+     "and finite"),
+    (("ot", "ot", "--epsilon", "5e-324"), "epsilon-underflow", {},
+     "bad --epsilon: eps 5e-324 schedules gamma 0.0, which is not positive "
+     "and finite"),
 ]
 # A JSON true or false in a number field is refused at load, before set-up
 # reads any field. Each change but the OT marginals' would read as a valid
@@ -996,7 +1015,11 @@ _ONE_LINE_ERRORS += [
     pytest.param(argv, changes, message, id=f"{name}-{case}")
     for name, argv in _INPUT_ARGVS.items()
     for kind, case, changes, message in _ONE_LINE_ERRORS
-    if kind in (argv[0], argv[1])
+    if kind in (name, argv[0], argv[1])
+] + [
+    pytest.param(list(kind), changes, message, id=f"{kind[0]}-{case}")
+    for kind, case, changes, message in _ONE_LINE_ERRORS
+    if isinstance(kind, tuple)
 ])
 def test_input_errors_give_one_line_in_set_up_order(
         capsys, monkeypatch, tmp_path, argv, changes, message):
@@ -1008,8 +1031,6 @@ def test_input_errors_give_one_line_in_set_up_order(
         del payload[key]
     with pytest.raises(ValueError) as ragged:
         np.asarray(_RAGGED_COST, dtype=float)
-    if changes.get("cost") is _RAGGED_COST and "--epsilon" in argv:
-        message = "bad transport problem: {ragged}"
     expected = message.format(ragged=ragged.value)
     path = tmp_path / "bad_input.json"
     path.write_text(json.dumps(payload))
