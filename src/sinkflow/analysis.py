@@ -2,8 +2,7 @@
 
 Two kinds of verification live here. The certificate functions take a
 recorded ConvergenceTrace and test the quantitative guarantees (rate
-envelope, per-sweep ascent, gap-residual, bias and radius bounds) with
-measured constants. The check_* functions probe structural properties of
+envelope, per-sweep ascent) with constants measured on that run. The check_* functions probe structural properties of
 the sweep operators themselves (monotonicity, translation equivariance,
 non-expansiveness) on randomized inputs and return JSON-ready reports.
 
@@ -28,10 +27,6 @@ __all__ = [
     "default_signed_order",
     "verify_rate",
     "verify_ascent",
-    "verify_gap_residual",
-    "bias_bound",
-    "primal_bound_from_dual",
-    "dual_bound_nonexpansive",
     "check_monotone_sweep",
     "check_translation_equivariance",
     "check_nonexpansive",
@@ -41,7 +36,6 @@ DEFAULT_SEED = 0xB7E6
 
 _RATE_SLACK = 1e-6
 _ASCENT_SLACK = 1e-10
-_GAP_SLACK = 1e-8
 _ORDER_TOL = 1e-10
 _BALANCE_TOL = 1e-12
 _EQUIVARIANCE_TOL = 1e-10
@@ -65,21 +59,9 @@ class RateCertificate:
     max_k_times_gap: float
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "X_hat": self.X_hat,
-            "U_hat": self.U_hat,
-            "A_norm": self.A_norm,
-            "envelope_bound": self.envelope_bound,
-            "max_k_times_gap": self.max_k_times_gap,
-            "pass": self.passed,
-        }
 
-
-def verify_rate(
-    trace: ConvergenceTrace, A_norm: float, gamma: float, F_star_ref: float
-) -> RateCertificate:
+def verify_rate(trace: ConvergenceTrace, F_star_ref: float) -> RateCertificate:
+    """The rate envelope at the trace's own gamma and operator norm."""
     if not trace.k:
         raise ValueError("trace is empty")
     if F_star_ref < max(trace.F_gamma) - 1e-9:
@@ -89,7 +71,8 @@ def verify_rate(
         )
     x_hat = float(max(trace.primal_mass))
     u_hat = float(max(max(trace.u1_seminorm), max(trace.u2_seminorm)))
-    envelope = 8.0 * x_hat * u_hat * u_hat * A_norm * A_norm / gamma
+    gamma, a_norm = trace.gamma, trace.a_norm
+    envelope = 8.0 * x_hat * u_hat * u_hat * a_norm * a_norm / gamma
     worst = 0.0
     for k, f in zip(trace.k, trace.F_gamma):
         if k >= 1:
@@ -98,7 +81,7 @@ def verify_rate(
         gamma=gamma,
         X_hat=x_hat,
         U_hat=u_hat,
-        A_norm=A_norm,
+        A_norm=a_norm,
         envelope_bound=envelope,
         max_k_times_gap=worst,
         passed=worst <= envelope + _RATE_SLACK,
@@ -136,64 +119,6 @@ def verify_ascent(trace: ConvergenceTrace) -> bool:
         if gain < bound - _ASCENT_SLACK:
             return False
     return True
-
-
-def verify_gap_residual(
-    trace: ConvergenceTrace, F_star_ref: float, U_hat: float
-) -> bool:
-    """Dual gap against the residual bound 2 * U_hat * ||r1||_1 at every row."""
-    for f, res in zip(trace.F_gamma, trace.res1_l1):
-        if F_star_ref - f > 2.0 * U_hat * res + _GAP_SLACK:
-            return False
-    return True
-
-
-def bias_bound(gamma: float, x0_star_mass: float, d: int) -> float:
-    """Smoothing bias cap gamma * X0 * log d; needs d >= 3 so log d > 1."""
-    if d < 3:
-        raise ValueError("bias bound needs primal dimension d >= 3")
-    return gamma * x0_star_mass * float(np.log(d))
-
-
-def primal_bound_from_dual(
-    gamma: float,
-    b_l1: float,
-    U_gamma: float,
-    d: int,
-    C_min: float,
-    trace: ConvergenceTrace | None = None,
-) -> float:
-    """A priori iterate-mass cap ||b||_1 U / gamma + d e^{-C_min/gamma}.
-
-    With a trace, also enforces it on the recorded masses.
-    """
-    bound = b_l1 * U_gamma / gamma + d * float(np.exp(-C_min / gamma))
-    if trace is not None:
-        worst = max(trace.primal_mass)
-        if worst > bound:
-            raise ValueError(
-                f"recorded primal mass {worst:.6g} exceeds the bound {bound:.6g}"
-            )
-    return bound
-
-
-def dual_bound_nonexpansive(
-    u0_seminorm: float,
-    kappa: float,
-    C_inf: float,
-    gamma: float,
-    H_gamma: float,
-    trace: ConvergenceTrace | None = None,
-) -> float:
-    """Dual radius cap u0 + 2 kappa (||C||_inf + gamma H); trace check optional."""
-    bound = u0_seminorm + 2.0 * kappa * (C_inf + gamma * H_gamma)
-    if trace is not None:
-        worst = max(trace.u1_seminorm)
-        if worst > bound:
-            raise ValueError(
-                f"recorded block-1 seminorm {worst:.6g} exceeds the bound {bound:.6g}"
-            )
-    return bound
 
 
 @dataclass

@@ -45,7 +45,7 @@ _EXP_LIMIT = 700.0
 
 
 class NumericOverflowError(RuntimeError):
-    """A primal entry left the representable range.
+    """A primal entry left the representable range, or a residual is NaN.
 
     When raised mid-solve, the partial trace collected so far is attached
     as the `trace` attribute.
@@ -602,9 +602,10 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
     ahead of the one drawn, as the flow engine does a burst at a time, but
     runs its exact updates only for the sweeps drawn.
 
-    Returns the final dual state and the trace. On overflow the partial
-    trace rides on the raised NumericOverflowError; it holds the rows
-    recorded before the sweep, or the state, that overflowed.
+    Returns the final dual state and the trace. On overflow, or on a NaN
+    block-1 residual at the start row or a drawn sweep, the partial trace
+    rides on the raised NumericOverflowError; it holds the rows recorded
+    before the sweep, or the state, that failed.
     """
     if max_sweeps is None and residual_tol is None:
         raise ValueError("need max_sweeps and/or residual_tol")
@@ -631,6 +632,9 @@ def solve(problem: BlockProblem, *, max_sweeps: int | None = None,
             # held is the only reference solve keeps to a sweep's states,
             # so a closed block's are freed before the next sweep runs
             held.append((k, *next(sweeps)))
+            if math.isnan(held[-1][1]):
+                del held[-1]
+                raise _nan_residual(k)
             stop = done(k, held[-1][1])
             if k % record_every and not stop:
                 del held[-1]
@@ -662,9 +666,15 @@ def _start_row(problem: BlockProblem, trace: ConvergenceTrace,
     """
     u = problem.initial_state() if u0 is None else u0
     res1, res2, mass = _state_row(problem, u)
+    if math.isnan(res1):
+        raise _nan_residual(0)
     trace.append(0, _dual_value(problem, u, mass), res1, res2, mass,
                  variation_seminorm(u.u1), variation_seminorm(u.u2))
     return res1
+
+
+def _nan_residual(k: int) -> NumericOverflowError:
+    return NumericOverflowError(f"the block-1 residual of sweep {k} is NaN")
 
 
 def schedule_gamma(eps: float, X0: float, d: int) -> float:

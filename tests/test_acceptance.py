@@ -228,9 +228,7 @@ def test_criterion_4_rate_envelope():
         _keep(f"c4-{name}", trace)
         ref_state, ref_trace = solve(pb, max_sweeps=10**5, record_every=10**4)
         _keep(f"c4-{name}-ref", ref_trace)
-        cert = verify_rate(
-            trace, A_norm=2.0, gamma=pb.gamma, F_star_ref=ref_trace.F_gamma[-1]
-        )
+        cert = verify_rate(trace, ref_trace.F_gamma[-1])
         assert cert.passed, f"{name}: k*gap {cert.max_k_times_gap:.3e} escaped"
         if name == "ot":
             consts = ot_constants(pb)

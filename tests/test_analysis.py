@@ -4,15 +4,11 @@ import pytest
 from sinkflow.analysis import (
     DEFAULT_SEED,
     SignedOrderSpec,
-    bias_bound,
     check_monotone_sweep,
     check_nonexpansive,
     check_translation_equivariance,
     default_signed_order,
-    dual_bound_nonexpansive,
-    primal_bound_from_dual,
     verify_ascent,
-    verify_gap_residual,
     verify_rate,
 )
 from sinkflow.blocklp import (ConvergenceTrace, dual_objective,
@@ -47,32 +43,42 @@ def test_verify_rate_on_real_run():
     pb, state, trace = ot_run()
     _, ref_trace = solve(pb, max_sweeps=5000, residual_tol=1e-14)
     f_star = ref_trace.F_gamma[-1]
-    cert = verify_rate(trace, A_norm=2.0, gamma=pb.gamma, F_star_ref=f_star)
+    cert = verify_rate(trace, f_star)
     assert cert.passed, cert
     assert cert.X_hat <= 1.0 + 1e-9
     assert cert.max_k_times_gap <= cert.envelope_bound
-    d = cert.as_dict()
-    assert d["pass"] is True
-    assert d["envelope_bound"] == cert.envelope_bound
 
 
 def test_verify_rate_rejects_empty_trace():
     with pytest.raises(ValueError, match="empty"):
-        verify_rate(ConvergenceTrace(1.0, 1.0), 2.0, 1.0, 0.0)
+        verify_rate(ConvergenceTrace(1.0, 1.0), 0.0)
 
 
 def test_verify_rate_rejects_stale_reference():
     _, _, trace = ot_run(sweeps=50)
     with pytest.raises(ValueError, match="reference"):
-        verify_rate(trace, 2.0, 0.2, min(trace.F_gamma) - 1.0)
+        verify_rate(trace, min(trace.F_gamma) - 1.0)
 
 
 def test_verify_rate_fails_on_slow_trace():
     # constant gap 1 with near-zero measured constants: k * gap outgrows
     # the envelope and the certificate must say so
     rows = [(k, 0.0, 1e-12, 1e-12, 1e-9, 1e-6, 1e-6) for k in range(200)]
-    cert = verify_rate(crafted_trace(rows), 1.0, 1.0, F_star_ref=1.0)
+    cert = verify_rate(crafted_trace(rows), F_star_ref=1.0)
     assert not cert.passed
+
+
+def test_verify_rate_reads_gamma_and_norm_from_trace():
+    rows = [(0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0),
+            (1, 0.5, 0.5, 0.0, 2.0, 1.5, 0.5),
+            (2, 0.75, 0.25, 0.0, 1.5, 1.0, 1.25)]
+    trace = crafted_trace(rows, gamma=0.5, a_norm=3.0)
+    cert = verify_rate(trace, F_star_ref=1.0)
+    assert cert.gamma == 0.5 and cert.A_norm == 3.0
+    X_hat = max(trace.primal_mass)
+    U_hat = max(max(trace.u1_seminorm), max(trace.u2_seminorm))
+    assert (X_hat, U_hat) == (cert.X_hat, cert.U_hat) == (2.0, 1.5)
+    assert cert.envelope_bound == 8 * X_hat * U_hat**2 * 9.0 / 0.5
 
 
 # ------------------------------------------------------------ ascent/gap
@@ -109,60 +115,27 @@ def test_verify_ascent_trivial_trace():
 
 
 def test_verify_gap_residual_on_real_run():
+    """The gap is bounded by 2 * U_hat * ||r1||_1 at every row."""
     pb, _, trace = ot_run()
     _, ref_trace = solve(pb, max_sweeps=5000, residual_tol=1e-14)
-    cert = verify_rate(trace, 2.0, pb.gamma, ref_trace.F_gamma[-1])
-    assert verify_gap_residual(trace, ref_trace.F_gamma[-1], cert.U_hat)
-
-
-def test_verify_gap_residual_flags_inconsistency():
-    rows = [(0, 0.0, 0.0, 0.0, 1.0, 0, 0)]
-    assert not verify_gap_residual(crafted_trace(rows), F_star_ref=1.0, U_hat=1.0)
-
-
-# ------------------------------------------------------------ bound algebra
-
-
-def test_bias_bound_frozen():
-    assert bias_bound(0.1, 1.0, 8) == pytest.approx(0.20794415416798357, rel=1e-15)
-    with pytest.raises(ValueError):
-        bias_bound(0.1, 1.0, 2)
-
-
-def test_primal_bound_frozen_and_limits():
-    assert primal_bound_from_dual(1.0, 1.0, 2.0, 10, 0.0) == pytest.approx(12.0)
-    # a large cost floor kills the additive tail
-    assert primal_bound_from_dual(1.0, 1.0, 2.0, 10, 1e4) == pytest.approx(2.0)
-
-
-def test_primal_bound_checks_trace():
-    rows = [(0, 0.0, 0, 0, 100.0, 0, 0)]
-    with pytest.raises(ValueError, match="exceeds"):
-        primal_bound_from_dual(1.0, 1.0, 2.0, 10, 0.0, trace=crafted_trace(rows))
-    ok = [(0, 0.0, 0, 0, 11.0, 0, 0)]
-    assert primal_bound_from_dual(
-        1.0, 1.0, 2.0, 10, 0.0, trace=crafted_trace(ok)
-    ) == pytest.approx(12.0)
-
-
-def test_dual_bound_frozen_and_trace_check():
-    assert dual_bound_nonexpansive(0.0, 1.0, 1.0, 1.0, 1.0) == pytest.approx(4.0)
-    rows = [(0, 0.0, 0, 0, 1.0, 99.0, 0)]
-    with pytest.raises(ValueError, match="exceeds"):
-        dual_bound_nonexpansive(0.0, 1.0, 1.0, 1.0, 1.0, trace=crafted_trace(rows))
+    f_star = ref_trace.F_gamma[-1]
+    cert = verify_rate(trace, f_star)
+    for f, res in zip(trace.F_gamma, trace.res1_l1):
+        assert f_star - f <= 2.0 * cert.U_hat * res + 1e-8
 
 
 def test_real_run_sits_inside_apriori_radii():
+    """Recorded masses stay under ||b||_1 U / gamma + d e^{-C_min/gamma},
+    and block-1 seminorms under u0 + 2 kappa (||C||_inf + gamma H), at
+    u0 = 0."""
     pb, state, trace = ot_run(gamma=0.5)
     c = ot_constants(pb)
-    primal_bound_from_dual(
-        pb.gamma, 2.0, c.U_gamma, pb.dim_primal,
-        float(pb.cost_matrix.min()), trace=trace,
-    )
-    dual_bound_nonexpansive(
-        0.0, c.kappa, float(pb.cost_matrix.max()), pb.gamma, c.H_gamma,
-        trace=trace,
-    )
+    mass_cap = (2.0 * c.U_gamma / pb.gamma + pb.dim_primal
+                * float(np.exp(-float(pb.cost_matrix.min()) / pb.gamma)))
+    assert max(trace.primal_mass) <= mass_cap
+    radius = 2.0 * c.kappa * (float(pb.cost_matrix.max())
+                              + pb.gamma * c.H_gamma)
+    assert max(trace.u1_seminorm) <= radius
 
 
 # ------------------------------------------------------------ signed order

@@ -265,6 +265,24 @@ def test_solve_attaches_partial_trace_on_overflow():
     assert err.value.trace is not None
 
 
+def test_nan_residual_is_a_numeric_failure():
+    """At gamma 1e-320 the flow engine's first sweep has a NaN block-1
+    residual: solve raises with the start row only. A start state with a
+    NaN residual raises before its row is recorded."""
+    g = Graph(3, [(0, 1, 1.0), (1, 2, 1.5)])
+    pb = FlowProblem(g, [0.7, 0.1, 0.2], [0.1, 0.3, 0.6], 1e-320)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NumericOverflowError, match="sweep 1 is NaN") as err:
+            solve(pb, max_sweeps=20)
+    assert list(err.value.trace.k) == [0]
+    toy = ToyProblem()
+    with pytest.raises(NumericOverflowError, match="sweep 0 is NaN") as err:
+        solve(toy, max_sweeps=5, u0=DualState(np.array([math.nan]),
+                                              np.array([0.0])))
+    assert list(err.value.trace.k) == []
+
+
 # ----------------------------------------------------------------- blocks
 
 _COLUMNS = ("k", "F_gamma", "res1_l1", "res2_l1", "primal_mass",

@@ -1349,6 +1349,22 @@ def test_module_entry_point_runs(flow_file):
     assert 0.95 <= payload["w1_dual"] <= 1.05
 
 
+@pytest.mark.parametrize("flag", [["--gamma", "1e-320", "--max-sweeps", "20"],
+                                  ["--epsilon", "1e-320"]],
+                         ids=["gamma", "epsilon"])
+def test_nan_residual_exits_3_within_5_s(path3_file, flag):
+    """At a subnormal gamma the flow engine's residual is NaN from sweep 1:
+    the run is a numeric failure, not NaN output or a run to the cap."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "sinkflow.cli", "w1", path3_file, *flag],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    lines = [line for line in proc.stderr.splitlines()
+             if line.startswith("numeric failure")]
+    assert lines == ["numeric failure: the block-1 residual of sweep 1 is NaN"]
+
+
 def test_module_entry_point_usage_error(flow_file):
     proc = subprocess.run(
         [sys.executable, "-m", "sinkflow.cli", "w1", flow_file,
